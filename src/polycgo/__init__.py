@@ -20,14 +20,12 @@ from .cgo import (
     CGOSolution,
     NormProbe,
     OscillatoryTransport,
-    apply_transport,
     build_adjoint_cgo,
     build_cgo,
     residual_norm,
     smooth_random_field,
     solve_density,
     transport_norm_probe,
-    transport_source,
 )
 from .errors import (
     ConfigError,
@@ -78,6 +76,6 @@ from .recovery import (
     stationary_phase_calibration,
     stationary_phase_extract,
 )
-from .sweeps import DEFAULT_H_SWEEP, SweepTable, fit_loglog_slope
+from .sweeps import DEFAULT_H_SWEEP, fit_loglog_slope
 
 __version__ = "0.1.0"

@@ -9,25 +9,26 @@ g through a fixed-point map
 with unimodular oscillations E+/- and divergence coefficients c.  The density
 solves (I - T) g = w by Neumann series (T contracts for small h), then the
 remainder is r = dbar_inv^m(E- * g) and u = exp(phase/h) * (a + r).  Adjoint
-solutions reuse the same machinery with the carrier sign flipped.
+solutions reuse the same machinery with the carrier sign flipped.  A solution
+keeps only g and r; u and the diagnostics are assembled on first access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial, nan
 
 import numpy as np
 import scipy.ndimage
 
-from .cauchy import d_inv, d_inv_pow, dbar_inv, dbar_inv_pow
+from .cauchy import d_inv_pow, dbar_inv_pow
 from .errors import MaxTermsExceededError, NonContractionError
 from .grid import (
     ComplexGrid,
     ScalarField,
     _dx,
     _dy,
-    masked_l2,
     mixed_wirtinger,
     norm_hm,
     norm_lp,
@@ -37,7 +38,6 @@ from .operators import (
     STANDARD,
     PerturbedOperator,
     adjoint,
-    apply,
     to_divergence_form,
     to_standard_form,
 )
@@ -91,15 +91,33 @@ class CGODiagnostics:
 
 @dataclass(frozen=True)
 class CGOSolution:
-    """Assembled oscillatory solution with its density and diagnostics."""
+    """Oscillatory solution in factored form: density g, remainder r, and the
+    operator it was built for.  The assembled u and the diagnostics are
+    computed on first access; recovery reads only r.
+    """
 
     phase: PhaseSpec
     amplitude: AmplitudeSpec
     carrier_sign: int
+    op: PerturbedOperator
     g: ScalarField
     r: ScalarField
-    u: ScalarField
-    diagnostics: CGODiagnostics
+    neumann_terms: int
+
+    @cached_property
+    def u(self) -> ScalarField:
+        """exp(sign*phase/h) * (a + r); the carrier overflows for very small h."""
+        carrier = self.phase.carrier(self.op.grid, self.carrier_sign)
+        return carrier * (self.amplitude.field + self.r)
+
+    @cached_property
+    def diagnostics(self) -> CGODiagnostics:
+        return CGODiagnostics(
+            g_l2=norm_lp(self.g, 2),
+            r_hm=norm_hm(self.r, self.op.m),
+            residual_l2=residual_norm(_as_standard(self.op), self.u, RESIDUAL_MARGIN),
+            neumann_terms=self.neumann_terms,
+        )
 
 
 class OscillatoryTransport:
@@ -125,11 +143,9 @@ class OscillatoryTransport:
         self.rows = sorted({j for j, _ in self.active})
         self.cols = sorted({k for _, k in self.active})
 
-    def apply(self, v: ScalarField) -> ScalarField:
+    def _outer_sum(self, x) -> ScalarField:
+        """-sum_j d_inv^(m-j)(E+ * sum_k c[j,k] * x[k]) over the nonzero coefficients."""
         m = self.op.m
-        if not self.active or v.is_zero():
-            return self.grid.zero()
-        inner = {k: dbar_inv_pow(self.e_minus * v, m - k) for k in self.cols}
         out = self.grid.zero()
         for j in self.rows:
             combo = None
@@ -137,11 +153,17 @@ class OscillatoryTransport:
                 c = self.op.coeff(j, k)
                 if c.is_zero():
                     continue
-                term = c * inner[k]
+                term = c * x[k]
                 combo = term if combo is None else combo + term
             if combo is not None:
                 out = out - d_inv_pow(self.e_plus * combo, m - j)
         return out
+
+    def apply(self, v: ScalarField) -> ScalarField:
+        m = self.op.m
+        if not self.active or v.is_zero():
+            return self.grid.zero()
+        return self._outer_sum({k: dbar_inv_pow(self.e_minus * v, m - k) for k in self.cols})
 
     def apply_adjoint(self, v: ScalarField) -> ScalarField:
         """Exact discrete L2 adjoint; uses d_inv* = -dbar_inv for the odd kernel."""
@@ -166,29 +188,25 @@ class OscillatoryTransport:
 
     def source(self, amplitude: AmplitudeSpec) -> ScalarField:
         """Right-hand side built from the amplitude's dbar derivatives."""
-        m = self.op.m
-        a = amplitude.field
         if not self.active:
             return self.grid.zero()
-        dbar_a = {0: a}
-        for k in range(1, m):
-            dbar_a[k] = mixed_wirtinger(dbar_a[k - 1], 0, 1)
-        out = self.grid.zero()
-        for j in self.rows:
-            combo = None
-            for k in self.cols:
-                c = self.op.coeff(j, k)
-                if c.is_zero():
-                    continue
-                term = c * dbar_a[k]
-                combo = term if combo is None else combo + term
-            if combo is not None:
-                out = out - d_inv_pow(self.e_plus * combo, m - j)
-        return out
+        dbar_a = [amplitude.field]
+        for _ in range(1, self.op.m):
+            dbar_a.append(mixed_wirtinger(dbar_a[-1], 0, 1))
+        return self._outer_sum(dbar_a)
 
 
 def _as_divergence(op: PerturbedOperator) -> PerturbedOperator:
     return op if op.form == DIVERGENCE else to_divergence_form(op)
+
+
+def _as_standard(op: PerturbedOperator) -> PerturbedOperator:
+    return op if op.form == STANDARD else to_standard_form(op)
+
+
+def adjoint_divergence(op: PerturbedOperator) -> PerturbedOperator:
+    """Divergence form of the formal adjoint, the operator of the sign -1 family."""
+    return _as_divergence(adjoint(_as_standard(op)))
 
 
 def residual_norm(op: PerturbedOperator, u: ScalarField, margin: float = RESIDUAL_MARGIN) -> float:
@@ -234,20 +252,6 @@ def residual_norm(op: PerturbedOperator, u: ScalarField, margin: float = RESIDUA
     a = np.abs(out) ** 2 * mask
     total = w @ a @ w * s * s
     return float(np.sqrt(total))
-
-
-def apply_transport(
-    op: PerturbedOperator, phase: PhaseSpec, v: ScalarField, sign: int = +1
-) -> ScalarField:
-    """One application of the density fixed-point map (divergence-form operator)."""
-    return OscillatoryTransport(op, phase, sign).apply(v)
-
-
-def transport_source(
-    op: PerturbedOperator, phase: PhaseSpec, amplitude: AmplitudeSpec, sign: int = +1
-) -> ScalarField:
-    """The inhomogeneity of the density equation for a given amplitude."""
-    return OscillatoryTransport(op, phase, sign).source(amplitude)
 
 
 def solve_density(
@@ -314,32 +318,20 @@ def build_cgo(
     max_terms: int = DEFAULT_MAX_TERMS,
     sign: int = +1,
 ) -> CGOSolution:
-    """Full pipeline: divergence transform, density solve, remainder, assembly."""
-    op_std = op if op.form == STANDARD else to_standard_form(op)
+    """Divergence transform, density solve and remainder; u and diagnostics are lazy."""
     op_div = _as_divergence(op)
     amplitude.check_admissible(op.m)
     T = OscillatoryTransport(op_div, phase, sign)
     g, terms = solve_density(op_div, phase, amplitude, tol, max_terms, sign, _transport=T)
-    if g.is_zero():
-        r = op.grid.zero()
-    else:
-        r = dbar_inv_pow(T.e_minus * g, op.m)
-    carrier = phase.carrier(op.grid, sign)
-    u = carrier * (amplitude.field + r)
-    diags = CGODiagnostics(
-        g_l2=norm_lp(g, 2),
-        r_hm=norm_hm(r, op.m),
-        residual_l2=residual_norm(op_std, u, RESIDUAL_MARGIN),
-        neumann_terms=terms,
-    )
+    r = op.grid.zero() if g.is_zero() else dbar_inv_pow(T.e_minus * g, op.m)
     return CGOSolution(
         phase=phase,
         amplitude=amplitude,
         carrier_sign=sign,
+        op=op,
         g=g,
         r=r,
-        u=u,
-        diagnostics=diags,
+        neumann_terms=terms,
     )
 
 
@@ -351,8 +343,7 @@ def build_adjoint_cgo(
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> CGOSolution:
     """Oscillatory solution of the formal adjoint with the carrier exp(-phase/h)."""
-    op_std = op if op.form == STANDARD else to_standard_form(op)
-    return build_cgo(adjoint(op_std), phase, amplitude, tol, max_terms, sign=-1)
+    return build_cgo(adjoint_divergence(op), phase, amplitude, tol, max_terms, sign=-1)
 
 
 def smooth_random_field(grid: ComplexGrid, seed: int = 0) -> ScalarField:

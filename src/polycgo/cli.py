@@ -20,8 +20,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import cauchy
 from .cauchy import dbar_inv, lp_bound_constant, oscillatory_decay_probe
 from .cgo import AmplitudeSpec, build_cgo, transport_norm_probe
@@ -35,7 +33,7 @@ from .errors import (
 from .expressions import ExpressionError, constant_from_expression, field_from_expression
 from .grid import ComplexGrid, norm_lp, wirtinger_dbar
 from .operators import DIVERGENCE, STANDARD, PerturbedOperator
-from .phase import PhaseSpec
+from .phase import COUPLING_FACTOR, PhaseSpec
 from .recovery import AMPLITUDE_ONLY, FULL_CGO, RecoveryProblem, recover_all
 from .sweeps import DEFAULT_H_SWEEP, fit_loglog_slope
 
@@ -144,13 +142,16 @@ def build_phases(cfg: dict, grid: ComplexGrid):
         for i, v in enumerate(section.get("z0", [0.0]))
     ]
     h_list = [float(h) for h in section.get("h", list(DEFAULT_H_SWEEP))]
+    if not h_list:
+        raise ConfigError("field phase.h must list at least one value")
     for i, h in enumerate(h_list):
         if h <= 0:
             raise ConfigError(f"field phase.h[{i}] must be positive, got {h}")
-        if grid.spacing > h / 8.0:
+        if grid.spacing > h / COUPLING_FACTOR:
             raise ConfigError(
-                f"field phase.h[{i}]={h:g} violates spacing <= h/8 for grid.n={grid.n} "
-                f"(spacing={grid.spacing:.6g} > {h / 8.0:.6g})"
+                f"field phase.h[{i}]={h:g} violates spacing <= h/{COUPLING_FACTOR:g} "
+                f"for grid.n={grid.n} "
+                f"(spacing={grid.spacing:.6g} > {h / COUPLING_FACTOR:.6g})"
             )
     return z0_list, sorted(h_list, reverse=True)
 
@@ -344,9 +345,13 @@ def cmd_recover(cfg: dict, out_dir: Path) -> int:
         raise ConfigError("field recovery.probes must list at least one point")
     max_rel_err = float(section.get("max_rel_err", 0.15))
 
-    problem = RecoveryProblem(
-        op, op_tilde, probes, h_list, mode=mode, solver_tol=tol, max_terms=max_terms
-    )
+    try:
+        problem = RecoveryProblem(
+            op, op_tilde, probes, h_list, mode=mode, solver_tol=tol, max_terms=max_terms
+        )
+    except ValueError as exc:
+        # the config-level checks that remain concern the coefficient differences
+        raise ConfigError(f"field operator.coeffs_tilde: {exc}") from exc
     report = recover_all(problem)
 
     writer = RunWriter(out_dir, cfg)

@@ -14,17 +14,16 @@ determined.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from math import factorial, pi
 
 import numpy as np
 
-from .cgo import AmplitudeSpec, build_adjoint_cgo, build_cgo
+from .cgo import AmplitudeSpec, _as_divergence, adjoint_divergence, build_cgo
 from .errors import DegenerateProbeError
 from .grid import ComplexGrid, ScalarField, integrate, mixed_wirtinger
-from .operators import DIVERGENCE, PerturbedOperator, to_divergence_form
+from .operators import PerturbedOperator
 from .phase import PhaseSpec
 from .sweeps import fit_loglog_slope
 
@@ -136,7 +135,8 @@ class RecoveryProblem:
 
     The operators are converted to divergence form; their coefficient
     differences must be compactly supported away from the outer frame (the
-    numerical stand-in for boundary-flat data).
+    numerical stand-in for boundary-flat data).  The adjoint family's operator
+    is built on the first full_cgo pairing and reused for every (z0, h, degree).
     """
 
     def __init__(
@@ -169,10 +169,8 @@ class RecoveryProblem:
         self.solver_tol = solver_tol
         self.max_terms = max_terms
         self.conditioning_bound = conditioning_bound
-        self._div = to_divergence_form(op) if op.form != DIVERGENCE else op
-        self._div_tilde = (
-            to_divergence_form(op_tilde) if op_tilde.form != DIVERGENCE else op_tilde
-        )
+        self._div = _as_divergence(op)
+        self._div_tilde = _as_divergence(op_tilde)
         self.differences = {
             (j, k): self._div_tilde.coeff(j, k) - self._div.coeff(j, k)
             for j in range(self.m)
@@ -187,6 +185,7 @@ class RecoveryProblem:
                     f"(max |B| = {worst:.3e} on the outer {SUPPORT_MARGIN:.0%})"
                 )
         self._cgo_cache = {}
+        self._adjoint_div = None
 
     def check_probe(self, z0: complex) -> None:
         if not self.grid.contains(z0, margin=SUPPORT_MARGIN):
@@ -217,9 +216,11 @@ class RecoveryProblem:
                 tol=self.solver_tol, max_terms=self.max_terms,
             )
         if key_v not in self._cgo_cache:
-            self._cgo_cache[key_v] = build_adjoint_cgo(
-                self.op_tilde, phase, AmplitudeSpec.monomial(self.grid, j0),
-                tol=self.solver_tol, max_terms=self.max_terms,
+            if self._adjoint_div is None:
+                self._adjoint_div = adjoint_divergence(self.op_tilde)
+            self._cgo_cache[key_v] = build_cgo(
+                self._adjoint_div, phase, AmplitudeSpec.monomial(self.grid, j0),
+                tol=self.solver_tol, max_terms=self.max_terms, sign=-1,
             )
         return self._cgo_cache[key_u], self._cgo_cache[key_v]
 
@@ -321,27 +322,6 @@ class RecoveryReport:
     slopes: dict = field(default_factory=dict)
     degenerate: list = field(default_factory=list)
     config: dict = field(default_factory=dict)
-
-    CSV_COLUMNS = (
-        "m", "j", "k", "re_z0", "im_z0", "h",
-        "re_extracted", "im_extracted", "re_truth", "im_truth",
-        "abs_err", "rel_err",
-    )
-
-    def write_csv(self, path, config_hash: str | None = None) -> None:
-        with open(path, "w", newline="") as fh:
-            if config_hash:
-                fh.write(f"# config_sha256={config_hash}\n")
-            writer = csv.writer(fh)
-            writer.writerow(self.CSV_COLUMNS)
-            for r in self.rows:
-                writer.writerow([
-                    r.m, r.j, r.k,
-                    repr(r.z0.real), repr(r.z0.imag), repr(r.h),
-                    repr(r.extracted.real), repr(r.extracted.imag),
-                    repr(r.truth.real), repr(r.truth.imag),
-                    repr(r.abs_err), repr(r.rel_err),
-                ])
 
     def write_manifest(self, path, config_hash: str | None = None) -> None:
         doc = {

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import nan
 
 import numpy as np
@@ -18,18 +17,3 @@ def fit_loglog_slope(xs, ys) -> float:
     if keep.sum() < 2:
         return nan
     return float(np.polyfit(np.log(xs[keep]), np.log(ys[keep]), 1)[0])
-
-
-@dataclass(frozen=True)
-class SweepTable:
-    """Named (h, value) rows plus the fitted log-log slope."""
-
-    name: str
-    rows: tuple
-    slope: float
-
-    @classmethod
-    def from_rows(cls, name: str, rows) -> "SweepTable":
-        rows = tuple(rows)
-        return cls(name=name, rows=rows, slope=fit_loglog_slope(
-            [r[0] for r in rows], [r[1] for r in rows]))

@@ -12,7 +12,6 @@ from polycgo import (
     PerturbedOperator,
     PhaseSpec,
     apply,
-    apply_transport,
     build_adjoint_cgo,
     build_cgo,
     d_inv_pow,
@@ -24,7 +23,6 @@ from polycgo import (
     solve_density,
     to_divergence_form,
     transport_norm_probe,
-    transport_source,
 )
 
 PHASE = PhaseSpec(0.1 + 0.1j, 0.3)
@@ -61,10 +59,10 @@ class TestTransportMap:
     def test_zero_coefficients_give_zero(self, grid128):
         op = to_divergence_form(PerturbedOperator(grid128, 2))
         v = grid128.constant(1.0)
-        assert apply_transport(op, PHASE, v).is_zero()
+        assert OscillatoryTransport(op, PHASE).apply(v).is_zero()
 
     def test_zero_input_gives_zero(self, testbed128_div, grid128):
-        assert apply_transport(testbed128_div, PHASE, grid128.zero()).is_zero()
+        assert OscillatoryTransport(testbed128_div, PHASE).apply(grid128.zero()).is_zero()
 
     def test_compositional_oracle_single_coefficient(self, grid128):
         # single divergence coefficient (0,0): the map must equal the direct
@@ -72,7 +70,7 @@ class TestTransportMap:
         bump = field_from_expression(grid128, "bump(0.1, 0, 0.6, 1)")
         op = PerturbedOperator(grid128, 2, {(0, 0): bump}, form="divergence")
         v = smooth_random_field(grid128, seed=5)
-        got = apply_transport(op, PHASE, v)
+        got = OscillatoryTransport(op, PHASE).apply(v)
         e_plus = PHASE.oscillation(grid128)
         e_minus = PHASE.oscillation(grid128, -1)
         expect = -1.0 * d_inv_pow(e_plus * bump * dbar_inv_pow(e_minus * v, 2), 2)
@@ -103,7 +101,7 @@ class TestTransportMap:
 class TestSource:
     def test_zero_coefficients(self, grid128):
         op = to_divergence_form(PerturbedOperator(grid128, 2))
-        w = transport_source(op, PHASE, AmplitudeSpec.monomial(grid128, 0))
+        w = OscillatoryTransport(op, PHASE).source(AmplitudeSpec.monomial(grid128, 0))
         assert w.is_zero()
 
     def test_monomial_term_bookkeeping(self, grid128):
@@ -115,7 +113,7 @@ class TestSource:
         }
         op = PerturbedOperator(grid128, 2, coeffs, form="divergence")
         a = AmplitudeSpec.monomial(grid128, 1)
-        got = transport_source(op, PHASE, a)
+        got = OscillatoryTransport(op, PHASE).source(a)
         e_plus = PHASE.oscillation(grid128)
         zbar = grid128.sample(np.conj)
         one = grid128.constant(1.0)
@@ -180,6 +178,7 @@ class TestBuildCGO:
 
         sol = build_cgo(testbed128, PHASE, AmplitudeSpec.monomial(grid128, 0))
         d = sol.diagnostics
+        assert sol.diagnostics is d and d.neumann_terms == sol.neumann_terms
         assert d.g_l2 == pytest.approx(norm_lp(sol.g, 2))
         assert d.r_hm == pytest.approx(norm_hm(sol.r, 2))
         assert d.residual_l2 == pytest.approx(residual_norm(testbed128, sol.u))
@@ -215,7 +214,7 @@ class TestBuildCGO:
         op = to_divergence_form(bump_testbed(g))
         a = AmplitudeSpec.monomial(g, 0)
         hs = (0.2, 0.14, 0.1, 0.07)
-        norms = [_norm(transport_source(op, PhaseSpec(0.1 + 0.1j, h), a), 2) for h in hs]
+        norms = [_norm(OscillatoryTransport(op, PhaseSpec(0.1 + 0.1j, h)).source(a), 2) for h in hs]
         assert fit_loglog_slope(hs, norms) >= 0.5
 
 

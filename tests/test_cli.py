@@ -164,6 +164,24 @@ class TestRecoverCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["recover", "--config", cfg]) == 2
 
+    def test_difference_on_frame_config_error(self, tmp_path, capsys):
+        # a constant difference reaches the outer frame; exit 1 would read
+        # as a failed tolerance, so this must be a named config error
+        doc = base_recover_config(tmp_path / "r")
+        doc["grid"]["n"] = 64
+        doc["phase"]["h"] = [0.5, 0.3]
+        doc["operator"]["coeffs_tilde"] = {"0,0": "1"}
+        cfg = write_config(tmp_path, doc)
+        assert main(["recover", "--config", cfg]) == 2
+        assert "operator.coeffs_tilde" in capsys.readouterr().err
+
+    def test_empty_h_list_config_error(self, tmp_path, capsys):
+        doc = base_recover_config(tmp_path / "r")
+        doc["phase"]["h"] = []
+        cfg = write_config(tmp_path, doc)
+        assert main(["recover", "--config", cfg]) == 2
+        assert "phase.h" in capsys.readouterr().err
+
 
 class TestDeterminismAndProvenance:
     def test_identical_configs_bitwise_outputs(self, tmp_path):
