@@ -28,6 +28,7 @@ from .cgo import (
     transport_norm_probe,
 )
 from .errors import (
+    CarrierOverflowError,
     ConfigError,
     CouplingError,
     DegenerateProbeError,

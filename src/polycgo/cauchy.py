@@ -116,35 +116,37 @@ def kernel_for(grid: ComplexGrid) -> CauchyKernel:
     return CauchyKernel(grid)
 
 
+def cauchy_chain(
+    grid: ComplexGrid, values: np.ndarray, m: int = 1, conj: bool = False, direct: bool = False
+) -> np.ndarray:
+    """dbar_inv^m on arrays, or d_inv^m with conj=True: every transform's one path."""
+    if m < 1:
+        raise ValueError(f"power must be >= 1, got {m}")
+    k = kernel_for(grid)
+    out = np.conj(values) if conj else values
+    for _ in range(m):
+        out = k.apply_direct(out) if direct else k.apply(out)
+    return np.conj(out) if conj else out
+
+
 def dbar_inv(f: ScalarField, direct: bool = False) -> ScalarField:
     """Right inverse of wirtinger_dbar: (1/pi) * integral of f(xi)/(z - xi)."""
-    k = kernel_for(f.grid)
-    return ScalarField(f.grid, k.apply_direct(f.values) if direct else k.apply(f.values))
+    return ScalarField(f.grid, cauchy_chain(f.grid, f.values, direct=direct))
 
 
 def d_inv(f: ScalarField, direct: bool = False) -> ScalarField:
     """Right inverse of wirtinger_d; conjugate twin of dbar_inv."""
-    return dbar_inv(f.conj(), direct=direct).conj()
+    return ScalarField(f.grid, cauchy_chain(f.grid, f.values, conj=True, direct=direct))
 
 
 def dbar_inv_pow(f: ScalarField, m: int) -> ScalarField:
     """m-fold composition of dbar_inv."""
-    if m < 1:
-        raise ValueError(f"power must be >= 1, got {m}")
-    out = f
-    for _ in range(m):
-        out = dbar_inv(out)
-    return out
+    return ScalarField(f.grid, cauchy_chain(f.grid, f.values, m))
 
 
 def d_inv_pow(f: ScalarField, m: int) -> ScalarField:
     """m-fold composition of d_inv."""
-    if m < 1:
-        raise ValueError(f"power must be >= 1, got {m}")
-    out = f
-    for _ in range(m):
-        out = d_inv(out)
-    return out
+    return ScalarField(f.grid, cauchy_chain(f.grid, f.values, m, conj=True))
 
 
 @dataclass(frozen=True)

@@ -16,19 +16,21 @@ keeps only g and r; u and the diagnostics are assembled on first access.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import groupby
 from math import factorial, nan
+from operator import add, itemgetter
 
 import numpy as np
 import scipy.ndimage
 
-from .cauchy import d_inv_pow, dbar_inv_pow
+from .cauchy import cauchy_chain
 from .errors import MaxTermsExceededError, NonContractionError
 from .grid import (
     ComplexGrid,
     ScalarField,
-    _dx,
-    _dy,
+    _d,
+    _dbar,
     mixed_wirtinger,
     norm_hm,
     norm_lp,
@@ -123,10 +125,10 @@ class CGOSolution:
 class OscillatoryTransport:
     """The fixed-point map of the density equation, with its L2 adjoint.
 
-    Built once per (operator, phase, sign); the oscillation fields and the set
-    of nonzero coefficients are precomputed so Neumann iterations only pay for
-    transforms.  sign=+1 matches the carrier exp(+phase/h), sign=-1 the
-    adjoint-family carrier exp(-phase/h).
+    Built once per (operator, phase, sign); the oscillations E+/- and the
+    nonzero coefficients are kept as arrays, so Neumann iterations only pay
+    for transforms and each call wraps one field.  sign=+1 matches the carrier
+    exp(+phase/h), sign=-1 the adjoint-family carrier exp(-phase/h).
     """
 
     def __init__(self, op: PerturbedOperator, phase: PhaseSpec, sign: int = +1):
@@ -137,62 +139,55 @@ class OscillatoryTransport:
         self.phase = phase
         self.sign = sign
         self.grid = op.grid
-        self.e_plus = phase.oscillation(op.grid, sign)
-        self.e_minus = phase.oscillation(op.grid, -sign)
         self.active = op.nonzero_indices()
+        self.coeffs = {jk: op.coeff(*jk).values for jk in self.active}
         self.rows = sorted({j for j, _ in self.active})
         self.cols = sorted({k for _, k in self.active})
+        self.e_plus = self.e_minus = None
+        if self.active:
+            self.e_plus = phase.oscillation(op.grid, sign).values
+            self.e_minus = phase.oscillation(op.grid, -sign).values
 
     def _outer_sum(self, x) -> ScalarField:
         """-sum_j d_inv^(m-j)(E+ * sum_k c[j,k] * x[k]) over the nonzero coefficients."""
         m = self.op.m
-        out = self.grid.zero()
-        for j in self.rows:
-            combo = None
-            for k in self.cols:
-                c = self.op.coeff(j, k)
-                if c.is_zero():
-                    continue
-                term = c * x[k]
-                combo = term if combo is None else combo + term
-            if combo is not None:
-                out = out - d_inv_pow(self.e_plus * combo, m - j)
-        return out
+        out = np.zeros((self.grid.n, self.grid.n), dtype=np.complex128)
+        for j, row in groupby(self.active, key=itemgetter(0)):
+            combo = reduce(add, (self.coeffs[jk] * x[jk[1]] for jk in row))
+            out = out - cauchy_chain(self.grid, self.e_plus * combo, m - j, conj=True)
+        return ScalarField(self.grid, out)
 
     def apply(self, v: ScalarField) -> ScalarField:
         m = self.op.m
         if not self.active or v.is_zero():
             return self.grid.zero()
-        return self._outer_sum({k: dbar_inv_pow(self.e_minus * v, m - k) for k in self.cols})
+        ev = self.e_minus * v.values
+        return self._outer_sum({k: cauchy_chain(self.grid, ev, m - k) for k in self.cols})
 
     def apply_adjoint(self, v: ScalarField) -> ScalarField:
         """Exact discrete L2 adjoint; uses d_inv* = -dbar_inv for the odd kernel."""
         m = self.op.m
         if not self.active or v.is_zero():
             return self.grid.zero()
-        inner = {j: dbar_inv_pow(v, m - j) for j in self.rows}
+        inner = {j: cauchy_chain(self.grid, v.values, m - j) for j in self.rows}
         out = None
-        for k in self.cols:
-            combo = None
-            for j in self.rows:
-                c = self.op.coeff(j, k)
-                if c.is_zero():
-                    continue
-                parity = -1.0 if (j + k) % 2 else 1.0
-                term = parity * (self.e_plus * c).conj() * inner[j]
-                combo = term if combo is None else combo + term
-            if combo is not None:
-                piece = d_inv_pow(combo, m - k)
-                out = piece if out is None else out + piece
-        return self.grid.zero() if out is None else -1.0 * (self.e_plus * out)
+        for k, col in groupby(sorted(self.active, key=itemgetter(1, 0)), key=itemgetter(1)):
+            terms = (
+                np.conj(self.e_plus * self.coeffs[(j, k)]) * (-1.0 if (j + k) % 2 else 1.0)
+                * inner[j]
+                for j, _ in col
+            )
+            piece = cauchy_chain(self.grid, reduce(add, terms), m - k, conj=True)
+            out = piece if out is None else out + piece
+        return ScalarField(self.grid, -1.0 * (self.e_plus * out))
 
     def source(self, amplitude: AmplitudeSpec) -> ScalarField:
         """Right-hand side built from the amplitude's dbar derivatives."""
         if not self.active:
             return self.grid.zero()
-        dbar_a = [amplitude.field]
+        dbar_a = [amplitude.field.values]
         for _ in range(1, self.op.m):
-            dbar_a.append(mixed_wirtinger(dbar_a[-1], 0, 1))
+            dbar_a.append(_dbar(dbar_a[-1], self.grid.spacing))
         return self._outer_sum(dbar_a)
 
 
@@ -230,11 +225,11 @@ def residual_norm(op: PerturbedOperator, u: ScalarField, margin: float = RESIDUA
     col = u.values.astype(np.clongdouble)
     for k in range(m + 1):
         if k > 0:
-            col = 0.5 * (_dx(col, s) + 1j * _dy(col, s))
+            col = _dbar(col, s)
         if k == m:
             cur = col
             for _ in range(m):
-                cur = 0.5 * (_dx(cur, s) - 1j * _dy(cur, s))
+                cur = _d(cur, s)
             out = cur if out is None else out + cur
             break
         wanted = nonzero_by_col[k]
@@ -243,7 +238,7 @@ def residual_norm(op: PerturbedOperator, u: ScalarField, margin: float = RESIDUA
         cur = col
         for j in range(wanted[-1] + 1):
             if j > 0:
-                cur = 0.5 * (_dx(cur, s) - 1j * _dy(cur, s))
+                cur = _d(cur, s)
             if j in wanted:
                 term = op.coeffs[(j, k)].values * cur
                 out = term if out is None else out + term
@@ -255,15 +250,12 @@ def residual_norm(op: PerturbedOperator, u: ScalarField, margin: float = RESIDUA
 
 
 def solve_density(
-    op: PerturbedOperator,
-    phase: PhaseSpec,
+    T: OscillatoryTransport,
     amplitude: AmplitudeSpec,
     tol: float = DEFAULT_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
-    sign: int = +1,
-    _transport: OscillatoryTransport | None = None,
 ):
-    """Sum the Neumann series for (I - T) g = w.
+    """Sum the Neumann series for (I - T) g = w, w = T.source(amplitude).
 
     Stops when the latest term drops below tol * ||w||_2 and verifies the
     residual ||(I - T)g - w||_2 <= 2 * tol * ||w||_2 a posteriori with one
@@ -271,7 +263,7 @@ def solve_density(
     norms fail to decrease three times in a row, MaxTermsExceededError when
     the budget runs out.
     """
-    T = _transport if _transport is not None else OscillatoryTransport(op, phase, sign)
+    h = T.phase.h
     w = T.source(amplitude)
     w_norm = norm_lp(w, 2)
     if w_norm == 0.0:
@@ -292,20 +284,18 @@ def solve_density(
         if t_norm >= prev_norm:
             rises += 1
             if rises >= 3:
-                raise NonContractionError(phase.h)
+                raise NonContractionError(h)
         else:
             rises = 0
         g = g + term
         terms_used += 1
         prev_norm = t_norm
         if terms_used >= max_terms:
-            raise MaxTermsExceededError(phase.h, max_terms)
+            raise MaxTermsExceededError(h, max_terms)
     residual = norm_lp(g - T.apply(g) - w, 2)
     if residual > 2.0 * tol * w_norm:
         raise MaxTermsExceededError(
-            phase.h,
-            max_terms,
-            f"a-posteriori residual {residual:.3e} exceeds 2*tol*||w|| at h={phase.h}",
+            h, max_terms, f"a-posteriori residual {residual:.3e} exceeds 2*tol*||w|| at h={h}"
         )
     return g, terms_used
 
@@ -322,8 +312,10 @@ def build_cgo(
     op_div = _as_divergence(op)
     amplitude.check_admissible(op.m)
     T = OscillatoryTransport(op_div, phase, sign)
-    g, terms = solve_density(op_div, phase, amplitude, tol, max_terms, sign, _transport=T)
-    r = op.grid.zero() if g.is_zero() else dbar_inv_pow(T.e_minus * g, op.m)
+    g, terms = solve_density(T, amplitude, tol, max_terms)
+    r = op.grid.zero() if g.is_zero() else ScalarField(
+        op.grid, cauchy_chain(op.grid, T.e_minus * g.values, op.m)
+    )
     return CGOSolution(
         phase=phase,
         amplitude=amplitude,

@@ -24,6 +24,7 @@ from . import cauchy
 from .cauchy import dbar_inv, lp_bound_constant, oscillatory_decay_probe
 from .cgo import AmplitudeSpec, build_cgo, transport_norm_probe
 from .errors import (
+    CarrierOverflowError,
     ConfigError,
     CouplingError,
     DegenerateProbeError,
@@ -413,7 +414,9 @@ def main(argv=None) -> int:
     except (ConfigError, CouplingError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NonContractionError, MaxTermsExceededError, DegenerateProbeError) as exc:
+    except (
+        NonContractionError, MaxTermsExceededError, DegenerateProbeError, CarrierOverflowError
+    ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

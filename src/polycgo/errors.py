@@ -24,6 +24,16 @@ class MaxTermsExceededError(RuntimeError):
         )
 
 
+class CarrierOverflowError(OverflowError):
+    """exp(phase/h) exceeds double range on the grid square; h is too small for it."""
+
+    def __init__(self, h, exponent):
+        self.h = h
+        super().__init__(
+            f"carrier exp(phase/h) overflows at h={h}: its exponent reaches {exponent:.1f}"
+        )
+
+
 class DegenerateProbeError(RuntimeError):
     """Probe point unusable: on the support frame or conditioning bound exceeded."""
 

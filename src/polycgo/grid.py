@@ -157,24 +157,22 @@ def _deriv_axis0(v: np.ndarray, s: float) -> np.ndarray:
     return out
 
 
-def _dx(values: np.ndarray, spacing: float) -> np.ndarray:
-    return _deriv_axis0(values, spacing)
+def _d(values: np.ndarray, spacing) -> np.ndarray:
+    return 0.5 * (_deriv_axis0(values, spacing) - 1j * _deriv_axis0(values.T, spacing).T)
 
 
-def _dy(values: np.ndarray, spacing: float) -> np.ndarray:
-    return _deriv_axis0(values.T, spacing).T
+def _dbar(values: np.ndarray, spacing) -> np.ndarray:
+    return 0.5 * (_deriv_axis0(values, spacing) + 1j * _deriv_axis0(values.T, spacing).T)
 
 
 def wirtinger_d(f: ScalarField) -> ScalarField:
     """d = (d/dx1 - i d/dx2)/2; annihilates antiholomorphic fields."""
-    s = f.grid.spacing
-    return ScalarField(f.grid, 0.5 * (_dx(f.values, s) - 1j * _dy(f.values, s)))
+    return ScalarField(f.grid, _d(f.values, f.grid.spacing))
 
 
 def wirtinger_dbar(f: ScalarField) -> ScalarField:
     """dbar = (d/dx1 + i d/dx2)/2; annihilates holomorphic fields."""
-    s = f.grid.spacing
-    return ScalarField(f.grid, 0.5 * (_dx(f.values, s) + 1j * _dy(f.values, s)))
+    return ScalarField(f.grid, _dbar(f.values, f.grid.spacing))
 
 
 def mixed_wirtinger(f: ScalarField, n_d: int, n_dbar: int) -> ScalarField:

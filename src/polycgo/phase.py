@@ -12,11 +12,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CouplingError
+from .errors import CarrierOverflowError, CouplingError
 from .grid import ComplexGrid, ScalarField
 
 # nodes per oscillation required of the grid: spacing <= h / COUPLING_FACTOR
 COUPLING_FACTOR = 8.0
+# largest exponent whose exp is a finite double
+EXP_LIMIT = float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -55,5 +57,13 @@ class PhaseSpec:
         return ScalarField(grid, np.exp(1j * w))
 
     def carrier(self, grid: ComplexGrid, sign: int = +1) -> ScalarField:
-        """exp(sign*phase/h); grows off the critical point, use with care."""
-        return ScalarField(grid, np.exp((1j * sign / self.h) * (grid.nodes - self.z0) ** 2))
+        """exp(sign*phase/h); grows off the critical point.
+
+        Raises CarrierOverflowError, naming h, where that growth passes the
+        double range, instead of returning infinities.
+        """
+        exponent = (1j * sign / self.h) * (grid.nodes - self.z0) ** 2
+        peak = float(np.max(exponent.real))
+        if peak > EXP_LIMIT:
+            raise CarrierOverflowError(self.h, peak)
+        return ScalarField(grid, np.exp(exponent))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .cgo import AmplitudeSpec, _as_divergence, adjoint_divergence, build_cgo
 from .errors import DegenerateProbeError
-from .grid import ComplexGrid, ScalarField, integrate, mixed_wirtinger
+from .grid import ComplexGrid, ScalarField, _dbar, integrate
 from .operators import PerturbedOperator
 from .phase import PhaseSpec
 from .sweeps import fit_loglog_slope
@@ -240,36 +240,35 @@ def identity_lhs(
     problem.check_probe(z0)
 
     z = grid.nodes
-    # exact monomial derivative fields: dbar^k a and d^j conj(b)
-    a_parts = {
-        k: ScalarField(grid, np.conj(z) ** (k0 - k) / factorial(k0 - k))
-        for k in range(min(k0, m - 1) + 1)
-    }
-    b_parts = {
-        j: ScalarField(grid, z ** (j0 - j) / factorial(j0 - j))
-        for j in range(min(j0, m - 1) + 1)
-    }
+    # exact monomial derivative arrays: dbar^k a and d^j conj(b)
+    a_parts = {k: np.conj(z) ** (k0 - k) / factorial(k0 - k) for k in range(min(k0, m - 1) + 1)}
+    b_parts = {j: z ** (j0 - j) / factorial(j0 - j) for j in range(min(j0, m - 1) + 1)}
 
     if problem.mode == FULL_CGO:
         u_sol, v_sol = problem._cgo_pair(z0, h, k0, j0)
-        r, s = u_sol.r, v_sol.r
-        for k in range(m):
-            dr = mixed_wirtinger(r, 0, k) if not r.is_zero() else grid.zero()
-            a_parts[k] = (a_parts[k] + dr) if k in a_parts else dr
-        for j in range(m):
-            ds = mixed_wirtinger(s, 0, j).conj() if not s.is_zero() else grid.zero()
-            b_parts[j] = (b_parts[j] + ds) if j in b_parts else ds
+        # dbar^k r joins dbar^k a, and conj(dbar^j s) joins d^j conj(b)
+        for parts, rem, conj in ((a_parts, u_sol.r, False), (b_parts, v_sol.r, True)):
+            d = rem.values
+            for k in range(m):
+                if rem.is_zero():
+                    dk = np.zeros_like(d)
+                else:
+                    d = _dbar(d, grid.spacing) if k else d
+                    dk = np.conj(d) if conj else d
+                parts[k] = (parts[k] + dk) if k in parts else dk
 
+    # the integrand accumulates in place: one n-by-n array besides the parts
     combined = None
     for (j, k), b_field in sorted(problem.differences.items()):
         if b_field.is_zero() or k not in a_parts or j not in b_parts:
             continue
         sign = -1.0 if j % 2 else 1.0
-        term = sign * b_field * a_parts[k] * b_parts[j]
-        combined = term if combined is None else combined + term
+        term = b_field.values * sign * a_parts[k] * b_parts[j]
+        combined = term if combined is None else np.add(combined, term, out=combined)
     if combined is None:
         return 0.0 + 0.0j
-    return integrate(phase.oscillation(grid) * combined)
+    osc = phase.oscillation(grid).values
+    return integrate(ScalarField(grid, np.multiply(osc, combined, out=combined)))
 
 
 def stationary_phase_extract(values, z0: complex):

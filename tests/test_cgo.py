@@ -18,6 +18,7 @@ from polycgo import (
     dbar_inv_pow,
     field_from_expression,
     masked_l2,
+    mixed_wirtinger,
     norm_lp,
     smooth_random_field,
     solve_density,
@@ -98,6 +99,78 @@ class TestTransportMap:
             OscillatoryTransport(testbed128_div, PhaseSpec(0.1j, 0.05))
 
 
+def full_table(grid, m):
+    """Divergence-form operator with every one of the m*m coefficients nonzero."""
+    coeffs = {
+        (j, k): (1.0 + 0.3j * j - 0.2 * k)
+        * field_from_expression(grid, f"bump({0.1 * j}, {-0.1 * k}, 0.6, 1)")
+        for j in range(m)
+        for k in range(m)
+    }
+    return PerturbedOperator(grid, m, coeffs, form="divergence")
+
+
+class TestArrayPath:
+    """The array-level map reproduces, bit for bit, the map composed from fields."""
+
+    @pytest.fixture(params=[(2, +1), (2, -1), (3, +1), (3, -1)], ids=lambda p: f"m{p[0]}s{p[1]:+d}")
+    def setup(self, request, grid64):
+        m, sign = request.param
+        op = full_table(grid64, m)
+        e_plus, e_minus = PHASE.oscillation(grid64, sign), PHASE.oscillation(grid64, -sign)
+        return op, OscillatoryTransport(op, PHASE, sign), e_plus, e_minus
+
+    @staticmethod
+    def outer_sum(op, e_plus, x):
+        out = op.grid.zero()
+        for j in range(op.m):
+            combo = op.coeff(j, 0) * x[0]
+            for k in range(1, op.m):
+                combo = combo + op.coeff(j, k) * x[k]
+            out = out - d_inv_pow(e_plus * combo, op.m - j)
+        return out
+
+    def test_apply(self, setup, grid64):
+        op, T, e_plus, e_minus = setup
+        v = smooth_random_field(grid64, seed=3)
+        x = [dbar_inv_pow(e_minus * v, op.m - k) for k in range(op.m)]
+        assert np.array_equal(T.apply(v).values, self.outer_sum(op, e_plus, x).values)
+
+    def test_source(self, setup, grid64):
+        op, T, e_plus, _ = setup
+        a = AmplitudeSpec.monomial(grid64, 2)
+        x = [mixed_wirtinger(a.field, 0, k) for k in range(op.m)]
+        assert np.array_equal(T.source(a).values, self.outer_sum(op, e_plus, x).values)
+
+    def test_apply_adjoint(self, setup, grid64):
+        op, T, e_plus, _ = setup
+        m = op.m
+        v = smooth_random_field(grid64, seed=4)
+        inner = [dbar_inv_pow(v, m - j) for j in range(m)]
+        out = None
+        for k in range(m):
+            combo = None
+            for j in range(m):
+                parity = -1.0 if (j + k) % 2 else 1.0
+                term = parity * (e_plus * op.coeff(j, k)).conj() * inner[j]
+                combo = term if combo is None else combo + term
+            piece = d_inv_pow(combo, m - k)
+            out = piece if out is None else out + piece
+        expect = -1.0 * (e_plus * out)
+        assert np.array_equal(T.apply_adjoint(v).values, expect.values)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_overflow_caught_on_return(self, grid64):
+        # c * dbar_inv^2(E- v) overflows inside the call; the returned field is checked
+        op = PerturbedOperator(grid64, 2, {(0, 0): grid64.constant(1e300)}, form="divergence")
+        T = OscillatoryTransport(op, PHASE)
+        v = grid64.constant(1e30)
+        with pytest.raises(ValueError, match="non-finite"):
+            T.apply(v)
+        with pytest.raises(ValueError, match="non-finite"):
+            T.apply_adjoint(v)
+
+
 class TestSource:
     def test_zero_coefficients(self, grid128):
         op = to_divergence_form(PerturbedOperator(grid128, 2))
@@ -126,14 +199,15 @@ class TestSource:
 class TestSolveDensity:
     def test_zero_coefficients_trivial(self, grid128):
         op = to_divergence_form(PerturbedOperator(grid128, 2))
-        g, terms = solve_density(op, PHASE, AmplitudeSpec.monomial(grid128, 0))
+        T = OscillatoryTransport(op, PHASE)
+        g, terms = solve_density(T, AmplitudeSpec.monomial(grid128, 0))
         assert g.is_zero() and terms == 1
 
     def test_residual_contract(self, testbed128_div, grid128):
         tol = 1e-10
         a = AmplitudeSpec.monomial(grid128, 0)
-        g, terms = solve_density(testbed128_div, PHASE, a, tol=tol)
         T = OscillatoryTransport(testbed128_div, PHASE)
+        g, terms = solve_density(T, a, tol=tol)
         w = T.source(a)
         resid = norm_lp(g - T.apply(g) - w, 2)
         assert resid <= 2.0 * tol * norm_lp(w, 2)
@@ -144,7 +218,7 @@ class TestSolveDensity:
 
         with pytest.raises(MaxTermsExceededError):
             solve_density(
-                testbed128_div, PHASE, AmplitudeSpec.monomial(grid128, 0),
+                OscillatoryTransport(testbed128_div, PHASE), AmplitudeSpec.monomial(grid128, 0),
                 tol=1e-14, max_terms=3,
             )
 
@@ -155,8 +229,10 @@ class TestSolveDensity:
             grid64, 2, {(1, 1): field_from_expression(grid64, "bump(0, 0, 0.7, 500)")},
             form="divergence",
         )
-        with pytest.raises(NonContractionError):
-            solve_density(op, PhaseSpec(0.05 + 0.05j, 0.4), AmplitudeSpec.monomial(grid64, 1))
+        T = OscillatoryTransport(op, PhaseSpec(0.05 + 0.05j, 0.4))
+        with pytest.raises(NonContractionError) as info:
+            solve_density(T, AmplitudeSpec.monomial(grid64, 1))
+        assert info.value.h == 0.4
 
 
 class TestBuildCGO:
@@ -167,6 +243,18 @@ class TestBuildCGO:
         # u is exactly the carrier times the amplitude
         expect = PHASE.carrier(grid128) * AmplitudeSpec.monomial(grid128, 1).field
         assert np.array_equal(sol.u.values, expect.values)
+
+    def test_unperturbed_builds_no_oscillation(self, grid128, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("oscillation built for an operator with no coefficient")
+
+        monkeypatch.setattr(PhaseSpec, "oscillation", forbidden)
+        op = PerturbedOperator(grid128, 2)
+        for sol in (
+            build_cgo(op, PHASE, AmplitudeSpec.monomial(grid128, 1)),
+            build_adjoint_cgo(op, PHASE, AmplitudeSpec.monomial(grid128, 0)),
+        ):
+            assert sol.g.is_zero() and sol.r.is_zero()
 
     def test_assembly_identity(self, testbed128, grid128):
         sol = build_cgo(testbed128, PHASE, AmplitudeSpec.monomial(grid128, 0))
@@ -262,7 +350,7 @@ class TestNormProbe:
         assert probe.slope >= 0.4
         # consistency: the Neumann solver converges where the probe says < 1
         a = AmplitudeSpec.monomial(g, 0)
-        _, terms = solve_density(to_divergence_form(op), phases[0], a)
+        _, terms = solve_density(OscillatoryTransport(to_divergence_form(op), phases[0]), a)
         assert terms >= 2
 
     def test_seed_reproducibility(self, testbed128):

@@ -130,6 +130,19 @@ class TestCgoCommand:
         assert main(["cgo", "--config", cfg]) == 3
         assert "0.3" in capsys.readouterr().err  # offending h named
 
+    def test_carrier_overflow_exit_three(self, tmp_path, capsys):
+        # passes every config check, but 2*max|xy|/h = 769 > 709 on this square
+        doc = {
+            "grid": {"n": 64, "half_width": 100},
+            "operator": {"m": 2, "coeffs": {}},
+            "phase": {"z0": ["0"], "h": [26.0, 25.5]},
+            "output": {"directory": str(tmp_path / "r")},
+        }
+        cfg = write_config(tmp_path, doc)
+        assert main(["cgo", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "overflows" in err and "h=26" in err
+
 
 class TestRecoverCommand:
     def test_single_bump_run(self, tmp_path):
