@@ -5,8 +5,11 @@ dbar_inv is convolution with 1/(pi*z); d_inv is its conjugate twin with kernel
 quadrature through its exact integral over each grid cell, computed from the
 corner antiderivative of 1/z.  That makes the scheme second-order accurate for
 smooth data and gives the singular cell its exact (zero, by odd symmetry)
-weight.  Application is fast convolution on the zero-padded doubled grid; a
-direct-summation path is kept behind a flag as a validation oracle.
+weight.  Application is fast convolution on the zero-padded doubled grid in
+pruned 1-D passes that transform no all-zero column and compute no cropped
+row; axis 0 goes first both ways, fft2's order, so the bits are those of the
+full padded fft2/ifft2.  A direct-summation path is kept behind a flag as a
+validation oracle.
 """
 
 from __future__ import annotations
@@ -60,14 +63,16 @@ def _cell_integral_table(n: int, spacing: float) -> np.ndarray:
         - _corner_antiderivative(x2, y1)
         + _corner_antiderivative(x1, y1)
     )
-    bad = (np.abs(q) < 0.5) & (p < 0.5)
-    reflected = (
-        _corner_antiderivative(-x1, -y1)
-        - _corner_antiderivative(-x2, -y1)
-        - _corner_antiderivative(-x1, -y2)
-        + _corner_antiderivative(-x2, -y2)
+    # the branch-cut strip: column q = 0, rows p <= 0
+    rows = idx < 0.5
+    sx1, sx2 = -x1[rows, 0], -x2[rows, 0]
+    sy1, sy2 = -y1[0, 0], -y2[0, 0]
+    table[rows, 0] = -(
+        _corner_antiderivative(sx1, sy1)
+        - _corner_antiderivative(sx2, sy1)
+        - _corner_antiderivative(sx1, sy2)
+        + _corner_antiderivative(sx2, sy2)
     )
-    table = np.where(bad, -reflected, table)
     table[0, 0] = 0.0
     return table
 
@@ -86,14 +91,23 @@ class CauchyKernel:
         self._khat = _fft.fft2(cells / np.pi, workers=_FFT_WORKERS)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """Fast circular convolution on the padded doubled grid, cropped back."""
+        """Circular convolution on the zero-padded doubled grid, cropped to a new n x n array.
+
+        Length-2n passes: forward along axis 0 over the n input columns (the
+        length argument pads them), then axis 1; after the kernel product,
+        inverse along axis 0, then axis 1 over the n kept rows.  That is 6n
+        transforms where padded fft2/ifft2 do 8n.  Axis 0 goes first both
+        ways, as in fft2/ifft2, so the bits equal the padded path's; real
+        input is cast to complex so it runs the same transform.
+        """
         n = self.grid.n
-        pad = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-        pad[:n, :n] = values
-        out = _fft.ifft2(
-            _fft.fft2(pad, workers=_FFT_WORKERS) * self._khat, workers=_FFT_WORKERS
-        )
-        return np.ascontiguousarray(out[:n, :n])
+        w = _FFT_WORKERS
+        a = _fft.fft(np.asarray(values, dtype=np.complex128), 2 * n, axis=0, workers=w)
+        a = _fft.fft(a, 2 * n, axis=1, overwrite_x=True, workers=w)
+        a *= self._khat
+        a = _fft.ifft(a, axis=0, overwrite_x=True, workers=w)
+        a = _fft.ifft(a[:n], axis=1, overwrite_x=True, workers=w)
+        return np.ascontiguousarray(a[:, :n])
 
     def apply_direct(self, values: np.ndarray) -> np.ndarray:
         """O(n^4) direct summation; validation oracle, refuses n > 128."""

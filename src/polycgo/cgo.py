@@ -171,15 +171,27 @@ class OscillatoryTransport:
             return self.grid.zero()
         inner = {j: cauchy_chain(self.grid, v.values, m - j) for j in self.rows}
         out = None
-        for k, col in groupby(sorted(self.active, key=itemgetter(1, 0)), key=itemgetter(1)):
-            terms = (
-                np.conj(self.e_plus * self.coeffs[(j, k)]) * (-1.0 if (j + k) % 2 else 1.0)
-                * inner[j]
-                for j, _ in col
-            )
-            piece = cauchy_chain(self.grid, reduce(add, terms), m - k, conj=True)
+        for k, col in self._adjoint_weights.items():
+            combo = reduce(add, (w * inner[j] for j, w in col))
+            piece = cauchy_chain(self.grid, combo, m - k, conj=True)
             out = piece if out is None else out + piece
         return ScalarField(self.grid, -1.0 * (self.e_plus * out))
+
+    @cached_property
+    def _adjoint_weights(self) -> dict:
+        """conj(E+ * c[j,k]) * (-1)^(j+k) as [(j, weight)] per column k.
+
+        Built on the first adjoint apply, so a transport that is only applied
+        forward (recovery, the Neumann solve) holds no copy of them.
+        """
+        by_col = groupby(sorted(self.active, key=itemgetter(1, 0)), key=itemgetter(1))
+        return {
+            k: [
+                (j, np.conj(self.e_plus * self.coeffs[(j, k)]) * (-1.0 if (j + k) % 2 else 1.0))
+                for j, _ in col
+            ]
+            for k, col in by_col
+        }
 
     def source(self, amplitude: AmplitudeSpec) -> ScalarField:
         """Right-hand side built from the amplitude's dbar derivatives."""

@@ -34,7 +34,7 @@ from .errors import (
 from .expressions import ExpressionError, constant_from_expression, field_from_expression
 from .grid import ComplexGrid, norm_lp, wirtinger_dbar
 from .operators import DIVERGENCE, STANDARD, PerturbedOperator
-from .phase import COUPLING_FACTOR, PhaseSpec
+from .phase import COUPLING_FACTOR, PhaseSpec, violates_coupling
 from .recovery import AMPLITUDE_ONLY, FULL_CGO, RecoveryProblem, recover_all
 from .sweeps import DEFAULT_H_SWEEP, fit_loglog_slope
 
@@ -148,7 +148,7 @@ def build_phases(cfg: dict, grid: ComplexGrid):
     for i, h in enumerate(h_list):
         if h <= 0:
             raise ConfigError(f"field phase.h[{i}] must be positive, got {h}")
-        if grid.spacing > h / COUPLING_FACTOR:
+        if violates_coupling(grid, h):
             raise ConfigError(
                 f"field phase.h[{i}]={h:g} violates spacing <= h/{COUPLING_FACTOR:g} "
                 f"for grid.n={grid.n} "

@@ -21,6 +21,11 @@ COUPLING_FACTOR = 8.0
 EXP_LIMIT = float(np.log(np.finfo(float).max))
 
 
+def violates_coupling(grid: ComplexGrid, h: float) -> bool:
+    """The phase-resolution rule: True when grid spacing exceeds h / COUPLING_FACTOR."""
+    return grid.spacing > h / COUPLING_FACTOR
+
+
 @dataclass(frozen=True)
 class PhaseSpec:
     """Critical point z0 and scale h of the quadratic phase i*(z - z0)^2."""
@@ -37,7 +42,7 @@ class PhaseSpec:
 
     def check_grid(self, grid: ComplexGrid) -> None:
         """Enforce the phase-resolution rule and z0 strictly inside the square."""
-        if grid.spacing > self.h / COUPLING_FACTOR:
+        if violates_coupling(grid, self.h):
             raise CouplingError(
                 f"grid spacing {grid.spacing:.6g} exceeds h/{COUPLING_FACTOR:g} = "
                 f"{self.h / COUPLING_FACTOR:.6g} for h={self.h:.6g} (n={grid.n}, "

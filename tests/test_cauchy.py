@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from support import dblquad_complex, disc_cauchy_transform_oracle, gaussian_bump
 
@@ -18,7 +19,8 @@ from polycgo import (
     wirtinger_d,
     wirtinger_dbar,
 )
-from polycgo.cauchy import _cell_integral_table
+from polycgo import cauchy
+from polycgo.cauchy import _cell_integral_table, _corner_antiderivative
 
 
 class TestKernelTable:
@@ -37,6 +39,21 @@ class TestKernelTable:
             got = table[p % (2 * n), q % (2 * n)]
             assert got == pytest.approx(cell, rel=1e-9, abs=1e-13), (p, q)
 
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_strip_reflection_matches_whole_table_reflection(self, n):
+        # reference: reflect every cell, then keep the reflection on the strip
+        s = 2.0 / (n - 1)
+        idx = scipy.fft.fftfreq(2 * n, 1.0 / (2 * n))
+        p, q = idx[:, None], idx[None, :]
+        x1, x2 = (p - 0.5) * s, (p + 0.5) * s
+        y1, y2 = (q - 0.5) * s, (q + 0.5) * s
+        F = _corner_antiderivative
+        direct = F(x2, y2) - F(x1, y2) - F(x2, y1) + F(x1, y1)
+        reflected = F(-x1, -y1) - F(-x2, -y1) - F(-x1, -y2) + F(-x2, -y2)
+        expect = np.where((np.abs(q) < 0.5) & (p < 0.5), -reflected, direct)
+        expect[0, 0] = 0.0
+        assert np.array_equal(_cell_integral_table(n, s), expect)
+
     def test_singular_cell_weight_is_exact_zero(self, grid64):
         k = kernel_for(grid64)
         assert k.kernel_table[0, 0] == 0.0
@@ -51,6 +68,41 @@ class TestKernelTable:
             assert t[p % (2 * n), q % (2 * n)] == pytest.approx(
                 -t[(-p) % (2 * n), (-q) % (2 * n)], rel=1e-14
             )
+
+
+def padded_reference(kernel, values):
+    """The convolution as one padded fft2, kernel product, ifft2 and crop."""
+    n = kernel.grid.n
+    pad = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    pad[:n, :n] = values
+    return scipy.fft.ifft2(scipy.fft.fft2(pad) * kernel._khat)[:n, :n]
+
+
+class TestPrunedTransform:
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_matches_padded_fft2(self, n):
+        k = kernel_for(ComplexGrid(0j, 1.0, n))
+        rng = np.random.default_rng(n)
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        x = rng.standard_normal((n, n))
+        for values in (z, x, z.T, x.T):
+            out = k.apply(values)
+            assert np.array_equal(out, padded_reference(k, values))
+            assert out.shape == (n, n) and out.flags.c_contiguous
+            assert not np.shares_memory(out, values)
+        assert np.array_equal(k.apply(k.apply(z)), padded_reference(k, padded_reference(k, z)))
+
+    def test_two_workers_give_the_same_bits(self, grid256):
+        k = kernel_for(grid256)
+        rng = np.random.default_rng(2)
+        z = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+        one = k.apply(k.apply(z))
+        try:
+            cauchy.set_fft_workers(2)
+            two = k.apply(k.apply(z))
+        finally:
+            cauchy.set_fft_workers(1)
+        assert np.array_equal(one, two)
 
 
 class TestCauchyTransforms:

@@ -157,7 +157,9 @@ class TestArrayPath:
             piece = d_inv_pow(combo, m - k)
             out = piece if out is None else out + piece
         expect = -1.0 * (e_plus * out)
-        assert np.array_equal(T.apply_adjoint(v).values, expect.values)
+        assert "_adjoint_weights" not in vars(T)  # built on the first adjoint apply
+        for _ in range(2):  # the first call builds the weights, the second reuses them
+            assert np.array_equal(T.apply_adjoint(v).values, expect.values)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_overflow_caught_on_return(self, grid64):

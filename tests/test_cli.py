@@ -1,11 +1,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import TESTBED_BUMPS
 
-from polycgo.cli import main
+from polycgo import ComplexGrid, ConfigError, CouplingError, PhaseSpec
+from polycgo.cli import build_phases, main
 
 
 def write_config(tmp_path: Path, doc: dict, name: str = "config.json") -> str:
@@ -91,6 +93,19 @@ class TestCauchyCommand:
         assert main(["cauchy-test", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert "phase.h[0]" in err and "spacing" in err
+
+    def test_coupling_boundary_agrees_with_check_grid(self):
+        # spacing == h/8 passes both the config check and PhaseSpec.check_grid;
+        # the next smaller h fails both, each with its own error
+        grid = ComplexGrid(0j, 1.0, 64)
+        h_ok = 8.0 * grid.spacing
+        h_bad = float(np.nextafter(h_ok, 0.0))
+        assert build_phases({"phase": {"h": [h_ok]}}, grid)[1] == [h_ok]
+        PhaseSpec(0j, h_ok).check_grid(grid)
+        with pytest.raises(ConfigError, match=r"phase\.h\[1\]"):
+            build_phases({"phase": {"h": [h_ok, h_bad]}}, grid)
+        with pytest.raises(CouplingError):
+            PhaseSpec(0j, h_bad).check_grid(grid)
 
     def test_failed_tolerance_exits_one(self, tmp_path):
         doc = base_cauchy_config(tmp_path / "r")
