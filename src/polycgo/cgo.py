@@ -47,6 +47,7 @@ from .phase import PhaseSpec
 from .sweeps import fit_loglog_slope
 
 DEFAULT_TOL = 1e-10
+PROBE_RTOL = 1e-12  # the norm probe stops once its estimate moves less than this
 DEFAULT_MAX_TERMS = 50
 RESIDUAL_MARGIN = 0.05  # residuals measured on the central 90% subgrid
 
@@ -366,6 +367,7 @@ def smooth_random_field(grid: ComplexGrid, seed: int = 0) -> ScalarField:
 class NormProbe:
     rows: tuple
     slope: float
+    sweeps: tuple  # power sweeps run at each h, aligned with rows
 
 
 def transport_norm_probe(
@@ -377,28 +379,34 @@ def transport_norm_probe(
     """Power-iteration estimates of the L2 operator norm of the density map.
 
     Iterates T*T from a random smooth start; the square root of the Rayleigh
-    quotient after the final sweep estimates the largest singular value.
+    quotient estimates the largest singular value.  Each sweep applies T and
+    takes the estimate ||T v|| / ||v|| before applying T*.  The iteration
+    stops after sweep k >= 2 once |est_k - est_(k-1)| <= PROBE_RTOL * est_k,
+    or after `iterations` sweeps (the cap); the sweep that stops does not
+    apply T*.  The estimate converges geometrically, so a stopped estimate
+    lies within a small multiple of PROBE_RTOL of what further sweeps give.
     """
     op_div = _as_divergence(op)
-    rows = []
+    rows, sweeps = [], []
     for phase in sorted(phase_list, key=lambda p: -p.h):
         T = OscillatoryTransport(op_div, phase)
-        if not T.active:
-            rows.append((phase.h, 0.0))
-            continue
-        v = smooth_random_field(op_div.grid, seed)
-        est = 0.0
-        for _ in range(iterations):
-            tv = T.apply(v)
-            w = T.apply_adjoint(tv)
-            nv = norm_lp(v, 2)
-            est = (norm_lp(tv, 2) / nv) if nv > 0 else 0.0
-            nw = norm_lp(w, 2)
-            if nw == 0.0:
-                break
-            v = w * (1.0 / nw)
+        est, sweep = 0.0, 0
+        if T.active:
+            v = smooth_random_field(op_div.grid, seed)
+            for sweep in range(1, iterations + 1):
+                tv = T.apply(v)
+                nv = norm_lp(v, 2)
+                prev, est = est, (norm_lp(tv, 2) / nv) if nv > 0 else 0.0
+                if sweep == iterations or (sweep > 1 and abs(est - prev) <= PROBE_RTOL * est):
+                    break
+                w = T.apply_adjoint(tv)
+                nw = norm_lp(w, 2)
+                if nw == 0.0:
+                    break
+                v = w * (1.0 / nw)
         rows.append((phase.h, est))
+        sweeps.append(sweep)
     hs = [r[0] for r in rows]
     ns = [r[1] for r in rows]
     slope = fit_loglog_slope(hs, ns) if all(v > 0 for v in ns) else nan
-    return NormProbe(rows=tuple(rows), slope=slope)
+    return NormProbe(rows=tuple(rows), slope=slope, sweeps=tuple(sweeps))

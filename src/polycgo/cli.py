@@ -146,7 +146,7 @@ def build_phases(cfg: dict, grid: ComplexGrid):
     if not h_list:
         raise ConfigError("field phase.h must list at least one value")
     for i, h in enumerate(h_list):
-        if h <= 0:
+        if not h > 0:
             raise ConfigError(f"field phase.h[{i}] must be positive, got {h}")
         if violates_coupling(grid, h):
             raise ConfigError(
@@ -314,8 +314,9 @@ def cmd_cgo(cfg: dict, out_dir: Path, seed: int) -> int:
         probe = transport_norm_probe(
             op, [PhaseSpec(z0, h) for h in h_list], seed=seed
         )
-        for h, est in probe.rows:
+        for (h, est), sweeps in zip(probe.rows, probe.sweeps):
             writer.add_result(kind="transport_norm", series=tag, h=h, value=est)
+            writer.log(f"{tag}: transport norm h={h:g} estimate {est:.6g} after {sweeps} sweeps")
         contraction = all(est < 1.0 for _, est in probe.rows)
         passed = probe.slope >= min_norm_slope and contraction
         ok &= passed

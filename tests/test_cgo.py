@@ -1,5 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bump_testbed
 
@@ -25,8 +29,11 @@ from polycgo import (
     to_divergence_form,
     transport_norm_probe,
 )
+from polycgo.cgo import PROBE_RTOL
 
 PHASE = PhaseSpec(0.1 + 0.1j, 0.3)
+# smallest h that n=64 on [-1, 1]^2 resolves under spacing <= h/8
+H_MIN_64 = 8.0 * ComplexGrid(0j, 1.0, 64).spacing
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +97,20 @@ class TestTransportMap:
         T = OscillatoryTransport(testbed128_div, PHASE)
         v = grid128.field(rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128)))
         w = grid128.field(rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128)))
+        lhs = np.vdot(w.values, T.apply(v).values)
+        rhs = np.vdot(T.apply_adjoint(w).values, v.values)
+        assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
+    @given(
+        m=st.sampled_from([2, 3]),
+        sign=st.sampled_from([+1, -1]),
+        h=st.floats(H_MIN_64, 0.6),
+        seeds=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_adjoint_identity_on_smooth_fields(self, grid64, m, sign, h, seeds):
+        T = OscillatoryTransport(full_table(grid64, m), PhaseSpec(PHASE.z0, h), sign)
+        v, w = (smooth_random_field(grid64, seed) for seed in seeds)
         lhs = np.vdot(w.values, T.apply(v).values)
         rhs = np.vdot(T.apply_adjoint(w).values, v.values)
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
@@ -337,11 +358,37 @@ class TestAdjointCGO:
         assert fit_loglog_slope(hs, rs) >= 0.45
 
 
+def power_estimates(T, v, sweeps):
+    """The estimate after each of `sweeps` full T*T sweeps, with no stop."""
+    ests = []
+    for _ in range(sweeps):
+        tv = T.apply(v)
+        ests.append(norm_lp(tv, 2) / norm_lp(v, 2))
+        w = T.apply_adjoint(tv)
+        v = w * (1.0 / norm_lp(w, 2))
+    return ests
+
+
+def count_applies(monkeypatch):
+    """Tally T.apply and T.apply_adjoint calls by h from here on."""
+    calls = {"apply": Counter(), "apply_adjoint": Counter()}
+    for name, tally in calls.items():
+        orig = getattr(OscillatoryTransport, name)
+
+        def counted(self, v, _orig=orig, _tally=tally):
+            _tally[self.phase.h] += 1
+            return _orig(self, v)
+
+        monkeypatch.setattr(OscillatoryTransport, name, counted)
+    return calls
+
+
 class TestNormProbe:
     def test_zero_coefficients_zero_norm(self, grid128):
         op = PerturbedOperator(grid128, 2)
         probe = transport_norm_probe(op, [PHASE], iterations=3)
         assert probe.rows == ((PHASE.h, 0.0),)
+        assert probe.sweeps == (0,)
 
     def test_contraction_and_slope(self):
         g = ComplexGrid(0j, 1.0, 256)
@@ -359,3 +406,35 @@ class TestNormProbe:
         p1 = transport_norm_probe(testbed128, [PHASE], iterations=4, seed=9)
         p2 = transport_norm_probe(testbed128, [PHASE], iterations=4, seed=9)
         assert p1.rows == p2.rows
+
+    def test_cap_below_convergence(self, testbed128, testbed128_div, grid128, monkeypatch):
+        phases = [PHASE.with_h(h) for h in (0.3, 0.2)]
+        start = smooth_random_field(grid128, 0)
+        expect = tuple(
+            (p.h, power_estimates(OscillatoryTransport(testbed128_div, p), start, 4)[-1])
+            for p in phases
+        )
+        calls = count_applies(monkeypatch)
+        probe = transport_norm_probe(testbed128, phases, iterations=4, seed=0)
+        assert probe.rows == expect and probe.sweeps == (4, 4)
+        # the capping sweep skips its adjoint
+        assert calls == {"apply": {0.3: 4, 0.2: 4}, "apply_adjoint": {0.3: 3, 0.2: 3}}
+
+    def test_stops_once_settled(self, testbed128, testbed128_div, grid128, monkeypatch):
+        phases = [PHASE.with_h(h) for h in (0.3, 0.2, 0.14)]
+        start = smooth_random_field(grid128, 0)
+        full = {
+            p.h: power_estimates(OscillatoryTransport(testbed128_div, p), start, 20)
+            for p in phases
+        }
+        calls = count_applies(monkeypatch)
+        probe = transport_norm_probe(testbed128, phases, iterations=20, seed=0)
+        for (h, est), k in zip(probe.rows, probe.sweeps):
+            ests = full[h]
+            settled = [
+                i + 1 for i in range(1, 20) if abs(ests[i] - ests[i - 1]) <= PROBE_RTOL * ests[i]
+            ]
+            assert k < 20 and k == settled[0]  # the first sweep that meets the rule
+            assert est == ests[k - 1]
+            assert abs(est - ests[-1]) <= 1e-11 * ests[-1]
+            assert calls["apply"][h] == k and calls["apply_adjoint"][h] == k - 1

@@ -107,6 +107,15 @@ class TestCauchyCommand:
         with pytest.raises(CouplingError):
             PhaseSpec(0j, h_bad).check_grid(grid)
 
+    def test_nan_h_config_error(self, tmp_path, capsys):
+        # json writes and reads the literal NaN, which slips past an `h <= 0` test
+        doc = base_cauchy_config(tmp_path / "r")
+        doc["phase"]["h"] = [float("nan")]
+        cfg = write_config(tmp_path, doc)
+        assert "NaN" in Path(cfg).read_text()
+        assert main(["cauchy-test", "--config", cfg]) == 2
+        assert "phase.h[0]" in capsys.readouterr().err
+
     def test_failed_tolerance_exits_one(self, tmp_path):
         doc = base_cauchy_config(tmp_path / "r")
         doc["cauchy"]["min_slopes"] = {"2": 5.0}  # unattainable
@@ -121,6 +130,9 @@ class TestCgoCommand:
         assert main(["cgo", "--config", cfg]) == 0
         body = (out / "results.csv").read_text()
         assert "cgo" in body and "transport_norm" in body
+        log = (out / "log.txt").read_text()
+        assert all(f"transport norm h={h:g} " in log for h in (0.3, 0.2)), log
+        assert "sweeps" in log and "sweeps" not in body
 
     def test_zero_coefficient_run(self, tmp_path):
         out = tmp_path / "run"
