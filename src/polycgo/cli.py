@@ -18,6 +18,7 @@ import hashlib
 import json
 import sys
 import time
+from math import inf
 from pathlib import Path
 
 from . import cauchy
@@ -66,6 +67,15 @@ def _take(cfg: dict, section: str, key: str, kind, default=None, required=False)
     return val
 
 
+def _as_float(value, where: str) -> float:
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"field {where} must be a number in double range, got {value!r}")
+
+
 def _complex_from(value, where: str) -> complex:
     if isinstance(value, str):
         try:
@@ -73,9 +83,9 @@ def _complex_from(value, where: str) -> complex:
         except ExpressionError as exc:
             raise ConfigError(f"field {where}: {exc}") from exc
     if isinstance(value, (int, float)):
-        return complex(value)
+        return complex(_as_float(value, where))
     if isinstance(value, list) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_as_float(value[0], where), _as_float(value[1], where))
     raise ConfigError(f"field {where} must be a number, 'a+bi' string, or [re, im]")
 
 
@@ -102,9 +112,14 @@ def build_grid(cfg: dict) -> ComplexGrid:
     n = _take(section, "grid", "n", int, default=256)
     if n < 16 or (n & (n - 1)) != 0:
         raise ConfigError(f"field grid.n must be a power of two >= 16, got {n}")
-    half_width = _take(section, "grid", "half_width", (int, float), default=1.0)
+    half_width = _as_float(
+        _take(section, "grid", "half_width", (int, float), default=1.0), "grid.half_width"
+    )
     center = _complex_from(section.get("center", 0.0), "grid.center")
-    return ComplexGrid(center=center, half_width=float(half_width), n=n)
+    try:
+        return ComplexGrid(center=center, half_width=half_width, n=n)
+    except ValueError as exc:
+        raise ConfigError(f"field grid.half_width: {exc}") from exc
 
 
 def _coeff_table(grid, m, table, where):
@@ -136,25 +151,42 @@ def build_operator(cfg: dict, grid: ComplexGrid, key: str = "coeffs") -> Perturb
     return PerturbedOperator(grid, m, _coeff_table(grid, m, table, f"operator.{key}"), form=form)
 
 
-def build_phases(cfg: dict, grid: ComplexGrid):
+def build_h_list(cfg: dict, grid: ComplexGrid) -> list:
+    """phase.h, largest first; each entry positive, finite and resolved by the grid."""
     section = _take(cfg, "", "phase", dict, default={})
-    z0_list = [
-        _complex_from(v, f"phase.z0[{i}]")
-        for i, v in enumerate(section.get("z0", [0.0]))
-    ]
-    h_list = [float(h) for h in section.get("h", list(DEFAULT_H_SWEEP))]
-    if not h_list:
+    raw = _take(section, "phase", "h", list, default=list(DEFAULT_H_SWEEP))
+    if not raw:
         raise ConfigError("field phase.h must list at least one value")
-    for i, h in enumerate(h_list):
-        if not h > 0:
-            raise ConfigError(f"field phase.h[{i}] must be positive, got {h}")
+    h_list = []
+    for i, value in enumerate(raw):
+        h = _as_float(value, f"phase.h[{i}]")
+        if not 0 < h < inf:
+            raise ConfigError(f"field phase.h[{i}] must be positive and finite, got {h}")
         if violates_coupling(grid, h):
             raise ConfigError(
                 f"field phase.h[{i}]={h:g} violates spacing <= h/{COUPLING_FACTOR:g} "
                 f"for grid.n={grid.n} "
                 f"(spacing={grid.spacing:.6g} > {h / COUPLING_FACTOR:.6g})"
             )
-    return z0_list, sorted(h_list, reverse=True)
+        h_list.append(h)
+    return sorted(h_list, reverse=True)
+
+
+def build_phases(cfg: dict, grid: ComplexGrid):
+    """(phase.z0 list, phase.h list); each z0 finite and strictly inside the grid square."""
+    h_list = build_h_list(cfg, grid)
+    raw = _take(cfg.get("phase", {}), "phase", "z0", list, default=[0.0])
+    if not raw:
+        raise ConfigError("field phase.z0 must list at least one point")
+    z0_list = []
+    for i, value in enumerate(raw):
+        z0 = _complex_from(value, f"phase.z0[{i}]")
+        try:
+            PhaseSpec(z0, h_list[0]).check_grid(grid)
+        except ValueError as exc:
+            raise ConfigError(f"field phase.z0[{i}]: {exc}") from exc
+        z0_list.append(z0)
+    return z0_list, h_list
 
 
 def build_solver(cfg: dict):
@@ -234,6 +266,8 @@ def cmd_cauchy_test(cfg: dict, out_dir: Path) -> int:
         omega = field_from_expression(grid, omega_text)
     except ExpressionError as exc:
         raise ConfigError(f"field cauchy.omega: {exc}") from exc
+    if omega.is_zero():
+        raise ConfigError("field cauchy.omega vanishes on every grid node")
     q_values = [float(q) for q in section.get("q_values", [2.0, 4.0])]
     min_slopes = {float(k): float(v) for k, v in section.get(
         "min_slopes", {"2": 0.5, "4": 0.2}).items()}
@@ -333,7 +367,7 @@ def cmd_recover(cfg: dict, out_dir: Path) -> int:
     grid = build_grid(cfg)
     op = build_operator(cfg, grid, key="coeffs")
     op_tilde = build_operator(cfg, grid, key="coeffs_tilde")
-    _, h_list = build_phases(cfg, grid)
+    h_list = build_h_list(cfg, grid)
     tol, max_terms = build_solver(cfg)
     section = _take(cfg, "", "recovery", dict, default={})
     mode = _take(section, "recovery", "mode", str, default=AMPLITUDE_ONLY)

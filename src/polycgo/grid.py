@@ -11,8 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
 
 import numpy as np
+
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -31,8 +34,13 @@ class ComplexGrid:
     def __post_init__(self):
         if not (isinstance(self.n, int) and self.n >= 16 and (self.n & (self.n - 1)) == 0):
             raise ValueError(f"n must be a power of two >= 16, got {self.n}")
-        if not self.half_width > 0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        # quadrature and the Cauchy kernel scale by spacing^2: keep it a normal double
+        s = self.spacing
+        if not (self.half_width > 0 and _TINY <= s * s < inf):
+            raise ValueError(
+                f"half_width must be positive, with spacing^2 a finite normal double; "
+                f"got {self.half_width}"
+            )
 
     @property
     def spacing(self) -> float:

@@ -8,7 +8,9 @@ range off the critical point.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, replace
+from math import inf
 
 import numpy as np
 
@@ -34,8 +36,8 @@ class PhaseSpec:
     h: float
 
     def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError(f"h must be positive, got {self.h}")
+        if not 0 < self.h < inf:
+            raise ValueError(f"h must be positive and finite, got {self.h}")
 
     def with_h(self, h: float) -> "PhaseSpec":
         return replace(self, h=h)
@@ -56,10 +58,36 @@ class PhaseSpec:
         """The phase i*(z - z0)^2 itself (no h scaling)."""
         return grid.sample(lambda z: 1j * (z - self.z0) ** 2)
 
+    def oscillation_factors(self, grid: ComplexGrid, sign: int = +1):
+        """The 1-D factors (ex, ey) of the oscillation, each of length n.
+
+        Re((z - z0)^2) = (x - x0)^2 - (y - y0)^2, so the oscillation is the
+        outer product of ex = exp(2i*sign*(x - x0)^2/h) along axis 0 and
+        ey = exp(-2i*sign*(y - y0)^2/h) along axis 1.
+        """
+        t = grid.axis_offsets
+        dx = (grid.center.real + t) - self.z0.real
+        dy = (grid.center.imag + t) - self.z0.imag
+        scale = 2.0 * sign / self.h
+        return np.exp(1j * (scale * (dx * dx))), np.exp(-1j * (scale * (dy * dy)))
+
     def oscillation(self, grid: ComplexGrid, sign: int = +1) -> ScalarField:
-        """exp(sign*(phase - conj(phase))/h); unimodular by construction."""
-        w = (2.0 * sign / self.h) * np.real((grid.nodes - self.z0) ** 2)
-        return ScalarField(grid, np.exp(1j * w))
+        """exp(sign*(phase - conj(phase))/h), the outer product of its 1-D factors."""
+        return ScalarField(grid, np.multiply.outer(*self.oscillation_factors(grid, sign)))
+
+    def oscillatory_integral(self, grid: ComplexGrid, values, sign: int = +1) -> complex:
+        """Trapezoid quadrature of oscillation(grid, sign) * values without the n^2 oscillation.
+
+        The separable oscillation folds into the trapezoid weights:
+        (w*ex) @ values @ (w*ey) * spacing^2.  No folded weight is zero, so a
+        non-finite entry of values reaches the sum and raises ValueError.
+        """
+        ex, ey = self.oscillation_factors(grid, sign)
+        w = grid._trapezoid_1d
+        value = complex((w * ex) @ values @ (w * ey)) * grid.spacing**2
+        if not cmath.isfinite(value):
+            raise ValueError("field contains non-finite values")
+        return value
 
     def carrier(self, grid: ComplexGrid, sign: int = +1) -> ScalarField:
         """exp(sign*phase/h); grows off the critical point.

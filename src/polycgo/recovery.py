@@ -22,7 +22,7 @@ import numpy as np
 
 from .cgo import AmplitudeSpec, _as_divergence, adjoint_divergence, build_cgo
 from .errors import DegenerateProbeError
-from .grid import ComplexGrid, ScalarField, _dbar, integrate
+from .grid import ComplexGrid, ScalarField, _dbar
 from .operators import PerturbedOperator
 from .phase import PhaseSpec
 from .sweeps import fit_loglog_slope
@@ -66,7 +66,7 @@ def stationary_phase_calibration(
     """
     phase.check_grid(grid)
     chi = plateau_cutoff(grid, phase.z0, plateau, support)
-    return integrate(phase.oscillation(grid) * chi) / phase.h
+    return phase.oscillatory_integral(grid, chi.values) / phase.h
 
 
 def empirical_constants(
@@ -80,20 +80,16 @@ def empirical_constants(
     every index; deviations are reported, not corrected for.
     """
     phase.check_grid(grid)
-    chi = plateau_cutoff(grid, phase.z0, plateau, support)
-    osc = phase.oscillation(grid)
+    chi = plateau_cutoff(grid, phase.z0, plateau, support).values
     z = grid.nodes
+    zbar = np.conj(z)
     z0 = phase.z0
     j0 = k0 = m - 1
     out = {}
     for j in range(m):
         for k in range(m):
-            factor = ScalarField(
-                grid,
-                (np.conj(z) ** (k0 - k) / factorial(k0 - k))
-                * (z ** (j0 - j) / factorial(j0 - j)),
-            )
-            value = integrate(chi * osc * factor)
+            factor = _monomial_part(zbar, k0 - k) * _monomial_part(z, j0 - j)
+            value = phase.oscillatory_integral(grid, chi * factor)
             weight = _monomial_weight(z0, j0, k0, j, k)
             if abs(weight) < 1e-12:
                 raise ValueError(
@@ -120,6 +116,19 @@ def sample_bilinear(f: ScalarField, z: complex) -> complex:
         + (1 - tx) * ty * v[i, j + 1]
         + tx * ty * v[i + 1, j + 1]
     )
+
+
+def _monomial_part(base, p: int):
+    """base**p / p! by repeated products: the scalar 1.0 for p = 0, base itself for p = 1."""
+    if p == 0:
+        return 1.0
+    if p == 1:
+        return base
+    out = base * base
+    for _ in range(p - 2):
+        out *= base
+    out /= factorial(p)
+    return out
 
 
 def _monomial_weight(z0: complex, j0: int, k0: int, j: int, k: int) -> complex:
@@ -231,7 +240,9 @@ def identity_lhs(
     """Evaluate the bilinear pairing with monomial amplitudes of degrees (k0, j0).
 
     amplitude_only pairs the pure amplitudes; full_cgo pairs the assembled
-    oscillatory solutions, picking up the small remainder cross terms.
+    oscillatory solutions, picking up the small remainder cross terms.  The
+    integrand is built in place and paired through
+    PhaseSpec.oscillatory_integral, so no n-by-n oscillation is formed.
     """
     grid = problem.grid
     m = problem.m
@@ -240,9 +251,10 @@ def identity_lhs(
     problem.check_probe(z0)
 
     z = grid.nodes
-    # exact monomial derivative arrays: dbar^k a and d^j conj(b)
-    a_parts = {k: np.conj(z) ** (k0 - k) / factorial(k0 - k) for k in range(min(k0, m - 1) + 1)}
-    b_parts = {j: z ** (j0 - j) / factorial(j0 - j) for j in range(min(j0, m - 1) + 1)}
+    zbar = np.conj(z) if k0 else None
+    # exact monomial derivatives dbar^k a and d^j conj(b): scalars or arrays
+    a_parts = {k: _monomial_part(zbar, k0 - k) for k in range(min(k0, m - 1) + 1)}
+    b_parts = {j: _monomial_part(z, j0 - j) for j in range(min(j0, m - 1) + 1)}
 
     if problem.mode == FULL_CGO:
         u_sol, v_sol = problem._cgo_pair(z0, h, k0, j0)
@@ -257,18 +269,23 @@ def identity_lhs(
                     dk = np.conj(d) if conj else d
                 parts[k] = (parts[k] + dk) if k in parts else dk
 
-    # the integrand accumulates in place: one n-by-n array besides the parts
-    combined = None
+    # the integrand accumulates in place: two n-by-n arrays besides the parts
+    combined = term = None
     for (j, k), b_field in sorted(problem.differences.items()):
         if b_field.is_zero() or k not in a_parts or j not in b_parts:
             continue
-        sign = -1.0 if j % 2 else 1.0
-        term = b_field.values * sign * a_parts[k] * b_parts[j]
-        combined = term if combined is None else np.add(combined, term, out=combined)
+        term = np.multiply(b_field.values, a_parts[k], out=term)
+        term *= b_parts[j]
+        if combined is None:
+            combined = np.negative(term, out=term) if j % 2 else term
+            term = None
+        elif j % 2:
+            np.subtract(combined, term, out=combined)
+        else:
+            np.add(combined, term, out=combined)
     if combined is None:
         return 0.0 + 0.0j
-    osc = phase.oscillation(grid).values
-    return integrate(ScalarField(grid, np.multiply(osc, combined, out=combined)))
+    return phase.oscillatory_integral(grid, combined)
 
 
 def stationary_phase_extract(values, z0: complex):

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import TESTBED_BUMPS
 
@@ -115,6 +120,23 @@ class TestCauchyCommand:
         assert "NaN" in Path(cfg).read_text()
         assert main(["cauchy-test", "--config", cfg]) == 2
         assert "phase.h[0]" in capsys.readouterr().err
+
+    def test_infinite_h_config_error(self, tmp_path, capsys):
+        # inf > 0 holds and an infinite h never violates spacing <= h/8
+        doc = base_cauchy_config(tmp_path / "r")
+        doc["phase"]["h"] = [float("inf"), 0.3]
+        cfg = write_config(tmp_path, doc)
+        assert "Infinity" in Path(cfg).read_text()
+        assert main(["cauchy-test", "--config", cfg]) == 2
+        assert "phase.h[0]" in capsys.readouterr().err
+
+    def test_repeated_h_fits_no_slope(self, tmp_path, capsys):
+        # one distinct h gives no slope to fit: a failed tolerance, not a traceback
+        doc = base_cauchy_config(tmp_path / "r")
+        doc["phase"]["h"] = [0.3, 0.3]
+        cfg = write_config(tmp_path, doc)
+        assert main(["cauchy-test", "--config", cfg]) == 1
+        assert "nan" in (tmp_path / "r" / "slopes.csv").read_text()
 
     def test_failed_tolerance_exits_one(self, tmp_path):
         doc = base_cauchy_config(tmp_path / "r")
@@ -258,3 +280,62 @@ class TestDeterminismAndProvenance:
         p.write_text("{not json")
         assert main(["cauchy-test", "--config", str(p)]) == 2
         assert "line" in capsys.readouterr().err
+
+
+
+# malformed values for numeric config fields: wrong types, non-finite, out of range
+MALFORMED = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 0, -1, 10**400, True, None,
+                     "", "x", "0.7", "1+i", [], {}, [0.1], [0.1, "y"]]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(),
+    st.text(max_size=6),
+)
+
+
+def points(radius):
+    return st.complex_numbers(max_magnitude=radius).map(lambda z: [z.real, z.imag])
+
+
+# per field: (well-formed values, malformed values).  Well-formed ones pass
+# every check together: half_width <= 1 and h > 1.07 meet spacing <= h/8 at
+# n = 16 and 32, and |z0| < 0.5 lies inside the square.
+SWEPT_FIELDS = {
+    ("grid", "n"): (
+        st.sampled_from([16, 32]),
+        st.one_of(
+            st.integers(-64, 5000).filter(lambda n: n < 1 or n & (n - 1)),
+            # a larger power of two is a well-formed n that only costs memory
+            MALFORMED.filter(lambda n: not (type(n) is int and n > 32 and not n & (n - 1))),
+        ),
+    ),
+    ("grid", "half_width"): (st.floats(0.5, 1.0), MALFORMED),
+    ("phase", "h"): (
+        st.lists(st.floats(1.1, 3.0), min_size=1, max_size=3),
+        st.one_of(st.lists(st.one_of(st.floats(0.1, 3.0), MALFORMED), max_size=3), MALFORMED),
+    ),
+    ("phase", "z0"): (
+        st.lists(points(0.45), min_size=1, max_size=2),
+        st.one_of(st.lists(st.one_of(points(2.0), MALFORMED), max_size=2), MALFORMED),
+    ),
+}
+
+
+class TestMalformedPhaseAndGrid:
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_cauchy_test_exits_with_a_documented_code(self, data):
+        # malform up to two fields at once and keep the others well formed, so
+        # every field's check is reached, not only the first one parsed
+        bad = data.draw(st.sets(st.sampled_from(sorted(SWEPT_FIELDS)), max_size=2), label="bad")
+        with tempfile.TemporaryDirectory() as tmp:
+            doc = base_cauchy_config(Path(tmp) / "run")
+            for (section, key), (good, malformed) in sorted(SWEPT_FIELDS.items()):
+                value = data.draw(malformed if (section, key) in bad else good, label=key)
+                doc[section][key] = value
+            cfg = write_config(Path(tmp), doc)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["cauchy-test", "--config", cfg])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()

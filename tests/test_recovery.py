@@ -18,7 +18,6 @@ from polycgo import (
     extraction_noise_floor,
     field_from_expression,
     identity_lhs,
-    integrate,
     mixed_wirtinger,
     plateau_cutoff,
     recover_all,
@@ -106,36 +105,62 @@ class TestIdentity:
         rep = recover_all(prob)
         assert all(r.extracted == 0 for r in rep.rows)
 
-    @pytest.mark.parametrize("perturbed", [True, False], ids=["both", "tilde_only"])
-    def test_array_path_matches_field_composition(self, perturbed):
-        # the pairing built from fields, term by term, must agree bit for bit
+    @pytest.mark.parametrize(
+        "perturbed, mode",
+        [(True, FULL_CGO), (False, FULL_CGO), (True, AMPLITUDE_ONLY), (False, AMPLITUDE_ONLY)],
+        ids=["both", "tilde_only", "both-amplitude_only", "tilde_only-amplitude_only"],
+    )
+    def test_array_path_matches_field_composition(self, perturbed, mode):
+        # the pairing built from fields, term by term, must agree bit for bit;
+        # (1,0) brings a negative-parity term, (0,1) a degree-0 amplitude part
         g = ComplexGrid(0j, 1.0, 128)
         m, z0, h = 2, 0.2 + 0.1j, 0.2
         bump = field_from_expression(g, "bump(0.05, 0, 0.6, 1)")
         L = PerturbedOperator(
             g, m, {(0, 0): bump, (1, 1): 0.5j * bump} if perturbed else {}, form="divergence"
         )
-        Lt = PerturbedOperator(g, m, {(0, 0): 1.5 * bump, (1, 0): 0.4 * bump}, form="divergence")
-        prob = RecoveryProblem(L, Lt, [z0], [h], mode=FULL_CGO)
+        Lt = PerturbedOperator(
+            g, m, {(0, 0): 1.5 * bump, (1, 0): 0.4 * bump, (0, 1): -0.3j * bump},
+            form="divergence",
+        )
+        prob = RecoveryProblem(L, Lt, [z0], [h], mode=mode)
         z = g.nodes
         for j0 in range(m):
             for k0 in range(m):
-                u, v = prob._cgo_pair(z0, h, k0, j0)
                 a = {k: ScalarField(g, np.conj(z) ** (k0 - k) / factorial(k0 - k))
                      for k in range(k0 + 1)}
                 b = {j: ScalarField(g, z ** (j0 - j) / factorial(j0 - j)) for j in range(j0 + 1)}
-                for k in range(m):
-                    dr = mixed_wirtinger(u.r, 0, k) if not u.r.is_zero() else g.zero()
-                    a[k] = (a[k] + dr) if k in a else dr
-                    ds = mixed_wirtinger(v.r, 0, k).conj() if not v.r.is_zero() else g.zero()
-                    b[k] = (b[k] + ds) if k in b else ds
+                if mode == FULL_CGO:
+                    u, v = prob._cgo_pair(z0, h, k0, j0)
+                    for k in range(m):
+                        dr = mixed_wirtinger(u.r, 0, k) if not u.r.is_zero() else g.zero()
+                        a[k] = (a[k] + dr) if k in a else dr
+                        ds = mixed_wirtinger(v.r, 0, k).conj() if not v.r.is_zero() else g.zero()
+                        b[k] = (b[k] + ds) if k in b else ds
                 combined = None
                 for (j, k), diff in sorted(prob.differences.items()):
-                    if not diff.is_zero():
+                    if not diff.is_zero() and k in a and j in b:
                         term = (-1.0 if j % 2 else 1.0) * diff * a[k] * b[j]
                         combined = term if combined is None else combined + term
-                expect = integrate(PhaseSpec(z0, h).oscillation(g) * combined)
+                expect = PhaseSpec(z0, h).oscillatory_integral(g, combined.values)
                 assert identity_lhs(prob, j0, k0, h, z0) == expect
+
+    @pytest.mark.parametrize("mode", [AMPLITUDE_ONLY, FULL_CGO])
+    def test_pairing_builds_no_oscillation(self, mode, monkeypatch):
+        # the pairing folds the separable oscillation into the quadrature
+        # weights; the n-by-n oscillation must never be formed
+        def forbidden(*args, **kwargs):
+            raise AssertionError("n-by-n oscillation built by the pairing")
+
+        prob = single_bump_problem(n=128, mode=mode, h_list=(0.3,))
+        if mode == FULL_CGO:
+            # the CGO builds' transports may form E+-; build them first
+            for degree in range(2):
+                prob._cgo_pair(0.2 + 0.1j, 0.3, degree, degree)
+        monkeypatch.setattr(PhaseSpec, "oscillation", forbidden)
+        for j0 in range(2):
+            for k0 in range(2):
+                assert identity_lhs(prob, j0, k0, 0.3, 0.2 + 0.1j) != 0
 
     def test_against_brute_force_quadrature(self):
         # independent adaptive 2D quadrature of the same oscillatory integrand
