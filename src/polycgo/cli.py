@@ -68,10 +68,10 @@ def _take(cfg: dict, section: str, key: str, kind, default=None, required=False)
 
 
 def _as_float(value, where: str) -> float:
-    if not isinstance(value, bool):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             return float(value)
-        except (TypeError, ValueError, OverflowError):
+        except OverflowError:
             pass
     raise ConfigError(f"field {where} must be a number in double range, got {value!r}")
 

@@ -75,14 +75,14 @@ class PhaseSpec:
         """exp(sign*(phase - conj(phase))/h), the outer product of its 1-D factors."""
         return ScalarField(grid, np.multiply.outer(*self.oscillation_factors(grid, sign)))
 
-    def oscillatory_integral(self, grid: ComplexGrid, values, sign: int = +1) -> complex:
-        """Trapezoid quadrature of oscillation(grid, sign) * values without the n^2 oscillation.
+    def oscillatory_integral(self, grid: ComplexGrid, values) -> complex:
+        """Trapezoid quadrature of oscillation(grid) * values without the n^2 oscillation.
 
         The separable oscillation folds into the trapezoid weights:
         (w*ex) @ values @ (w*ey) * spacing^2.  No folded weight is zero, so a
         non-finite entry of values reaches the sum and raises ValueError.
         """
-        ex, ey = self.oscillation_factors(grid, sign)
+        ex, ey = self.oscillation_factors(grid)
         w = grid._trapezoid_1d
         value = complex((w * ex) @ values @ (w * ey)) * grid.spacing**2
         if not cmath.isfinite(value):

@@ -130,6 +130,41 @@ class TestCauchyCommand:
         assert main(["cauchy-test", "--config", cfg]) == 2
         assert "phase.h[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("h", ["1.5", True])
+    def test_non_number_h_config_error(self, tmp_path, capsys, h):
+        # a numeric string or a bool is not a number, whatever float() makes of it
+        doc = base_cauchy_config(tmp_path / "r")
+        doc["phase"]["h"] = [h, 0.3]
+        cfg = write_config(tmp_path, doc)
+        assert main(["cauchy-test", "--config", cfg]) == 2
+        assert "phase.h[0]" in capsys.readouterr().err
+
+    def test_string_z0_part_config_error(self, tmp_path, capsys):
+        doc = base_cauchy_config(tmp_path / "r")
+        doc["phase"]["z0"] = [["0.1", "0.2"]]
+        cfg = write_config(tmp_path, doc)
+        assert main(["cauchy-test", "--config", cfg]) == 2
+        assert "phase.z0[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("half_width", [1e-200, 1e200])
+    def test_spacing_outside_double_range_config_error(self, tmp_path, capsys, half_width):
+        # spacing^2 underflows to a subnormal or overflows to inf
+        doc = base_cauchy_config(tmp_path / "r")
+        doc["grid"]["half_width"] = half_width
+        cfg = write_config(tmp_path, doc)
+        assert main(["cauchy-test", "--config", cfg]) == 2
+        assert "grid.half_width" in capsys.readouterr().err
+
+    def test_vanishing_omega_config_error(self, tmp_path, capsys):
+        # on a square this wide no node lies inside the default bump's support
+        doc = base_cauchy_config(tmp_path / "r")
+        doc["grid"]["half_width"] = 1e50
+        doc["phase"]["h"] = [1e50]
+        del doc["cauchy"]["omega"]
+        cfg = write_config(tmp_path, doc)
+        assert main(["cauchy-test", "--config", cfg]) == 2
+        assert "cauchy.omega" in capsys.readouterr().err
+
     def test_repeated_h_fits_no_slope(self, tmp_path, capsys):
         # one distinct h gives no slope to fit: a failed tolerance, not a traceback
         doc = base_cauchy_config(tmp_path / "r")

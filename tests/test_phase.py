@@ -27,12 +27,11 @@ class TestSeparableOscillation:
         got = phase.oscillation(grid, sign).values
         assert np.max(np.abs(got - old_oscillation(grid, phase, sign))) <= 1e-13
 
-    @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("grid, phase", CASES[:2] + CASES[3:], ids=["64", "64-off", "1024-off"])
-    def test_quadrature_matches_integrate(self, grid, phase, sign, rng):
+    def test_quadrature_matches_integrate(self, grid, phase, rng):
         f = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
-        expect = integrate(phase.oscillation(grid, sign) * ScalarField(grid, f))
-        got = phase.oscillatory_integral(grid, f, sign)
+        expect = integrate(phase.oscillation(grid) * ScalarField(grid, f))
+        got = phase.oscillatory_integral(grid, f)
         assert abs(got - expect) <= 1e-13 * abs(expect)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(0, np.inf), np.nan])
