@@ -34,6 +34,7 @@ from .errors import (
     DegenerateProbeError,
     MaxTermsExceededError,
     NonContractionError,
+    PrecisionError,
 )
 from .expressions import (
     ExpressionError,

@@ -6,11 +6,14 @@ g through a fixed-point map
 
     T(v) = - sum_{j,k} d_inv^(m-j) ( E+ * c[j,k] * dbar_inv^(m-k) ( E- * v ) )
 
-with unimodular oscillations E+/- and divergence coefficients c.  The density
-solves (I - T) g = w by Neumann series (T contracts for small h), then the
-remainder is r = dbar_inv^m(E- * g) and u = exp(phase/h) * (a + r).  Adjoint
-solutions reuse the same machinery with the carrier sign flipped.  A solution
-keeps only g and r; u and the diagnostics are assembled on first access.
+with unimodular oscillations E+/- and divergence coefficients c.  The powers
+dbar_inv^(m-k) are prefixes of one chain, and the outer sum is evaluated by
+Horner's rule, d_inv(y[m-1] + d_inv(y[m-2] + ...)), so one application costs
+at most 2m transforms instead of m(m+1).  The density solves (I - T) g = w by
+Neumann series (T contracts for small h), then the remainder is
+r = dbar_inv^m(E- * g) and u = exp(phase/h) * (a + r).  Adjoint solutions
+reuse the same machinery with the carrier sign flipped.  A solution keeps only
+g and r; u and the diagnostics are assembled on first access.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 import scipy.ndimage
 
 from .cauchy import cauchy_chain
-from .errors import MaxTermsExceededError, NonContractionError
+from .errors import MaxTermsExceededError, NonContractionError, PrecisionError
 from .grid import (
     ComplexGrid,
     ScalarField,
@@ -50,6 +53,8 @@ DEFAULT_TOL = 1e-10
 PROBE_RTOL = 1e-12  # the norm probe stops once its estimate moves less than this
 DEFAULT_MAX_TERMS = 50
 RESIDUAL_MARGIN = 0.05  # residuals measured on the central 90% subgrid
+# residual_norm runs in np.longdouble, which some platforms make a plain double
+LONGDOUBLE_EPS = float(np.finfo(np.longdouble).eps)
 
 
 @dataclass(frozen=True)
@@ -130,6 +135,10 @@ class OscillatoryTransport:
     nonzero coefficients are kept as arrays, so Neumann iterations only pay
     for transforms and each call wraps one field.  sign=+1 matches the carrier
     exp(+phase/h), sign=-1 the adjoint-family carrier exp(-phase/h).
+
+    Each call runs one dbar_inv chain for the inner powers and one Horner
+    pass of d_inv for the outer sum: apply takes m - min(cols) + m - min(rows)
+    transforms, at most 2m, and apply_adjoint mirrors it step for step.
     """
 
     def __init__(self, op: PerturbedOperator, phase: PhaseSpec, sign: int = +1):
@@ -149,34 +158,49 @@ class OscillatoryTransport:
             self.e_plus = phase.oscillation(op.grid, sign).values
             self.e_minus = phase.oscillation(op.grid, -sign).values
 
+    def _dbar_powers(self, values: np.ndarray, lowest: int) -> dict:
+        """{i: dbar_inv^(m-i)(values)} for lowest <= i < m, each kept as the chain forms it."""
+        powers, cur = {}, values
+        for i in range(self.op.m - 1, lowest - 1, -1):
+            cur = cauchy_chain(self.grid, cur)
+            powers[i] = cur
+        return powers
+
+    def _horner(self, terms) -> np.ndarray:
+        """sum_i d_inv^(m-i)(y_i) over (i, y_i) pairs in ascending i, by Horner's rule.
+
+        d_inv(y[m-1] + d_inv(y[m-2] + ...)): one d_inv per level from the
+        first i to m - 1, so a level with no term still takes its step.
+        """
+        acc = level = None
+        for i, y in terms:
+            acc = y if acc is None else cauchy_chain(self.grid, acc, i - level, conj=True) + y
+            level = i
+        return cauchy_chain(self.grid, acc, self.op.m - level, conj=True)
+
     def _outer_sum(self, x) -> ScalarField:
         """-sum_j d_inv^(m-j)(E+ * sum_k c[j,k] * x[k]) over the nonzero coefficients."""
-        m = self.op.m
-        out = np.zeros((self.grid.n, self.grid.n), dtype=np.complex128)
-        for j, row in groupby(self.active, key=itemgetter(0)):
-            combo = reduce(add, (self.coeffs[jk] * x[jk[1]] for jk in row))
-            out = out - cauchy_chain(self.grid, self.e_plus * combo, m - j, conj=True)
-        return ScalarField(self.grid, out)
+        rows = (
+            (j, self.e_plus * reduce(add, (self.coeffs[jk] * x[jk[1]] for jk in row)))
+            for j, row in groupby(self.active, key=itemgetter(0))
+        )
+        return ScalarField(self.grid, -self._horner(rows))
 
     def apply(self, v: ScalarField) -> ScalarField:
-        m = self.op.m
         if not self.active or v.is_zero():
             return self.grid.zero()
-        ev = self.e_minus * v.values
-        return self._outer_sum({k: cauchy_chain(self.grid, ev, m - k) for k in self.cols})
+        return self._outer_sum(self._dbar_powers(self.e_minus * v.values, self.cols[0]))
 
     def apply_adjoint(self, v: ScalarField) -> ScalarField:
         """Exact discrete L2 adjoint; uses d_inv* = -dbar_inv for the odd kernel."""
-        m = self.op.m
         if not self.active or v.is_zero():
             return self.grid.zero()
-        inner = {j: cauchy_chain(self.grid, v.values, m - j) for j in self.rows}
-        out = None
-        for k, col in self._adjoint_weights.items():
-            combo = reduce(add, (w * inner[j] for j, w in col))
-            piece = cauchy_chain(self.grid, combo, m - k, conj=True)
-            out = piece if out is None else out + piece
-        return ScalarField(self.grid, -1.0 * (self.e_plus * out))
+        inner = self._dbar_powers(v.values, self.rows[0])
+        cols = (
+            (k, reduce(add, (w * inner[j] for j, w in col)))
+            for k, col in self._adjoint_weights.items()
+        )
+        return ScalarField(self.grid, -1.0 * (self.e_plus * self._horner(cols)))
 
     @cached_property
     def _adjoint_weights(self) -> dict:
@@ -225,9 +249,12 @@ def residual_norm(op: PerturbedOperator, u: ScalarField, margin: float = RESIDUA
     diagnostic exists to measure, so the chain runs in 80-bit arithmetic
     (the measuring instrument must sit below the signal).  Memory stays flat:
     one dbar column and one running d-derivative are alive at a time.
+    Raises PrecisionError where np.longdouble is only a double.
     """
     if op.form != STANDARD:
         raise ValueError("residual evaluation expects the standard form")
+    if LONGDOUBLE_EPS >= np.finfo(np.float64).eps:
+        raise PrecisionError(LONGDOUBLE_EPS)
     grid = u.grid
     m = op.m
     s = np.longdouble(grid.spacing)

@@ -7,7 +7,8 @@ CSV files embed the config hash and contain no wall-clock content, so a rerun
 of the same config is bit-identical (the log carries the only timestamp).
 
 Exit codes: 0 success, 1 tolerance failure, 2 config error, 3 numerical
-failure (non-contraction, term budget, degenerate probe).
+failure (non-contraction, term budget, degenerate probe, carrier overflow,
+no extended-precision long double).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import (
     DegenerateProbeError,
     MaxTermsExceededError,
     NonContractionError,
+    PrecisionError,
 )
 from .expressions import ExpressionError, constant_from_expression, field_from_expression
 from .grid import ComplexGrid, norm_lp, wirtinger_dbar
@@ -43,6 +45,9 @@ EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# largest grid.n: the doubled kernel grid is already 1 GiB per table at 4096
+MAX_GRID_N = 4096
 
 
 # ---------------------------------------------------------------- config ----
@@ -110,8 +115,10 @@ def config_hash(cfg: dict) -> str:
 def build_grid(cfg: dict) -> ComplexGrid:
     section = _take(cfg, "", "grid", dict, default={})
     n = _take(section, "grid", "n", int, default=256)
-    if n < 16 or (n & (n - 1)) != 0:
-        raise ConfigError(f"field grid.n must be a power of two >= 16, got {n}")
+    if not 16 <= n <= MAX_GRID_N or (n & (n - 1)) != 0:
+        raise ConfigError(
+            f"field grid.n must be a power of two from 16 to {MAX_GRID_N}, got {n}"
+        )
     half_width = _as_float(
         _take(section, "grid", "half_width", (int, float), default=1.0), "grid.half_width"
     )
@@ -268,6 +275,12 @@ def cmd_cauchy_test(cfg: dict, out_dir: Path) -> int:
         raise ConfigError(f"field cauchy.omega: {exc}") from exc
     if omega.is_zero():
         raise ConfigError("field cauchy.omega vanishes on every grid node")
+    omega_norm = norm_lp(omega, 2)
+    if omega_norm == 0.0:
+        raise ConfigError(
+            f"field grid.half_width={grid.half_width:g}: the L2 norm of the nonzero "
+            f"cauchy.omega underflows to 0 on this square"
+        )
     q_values = [float(q) for q in section.get("q_values", [2.0, 4.0])]
     min_slopes = {float(k): float(v) for k, v in section.get(
         "min_slopes", {"2": 0.5, "4": 0.2}).items()}
@@ -277,7 +290,7 @@ def cmd_cauchy_test(cfg: dict, out_dir: Path) -> int:
     ok = True
 
     # right-inverse identity on the configured grid
-    err = norm_lp(wirtinger_dbar(dbar_inv(omega)) - omega, 2) / norm_lp(omega, 2)
+    err = norm_lp(wirtinger_dbar(dbar_inv(omega)) - omega, 2) / omega_norm
     passed = err <= max_identity_err
     ok &= passed
     writer.add_result(kind="inverse_identity", series="", h="", value=err)
@@ -450,7 +463,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (
-        NonContractionError, MaxTermsExceededError, DegenerateProbeError, CarrierOverflowError
+        NonContractionError, MaxTermsExceededError, DegenerateProbeError, CarrierOverflowError,
+        PrecisionError,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

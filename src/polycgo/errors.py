@@ -34,6 +34,17 @@ class CarrierOverflowError(OverflowError):
         )
 
 
+class PrecisionError(RuntimeError):
+    """np.longdouble is no wider than a double, so the extended-precision residual cannot run."""
+
+    def __init__(self, eps):
+        self.eps = eps
+        super().__init__(
+            f"residual_norm needs an extended-precision long double, but np.longdouble "
+            f"has eps {eps:.3g}, that of a double"
+        )
+
+
 class DegenerateProbeError(RuntimeError):
     """Probe point unusable: on the support frame or conditioning bound exceeded."""
 

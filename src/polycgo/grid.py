@@ -24,7 +24,8 @@ class ComplexGrid:
 
     node(i, j) = center + (-half_width + i*spacing) + 1j*(-half_width + j*spacing)
     with spacing = 2*half_width/(n-1).  n must be a power of two (>= 16) so the
-    Cauchy transforms can use zero-padded doubling.
+    Cauchy transforms can use zero-padded doubling.  The squared extent
+    (2*half_width)^2 must be finite, since the phase squares node offsets.
     """
 
     center: complex = 0j
@@ -34,12 +35,13 @@ class ComplexGrid:
     def __post_init__(self):
         if not (isinstance(self.n, int) and self.n >= 16 and (self.n & (self.n - 1)) == 0):
             raise ValueError(f"n must be a power of two >= 16, got {self.n}")
-        # quadrature and the Cauchy kernel scale by spacing^2: keep it a normal double
-        s = self.spacing
-        if not (self.half_width > 0 and _TINY <= s * s < inf):
+        # quadrature and the Cauchy kernel scale by spacing^2: keep it a normal
+        # double; the phase squares offsets up to the extent: keep that finite
+        s, extent = self.spacing, 2.0 * self.half_width
+        if not (self.half_width > 0 and _TINY <= s * s and extent * extent < inf):
             raise ValueError(
-                f"half_width must be positive, with spacing^2 a finite normal double; "
-                f"got {self.half_width}"
+                f"half_width must be positive, with spacing^2 a normal double and "
+                f"(2*half_width)^2 finite; got {self.half_width}"
             )
 
     @property

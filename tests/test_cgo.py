@@ -9,6 +9,7 @@ from conftest import bump_testbed
 
 from polycgo import (
     AmplitudeSpec,
+    CauchyKernel,
     ComplexGrid,
     CouplingError,
     NonContractionError,
@@ -109,7 +110,7 @@ class TestTransportMap:
     )
     @settings(max_examples=20, deadline=None)
     def test_adjoint_identity_on_smooth_fields(self, grid64, m, sign, h, seeds):
-        T = OscillatoryTransport(full_table(grid64, m), PhaseSpec(PHASE.z0, h), sign)
+        T = OscillatoryTransport(coeff_table(grid64, m), PhaseSpec(PHASE.z0, h), sign)
         v, w = (smooth_random_field(grid64, seed) for seed in seeds)
         lhs = np.vdot(w.values, T.apply(v).values)
         rhs = np.vdot(T.apply_adjoint(w).values, v.values)
@@ -120,24 +121,45 @@ class TestTransportMap:
             OscillatoryTransport(testbed128_div, PhaseSpec(0.1j, 0.05))
 
 
-def full_table(grid, m):
-    """Divergence-form operator with every one of the m*m coefficients nonzero."""
+def coeff_table(grid, m, indices=None):
+    """Divergence-form operator with the coefficients at indices nonzero, all m*m by default."""
+    if indices is None:
+        indices = [(j, k) for j in range(m) for k in range(m)]
     coeffs = {
         (j, k): (1.0 + 0.3j * j - 0.2 * k)
         * field_from_expression(grid, f"bump({0.1 * j}, {-0.1 * k}, 0.6, 1)")
-        for j in range(m)
-        for k in range(m)
+        for j, k in indices
     }
     return PerturbedOperator(grid, m, coeffs, form="divergence")
 
 
-class TestArrayPath:
-    """The array-level map reproduces, bit for bit, the map composed from fields."""
+# m=3 tables with gaps in rows and columns: Horner's rule must still take a
+# d_inv step at a level that has no coefficient
+GAPPED_3 = [((0, 2), (2, 0)), ((0, 0), (2, 2)), ((2, 1),)]
+ARRAY_PATH_CASES = [(m, sign, None) for m in (2, 3) for sign in (+1, -1)] + [
+    (3, sign, table) for table in GAPPED_3 for sign in (+1, -1)
+]
+# Horner's rule adds in another order than the composed oracle; roundoff only
+ORACLE_RTOL = 1e-13
 
-    @pytest.fixture(params=[(2, +1), (2, -1), (3, +1), (3, -1)], ids=lambda p: f"m{p[0]}s{p[1]:+d}")
+
+def case_id(case):
+    m, sign, table = case
+    gaps = "" if table is None else "-" + "_".join(f"{j}{k}" for j, k in table)
+    return f"m{m}s{sign:+d}{gaps}"
+
+
+def assert_matches_oracle(got, expect):
+    assert np.max(np.abs(got - expect)) <= ORACLE_RTOL * np.max(np.abs(expect))
+
+
+class TestArrayPath:
+    """The array-level map reproduces, to roundoff, the map composed from fields."""
+
+    @pytest.fixture(params=ARRAY_PATH_CASES, ids=case_id)
     def setup(self, request, grid64):
-        m, sign = request.param
-        op = full_table(grid64, m)
+        m, sign, table = request.param
+        op = coeff_table(grid64, m, table)
         e_plus, e_minus = PHASE.oscillation(grid64, sign), PHASE.oscillation(grid64, -sign)
         return op, OscillatoryTransport(op, PHASE, sign), e_plus, e_minus
 
@@ -155,13 +177,13 @@ class TestArrayPath:
         op, T, e_plus, e_minus = setup
         v = smooth_random_field(grid64, seed=3)
         x = [dbar_inv_pow(e_minus * v, op.m - k) for k in range(op.m)]
-        assert np.array_equal(T.apply(v).values, self.outer_sum(op, e_plus, x).values)
+        assert_matches_oracle(T.apply(v).values, self.outer_sum(op, e_plus, x).values)
 
     def test_source(self, setup, grid64):
         op, T, e_plus, _ = setup
         a = AmplitudeSpec.monomial(grid64, 2)
         x = [mixed_wirtinger(a.field, 0, k) for k in range(op.m)]
-        assert np.array_equal(T.source(a).values, self.outer_sum(op, e_plus, x).values)
+        assert_matches_oracle(T.source(a).values, self.outer_sum(op, e_plus, x).values)
 
     def test_apply_adjoint(self, setup, grid64):
         op, T, e_plus, _ = setup
@@ -180,7 +202,49 @@ class TestArrayPath:
         expect = -1.0 * (e_plus * out)
         assert "_adjoint_weights" not in vars(T)  # built on the first adjoint apply
         for _ in range(2):  # the first call builds the weights, the second reuses them
-            assert np.array_equal(T.apply_adjoint(v).values, expect.values)
+            assert_matches_oracle(T.apply_adjoint(v).values, expect.values)
+
+    def test_transforms_per_call(self, setup, grid64, monkeypatch):
+        # one dbar_inv chain down to the lowest column (row for the adjoint) and
+        # one Horner pass down to the lowest row (column): 2m for a full table
+        op, T, _, _ = setup
+        m = op.m
+        active = op.nonzero_indices()
+        lowest_row, lowest_col = min(j for j, _ in active), min(k for _, k in active)
+        per_apply = (m - lowest_col) + (m - lowest_row)
+        if len(active) == m * m:
+            assert per_apply == 2 * m
+        counts = Counter()
+        transform = CauchyKernel.apply
+
+        def counted(kernel, values):
+            counts["transforms"] += 1
+            return transform(kernel, values)
+
+        monkeypatch.setattr(CauchyKernel, "apply", counted)
+        v = smooth_random_field(grid64, seed=3)
+        for call, expect in (
+            (lambda: T.apply(v), per_apply),
+            (lambda: T.apply_adjoint(v), per_apply),
+            (lambda: T.source(AmplitudeSpec.monomial(grid64, 2)), m - lowest_row),
+        ):
+            counts.clear()
+            call()
+            assert counts["transforms"] == expect
+
+        # build_cgo: the source, each Neumann apply, and m more for a nonzero remainder
+        apply = OscillatoryTransport.apply
+
+        def counted_apply(transport, v):
+            counts["applies"] += 1
+            return apply(transport, v)
+
+        monkeypatch.setattr(OscillatoryTransport, "apply", counted_apply)
+        counts.clear()
+        sol = build_cgo(op, PHASE, AmplitudeSpec.monomial(grid64, 0), sign=T.sign)
+        remainder = 0 if sol.g.is_zero() else m
+        expect = per_apply * counts["applies"] + (m - lowest_row) + remainder
+        assert counts["transforms"] == expect
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_overflow_caught_on_return(self, grid64):

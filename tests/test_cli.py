@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import TESTBED_BUMPS
 
-from polycgo import ComplexGrid, ConfigError, CouplingError, PhaseSpec
-from polycgo.cli import build_phases, main
+from polycgo import ComplexGrid, ConfigError, CouplingError, PhaseSpec, cgo
+from polycgo.cli import MAX_GRID_N, build_phases, main
 
 
 def write_config(tmp_path: Path, doc: dict, name: str = "config.json") -> str:
@@ -91,6 +91,15 @@ class TestCauchyCommand:
         assert main(["cauchy-test", "--config", cfg]) == 2
         assert "grid.n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [8192, 2**34])
+    def test_n_above_bound_rejected(self, tmp_path, capsys, n):
+        # a power of two past the bound is refused before any array is allocated
+        doc = base_cauchy_config(tmp_path / "r")
+        doc["grid"]["n"] = n
+        cfg = write_config(tmp_path, doc)
+        assert main(["cauchy-test", "--config", cfg]) == 2
+        assert "grid.n" in capsys.readouterr().err
+
     def test_coupling_violation_named(self, tmp_path, capsys):
         doc = base_cauchy_config(tmp_path / "r")
         doc["phase"]["h"] = [0.05]
@@ -155,6 +164,18 @@ class TestCauchyCommand:
         assert main(["cauchy-test", "--config", cfg]) == 2
         assert "grid.half_width" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("omega, half_width", [("z", 1e-100), ("1", 2e154)])
+    def test_extreme_grid_scale_config_error(self, tmp_path, capsys, omega, half_width):
+        # ||omega||_2 underflows to 0 on the tiny square, and (x - x0)^2
+        # overflows on the huge one, though omega is finite and nonzero on both
+        doc = base_cauchy_config(tmp_path / "r")
+        doc["grid"].update(n=16, half_width=half_width)
+        doc["phase"] = {"z0": ["0"], "h": [16.0 * half_width]}
+        doc["cauchy"]["omega"] = omega
+        cfg = write_config(tmp_path, doc)
+        assert main(["cauchy-test", "--config", cfg]) == 2
+        assert "grid.half_width" in capsys.readouterr().err
+
     def test_vanishing_omega_config_error(self, tmp_path, capsys):
         # on a square this wide no node lies inside the default bump's support
         doc = base_cauchy_config(tmp_path / "r")
@@ -213,6 +234,13 @@ class TestCgoCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["cgo", "--config", cfg]) == 3
         assert "0.3" in capsys.readouterr().err  # offending h named
+
+    def test_double_long_double_exit_three(self, tmp_path, capsys, monkeypatch):
+        # where np.longdouble is a plain double the extended-precision residual cannot run
+        monkeypatch.setattr(cgo, "LONGDOUBLE_EPS", float(np.finfo(np.float64).eps))
+        cfg = write_config(tmp_path, base_cgo_config(tmp_path / "r"))
+        assert main(["cgo", "--config", cfg]) == 3
+        assert "long double" in capsys.readouterr().err
 
     def test_carrier_overflow_exit_three(self, tmp_path, capsys):
         # passes every config check, but 2*max|xy|/h = 769 > 709 on this square
@@ -340,8 +368,11 @@ SWEPT_FIELDS = {
         st.sampled_from([16, 32]),
         st.one_of(
             st.integers(-64, 5000).filter(lambda n: n < 1 or n & (n - 1)),
-            # a larger power of two is a well-formed n that only costs memory
-            MALFORMED.filter(lambda n: not (type(n) is int and n > 32 and not n & (n - 1))),
+            st.integers(13, 64).map(lambda e: 2**e),  # powers of two above MAX_GRID_N
+            # a power of two up to the bound is a well-formed n that only costs memory
+            MALFORMED.filter(
+                lambda n: not (type(n) is int and 32 < n <= MAX_GRID_N and not n & (n - 1))
+            ),
         ),
     ),
     ("grid", "half_width"): (st.floats(0.5, 1.0), MALFORMED),
