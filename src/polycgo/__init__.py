@@ -16,9 +16,7 @@ from .cauchy import (
 )
 from .cgo import (
     AmplitudeSpec,
-    CGODiagnostics,
     CGOSolution,
-    NormProbe,
     OscillatoryTransport,
     build_adjoint_cgo,
     build_cgo,

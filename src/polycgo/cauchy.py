@@ -8,8 +8,8 @@ smooth data and gives the singular cell its exact (zero, by odd symmetry)
 weight.  Application is fast convolution on the zero-padded doubled grid in
 pruned 1-D passes that transform no all-zero column and compute no cropped
 row; axis 0 goes first both ways, fft2's order, so the bits are those of the
-full padded fft2/ifft2.  A direct-summation path is kept behind a flag as a
-validation oracle.
+full padded fft2/ifft2.  CauchyKernel.apply_direct sums the same quadrature
+directly, as a validation oracle.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ def kernel_for(grid: ComplexGrid) -> CauchyKernel:
 
 
 def cauchy_chain(
-    grid: ComplexGrid, values: np.ndarray, m: int = 1, conj: bool = False, direct: bool = False
+    grid: ComplexGrid, values: np.ndarray, m: int = 1, conj: bool = False
 ) -> np.ndarray:
     """dbar_inv^m on arrays, or d_inv^m with conj=True: every transform's one path."""
     if m < 1:
@@ -139,18 +139,18 @@ def cauchy_chain(
     k = kernel_for(grid)
     out = np.conj(values) if conj else values
     for _ in range(m):
-        out = k.apply_direct(out) if direct else k.apply(out)
+        out = k.apply(out)
     return np.conj(out) if conj else out
 
 
-def dbar_inv(f: ScalarField, direct: bool = False) -> ScalarField:
+def dbar_inv(f: ScalarField) -> ScalarField:
     """Right inverse of wirtinger_dbar: (1/pi) * integral of f(xi)/(z - xi)."""
-    return ScalarField(f.grid, cauchy_chain(f.grid, f.values, direct=direct))
+    return ScalarField(f.grid, cauchy_chain(f.grid, f.values))
 
 
-def d_inv(f: ScalarField, direct: bool = False) -> ScalarField:
+def d_inv(f: ScalarField) -> ScalarField:
     """Right inverse of wirtinger_d; conjugate twin of dbar_inv."""
-    return ScalarField(f.grid, cauchy_chain(f.grid, f.values, conj=True, direct=direct))
+    return ScalarField(f.grid, cauchy_chain(f.grid, f.values, conj=True))
 
 
 def dbar_inv_pow(f: ScalarField, m: int) -> ScalarField:

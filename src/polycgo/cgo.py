@@ -12,8 +12,9 @@ Horner's rule, d_inv(y[m-1] + d_inv(y[m-2] + ...)), so one application costs
 at most 2m transforms instead of m(m+1).  The density solves (I - T) g = w by
 Neumann series (T contracts for small h), then the remainder is
 r = dbar_inv^m(E- * g) and u = exp(phase/h) * (a + r).  Adjoint solutions
-reuse the same machinery with the carrier sign flipped.  A solution keeps only
-g and r; u and the diagnostics are assembled on first access.
+reuse the same machinery with the carrier sign flipped.  The transport is the
+one object per (operator, phase, sign): build_cgo and transport_norm_probe
+both take it.  A solution keeps only g and r.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import groupby
-from math import factorial, nan
+from math import factorial
 from operator import add, itemgetter
 
 import numpy as np
@@ -29,15 +30,7 @@ import scipy.ndimage
 
 from .cauchy import cauchy_chain
 from .errors import MaxTermsExceededError, NonContractionError, PrecisionError
-from .grid import (
-    ComplexGrid,
-    ScalarField,
-    _d,
-    _dbar,
-    mixed_wirtinger,
-    norm_hm,
-    norm_lp,
-)
+from .grid import ComplexGrid, ScalarField, _d, _dbar, mixed_wirtinger, norm_lp
 from .operators import (
     DIVERGENCE,
     STANDARD,
@@ -47,7 +40,6 @@ from .operators import (
     to_standard_form,
 )
 from .phase import PhaseSpec
-from .sweeps import fit_loglog_slope
 
 DEFAULT_TOL = 1e-10
 PROBE_RTOL = 1e-12  # the norm probe stops once its estimate moves less than this
@@ -90,42 +82,22 @@ class AmplitudeSpec:
 
 
 @dataclass(frozen=True)
-class CGODiagnostics:
-    g_l2: float
-    r_hm: float
-    residual_l2: float
-    neumann_terms: int
-
-
-@dataclass(frozen=True)
 class CGOSolution:
-    """Oscillatory solution in factored form: density g, remainder r, and the
-    operator it was built for.  The assembled u and the diagnostics are
-    computed on first access; recovery reads only r.
-    """
+    """Oscillatory solution in factored form: density g and remainder r; u is
+    assembled on each access, and recovery reads only r."""
 
     phase: PhaseSpec
     amplitude: AmplitudeSpec
     carrier_sign: int
-    op: PerturbedOperator
     g: ScalarField
     r: ScalarField
     neumann_terms: int
 
-    @cached_property
+    @property
     def u(self) -> ScalarField:
         """exp(sign*phase/h) * (a + r); the carrier overflows for very small h."""
-        carrier = self.phase.carrier(self.op.grid, self.carrier_sign)
+        carrier = self.phase.carrier(self.r.grid, self.carrier_sign)
         return carrier * (self.amplitude.field + self.r)
-
-    @cached_property
-    def diagnostics(self) -> CGODiagnostics:
-        return CGODiagnostics(
-            g_l2=norm_lp(self.g, 2),
-            r_hm=norm_hm(self.r, self.op.m),
-            residual_l2=residual_norm(_as_standard(self.op), self.u, RESIDUAL_MARGIN),
-            neumann_terms=self.neumann_terms,
-        )
 
 
 class OscillatoryTransport:
@@ -219,26 +191,31 @@ class OscillatoryTransport:
         }
 
     def source(self, amplitude: AmplitudeSpec) -> ScalarField:
-        """Right-hand side built from the amplitude's dbar derivatives."""
+        """Right-hand side from the amplitude's dbar derivatives; zero, with no
+        transform, when every derivative a coefficient multiplies vanishes."""
         if not self.active:
             return self.grid.zero()
         dbar_a = [amplitude.field.values]
         for _ in range(1, self.op.m):
             dbar_a.append(_dbar(dbar_a[-1], self.grid.spacing))
+        if not any(np.any(dbar_a[k]) for k in self.cols):
+            return self.grid.zero()
         return self._outer_sum(dbar_a)
 
 
-def _as_divergence(op: PerturbedOperator) -> PerturbedOperator:
+def as_divergence(op: PerturbedOperator) -> PerturbedOperator:
+    """op itself if it is in divergence form, else its conversion."""
     return op if op.form == DIVERGENCE else to_divergence_form(op)
 
 
-def _as_standard(op: PerturbedOperator) -> PerturbedOperator:
+def as_standard(op: PerturbedOperator) -> PerturbedOperator:
+    """op itself if it is in standard form, else its conversion."""
     return op if op.form == STANDARD else to_standard_form(op)
 
 
 def adjoint_divergence(op: PerturbedOperator) -> PerturbedOperator:
     """Divergence form of the formal adjoint, the operator of the sign -1 family."""
-    return _as_divergence(adjoint(_as_standard(op)))
+    return as_divergence(adjoint(as_standard(op)))
 
 
 def residual_norm(op: PerturbedOperator, u: ScalarField, margin: float = RESIDUAL_MARGIN) -> float:
@@ -341,26 +318,22 @@ def solve_density(
 
 
 def build_cgo(
-    op: PerturbedOperator,
-    phase: PhaseSpec,
+    T: OscillatoryTransport,
     amplitude: AmplitudeSpec,
     tol: float = DEFAULT_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
-    sign: int = +1,
 ) -> CGOSolution:
-    """Divergence transform, density solve and remainder; u and diagnostics are lazy."""
-    op_div = _as_divergence(op)
-    amplitude.check_admissible(op.m)
-    T = OscillatoryTransport(op_div, phase, sign)
+    """Density solve and remainder on the transport T; the carrier sign is T's."""
+    m, grid = T.op.m, T.grid
+    amplitude.check_admissible(m)
     g, terms = solve_density(T, amplitude, tol, max_terms)
-    r = op.grid.zero() if g.is_zero() else ScalarField(
-        op.grid, cauchy_chain(op.grid, T.e_minus * g.values, op.m)
+    r = grid.zero() if g.is_zero() else ScalarField(
+        grid, cauchy_chain(grid, T.e_minus * g.values, m)
     )
     return CGOSolution(
-        phase=phase,
+        phase=T.phase,
         amplitude=amplitude,
-        carrier_sign=sign,
-        op=op,
+        carrier_sign=T.sign,
         g=g,
         r=r,
         neumann_terms=terms,
@@ -375,7 +348,8 @@ def build_adjoint_cgo(
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> CGOSolution:
     """Oscillatory solution of the formal adjoint with the carrier exp(-phase/h)."""
-    return build_cgo(adjoint_divergence(op), phase, amplitude, tol, max_terms, sign=-1)
+    T = OscillatoryTransport(adjoint_divergence(op), phase, -1)
+    return build_cgo(T, amplitude, tol, max_terms)
 
 
 def smooth_random_field(grid: ComplexGrid, seed: int = 0) -> ScalarField:
@@ -390,20 +364,8 @@ def smooth_random_field(grid: ComplexGrid, seed: int = 0) -> ScalarField:
     return f * (1.0 / norm_lp(f, 2))
 
 
-@dataclass(frozen=True)
-class NormProbe:
-    rows: tuple
-    slope: float
-    sweeps: tuple  # power sweeps run at each h, aligned with rows
-
-
-def transport_norm_probe(
-    op: PerturbedOperator,
-    phase_list,
-    iterations: int = 20,
-    seed: int = 0,
-) -> NormProbe:
-    """Power-iteration estimates of the L2 operator norm of the density map.
+def transport_norm_probe(T: OscillatoryTransport, iterations: int = 20, seed: int = 0):
+    """Power-iteration estimate of the L2 operator norm of T, as (estimate, sweeps).
 
     Iterates T*T from a random smooth start; the square root of the Rayleigh
     quotient estimates the largest singular value.  Each sweep applies T and
@@ -412,28 +374,20 @@ def transport_norm_probe(
     or after `iterations` sweeps (the cap); the sweep that stops does not
     apply T*.  The estimate converges geometrically, so a stopped estimate
     lies within a small multiple of PROBE_RTOL of what further sweeps give.
+    A transport with no nonzero coefficient gives (0.0, 0).
     """
-    op_div = _as_divergence(op)
-    rows, sweeps = [], []
-    for phase in sorted(phase_list, key=lambda p: -p.h):
-        T = OscillatoryTransport(op_div, phase)
-        est, sweep = 0.0, 0
-        if T.active:
-            v = smooth_random_field(op_div.grid, seed)
-            for sweep in range(1, iterations + 1):
-                tv = T.apply(v)
-                nv = norm_lp(v, 2)
-                prev, est = est, (norm_lp(tv, 2) / nv) if nv > 0 else 0.0
-                if sweep == iterations or (sweep > 1 and abs(est - prev) <= PROBE_RTOL * est):
-                    break
-                w = T.apply_adjoint(tv)
-                nw = norm_lp(w, 2)
-                if nw == 0.0:
-                    break
-                v = w * (1.0 / nw)
-        rows.append((phase.h, est))
-        sweeps.append(sweep)
-    hs = [r[0] for r in rows]
-    ns = [r[1] for r in rows]
-    slope = fit_loglog_slope(hs, ns) if all(v > 0 for v in ns) else nan
-    return NormProbe(rows=tuple(rows), slope=slope, sweeps=tuple(sweeps))
+    est, sweep = 0.0, 0
+    if T.active:
+        v = smooth_random_field(T.grid, seed)
+        for sweep in range(1, iterations + 1):
+            tv = T.apply(v)
+            nv = norm_lp(v, 2)
+            prev, est = est, (norm_lp(tv, 2) / nv) if nv > 0 else 0.0
+            if sweep == iterations or (sweep > 1 and abs(est - prev) <= PROBE_RTOL * est):
+                break
+            w = T.apply_adjoint(tv)
+            nw = norm_lp(w, 2)
+            if nw == 0.0:
+                break
+            v = w * (1.0 / nw)
+    return est, sweep

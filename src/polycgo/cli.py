@@ -19,12 +19,20 @@ import hashlib
 import json
 import sys
 import time
-from math import inf
+from math import inf, isfinite, nan
 from pathlib import Path
 
 from . import cauchy
 from .cauchy import dbar_inv, lp_bound_constant, oscillatory_decay_probe
-from .cgo import AmplitudeSpec, build_cgo, transport_norm_probe
+from .cgo import (
+    AmplitudeSpec,
+    OscillatoryTransport,
+    as_divergence,
+    as_standard,
+    build_cgo,
+    residual_norm,
+    transport_norm_probe,
+)
 from .errors import (
     CarrierOverflowError,
     ConfigError,
@@ -35,7 +43,7 @@ from .errors import (
     PrecisionError,
 )
 from .expressions import ExpressionError, constant_from_expression, field_from_expression
-from .grid import ComplexGrid, norm_lp, wirtinger_dbar
+from .grid import ComplexGrid, norm_hm, norm_lp, wirtinger_dbar
 from .operators import DIVERGENCE, STANDARD, PerturbedOperator
 from .phase import COUPLING_FACTOR, PhaseSpec, violates_coupling
 from .recovery import AMPLITUDE_ONLY, FULL_CGO, RecoveryProblem, recover_all
@@ -52,30 +60,39 @@ MAX_GRID_N = 4096
 
 # ---------------------------------------------------------------- config ----
 
-def _field(section, key):
-    return f"{section}.{key}" if section else key
+# value checks for _take and _as_float: (predicate, what the value must be)
+FINITE = (isfinite, "finite")
+NON_NEGATIVE = (lambda x: 0 <= x < inf, "non-negative and finite")
+POSITIVE = (lambda x: 0 < x < inf, "positive and finite")
+NON_EMPTY = (len, "a non-empty list")
 
 
-def _take(cfg: dict, section: str, key: str, kind, default=None, required=False):
+def _take(cfg: dict, section: str, key: str, kind, default=None, required=False, check=None):
+    """cfg[key] as kind (float: any JSON number, never a bool), bounded by check, or default."""
+    where = f"{section}.{key}" if section else key
     if key not in cfg:
         if required:
-            raise ConfigError(f"missing required field {_field(section, key)}")
+            raise ConfigError(f"missing required field {where}")
         return default
     val = cfg[key]
-    if kind is float and isinstance(val, int):
-        val = float(val)
-    if kind is not None and not isinstance(val, kind):
-        raise ConfigError(
-            f"field {_field(section, key)} must be {getattr(kind, '__name__', kind)}, "
-            f"got {type(val).__name__}"
-        )
+    if kind is float:
+        return _as_float(val, where, check)
+    if isinstance(val, bool) or not isinstance(val, kind):
+        raise ConfigError(f"field {where} must be {kind.__name__}, got {type(val).__name__}")
+    return _checked(val, where, check)
+
+
+def _checked(val, where: str, check):
+    if check is not None and not check[0](val):
+        raise ConfigError(f"field {where} must be {check[1]}, got {val!r}")
     return val
 
 
-def _as_float(value, where: str) -> float:
+def _as_float(value, where: str, check=None) -> float:
+    """A JSON number (never a bool) as a double, bounded by check when given."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
-            return float(value)
+            return _checked(float(value), where, check)
         except OverflowError:
             pass
     raise ConfigError(f"field {where} must be a number in double range, got {value!r}")
@@ -88,9 +105,9 @@ def _complex_from(value, where: str) -> complex:
         except ExpressionError as exc:
             raise ConfigError(f"field {where}: {exc}") from exc
     if isinstance(value, (int, float)):
-        return complex(_as_float(value, where))
+        return complex(_as_float(value, where, FINITE))
     if isinstance(value, list) and len(value) == 2:
-        return complex(_as_float(value[0], where), _as_float(value[1], where))
+        return complex(_as_float(value[0], where, FINITE), _as_float(value[1], where, FINITE))
     raise ConfigError(f"field {where} must be a number, 'a+bi' string, or [re, im]")
 
 
@@ -114,14 +131,12 @@ def config_hash(cfg: dict) -> str:
 
 def build_grid(cfg: dict) -> ComplexGrid:
     section = _take(cfg, "", "grid", dict, default={})
-    n = _take(section, "grid", "n", int, default=256)
-    if not 16 <= n <= MAX_GRID_N or (n & (n - 1)) != 0:
-        raise ConfigError(
-            f"field grid.n must be a power of two from 16 to {MAX_GRID_N}, got {n}"
-        )
-    half_width = _as_float(
-        _take(section, "grid", "half_width", (int, float), default=1.0), "grid.half_width"
+    n = _take(
+        section, "grid", "n", int, default=256,
+        check=(lambda n: 16 <= n <= MAX_GRID_N and not n & (n - 1),
+               f"a power of two from 16 to {MAX_GRID_N}"),
     )
+    half_width = _take(section, "grid", "half_width", float, default=1.0)
     center = _complex_from(section.get("center", 0.0), "grid.center")
     try:
         return ComplexGrid(center=center, half_width=half_width, n=n)
@@ -148,12 +163,11 @@ def _coeff_table(grid, m, table, where):
 
 def build_operator(cfg: dict, grid: ComplexGrid, key: str = "coeffs") -> PerturbedOperator:
     section = _take(cfg, "", "operator", dict, required=True)
-    m = _take(section, "operator", "m", int, required=True)
-    if m < 2:
-        raise ConfigError(f"field operator.m must be >= 2, got {m}")
-    form = _take(section, "operator", "form", str, default=STANDARD)
-    if form not in (STANDARD, DIVERGENCE):
-        raise ConfigError(f"field operator.form must be standard or divergence, got {form!r}")
+    m = _take(section, "operator", "m", int, required=True, check=(lambda m: m >= 2, ">= 2"))
+    form = _take(
+        section, "operator", "form", str, default=STANDARD,
+        check=((STANDARD, DIVERGENCE).__contains__, "standard or divergence"),
+    )
     table = _take(section, "operator", key, dict, default={})
     return PerturbedOperator(grid, m, _coeff_table(grid, m, table, f"operator.{key}"), form=form)
 
@@ -161,14 +175,10 @@ def build_operator(cfg: dict, grid: ComplexGrid, key: str = "coeffs") -> Perturb
 def build_h_list(cfg: dict, grid: ComplexGrid) -> list:
     """phase.h, largest first; each entry positive, finite and resolved by the grid."""
     section = _take(cfg, "", "phase", dict, default={})
-    raw = _take(section, "phase", "h", list, default=list(DEFAULT_H_SWEEP))
-    if not raw:
-        raise ConfigError("field phase.h must list at least one value")
+    raw = _take(section, "phase", "h", list, default=list(DEFAULT_H_SWEEP), check=NON_EMPTY)
     h_list = []
     for i, value in enumerate(raw):
-        h = _as_float(value, f"phase.h[{i}]")
-        if not 0 < h < inf:
-            raise ConfigError(f"field phase.h[{i}] must be positive and finite, got {h}")
+        h = _as_float(value, f"phase.h[{i}]", POSITIVE)
         if violates_coupling(grid, h):
             raise ConfigError(
                 f"field phase.h[{i}]={h:g} violates spacing <= h/{COUPLING_FACTOR:g} "
@@ -182,9 +192,7 @@ def build_h_list(cfg: dict, grid: ComplexGrid) -> list:
 def build_phases(cfg: dict, grid: ComplexGrid):
     """(phase.z0 list, phase.h list); each z0 finite and strictly inside the grid square."""
     h_list = build_h_list(cfg, grid)
-    raw = _take(cfg.get("phase", {}), "phase", "z0", list, default=[0.0])
-    if not raw:
-        raise ConfigError("field phase.z0 must list at least one point")
+    raw = _take(cfg.get("phase", {}), "phase", "z0", list, default=[0.0], check=NON_EMPTY)
     z0_list = []
     for i, value in enumerate(raw):
         z0 = _complex_from(value, f"phase.z0[{i}]")
@@ -198,9 +206,11 @@ def build_phases(cfg: dict, grid: ComplexGrid):
 
 def build_solver(cfg: dict):
     section = _take(cfg, "", "solver", dict, default={})
-    tol = _take(section, "solver", "tol", (int, float), default=1e-10)
-    max_terms = _take(section, "solver", "max_terms", int, default=50)
-    return float(tol), max_terms
+    tol = _take(section, "solver", "tol", float, default=1e-10, check=POSITIVE)
+    max_terms = _take(
+        section, "solver", "max_terms", int, default=50, check=(lambda n: n >= 1, ">= 1")
+    )
+    return tol, max_terms
 
 
 # --------------------------------------------------------------- outputs ----
@@ -264,6 +274,16 @@ def _cell(v):
 
 # -------------------------------------------------------------- commands ----
 
+def _resolved(norm: float, what: str, grid: ComplexGrid) -> float:
+    """A norm of the nonzero cauchy.omega or a transform of it; 0 means it underflowed."""
+    if norm == 0.0:
+        raise ConfigError(
+            f"field grid.half_width={grid.half_width:g}: {what} of the nonzero "
+            f"cauchy.omega underflows to 0 on this square"
+        )
+    return norm
+
+
 def cmd_cauchy_test(cfg: dict, out_dir: Path) -> int:
     grid = build_grid(cfg)
     z0_list, h_list = build_phases(cfg, grid)
@@ -275,16 +295,24 @@ def cmd_cauchy_test(cfg: dict, out_dir: Path) -> int:
         raise ConfigError(f"field cauchy.omega: {exc}") from exc
     if omega.is_zero():
         raise ConfigError("field cauchy.omega vanishes on every grid node")
-    omega_norm = norm_lp(omega, 2)
-    if omega_norm == 0.0:
-        raise ConfigError(
-            f"field grid.half_width={grid.half_width:g}: the L2 norm of the nonzero "
-            f"cauchy.omega underflows to 0 on this square"
-        )
-    q_values = [float(q) for q in section.get("q_values", [2.0, 4.0])]
-    min_slopes = {float(k): float(v) for k, v in section.get(
-        "min_slopes", {"2": 0.5, "4": 0.2}).items()}
-    max_identity_err = float(section.get("inverse_identity_max_rel", 1e-2))
+    omega_norm = _resolved(norm_lp(omega, 2), "the L2 norm", grid)
+    q_values = [
+        _as_float(q, f"cauchy.q_values[{i}]", (lambda q: 1 <= q < inf, ">= 1 and finite"))
+        for i, q in enumerate(_take(section, "cauchy", "q_values", list, default=[2.0, 4.0]))
+    ]
+    min_slopes = {}
+    for key, value in _take(
+        section, "cauchy", "min_slopes", dict, default={"2": 0.5, "4": 0.2}
+    ).items():
+        where = f"cauchy.min_slopes[{key}]"
+        try:
+            q = float(key)
+        except ValueError:
+            raise ConfigError(f"field {where}: key must be a number") from None
+        min_slopes[q] = _as_float(value, where, FINITE)
+    max_identity_err = _take(
+        section, "cauchy", "inverse_identity_max_rel", float, default=1e-2, check=NON_NEGATIVE
+    )
 
     writer = RunWriter(out_dir, cfg)
     ok = True
@@ -299,7 +327,7 @@ def cmd_cauchy_test(cfg: dict, out_dir: Path) -> int:
 
     # L^p boundedness constants
     for p in (1.5, 2.0, 4.0):
-        c = lp_bound_constant(omega, p)
+        c = _resolved(lp_bound_constant(omega, p), f"the L^{p:g} norm of dbar_inv", grid)
         writer.add_result(kind="lp_bound", series=f"p={p:g}", h="", value=c)
         writer.log(f"lp bound constant p={p}: {c:.4f}")
 
@@ -308,6 +336,7 @@ def cmd_cauchy_test(cfg: dict, out_dir: Path) -> int:
     for q in q_values:
         probe = oscillatory_decay_probe(omega, phase, q, h_list)
         for h, norm in probe.rows:
+            _resolved(norm, f"the L^{q:g} norm at h={h:g} of the oscillatory d_inv", grid)
             writer.add_result(kind="decay", series=f"q={q:g}", h=h, value=norm)
         threshold = min_slopes.get(q)
         passed = threshold is None or probe.slope >= threshold
@@ -325,51 +354,55 @@ def cmd_cgo(cfg: dict, out_dir: Path, seed: int) -> int:
     z0_list, h_list = build_phases(cfg, grid)
     tol, max_terms = build_solver(cfg)
     section = _take(cfg, "", "cgo", dict, default={})
-    min_r_slope = float(section.get("min_r_slope", 0.45))
-    min_norm_slope = float(section.get("min_norm_slope", 0.4))
-    amplitude_degree = int(section.get("amplitude_degree", 0))
+    min_r_slope = _take(section, "cgo", "min_r_slope", float, default=0.45, check=FINITE)
+    min_norm_slope = _take(section, "cgo", "min_norm_slope", float, default=0.4, check=FINITE)
+    amplitude_degree = _take(
+        section, "cgo", "amplitude_degree", int, default=0,
+        check=(lambda d: 0 <= d < op.m, f"from 0 to operator.m - 1 = {op.m - 1}"),
+    )
 
     writer = RunWriter(out_dir, cfg)
     ok = True
     amplitude = AmplitudeSpec.monomial(grid, amplitude_degree)
+    op_div, op_std = as_divergence(op), as_standard(op)
     for z0 in z0_list:
         tag = f"z0={z0.real:g}{z0.imag:+g}i"
-        r_rows, g_rows = [], []
+        rows = []
         for h in h_list:
-            sol = build_cgo(op, PhaseSpec(z0, h), amplitude, tol=tol, max_terms=max_terms)
-            d = sol.diagnostics
+            T = OscillatoryTransport(op_div, PhaseSpec(z0, h))
+            sol = build_cgo(T, amplitude, tol=tol, max_terms=max_terms)
+            r_hm, g_l2 = norm_hm(sol.r, op.m), norm_lp(sol.g, 2)
             writer.add_result(
-                kind="cgo", series=tag, h=h, value=d.r_hm,
-                g_l2=d.g_l2, residual_l2=d.residual_l2, terms=d.neumann_terms,
+                kind="cgo", series=tag, h=h, value=r_hm, g_l2=g_l2,
+                residual_l2=residual_norm(op_std, sol.u), terms=sol.neumann_terms,
             )
-            r_rows.append((h, d.r_hm))
-            g_rows.append((h, d.g_l2))
+            rows.append((h, r_hm, g_l2, *transport_norm_probe(T, seed=seed)))
+            del T, sol  # neither outlives its (z0, h) step
+        hs, r_hm, g_l2, estimates, sweeps = zip(*rows)
         if op.is_unperturbed():
-            exact = all(v == 0.0 for _, v in r_rows)
+            exact = all(v == 0.0 for v in r_hm)
             ok &= exact
             writer.add_slope(f"remainder_zero[{tag}]", 0.0, "exact", exact)
             writer.log(f"{tag}: unperturbed remainder identically zero: {exact}")
             continue
-        r_slope = fit_loglog_slope([r[0] for r in r_rows], [r[1] for r in r_rows])
-        g_slope = fit_loglog_slope([r[0] for r in g_rows], [r[1] for r in g_rows])
+        r_slope = fit_loglog_slope(hs, r_hm)
+        g_slope = fit_loglog_slope(hs, g_l2)
+        norm_slope = fit_loglog_slope(hs, estimates) if all(e > 0 for e in estimates) else nan
         passed = r_slope >= min_r_slope
         ok &= passed
         writer.add_slope(f"remainder_hm[{tag}]", r_slope, min_r_slope, passed)
         writer.add_slope(f"density_l2[{tag}]", g_slope, None, True)
         writer.log(f"{tag}: remainder slope {r_slope:.3f}, density slope {g_slope:.3f}")
 
-        probe = transport_norm_probe(
-            op, [PhaseSpec(z0, h) for h in h_list], seed=seed
-        )
-        for (h, est), sweeps in zip(probe.rows, probe.sweeps):
+        for h, est, k in zip(hs, estimates, sweeps):
             writer.add_result(kind="transport_norm", series=tag, h=h, value=est)
-            writer.log(f"{tag}: transport norm h={h:g} estimate {est:.6g} after {sweeps} sweeps")
-        contraction = all(est < 1.0 for _, est in probe.rows)
-        passed = probe.slope >= min_norm_slope and contraction
+            writer.log(f"{tag}: transport norm h={h:g} estimate {est:.6g} after {k} sweeps")
+        contraction = all(est < 1.0 for est in estimates)
+        passed = norm_slope >= min_norm_slope and contraction
         ok &= passed
-        writer.add_slope(f"transport_norm[{tag}]", probe.slope, min_norm_slope, passed)
+        writer.add_slope(f"transport_norm[{tag}]", norm_slope, min_norm_slope, passed)
         writer.log(
-            f"{tag}: transport norm slope {probe.slope:.3f}, contraction: {contraction}"
+            f"{tag}: transport norm slope {norm_slope:.3f}, contraction: {contraction}"
         )
 
     writer.flush()
@@ -383,16 +416,15 @@ def cmd_recover(cfg: dict, out_dir: Path) -> int:
     h_list = build_h_list(cfg, grid)
     tol, max_terms = build_solver(cfg)
     section = _take(cfg, "", "recovery", dict, default={})
-    mode = _take(section, "recovery", "mode", str, default=AMPLITUDE_ONLY)
-    if mode not in (AMPLITUDE_ONLY, FULL_CGO):
-        raise ConfigError(f"field recovery.mode must be amplitude_only or full_cgo, got {mode!r}")
-    probes = [
-        _complex_from(v, f"recovery.probes[{i}]")
-        for i, v in enumerate(section.get("probes", []))
-    ]
-    if not probes:
-        raise ConfigError("field recovery.probes must list at least one point")
-    max_rel_err = float(section.get("max_rel_err", 0.15))
+    mode = _take(
+        section, "recovery", "mode", str, default=AMPLITUDE_ONLY,
+        check=((AMPLITUDE_ONLY, FULL_CGO).__contains__, "amplitude_only or full_cgo"),
+    )
+    raw = _take(section, "recovery", "probes", list, required=True, check=NON_EMPTY)
+    probes = [_complex_from(v, f"recovery.probes[{i}]") for i, v in enumerate(raw)]
+    max_rel_err = _take(
+        section, "recovery", "max_rel_err", float, default=0.15, check=NON_NEGATIVE
+    )
 
     try:
         problem = RecoveryProblem(
@@ -401,9 +433,9 @@ def cmd_recover(cfg: dict, out_dir: Path) -> int:
     except ValueError as exc:
         # the config-level checks that remain concern the coefficient differences
         raise ConfigError(f"field operator.coeffs_tilde: {exc}") from exc
-    report = recover_all(problem)
 
     writer = RunWriter(out_dir, cfg)
+    report = recover_all(problem)
     for r in report.rows:
         writer.add_result(
             m=r.m, j=r.j, k=r.k,
@@ -449,10 +481,9 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        out_section = cfg.get("output", {})
-        if not isinstance(out_section, dict):
-            raise ConfigError("field output must be an object")
-        out_dir = Path(args.out or out_section.get("directory", f"runs/{args.command}"))
+        out_section = _take(cfg, "", "output", dict, default={})
+        directory = _take(out_section, "output", "directory", str, default=f"runs/{args.command}")
+        out_dir = Path(args.out or directory)
         cauchy.set_fft_workers(args.threads)
         if args.command == "cauchy-test":
             return cmd_cauchy_test(cfg, out_dir)

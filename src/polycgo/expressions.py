@@ -213,14 +213,25 @@ class Expression:
         v = self._eval(node, None)
         return complex(v)
 
+    def _finite(self, z):
+        """The expression's value at z (None for a constant), refused unless finite."""
+        with np.errstate(all="ignore"):
+            try:
+                vals = self._eval(self._ast, z)
+            except ZeroDivisionError:
+                raise ExpressionError(f"division by zero in {self.text!r}") from None
+        if not np.all(np.isfinite(vals)):
+            raise ExpressionError(f"{self.text!r} is not finite everywhere it is evaluated")
+        return vals
+
     def evaluate(self, grid: ComplexGrid) -> ScalarField:
-        vals = self._eval(self._ast, grid.nodes)
+        vals = self._finite(grid.nodes)
         if np.isscalar(vals) or getattr(vals, "shape", ()) == ():
             return grid.constant(complex(vals))
         return ScalarField(grid, vals)
 
     def evaluate_constant(self) -> complex:
-        return complex(self._eval(self._ast, None))
+        return complex(self._finite(None))
 
 
 def parse_expression(text: str) -> Expression:

@@ -9,6 +9,7 @@ edge; quadrature is the tensor trapezoid rule.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf
@@ -79,7 +80,14 @@ class ComplexGrid:
         return ScalarField(self, np.full((self.n, self.n), c, dtype=np.complex128))
 
     def zero(self) -> "ScalarField":
-        return ScalarField(self, np.zeros((self.n, self.n), dtype=np.complex128))
+        """The grid's one read-only zero field, shared while anyone holds it.  The grid
+        refers to it weakly: a grid-field cycle would outlive its users until gc runs."""
+        ref = self.__dict__.get("_zero")
+        z = ref() if ref is not None else None
+        if z is None:
+            z = ScalarField(self, np.zeros((self.n, self.n), dtype=np.complex128))
+            self.__dict__["_zero"] = weakref.ref(z)
+        return z
 
     def interior_mask(self, margin: float) -> np.ndarray:
         """Boolean mask of nodes farther than margin*(2*half_width) from every edge."""
@@ -95,7 +103,7 @@ class ComplexGrid:
 class ScalarField:
     """Complex samples of a function on a ComplexGrid; immutable after construction."""
 
-    __slots__ = ("grid", "values", "_zero_flag")
+    __slots__ = ("grid", "values", "_zero_flag", "__weakref__")
 
     def __init__(self, grid: ComplexGrid, values):
         v = np.asarray(values, dtype=np.complex128)

@@ -54,10 +54,6 @@ class PhaseSpec:
         if not (abs(d.real) < grid.half_width and abs(d.imag) < grid.half_width):
             raise ValueError(f"critical point {self.z0} lies outside the grid square")
 
-    def phase_values(self, grid: ComplexGrid) -> ScalarField:
-        """The phase i*(z - z0)^2 itself (no h scaling)."""
-        return grid.sample(lambda z: 1j * (z - self.z0) ** 2)
-
     def oscillation_factors(self, grid: ComplexGrid, sign: int = +1):
         """The 1-D factors (ex, ey) of the oscillation, each of length n.
 

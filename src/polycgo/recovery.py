@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import factorial, pi
 
 import numpy as np
 
-from .cgo import AmplitudeSpec, _as_divergence, adjoint_divergence, build_cgo
+from .cgo import AmplitudeSpec, OscillatoryTransport, adjoint_divergence, as_divergence, build_cgo
 from .errors import DegenerateProbeError
 from .grid import ComplexGrid, ScalarField, _dbar
 from .operators import PerturbedOperator
@@ -178,8 +179,8 @@ class RecoveryProblem:
         self.solver_tol = solver_tol
         self.max_terms = max_terms
         self.conditioning_bound = conditioning_bound
-        self._div = _as_divergence(op)
-        self._div_tilde = _as_divergence(op_tilde)
+        self._div = as_divergence(op)
+        self._div_tilde = as_divergence(op_tilde)
         self.differences = {
             (j, k): self._div_tilde.coeff(j, k) - self._div.coeff(j, k)
             for j in range(self.m)
@@ -194,7 +195,6 @@ class RecoveryProblem:
                     f"(max |B| = {worst:.3e} on the outer {SUPPORT_MARGIN:.0%})"
                 )
         self._cgo_cache = {}
-        self._adjoint_div = None
 
     def check_probe(self, z0: complex) -> None:
         if not self.grid.contains(z0, margin=SUPPORT_MARGIN):
@@ -215,23 +215,24 @@ class RecoveryProblem:
             )
 
     def _cgo_pair(self, z0: complex, h: float, k0: int, j0: int):
-        """Oscillatory solutions for both operators, cached per (z0, h, degree)."""
-        key_u = ("u", z0, h, k0)
-        key_v = ("v", z0, h, j0)
-        phase = PhaseSpec(z0, h)
-        if key_u not in self._cgo_cache:
-            self._cgo_cache[key_u] = build_cgo(
-                self._div, phase, AmplitudeSpec.monomial(self.grid, k0),
-                tol=self.solver_tol, max_terms=self.max_terms,
+        """Remainders (r, s) of both families' oscillatory solutions."""
+        return self._remainder(z0, h, +1, k0), self._remainder(z0, h, -1, j0)
+
+    def _remainder(self, z0: complex, h: float, sign: int, degree: int) -> ScalarField:
+        """r of one family's solution, cached per (z0, h, degree) without its transport."""
+        key = (sign, z0, h, degree)
+        if key not in self._cgo_cache:
+            T = OscillatoryTransport(
+                self._div if sign > 0 else self._adjoint_div, PhaseSpec(z0, h), sign
             )
-        if key_v not in self._cgo_cache:
-            if self._adjoint_div is None:
-                self._adjoint_div = adjoint_divergence(self.op_tilde)
-            self._cgo_cache[key_v] = build_cgo(
-                self._adjoint_div, phase, AmplitudeSpec.monomial(self.grid, j0),
-                tol=self.solver_tol, max_terms=self.max_terms, sign=-1,
-            )
-        return self._cgo_cache[key_u], self._cgo_cache[key_v]
+            amplitude = AmplitudeSpec.monomial(self.grid, degree)
+            sol = build_cgo(T, amplitude, tol=self.solver_tol, max_terms=self.max_terms)
+            self._cgo_cache[key] = sol.r
+        return self._cgo_cache[key]
+
+    @cached_property
+    def _adjoint_div(self) -> PerturbedOperator:
+        return adjoint_divergence(self.op_tilde)
 
 
 def identity_lhs(
@@ -257,16 +258,15 @@ def identity_lhs(
     b_parts = {j: _monomial_part(z, j0 - j) for j in range(min(j0, m - 1) + 1)}
 
     if problem.mode == FULL_CGO:
-        u_sol, v_sol = problem._cgo_pair(z0, h, k0, j0)
-        # dbar^k r joins dbar^k a, and conj(dbar^j s) joins d^j conj(b)
-        for parts, rem, conj in ((a_parts, u_sol.r, False), (b_parts, v_sol.r, True)):
+        r, s = problem._cgo_pair(z0, h, k0, j0)
+        # dbar^k r joins dbar^k a, and conj(dbar^j s) joins d^j conj(b); zero ones add nothing
+        for parts, rem, conj in ((a_parts, r, False), (b_parts, s, True)):
+            if rem.is_zero():
+                continue
             d = rem.values
             for k in range(m):
-                if rem.is_zero():
-                    dk = np.zeros_like(d)
-                else:
-                    d = _dbar(d, grid.spacing) if k else d
-                    dk = np.conj(d) if conj else d
+                d = _dbar(d, grid.spacing) if k else d
+                dk = np.conj(d) if conj else d
                 parts[k] = (parts[k] + dk) if k in parts else dk
 
     # the integrand accumulates in place: two n-by-n arrays besides the parts

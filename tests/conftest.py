@@ -6,7 +6,8 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from polycgo import ComplexGrid, PerturbedOperator, field_from_expression
+from polycgo import ComplexGrid, OscillatoryTransport, PerturbedOperator, field_from_expression
+from polycgo.cgo import as_divergence
 
 # the standard m=2 bump testbed used by cgo/recovery tests: four distinct
 # smooth compactly supported coefficients well inside the outer frame
@@ -21,6 +22,11 @@ TESTBED_BUMPS = {
 def bump_testbed(grid: ComplexGrid, form: str = "standard") -> PerturbedOperator:
     coeffs = {k: field_from_expression(grid, v) for k, v in TESTBED_BUMPS.items()}
     return PerturbedOperator(grid, 2, coeffs, form=form)
+
+
+def transport(op: PerturbedOperator, phase, sign: int = +1) -> OscillatoryTransport:
+    """The transport of op in either form: what build_cgo and the norm probe take."""
+    return OscillatoryTransport(as_divergence(op), phase, sign)
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bump_testbed
+from conftest import bump_testbed, transport
 
 from polycgo import (
     AmplitudeSpec,
@@ -223,14 +223,19 @@ class TestArrayPath:
 
         monkeypatch.setattr(CauchyKernel, "apply", counted)
         v = smooth_random_field(grid64, seed=3)
+        # a constant amplitude has dbar a = 0: with no coefficient in column 0
+        # every row combination vanishes, and source returns zero untransformed
+        constant_source = m - lowest_row if lowest_col == 0 else 0
         for call, expect in (
             (lambda: T.apply(v), per_apply),
             (lambda: T.apply_adjoint(v), per_apply),
             (lambda: T.source(AmplitudeSpec.monomial(grid64, 2)), m - lowest_row),
+            (lambda: T.source(AmplitudeSpec.monomial(grid64, 0)), constant_source),
         ):
             counts.clear()
-            call()
+            out = call()
             assert counts["transforms"] == expect
+        assert out.is_zero() == (constant_source == 0)
 
         # build_cgo: the source, each Neumann apply, and m more for a nonzero remainder
         apply = OscillatoryTransport.apply
@@ -241,9 +246,9 @@ class TestArrayPath:
 
         monkeypatch.setattr(OscillatoryTransport, "apply", counted_apply)
         counts.clear()
-        sol = build_cgo(op, PHASE, AmplitudeSpec.monomial(grid64, 0), sign=T.sign)
+        sol = build_cgo(T, AmplitudeSpec.monomial(grid64, 0))
         remainder = 0 if sol.g.is_zero() else m
-        expect = per_apply * counts["applies"] + (m - lowest_row) + remainder
+        expect = per_apply * counts["applies"] + constant_source + remainder
         assert counts["transforms"] == expect
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
@@ -325,7 +330,7 @@ class TestSolveDensity:
 class TestBuildCGO:
     def test_unperturbed_exactness(self, grid128):
         op = PerturbedOperator(grid128, 2)
-        sol = build_cgo(op, PHASE, AmplitudeSpec.monomial(grid128, 1))
+        sol = build_cgo(transport(op, PHASE), AmplitudeSpec.monomial(grid128, 1))
         assert sol.g.is_zero() and sol.r.is_zero()
         # u is exactly the carrier times the amplitude
         expect = PHASE.carrier(grid128) * AmplitudeSpec.monomial(grid128, 1).field
@@ -338,45 +343,72 @@ class TestBuildCGO:
         monkeypatch.setattr(PhaseSpec, "oscillation", forbidden)
         op = PerturbedOperator(grid128, 2)
         for sol in (
-            build_cgo(op, PHASE, AmplitudeSpec.monomial(grid128, 1)),
+            build_cgo(transport(op, PHASE), AmplitudeSpec.monomial(grid128, 1)),
             build_adjoint_cgo(op, PHASE, AmplitudeSpec.monomial(grid128, 0)),
         ):
             assert sol.g.is_zero() and sol.r.is_zero()
 
-    def test_assembly_identity(self, testbed128, grid128):
-        sol = build_cgo(testbed128, PHASE, AmplitudeSpec.monomial(grid128, 0))
+    def test_assembly_identity(self, testbed128_div, grid128):
+        sol = build_cgo(transport(testbed128_div, PHASE), AmplitudeSpec.monomial(grid128, 0))
         expect = PHASE.carrier(grid128) * (sol.amplitude.field + sol.r)
         assert np.array_equal(sol.u.values, expect.values)
 
-    def test_diagnostics_recomputable(self, testbed128, grid128):
-        from polycgo import norm_hm, residual_norm
+    def test_diagnostics_recomputable(self, testbed128, testbed128_div, grid128, tmp_path):
+        # the numbers poly cgo reports for one (z0, h) step are the library's
+        # own norms of a fresh build and probe of the same transport
+        import csv
+        import json
 
-        sol = build_cgo(testbed128, PHASE, AmplitudeSpec.monomial(grid128, 0))
-        d = sol.diagnostics
-        assert sol.diagnostics is d and d.neumann_terms == sol.neumann_terms
-        assert d.g_l2 == pytest.approx(norm_lp(sol.g, 2))
-        assert d.r_hm == pytest.approx(norm_hm(sol.r, 2))
-        assert d.residual_l2 == pytest.approx(residual_norm(testbed128, sol.u))
+        from conftest import TESTBED_BUMPS
+
+        from polycgo import norm_hm, residual_norm
+        from polycgo.cli import main
+
+        doc = {
+            "grid": {"n": 128},
+            "operator": {"m": 2, "coeffs": {f"{j},{k}": t for (j, k), t in TESTBED_BUMPS.items()}},
+            "phase": {"z0": [[PHASE.z0.real, PHASE.z0.imag]], "h": [PHASE.h, 0.2]},
+            "output": {"directory": str(tmp_path / "run")},
+        }
+        (tmp_path / "cgo.json").write_text(json.dumps(doc))
+        assert main(["cgo", "--config", str(tmp_path / "cgo.json")]) in (0, 1)
+        with open(tmp_path / "run" / "results.csv") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        cgo_row, norm_row = (r for r in rows if float(r["h"]) == PHASE.h)
+        assert (cgo_row["kind"], norm_row["kind"]) == ("cgo", "transport_norm")
+
+        T = transport(testbed128_div, PHASE)
+        sol = build_cgo(T, AmplitudeSpec.monomial(grid128, 0))
+        u = sol.u
+        residual = float(cgo_row["residual_l2"])
+        assert int(cgo_row["terms"]) == sol.neumann_terms
+        assert float(cgo_row["g_l2"]) == pytest.approx(norm_lp(sol.g, 2))
+        assert float(cgo_row["value"]) == pytest.approx(norm_hm(sol.r, 2))
+        assert residual == pytest.approx(residual_norm(testbed128, u))
+        assert float(norm_row["value"]) == pytest.approx(transport_norm_probe(T)[0])
         # the double-precision application agrees to its own roundoff floor
-        assert d.residual_l2 == pytest.approx(masked_l2(apply(testbed128, sol.u)), rel=1e-3)
+        assert residual == pytest.approx(masked_l2(apply(testbed128, u)), rel=1e-3)
 
     def test_relative_residual_small(self, testbed128, grid128):
-        sol = build_cgo(testbed128, PHASE, AmplitudeSpec.monomial(grid128, 0))
-        rel = sol.diagnostics.residual_l2 / masked_l2(sol.u)
+        from polycgo import residual_norm
+
+        sol = build_cgo(transport(testbed128, PHASE), AmplitudeSpec.monomial(grid128, 0))
+        u = sol.u
+        rel = residual_norm(testbed128, u) / masked_l2(u)
         assert rel <= 0.02
 
     def test_monotone_h_scaling_and_density_slope(self):
-        from polycgo import fit_loglog_slope
+        from polycgo import fit_loglog_slope, norm_hm
 
         g = ComplexGrid(0j, 1.0, 256)
-        op = bump_testbed(g)
+        op = to_divergence_form(bump_testbed(g))
         a = AmplitudeSpec.monomial(g, 0)
         hs = (0.2, 0.14, 0.1, 0.07)
         gs, rs = [], []
         for h in hs:
-            sol = build_cgo(op, PhaseSpec(0.1 + 0.1j, h), a)
-            gs.append(sol.diagnostics.g_l2)
-            rs.append(sol.diagnostics.r_hm)
+            sol = build_cgo(OscillatoryTransport(op, PhaseSpec(0.1 + 0.1j, h)), a)
+            gs.append(norm_lp(sol.g, 2))
+            rs.append(norm_hm(sol.r, 2))
         assert all(a > b for a, b in zip(gs, gs[1:])), gs
         assert all(a > b for a, b in zip(rs, rs[1:])), rs
         # density norm carries at least the square-root-in-h decay
@@ -411,13 +443,13 @@ class TestAdjointCGO:
         assert rel <= 0.05  # truncation floor at n=128; refinement tested in acceptance
 
     def test_remainder_slope(self):
-        from polycgo import fit_loglog_slope
+        from polycgo import fit_loglog_slope, norm_hm
 
         g = ComplexGrid(0j, 1.0, 256)
         op = bump_testbed(g)
         b = AmplitudeSpec.monomial(g, 0)
         hs = (0.2, 0.14, 0.1)
-        rs = [build_adjoint_cgo(op, PhaseSpec(0.1 + 0.1j, h), b).diagnostics.r_hm for h in hs]
+        rs = [norm_hm(build_adjoint_cgo(op, PhaseSpec(0.1 + 0.1j, h), b).r, 2) for h in hs]
         assert all(a > b for a, b in zip(rs, rs[1:]))
         assert fit_loglog_slope(hs, rs) >= 0.45
 
@@ -450,41 +482,45 @@ def count_applies(monkeypatch):
 class TestNormProbe:
     def test_zero_coefficients_zero_norm(self, grid128):
         op = PerturbedOperator(grid128, 2)
-        probe = transport_norm_probe(op, [PHASE], iterations=3)
-        assert probe.rows == ((PHASE.h, 0.0),)
-        assert probe.sweeps == (0,)
+        assert transport_norm_probe(transport(op, PHASE), iterations=3) == (0.0, 0)
 
     def test_contraction_and_slope(self):
+        from polycgo import fit_loglog_slope
+
         g = ComplexGrid(0j, 1.0, 256)
-        op = bump_testbed(g)
-        phases = [PhaseSpec(0.1 + 0.1j, h) for h in (0.2, 0.14, 0.1, 0.07)]
-        probe = transport_norm_probe(op, phases, iterations=10, seed=0)
-        assert all(est < 1.0 for _, est in probe.rows)
-        assert probe.slope >= 0.4
+        op = to_divergence_form(bump_testbed(g))
+        hs = (0.2, 0.14, 0.1, 0.07)
+        transports = [OscillatoryTransport(op, PhaseSpec(0.1 + 0.1j, h)) for h in hs]
+        ests = [transport_norm_probe(T, iterations=10, seed=0)[0] for T in transports]
+        assert all(est < 1.0 for est in ests)
+        assert fit_loglog_slope(hs, ests) >= 0.4
         # consistency: the Neumann solver converges where the probe says < 1
-        a = AmplitudeSpec.monomial(g, 0)
-        _, terms = solve_density(OscillatoryTransport(to_divergence_form(op), phases[0]), a)
+        _, terms = solve_density(transports[0], AmplitudeSpec.monomial(g, 0))
         assert terms >= 2
 
-    def test_seed_reproducibility(self, testbed128):
-        p1 = transport_norm_probe(testbed128, [PHASE], iterations=4, seed=9)
-        p2 = transport_norm_probe(testbed128, [PHASE], iterations=4, seed=9)
-        assert p1.rows == p2.rows
+    def test_seed_reproducibility(self, testbed128_div):
+        T = OscillatoryTransport(testbed128_div, PHASE)
+        p1 = transport_norm_probe(T, iterations=4, seed=9)
+        p2 = transport_norm_probe(OscillatoryTransport(testbed128_div, PHASE), iterations=4, seed=9)
+        assert p1 == p2 == transport_norm_probe(T, iterations=4, seed=9)
 
-    def test_cap_below_convergence(self, testbed128, testbed128_div, grid128, monkeypatch):
+    def test_cap_below_convergence(self, testbed128_div, grid128, monkeypatch):
         phases = [PHASE.with_h(h) for h in (0.3, 0.2)]
         start = smooth_random_field(grid128, 0)
-        expect = tuple(
-            (p.h, power_estimates(OscillatoryTransport(testbed128_div, p), start, 4)[-1])
+        expect = [
+            power_estimates(OscillatoryTransport(testbed128_div, p), start, 4)[-1]
             for p in phases
-        )
+        ]
         calls = count_applies(monkeypatch)
-        probe = transport_norm_probe(testbed128, phases, iterations=4, seed=0)
-        assert probe.rows == expect and probe.sweeps == (4, 4)
+        probes = [
+            transport_norm_probe(OscillatoryTransport(testbed128_div, p), iterations=4, seed=0)
+            for p in phases
+        ]
+        assert probes == [(est, 4) for est in expect]
         # the capping sweep skips its adjoint
         assert calls == {"apply": {0.3: 4, 0.2: 4}, "apply_adjoint": {0.3: 3, 0.2: 3}}
 
-    def test_stops_once_settled(self, testbed128, testbed128_div, grid128, monkeypatch):
+    def test_stops_once_settled(self, testbed128_div, grid128, monkeypatch):
         phases = [PHASE.with_h(h) for h in (0.3, 0.2, 0.14)]
         start = smooth_random_field(grid128, 0)
         full = {
@@ -492,13 +528,13 @@ class TestNormProbe:
             for p in phases
         }
         calls = count_applies(monkeypatch)
-        probe = transport_norm_probe(testbed128, phases, iterations=20, seed=0)
-        for (h, est), k in zip(probe.rows, probe.sweeps):
-            ests = full[h]
+        for p in phases:
+            est, k = transport_norm_probe(OscillatoryTransport(testbed128_div, p), seed=0)
+            ests = full[p.h]
             settled = [
                 i + 1 for i in range(1, 20) if abs(ests[i] - ests[i - 1]) <= PROBE_RTOL * ests[i]
             ]
             assert k < 20 and k == settled[0]  # the first sweep that meets the rule
             assert est == ests[k - 1]
             assert abs(est - ests[-1]) <= 1e-11 * ests[-1]
-            assert calls["apply"][h] == k and calls["apply_adjoint"][h] == k - 1
+            assert calls["apply"][p.h] == k and calls["apply_adjoint"][p.h] == k - 1

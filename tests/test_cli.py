@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,11 @@ from hypothesis import strategies as st
 
 from conftest import TESTBED_BUMPS
 
-from polycgo import ComplexGrid, ConfigError, CouplingError, PhaseSpec, cgo
+from polycgo import ComplexGrid, ConfigError, CouplingError, OscillatoryTransport, PhaseSpec, cgo
+from polycgo import cli
 from polycgo.cli import MAX_GRID_N, build_phases, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path: Path, doc: dict, name: str = "config.json") -> str:
@@ -164,10 +168,11 @@ class TestCauchyCommand:
         assert main(["cauchy-test", "--config", cfg]) == 2
         assert "grid.half_width" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("omega, half_width", [("z", 1e-100), ("1", 2e154)])
+    @pytest.mark.parametrize("omega, half_width", [("z", 1e-100), ("z", 1e-60), ("1", 2e154)])
     def test_extreme_grid_scale_config_error(self, tmp_path, capsys, omega, half_width):
-        # ||omega||_2 underflows to 0 on the tiny square, and (x - x0)^2
-        # overflows on the huge one, though omega is finite and nonzero on both
+        # ||omega||_2 underflows to 0 on the tiny square (on the 1e-60 one only
+        # the norms of its transforms do), and (x - x0)^2 overflows on the huge
+        # one, though omega is finite and nonzero on all three
         doc = base_cauchy_config(tmp_path / "r")
         doc["grid"].update(n=16, half_width=half_width)
         doc["phase"] = {"z0": ["0"], "h": [16.0 * half_width]}
@@ -241,6 +246,45 @@ class TestCgoCommand:
         cfg = write_config(tmp_path, base_cgo_config(tmp_path / "r"))
         assert main(["cgo", "--config", cfg]) == 3
         assert "long double" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("form, conversion", [
+        ("standard", "to_divergence_form"), ("divergence", "to_standard_form"),
+    ])
+    def test_one_conversion_and_one_transport_per_step(self, tmp_path, monkeypatch, form,
+                                                       conversion):
+        # the operator is converted once per run, to the form it is not in;
+        # each (z0, h) builds one transport, which forms E+ and E- once and
+        # serves both the solution and the norm probe
+        calls = Counter()
+        for name in ("to_divergence_form", "to_standard_form", "adjoint"):
+            def counted(*args, _fn=getattr(cgo, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(cgo, name, counted)
+        init, oscillation = OscillatoryTransport.__init__, PhaseSpec.oscillation
+        steps, transports = Counter(), []
+
+        def counted_init(self, op, phase, sign=+1):
+            steps[(phase.z0, phase.h)] += 1
+            transports.append(self)
+            init(self, op, phase, sign)
+
+        def counted_oscillation(self, grid, sign=+1):
+            calls["oscillation"] += 1
+            return oscillation(self, grid, sign)
+
+        monkeypatch.setattr(OscillatoryTransport, "__init__", counted_init)
+        monkeypatch.setattr(PhaseSpec, "oscillation", counted_oscillation)
+        doc = base_cgo_config(tmp_path / "r")
+        doc["operator"]["form"] = form
+        doc["phase"]["z0"] = ["0.1+0.1i", "-0.1+0.05i"]
+        doc["cgo"]["min_norm_slope"] = 0.1  # the second point's slope over two h is 0.17
+        cfg = write_config(tmp_path, doc)
+        assert main(["cgo", "--config", cfg]) == 0
+        assert calls == {conversion: 1, "oscillation": 2 * len(transports)}
+        assert all(T.active for T in transports)
+        assert steps == {(z0, h): 1 for z0 in (0.1 + 0.1j, -0.1 + 0.05j) for h in (0.3, 0.2)}
 
     def test_carrier_overflow_exit_three(self, tmp_path, capsys):
         # passes every config check, but 2*max|xy|/h = 769 > 709 on this square
@@ -405,3 +449,174 @@ class TestMalformedPhaseAndGrid:
                 code = main(["cauchy-test", "--config", cfg])
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()
+
+
+BASE_CONFIGS = {"cauchy-test": base_cauchy_config, "cgo": base_cgo_config,
+                "recover": base_recover_config}
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("cgo", "cgo", "amplitude_degree", "x"),
+    ("cgo", "cgo", "amplitude_degree", -1),
+    ("cgo", "cgo", "amplitude_degree", 2),  # m = 2: conj(z)^2 is not annihilated
+    ("cgo", "cgo", "min_r_slope", "a"),
+    ("cgo", "cgo", "min_r_slope", None),
+    ("cgo", "solver", "tol", -1),
+    ("cgo", "solver", "tol", float("nan")),
+    ("cgo", "solver", "max_terms", 0),
+    ("cauchy-test", "cauchy", "q_values", "x"),
+    ("cauchy-test", "cauchy", "q_values", [0.5]),
+    ("cauchy-test", "cauchy", "min_slopes", []),
+    ("cauchy-test", "cauchy", "inverse_identity_max_rel", "x"),
+    ("recover", "recovery", "max_rel_err", "x"),
+    ("recover", "recovery", "max_rel_err", float("nan")),
+    ("recover", "recovery", "probes", 5),
+    # found by the sweeps below: non-finite points and expressions
+    ("recover", "recovery", "probes", [float("nan")]),
+    ("recover", "recovery", "probes", ["0/0"]),
+    ("cauchy-test", "cauchy", "omega", "exp(1000)"),
+    ("cgo", "operator", "coeffs", {"0,0": "1/0"}),
+    ("cgo", "operator", "coeffs", {"0,0": "exp(1000 * z)"}),
+])
+def test_malformed_field_is_a_named_config_error(tmp_path, capsys, command, section, key, value):
+    # each of these once crashed with a traceback or exited 1 or 3
+    doc = BASE_CONFIGS[command](tmp_path / "r")
+    doc[section][key] = value
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"{section}.{key}" in err and "Traceback" not in err
+
+
+SHIPPED_CONFIGS = sorted(
+    str(p.relative_to(ROOT))
+    for d in ("configs", "bench/configs")
+    for p in (ROOT / d).glob("*.json")
+)
+
+
+class ConfigRead(Exception):
+    """Raised where a command, having read and checked its whole config, opens its writer."""
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS)
+def test_shipped_configs_pass_the_readers(path, monkeypatch, tmp_path):
+    # every command reads and checks its whole config before it opens its
+    # writer; stopping it there runs every reader and none of the pipeline
+    def stop(*args, **kwargs):
+        raise ConfigRead
+
+    monkeypatch.setattr(cli, "RunWriter", stop)
+    cfg = cli.load_config(str(ROOT / path))
+    command = "cauchy-test" if "cauchy" in cfg else "recover" if "recovery" in cfg else "cgo"
+    with pytest.raises(ConfigRead):
+        main([command, "--config", str(ROOT / path), "--out", str(tmp_path)])
+
+
+# a value no number field accepts: not a JSON number, or not a finite double
+NOT_A_NUMBER = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 10**400, True, False, None,
+                     "", "x", "0.7", "1+i", [], {}, [0.1]]),
+    st.text(max_size=6),
+)
+BELOW_ZERO = st.one_of(st.floats(max_value=0.0, exclude_max=True), st.integers(max_value=-1))
+# 10**400 is no double, but it is an integer
+NOT_AN_INT = st.one_of(
+    NOT_A_NUMBER.filter(lambda v: type(v) is not int), st.floats(allow_nan=False)
+)
+BAD_POINT = st.sampled_from([None, True, {}, [], [0.1], [0.1, "y"], "x", float("nan")])
+MODES = ("amplitude_only", "full_cgo")
+
+
+def list_field(good_item, bad_item, min_size=0):
+    """(well-formed, malformed) strategies for a list field: one bad entry spoils it."""
+    bad_list = st.tuples(st.lists(good_item, max_size=2), bad_item).map(lambda t: t[0] + [t[1]])
+    wrong_kind = MALFORMED.filter(lambda v: not isinstance(v, list) or len(v) < min_size)
+    good = st.lists(good_item, min_size=max(min_size, 1), max_size=2)
+    return good, st.one_of(bad_list, wrong_kind)
+
+
+# per command, the swept fields beyond grid and phase: (well-formed, malformed)
+SECTION_FIELDS = {
+    "cgo": {
+        ("solver", "tol"): (
+            st.floats(1e-10, 1e-4), st.one_of(NOT_A_NUMBER, BELOW_ZERO, st.just(0)),
+        ),
+        ("solver", "max_terms"): (
+            st.integers(50, 100), st.one_of(NOT_AN_INT, st.integers(max_value=0)),
+        ),
+        ("cgo", "min_r_slope"): (st.floats(-1.0, 0.1), NOT_A_NUMBER),
+        ("cgo", "min_norm_slope"): (st.floats(-1.0, 0.1), NOT_A_NUMBER),
+        ("cgo", "amplitude_degree"): (
+            st.sampled_from([0, 1]),
+            st.one_of(NOT_AN_INT, st.integers(max_value=-1), st.integers(min_value=2)),
+        ),
+    },
+    "cauchy-test": {
+        ("cauchy", "q_values"): list_field(
+            st.floats(1.0, 6.0),
+            st.one_of(NOT_A_NUMBER, st.floats(max_value=1.0, exclude_max=True, allow_nan=False)),
+        ),
+        ("cauchy", "min_slopes"): (
+            st.dictionaries(st.sampled_from(["2", "4", "1.5"]), st.floats(-1.0, 1.0)),
+            st.one_of(
+                st.sampled_from([[], 5, "x", None, True, [0.1]]),
+                st.dictionaries(st.sampled_from(["x", "", "two"]), st.floats(-1, 1), min_size=1),
+                st.fixed_dictionaries({"2": NOT_A_NUMBER}),
+            ),
+        ),
+        ("cauchy", "inverse_identity_max_rel"): (
+            st.floats(0.0, 1.0), st.one_of(NOT_A_NUMBER, BELOW_ZERO),
+        ),
+    },
+    "recover": {
+        ("recovery", "mode"): (
+            st.sampled_from(MODES), MALFORMED.filter(lambda v: v not in MODES),
+        ),
+        ("recovery", "probes"): list_field(points(0.25), BAD_POINT, min_size=1),
+        ("recovery", "max_rel_err"): (
+            st.floats(0.0, 10.0), st.one_of(NOT_A_NUMBER, BELOW_ZERO),
+        ),
+    },
+}
+
+
+def small_config(command, out):
+    """The command's base config on a 32-node grid, with weak enough coefficients
+    that T contracts at the h the grid resolves."""
+    doc = BASE_CONFIGS[command](out)
+    doc["grid"] = {"n": 32, "half_width": 1.0}
+    doc["phase"] = {"z0": ["0.05+0.05i"], "h": [0.7, 0.6]}
+    if command == "cgo":
+        doc["operator"]["coeffs"] = {"0,0": "bump(0, 0, 0.7, 0.2)", "1,1": "bump(0, 0, 0.7, 0.1)"}
+    if command == "recover":
+        doc["operator"]["coeffs_tilde"] = {"0,0": "bump(0, 0, 0.7, 0.2)"}
+    return doc
+
+
+class TestMalformedSections:
+    @pytest.mark.parametrize("command", sorted(SECTION_FIELDS))
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_malformed_fields_exit_two_and_are_named(self, command, data):
+        # malform up to two of the command's fields and keep the others well
+        # formed: a malformed field is a named config error, never a traceback,
+        # and a well-formed config runs to a pass or a failed tolerance
+        fields = SECTION_FIELDS[command]
+        bad = data.draw(st.sets(st.sampled_from(sorted(fields)), max_size=2), label="bad")
+        with tempfile.TemporaryDirectory() as tmp:
+            doc = small_config(command, Path(tmp) / "run")
+            for (section, key), (good, malformed) in sorted(fields.items()):
+                doc.setdefault(section, {})[key] = data.draw(
+                    malformed if (section, key) in bad else good, label=f"{section}.{key}"
+                )
+            cfg = write_config(Path(tmp), doc)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--config", cfg])
+        assert "Traceback" not in err.getvalue()
+        if bad:
+            assert code == 2, err.getvalue()
+            assert any(f"{section}.{key}" in err.getvalue() for section, key in bad)
+        else:
+            assert code in (0, 1), err.getvalue()

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from support import dblquad_complex, normalized_gaussian, symbolic_wirtinger
 
 from polycgo import (
     ComplexGrid,
+    PerturbedOperator,
     ScalarField,
     integrate,
     norm_hm,
@@ -46,6 +49,21 @@ class TestComplexGrid:
         f = grid64.constant(1.0)
         with pytest.raises((ValueError, AttributeError)):
             f.values[0, 0] = 2.0
+
+    def test_one_shared_zero_field(self):
+        g = ComplexGrid(0j, 1.0, 32)
+        z = g.zero()
+        assert z is g.zero() and z.is_zero()
+        assert not z.values.flags.writeable
+        with pytest.raises(ValueError):
+            z.values[0, 0] = 1.0
+        # every absent coefficient of an operator is that same field
+        op = PerturbedOperator(g, 2, {(0, 0): g.constant(1.0)})
+        assert all(op.coeff(*jk) is z for jk in ((0, 1), (1, 0), (1, 1)))
+        # the grid holds it weakly: no grid-field cycle outlives its last user
+        ref = weakref.ref(z)
+        del z, op
+        assert ref() is None and g.zero().is_zero()
 
     def test_grid_mismatch_rejected(self, grid64, grid128):
         with pytest.raises(ValueError):

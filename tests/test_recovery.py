@@ -131,11 +131,11 @@ class TestIdentity:
                      for k in range(k0 + 1)}
                 b = {j: ScalarField(g, z ** (j0 - j) / factorial(j0 - j)) for j in range(j0 + 1)}
                 if mode == FULL_CGO:
-                    u, v = prob._cgo_pair(z0, h, k0, j0)
+                    r, s = prob._cgo_pair(z0, h, k0, j0)
                     for k in range(m):
-                        dr = mixed_wirtinger(u.r, 0, k) if not u.r.is_zero() else g.zero()
+                        dr = mixed_wirtinger(r, 0, k) if not r.is_zero() else g.zero()
                         a[k] = (a[k] + dr) if k in a else dr
-                        ds = mixed_wirtinger(v.r, 0, k).conj() if not v.r.is_zero() else g.zero()
+                        ds = mixed_wirtinger(s, 0, k).conj() if not s.is_zero() else g.zero()
                         b[k] = (b[k] + ds) if k in b else ds
                 combined = None
                 for (j, k), diff in sorted(prob.differences.items()):
@@ -316,12 +316,13 @@ class TestRecoverAll:
         # diagnostics must never be built, and the adjoint family's operator
         # is derived once per problem, not once per CGO build
         import polycgo.cgo as cgo_mod
+        import polycgo.grid as grid_mod
 
         def forbidden(*args, **kwargs):
             raise AssertionError("diagnostic computed during recovery")
 
         monkeypatch.setattr(cgo_mod, "residual_norm", forbidden)
-        monkeypatch.setattr(cgo_mod, "norm_hm", forbidden)
+        monkeypatch.setattr(grid_mod, "norm_hm", forbidden)
         monkeypatch.setattr(PhaseSpec, "carrier", forbidden)
         calls = {"to_divergence_form": 0, "adjoint": 0}
         for name in calls:
@@ -334,6 +335,45 @@ class TestRecoverAll:
         rep = recover_all(prob)
         assert len(rep.rows) == 8
         assert calls == {"to_divergence_form": 1, "adjoint": 1}
+
+    def test_cgo_cache_keeps_remainders_only(self, monkeypatch):
+        # the cache holds r and s; no solution or transport outlives its build
+        import gc
+        import weakref
+
+        import polycgo.recovery as recovery_mod
+        from polycgo import AmplitudeSpec, OscillatoryTransport, build_adjoint_cgo, build_cgo
+
+        built = []
+
+        def recorded(T, *args, **kwargs):
+            sol = build_cgo(T, *args, **kwargs)
+            built.append((weakref.ref(T), weakref.ref(sol)))
+            return sol
+
+        monkeypatch.setattr(recovery_mod, "build_cgo", recorded)
+        g = ComplexGrid(0j, 1.0, 128)
+        z0, h = 0.2 + 0.1j, 0.3
+        bump = field_from_expression(g, "bump(0.05, 0, 0.6, 1)")
+        L = PerturbedOperator(g, 2, {(0, 0): 0.5 * bump}, form="divergence")
+        Lt = PerturbedOperator(g, 2, {(0, 0): bump, (1, 1): 0.3j * bump}, form="divergence")
+        prob = RecoveryProblem(L, Lt, [z0], [h], mode=FULL_CGO)
+        r, s = prob._cgo_pair(z0, h, 1, 0)
+        gc.collect()
+        assert len(built) == 2
+        assert all(ref() is None for refs in built for ref in refs)
+        assert all(isinstance(rem, ScalarField) for rem in prob._cgo_cache.values())
+
+        phase = PhaseSpec(z0, h)
+        fresh_r = build_cgo(OscillatoryTransport(L, phase), AmplitudeSpec.monomial(g, 1)).r
+        fresh_s = build_adjoint_cgo(Lt, phase, AmplitudeSpec.monomial(g, 0)).r
+        assert not (fresh_r.is_zero() or fresh_s.is_zero())
+        assert np.array_equal(r.values, fresh_r.values)
+        assert np.array_equal(s.values, fresh_s.values)
+        # a repeated lookup is served from the cache
+        again = prob._cgo_pair(z0, h, 1, 0)
+        assert again[0] is r and again[1] is s and len(built) == 2
+
 
 class TestBilinearSampling:
     def test_exact_on_nodes(self, grid64):
