@@ -45,6 +45,7 @@ DEFAULT_TOL = 1e-10
 PROBE_RTOL = 1e-12  # the norm probe stops once its estimate moves less than this
 DEFAULT_MAX_TERMS = 50
 RESIDUAL_MARGIN = 0.05  # residuals measured on the central 90% subgrid
+ADMISSIBLE_RTOL = 1e-6  # check_admissible's bound on |dbar^m a| / max(1, |a|)
 # residual_norm runs in np.longdouble, which some platforms make a plain double
 LONGDOUBLE_EPS = float(np.finfo(np.longdouble).eps)
 
@@ -69,13 +70,13 @@ class AmplitudeSpec:
     def custom(cls, field: ScalarField) -> "AmplitudeSpec":
         return cls("custom", field)
 
-    def check_admissible(self, m: int, rtol: float = 1e-6) -> None:
+    def check_admissible(self, m: int) -> None:
         """Require dbar^m(field) ~ 0 within stencil truncation tolerance."""
         if self.kind == "monomial" and self.degree is not None and self.degree < m:
             return  # annihilated identically; the stencil check is redundant
         resid = norm_lp(mixed_wirtinger(self.field, 0, m), np.inf)
         scale = max(1.0, norm_lp(self.field, np.inf))
-        if resid > rtol * scale:
+        if resid > ADMISSIBLE_RTOL * scale:
             raise ValueError(
                 f"amplitude is not admissible for m={m}: |dbar^m a| = {resid:.3e}"
             )
@@ -218,7 +219,7 @@ def adjoint_divergence(op: PerturbedOperator) -> PerturbedOperator:
     return as_divergence(adjoint(as_standard(op)))
 
 
-def residual_norm(op: PerturbedOperator, u: ScalarField, margin: float = RESIDUAL_MARGIN) -> float:
+def residual_norm(op: PerturbedOperator, u: ScalarField) -> float:
     """Masked L2 norm of the operator applied to u, in extended precision.
 
     The 2m-fold stencil chain amplifies double roundoff by 1/spacing per
@@ -259,7 +260,7 @@ def residual_norm(op: PerturbedOperator, u: ScalarField, margin: float = RESIDUA
             if j in wanted:
                 term = op.coeffs[(j, k)].values * cur
                 out = term if out is None else out + term
-    mask = grid.interior_mask(margin)
+    mask = grid.interior_mask(RESIDUAL_MARGIN)
     w = grid._trapezoid_1d.astype(np.longdouble)
     a = np.abs(out) ** 2 * mask
     total = w @ a @ w * s * s

@@ -56,9 +56,27 @@ EXIT_NUMERICAL = 3
 
 # largest grid.n: the doubled kernel grid is already 1 GiB per table at 4096
 MAX_GRID_N = 4096
+# largest operator.m: the coefficient table has m^2 entries and the form
+# conversion costs O(m^3) field operations
+MAX_OPERATOR_M = 16
 
 
 # ---------------------------------------------------------------- config ----
+
+# the fields of each section; load_config refuses any other, and _take reads no other
+CONFIG_KEYS = {
+    "grid": ("n", "half_width", "center"),
+    "operator": ("m", "form", "coeffs", "coeffs_tilde"),
+    "phase": ("z0", "h"),
+    "solver": ("tol", "max_terms"),
+    "cgo": ("min_r_slope", "min_norm_slope", "amplitude_degree"),
+    "cauchy": ("omega", "q_values", "min_slopes", "inverse_identity_max_rel"),
+    "recovery": ("mode", "probes", "max_rel_err"),
+    "output": ("directory", "format"),
+}
+# the top level: the sections, and the hash a run's config.json echo adds, so
+# that a run can be repeated from its echo
+CONFIG_KEYS[""] = (*CONFIG_KEYS, "config_hash")
 
 # value checks for _take and _as_float: (predicate, what the value must be)
 FINITE = (isfinite, "finite")
@@ -69,6 +87,8 @@ NON_EMPTY = (len, "a non-empty list")
 
 def _take(cfg: dict, section: str, key: str, kind, default=None, required=False, check=None):
     """cfg[key] as kind (float: any JSON number, never a bool), bounded by check, or default."""
+    if key not in CONFIG_KEYS[section]:
+        raise KeyError(f"{key!r} is read from section {section!r} but not listed in CONFIG_KEYS")
     where = f"{section}.{key}" if section else key
     if key not in cfg:
         if required:
@@ -121,6 +141,13 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
+    for section, fields in raw.items():
+        if section not in CONFIG_KEYS[""]:
+            raise ConfigError(f"unknown config section {section!r}")
+        if isinstance(fields, dict):
+            unknown = sorted(set(fields) - set(CONFIG_KEYS.get(section, ())))
+            if unknown:
+                raise ConfigError(f"unknown field {section}.{unknown[0]}")
     return raw
 
 
@@ -163,7 +190,10 @@ def _coeff_table(grid, m, table, where):
 
 def build_operator(cfg: dict, grid: ComplexGrid, key: str = "coeffs") -> PerturbedOperator:
     section = _take(cfg, "", "operator", dict, required=True)
-    m = _take(section, "operator", "m", int, required=True, check=(lambda m: m >= 2, ">= 2"))
+    m = _take(
+        section, "operator", "m", int, required=True,
+        check=(lambda m: 2 <= m <= MAX_OPERATOR_M, f"from 2 to {MAX_OPERATOR_M}"),
+    )
     form = _take(
         section, "operator", "form", str, default=STANDARD,
         check=((STANDARD, DIVERGENCE).__contains__, "standard or divergence"),
@@ -483,6 +513,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         out_section = _take(cfg, "", "output", dict, default={})
         directory = _take(out_section, "output", "directory", str, default=f"runs/{args.command}")
+        _take(out_section, "output", "format", str, check=(lambda f: f == "csv", "csv"))
         out_dir = Path(args.out or directory)
         cauchy.set_fft_workers(args.threads)
         if args.command == "cauchy-test":

@@ -13,11 +13,18 @@ complex constants are written like 1+2i or 0.5i.  Functions: exp(f), re(f),
 im(f), conj(f), and bump(cx, cy, radius, amp) - the smooth compactly supported
 profile amp * exp(1 - 1/(1 - r^2/radius^2)) for r = |z - (cx + i*cy)| < radius
 and identically zero outside.  Powers take integer exponents only.
+
+The grammar is a subset of Python's expression grammar with the same
+precedences, so each token is spelled as Python, Python's parser builds the
+tree, and one pass over the tree admits only the nodes the grammar allows.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import re as _re
+from math import isfinite
 
 import numpy as np
 
@@ -25,7 +32,7 @@ from .grid import ComplexGrid, ScalarField
 
 
 class ExpressionError(ValueError):
-    """Parse or evaluation failure; message carries the source position."""
+    """Parse or evaluation failure; the message quotes the expression."""
 
 
 _TOKEN = _re.compile(
@@ -33,12 +40,25 @@ _TOKEN = _re.compile(
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^(),]))"
 )
+# what Python's tree no longer shows, so it is refused in the spelled source:
+# a '**' (a '^') not followed by [-] NUMBER, as in z^(2), and a trailing ',' in a call
+_NOT_IN_GRAMMAR = _re.compile(r"\*\*(?! (?:- )?\d)|, \)")
 
-_FUNCTIONS = ("exp", "re", "im", "conj", "bump")
+_UNARY_FUNCTIONS = {
+    "exp": np.exp,
+    "re": lambda v: np.real(v) + 0j,
+    "im": lambda v: np.imag(v) + 0j,
+    "conj": np.conj,
+}
+_ARITY = dict.fromkeys(_UNARY_FUNCTIONS, 1) | {"bump": 4}
 _VARIABLES = ("z", "zbar")
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
 
 
-def _tokenize(text: str):
+def _as_python(text: str) -> str:
+    """text with each token spelled as Python, space-separated: '^' is '**',
+    a number is the repr of its double and a trailing 'i' is 'j'."""
     pos = 0
     out = []
     while pos < len(text):
@@ -50,19 +70,51 @@ def _tokenize(text: str):
             raise ExpressionError(
                 f"unexpected character {stripped[0]!r} at position {pos} in {text!r}"
             )
-        if m.group("num") is not None:
-            lit = m.group("num")
-            if lit.endswith("i"):
-                out.append(("num", complex(0.0, float(lit[:-1]))))
-            else:
-                out.append(("num", complex(float(lit), 0.0)))
-        elif m.group("name") is not None:
-            out.append(("name", m.group("name")))
+        num, name, op = m.group("num", "name", "op")
+        if num is not None:
+            value = float(num.removesuffix("i"))
+            if not isfinite(value):
+                raise ExpressionError(f"number {num!r} is beyond double range in {text!r}")
+            out.append(repr(value) + ("j" if num.endswith("i") else ""))
         else:
-            out.append(("op", m.group("op")))
+            out.append(name or ("**" if op == "^" else op))
         pos = m.end()
-    out.append(("end", None))
-    return out
+    source = " ".join(out)
+    if _NOT_IN_GRAMMAR.search(source):
+        raise ExpressionError(f"a '^' without [-] NUMBER or a ',' before ')' in {text!r}")
+    return source
+
+
+def _exponent(node) -> int | None:
+    """The integer of a '^' exponent node, [-] NUMBER; None unless it is a real integer."""
+    sign = 1
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node, sign = node.operand, -1
+    if isinstance(node, ast.Constant) and type(node.value) is float and node.value.is_integer():
+        return sign * int(node.value)
+    return None
+
+
+def _admitted(node, callees) -> bool:
+    """Whether node belongs to the grammar; each call's function name joins callees."""
+    if isinstance(node, ast.BinOp):
+        return type(node.op) in _BINARY and (
+            not isinstance(node.op, ast.Pow) or _exponent(node.right) is not None
+        )
+    if isinstance(node, ast.UnaryOp):
+        return isinstance(node.op, ast.USub)
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (float, complex)
+    if isinstance(node, ast.Name):
+        return node.id in _VARIABLES or node in callees
+    if isinstance(node, ast.Call):
+        callees.add(node.func)
+        return (
+            isinstance(node.func, ast.Name)
+            and len(node.args) == _ARITY.get(node.func.id)
+            and not node.keywords
+        )
+    return isinstance(node, (ast.operator, ast.unaryop, ast.Load))
 
 
 def bump_profile(z: np.ndarray, cx: float, cy: float, radius: float, amp: complex):
@@ -81,137 +133,37 @@ class Expression:
 
     def __init__(self, text: str):
         self.text = text
-        self._tokens = _tokenize(text)
-        self._pos = 0
-        self._ast = self._parse_expr()
-        kind, _ = self._peek()
-        if kind != "end":
-            raise ExpressionError(
-                f"unexpected trailing input near token {self._pos} in {text!r}"
-            )
+        source = _as_python(text)
+        try:
+            self._ast = ast.parse(source, mode="eval").body
+        except (SyntaxError, RecursionError) as exc:
+            raise ExpressionError(f"cannot parse {text!r}: {getattr(exc, 'msg', exc)}") from None
+        callees = set()
+        for node in ast.walk(self._ast):
+            if not _admitted(node, callees):
+                found = ast.get_source_segment(source, node)
+                raise ExpressionError(f"{found!r} is not in the grammar, in {text!r}")
 
-    # --- recursive descent ---
-    def _peek(self):
-        return self._tokens[self._pos]
-
-    def _next(self):
-        tok = self._tokens[self._pos]
-        self._pos += 1
-        return tok
-
-    def _expect_op(self, symbol):
-        kind, val = self._next()
-        if kind != "op" or val != symbol:
-            raise ExpressionError(f"expected {symbol!r} near token {self._pos} in {self.text!r}")
-
-    def _parse_expr(self):
-        node = self._parse_term()
-        while self._peek() == ("op", "+") or self._peek() == ("op", "-"):
-            _, sym = self._next()
-            rhs = self._parse_term()
-            node = (sym, node, rhs)
-        return node
-
-    def _parse_term(self):
-        node = self._parse_unary()
-        while self._peek() == ("op", "*") or self._peek() == ("op", "/"):
-            _, sym = self._next()
-            rhs = self._parse_unary()
-            node = (sym, node, rhs)
-        return node
-
-    def _parse_unary(self):
-        if self._peek() == ("op", "-"):
-            self._next()
-            return ("neg", self._parse_unary())
-        return self._parse_power()
-
-    def _parse_power(self):
-        base = self._parse_atom()
-        if self._peek() == ("op", "^"):
-            self._next()
-            negative = False
-            if self._peek() == ("op", "-"):
-                self._next()
-                negative = True
-            kind, val = self._next()
-            if kind != "num" or val.imag != 0 or val.real != int(val.real):
-                raise ExpressionError(
-                    f"power needs an integer exponent near token {self._pos} in {self.text!r}"
-                )
-            exponent = int(val.real) * (-1 if negative else 1)
-            return ("pow", base, exponent)
-        return base
-
-    def _parse_atom(self):
-        kind, val = self._next()
-        if kind == "num":
-            return ("const", val)
-        if kind == "name":
-            if val in _VARIABLES:
-                return ("var", val)
-            if val in _FUNCTIONS:
-                self._expect_op("(")
-                args = [self._parse_expr()]
-                while self._peek() == ("op", ","):
-                    self._next()
-                    args.append(self._parse_expr())
-                self._expect_op(")")
-                return ("call", val, args)
-            raise ExpressionError(f"unknown name {val!r} in {self.text!r}")
-        if kind == "op" and val == "(":
-            node = self._parse_expr()
-            self._expect_op(")")
-            return node
-        raise ExpressionError(f"unexpected token near position {self._pos} in {self.text!r}")
-
-    # --- evaluation ---
     def _eval(self, node, z):
-        op = node[0]
-        if op == "const":
-            return node[1]
-        if op == "var":
+        if isinstance(node, ast.Constant):
+            return complex(node.value)
+        if isinstance(node, ast.Name):
             if z is None:
-                raise ExpressionError(f"{node[1]!r} is not allowed in a constant expression")
-            return z if node[1] == "z" else np.conj(z)
-        if op == "neg":
-            return -self._eval(node[1], z)
-        if op == "pow":
-            return self._eval(node[1], z) ** node[2]
-        if op in "+-*/":
-            a = self._eval(node[1], z)
-            b = self._eval(node[2], z)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            return a / b
-        if op == "call":
-            name, args = node[1], node[2]
-            if name == "bump":
-                if len(args) != 4:
-                    raise ExpressionError("bump takes exactly (cx, cy, radius, amp)")
-                cx, cy, radius, amp = (self._const_arg(a) for a in args)
-                if z is None:
-                    raise ExpressionError("bump is not allowed in a constant expression")
-                return bump_profile(z, cx.real, cy.real, radius.real, amp)
-            if len(args) != 1:
-                raise ExpressionError(f"{name} takes exactly one argument")
-            v = self._eval(args[0], z)
-            if name == "exp":
-                return np.exp(v)
-            if name == "re":
-                return np.real(v) + 0j
-            if name == "im":
-                return np.imag(v) + 0j
-            return np.conj(v)
-        raise ExpressionError(f"malformed expression node {op!r}")  # pragma: no cover
-
-    def _const_arg(self, node) -> complex:
-        v = self._eval(node, None)
-        return complex(v)
+                raise ExpressionError(f"{node.id!r} is not allowed in a constant expression")
+            return z if node.id == "z" else np.conj(z)
+        if isinstance(node, ast.UnaryOp):
+            return -self._eval(node.operand, z)
+        if isinstance(node, ast.BinOp):
+            if isinstance(node.op, ast.Pow):
+                return self._eval(node.left, z) ** _exponent(node.right)
+            return _BINARY[type(node.op)](self._eval(node.left, z), self._eval(node.right, z))
+        name = node.func.id
+        if name == "bump":
+            cx, cy, radius, amp = (complex(self._eval(a, None)) for a in node.args)
+            if z is None:
+                raise ExpressionError("bump is not allowed in a constant expression")
+            return bump_profile(z, cx.real, cy.real, radius.real, amp)
+        return _UNARY_FUNCTIONS[name](self._eval(node.args[0], z))
 
     def _finite(self, z):
         """The expression's value at z (None for a constant), refused unless finite."""
@@ -220,6 +172,8 @@ class Expression:
                 vals = self._eval(self._ast, z)
             except ZeroDivisionError:
                 raise ExpressionError(f"division by zero in {self.text!r}") from None
+            except (OverflowError, RecursionError) as exc:
+                raise ExpressionError(f"cannot evaluate {self.text!r}: {exc}") from None
         if not np.all(np.isfinite(vals)):
             raise ExpressionError(f"{self.text!r} is not finite everywhere it is evaluated")
         return vals

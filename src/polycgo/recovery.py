@@ -33,6 +33,7 @@ from .sweeps import fit_loglog_slope
 STATIONARY_PHASE_CONSTANT = pi / 2.0
 
 SUPPORT_MARGIN = 0.05  # outer frame fraction that must be difference-free
+SUPPORT_TOL = 1e-12  # largest |difference| allowed on that frame
 AMPLITUDE_ONLY = "amplitude_only"
 FULL_CGO = "full_cgo"
 
@@ -146,7 +147,8 @@ class RecoveryProblem:
     The operators are converted to divergence form; their coefficient
     differences must be compactly supported away from the outer frame (the
     numerical stand-in for boundary-flat data).  The adjoint family's operator
-    is built on the first full_cgo pairing and reused for every (z0, h, degree).
+    is built on the first full_cgo pairing.  Only one (z0, h) step is kept: a
+    transport per family and the remainders built on it.
     """
 
     def __init__(
@@ -159,7 +161,6 @@ class RecoveryProblem:
         solver_tol: float = 1e-10,
         max_terms: int = 50,
         conditioning_bound: float = 100.0,
-        support_tol: float = 1e-12,
     ):
         if op.grid != op_tilde.grid:
             raise ValueError("operators live on different grids")
@@ -189,12 +190,12 @@ class RecoveryProblem:
         frame = ~self.grid.interior_mask(SUPPORT_MARGIN)
         for (j, k), b in self.differences.items():
             worst = float(np.max(np.abs(b.values) * frame))
-            if worst >= support_tol:
+            if worst >= SUPPORT_TOL:
                 raise ValueError(
                     f"difference ({j},{k}) is not supported away from the frame "
                     f"(max |B| = {worst:.3e} on the outer {SUPPORT_MARGIN:.0%})"
                 )
-        self._cgo_cache = {}
+        self._step = self._transports = self._remainders = None
 
     def check_probe(self, z0: complex) -> None:
         if not self.grid.contains(z0, margin=SUPPORT_MARGIN):
@@ -219,16 +220,17 @@ class RecoveryProblem:
         return self._remainder(z0, h, +1, k0), self._remainder(z0, h, -1, j0)
 
     def _remainder(self, z0: complex, h: float, sign: int, degree: int) -> ScalarField:
-        """r of one family's solution, cached per (z0, h, degree) without its transport."""
-        key = (sign, z0, h, degree)
-        if key not in self._cgo_cache:
-            T = OscillatoryTransport(
-                self._div if sign > 0 else self._adjoint_div, PhaseSpec(z0, h), sign
-            )
-            amplitude = AmplitudeSpec.monomial(self.grid, degree)
+        """r of one family's solution, kept with its family's transport for the (z0, h) step."""
+        if self._step != (z0, h):
+            self._step, self._transports, self._remainders = (z0, h), {}, {}
+        if (sign, degree) not in self._remainders:
+            if sign not in self._transports:
+                op = self._div if sign > 0 else self._adjoint_div
+                self._transports[sign] = OscillatoryTransport(op, PhaseSpec(z0, h), sign)
+            T, amplitude = self._transports[sign], AmplitudeSpec.monomial(self.grid, degree)
             sol = build_cgo(T, amplitude, tol=self.solver_tol, max_terms=self.max_terms)
-            self._cgo_cache[key] = sol.r
-        return self._cgo_cache[key]
+            self._remainders[(sign, degree)] = sol.r
+        return self._remainders[(sign, degree)]
 
     @cached_property
     def _adjoint_div(self) -> PerturbedOperator:
@@ -381,7 +383,8 @@ def recover_all(problem: RecoveryProblem) -> RecoveryReport:
 
     Each level's extraction subtracts the point contributions of the already
     recovered lower levels (with the pairing's per-term parity) before dividing
-    out the target's own parity.  Degenerate probes are listed, not fatal.
+    out the target's own parity.  All levels of one (z0, h) step run together;
+    rows are listed by level, then z0, then h.  Degenerate probes are listed, not fatal.
     """
     m = problem.m
     C = STATIONARY_PHASE_CONSTANT
@@ -395,39 +398,34 @@ def recover_all(problem: RecoveryProblem) -> RecoveryReport:
             report.degenerate.append((z0, exc.reason))
 
     order = sorted(((j0 + k0, j0, k0) for j0 in range(m) for k0 in range(m)))
-    recovered = {}  # (j, k, z0, h) -> complex
-    for _, j0, k0 in order:
-        level_errs = {h: [] for h in problem.h_list}
-        truth_field = problem.differences[(j0, k0)]
-        target_sign = -1.0 if j0 % 2 else 1.0
-        for z0 in usable:
-            truth = sample_bilinear(truth_field, z0)
-            for h in problem.h_list:
-                raw = identity_lhs(problem, j0, k0, h, z0)
-                ext = raw / (C * h)
+    level_rows = {(j0, k0): [] for _, j0, k0 in order}  # each in (z0, h) order
+    for z0 in usable:
+        for h in problem.h_list:
+            recovered = {}  # (j, k) -> complex at this (z0, h)
+            for _, j0, k0 in order:
+                ext = identity_lhs(problem, j0, k0, h, z0) / (C * h)
                 for j in range(j0 + 1):
                     for k in range(k0 + 1):
                         if (j, k) == (j0, k0):
                             continue
                         sign = -1.0 if j % 2 else 1.0
-                        ext -= sign * recovered[(j, k, z0, h)] * _monomial_weight(
-                            z0, j0, k0, j, k
-                        )
-                value = complex(ext / target_sign)
-                recovered[(j0, k0, z0, h)] = value
+                        ext -= sign * recovered[(j, k)] * _monomial_weight(z0, j0, k0, j, k)
+                value = recovered[(j0, k0)] = complex(ext / (-1.0 if j0 % 2 else 1.0))
+                truth = sample_bilinear(problem.differences[(j0, k0)], z0)
                 abs_err = float(abs(value - truth))
                 rel_err = abs_err / abs(truth) if truth != 0 else float("inf")
-                level_errs[h].append(abs_err)
-                report.rows.append(
+                level_rows[(j0, k0)].append(
                     RecoveryRow(
                         m=m, j=j0, k=k0, z0=z0, h=h,
                         extracted=value, truth=truth,
                         abs_err=abs_err, rel_err=rel_err,
                     )
                 )
-        hs = [h for h in problem.h_list if level_errs[h]]
-        means = [float(np.mean(level_errs[h])) for h in hs]
-        report.slopes[(j0, k0)] = fit_loglog_slope(hs, means)
+    hs = list(problem.h_list) if usable else []
+    for jk, rows in level_rows.items():
+        report.rows += rows
+        means = [float(np.mean([r.abs_err for r in rows if r.h == h])) for h in hs]
+        report.slopes[jk] = fit_loglog_slope(hs, means)
     return report
 
 

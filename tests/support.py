@@ -87,3 +87,11 @@ def smooth_bump_profile(z, cx, cy, radius, amp=1.0):
     inside = t < 1.0
     out[inside] = amp * np.exp(1.0 - 1.0 / (1.0 - t[inside]))
     return out if out.shape else complex(out)
+
+
+# expressions too deep for a recursive parser: each must be a named error
+DEEP_EXPRESSIONS = {
+    "minus_signs": "-" * 5000 + "z",
+    "parentheses": "(" * 2000 + "z" + ")" * 2000,
+    "sum": "+".join(["z"] * 3000),
+}

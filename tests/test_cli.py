@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TESTBED_BUMPS
+from support import DEEP_EXPRESSIONS
 
 from polycgo import ComplexGrid, ConfigError, CouplingError, OscillatoryTransport, PhaseSpec, cgo
 from polycgo import cli
-from polycgo.cli import MAX_GRID_N, build_phases, main
+from polycgo.cli import MAX_GRID_N, MAX_OPERATOR_M, build_phases, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -363,6 +364,12 @@ class TestDeterminismAndProvenance:
         assert (out1 / "slopes.csv").read_bytes() == (out2 / "slopes.csv").read_bytes()
         assert (out1 / "config.json").read_bytes() == (out2 / "config.json").read_bytes()
         assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
+        # a rerun from the config.json echo, which adds config_hash, gives the same rows
+        out3 = tmp_path / "c"
+        assert main(["recover", "--config", str(out1 / "config.json"), "--out", str(out3)]) == 0
+        for name in ("results.csv", "slopes.csv"):
+            rows = [(out / name).read_text().split("\n", 1)[1] for out in (out1, out3)]
+            assert rows[0] == rows[1]
 
     def test_config_hash_embedded_everywhere(self, tmp_path):
         out = tmp_path / "run"
@@ -477,15 +484,27 @@ BASE_CONFIGS = {"cauchy-test": base_cauchy_config, "cgo": base_cgo_config,
     ("cauchy-test", "cauchy", "omega", "exp(1000)"),
     ("cgo", "operator", "coeffs", {"0,0": "1/0"}),
     ("cgo", "operator", "coeffs", {"0,0": "exp(1000 * z)"}),
+    # unknown fields and sections ("" is the top level), which once ran on the
+    # defaults, a format that is not csv, and an m that once hung the run
+    ("cgo", "solver", "tolerance", -5),
+    ("cgo", "cgo", "amplitude_degre", 7),
+    ("cgo", "", "solvr", {"tol": 1e-8}),
+    ("cgo", "output", "format", "json"),
+    ("cgo", "operator", "m", 100000),
+    # expressions too deep for a recursive parser
+    *(pytest.param("cauchy-test", "cauchy", "omega", text, id=f"omega-{name}")
+      for name, text in DEEP_EXPRESSIONS.items()),
+    *(pytest.param("cgo", "operator", "coeffs", {"0,0": text}, id=f"coeffs-{name}")
+      for name, text in DEEP_EXPRESSIONS.items()),
 ])
 def test_malformed_field_is_a_named_config_error(tmp_path, capsys, command, section, key, value):
-    # each of these once crashed with a traceback or exited 1 or 3
+    # each of these once crashed with a traceback or exited 0, 1 or 3
     doc = BASE_CONFIGS[command](tmp_path / "r")
-    doc[section][key] = value
+    (doc[section] if section else doc)[key] = value
     cfg = write_config(tmp_path, doc)
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert f"{section}.{key}" in err and "Traceback" not in err
+    assert (f"{section}.{key}" if section else key) in err and "Traceback" not in err
 
 
 SHIPPED_CONFIGS = sorted(
@@ -526,6 +545,8 @@ NOT_AN_INT = st.one_of(
 )
 BAD_POINT = st.sampled_from([None, True, {}, [], [0.1], [0.1, "y"], "x", float("nan")])
 MODES = ("amplitude_only", "full_cgo")
+FORMS = ("standard", "divergence")
+UNSET = object()  # a well-formed config leaves the field out
 
 
 def list_field(good_item, bad_item, min_size=0):
@@ -534,6 +555,32 @@ def list_field(good_item, bad_item, min_size=0):
     wrong_kind = MALFORMED.filter(lambda v: not isinstance(v, list) or len(v) < min_size)
     good = st.lists(good_item, min_size=max(min_size, 1), max_size=2)
     return good, st.one_of(bad_list, wrong_kind)
+
+
+def operator_fields(key, coeffs):
+    """The swept operator fields of a command whose coefficient table key is
+    `key`, with `coeffs` its well-formed table."""
+    bad_expression = st.sampled_from(
+        ["1/0", "exp(1000 * z)", "bump(", "z^(2)", "", 5, None, *DEEP_EXPRESSIONS.values()]
+    )
+    return {
+        ("operator", "m"): (
+            st.sampled_from([2, 3]),
+            st.one_of(NOT_AN_INT, st.integers(max_value=1),
+                      st.integers(min_value=MAX_OPERATOR_M + 1)),
+        ),
+        ("operator", "form"): (st.sampled_from(FORMS), MALFORMED.filter(lambda v: v not in FORMS)),
+        ("operator", key): (
+            st.just(coeffs),
+            st.one_of(
+                MALFORMED.filter(lambda v: not isinstance(v, dict)),
+                st.dictionaries(st.sampled_from(["0,0", "1,1"]), bad_expression, min_size=1),
+                st.dictionaries(st.sampled_from(["x", "0", "5,5", "0,-1", "a,b"]), st.just("1"),
+                                min_size=1),
+            ),
+        ),
+        ("operator", "coefs"): (st.just(UNSET), MALFORMED),  # a misspelled key
+    }
 
 
 # per command, the swept fields beyond grid and phase: (well-formed, malformed)
@@ -549,8 +596,10 @@ SECTION_FIELDS = {
         ("cgo", "min_norm_slope"): (st.floats(-1.0, 0.1), NOT_A_NUMBER),
         ("cgo", "amplitude_degree"): (
             st.sampled_from([0, 1]),
-            st.one_of(NOT_AN_INT, st.integers(max_value=-1), st.integers(min_value=2)),
+            # 2 is well formed at m = 3; at m = 2 it is a case of the test above
+            st.one_of(NOT_AN_INT, st.integers(max_value=-1), st.integers(min_value=3)),
         ),
+        **operator_fields("coeffs", {"0,0": "bump(0, 0, 0.7, 0.2)", "1,1": "bump(0, 0, 0.7, 0.1)"}),
     },
     "cauchy-test": {
         ("cauchy", "q_values"): list_field(
@@ -577,6 +626,7 @@ SECTION_FIELDS = {
         ("recovery", "max_rel_err"): (
             st.floats(0.0, 10.0), st.one_of(NOT_A_NUMBER, BELOW_ZERO),
         ),
+        **operator_fields("coeffs_tilde", {"0,0": "bump(0, 0, 0.7, 0.2)"}),
     },
 }
 
@@ -607,9 +657,11 @@ class TestMalformedSections:
         with tempfile.TemporaryDirectory() as tmp:
             doc = small_config(command, Path(tmp) / "run")
             for (section, key), (good, malformed) in sorted(fields.items()):
-                doc.setdefault(section, {})[key] = data.draw(
+                value = data.draw(
                     malformed if (section, key) in bad else good, label=f"{section}.{key}"
                 )
+                if value is not UNSET:
+                    doc.setdefault(section, {})[key] = value
             cfg = write_config(Path(tmp), doc)
             err = io.StringIO()
             with contextlib.redirect_stderr(err):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import smooth_bump_profile
+from support import DEEP_EXPRESSIONS, smooth_bump_profile
 
 from polycgo import (
     ExpressionError,
@@ -26,6 +26,8 @@ class TestLiterals:
             ("-3.5+0.25i", -3.5 + 0.25j),
             ("2e-3", 0.002 + 0j),
             ("1.5e2i", 150j),
+            ("007", 7 + 0j),
+            (".25", 0.25 + 0j),
         ],
     )
     def test_complex_literals(self, text, expect):
@@ -51,10 +53,23 @@ class TestGrammar:
     def test_negative_power(self):
         assert constant_from_expression("2 ^ -2") == pytest.approx(0.25)
 
-    @pytest.mark.parametrize("bad", ["bump(", "z +", "(1 + 2", "1 2", "foo(3)", "z ^ z", ""])
+    def test_integral_float_exponent(self, grid64):
+        assert np.array_equal(field_from_expression(grid64, "z^2.0").values, grid64.nodes**2)
+
+    @pytest.mark.parametrize("bad", [
+        "bump(", "z +", "(1 + 2", "1 2", "foo(3)", "z ^ z", "",
+        # Python spellings and forms outside the grammar
+        "z^(2)", "z^1.5", "2^-2^2", "z**2", "1j", "+z", "(1,2)", "z(1)", "exp(z,)",
+        "exp()", "exp(z,z)", "exp(z, ^2)", "bump(0, 0, 1)", "1e999", "None", "z if z else z",
+    ])
     def test_malformed_rejected(self, bad):
         with pytest.raises(ExpressionError):
             parse_expression(bad)
+
+    @pytest.mark.parametrize("text", DEEP_EXPRESSIONS.values(), ids=DEEP_EXPRESSIONS)
+    def test_deep_input_is_a_parse_error(self, text):
+        with pytest.raises(ExpressionError):
+            parse_expression(text)
 
     def test_unknown_character(self):
         with pytest.raises(ExpressionError):

@@ -336,19 +336,21 @@ class TestRecoverAll:
         assert len(rep.rows) == 8
         assert calls == {"to_divergence_form": 1, "adjoint": 1}
 
-    def test_cgo_cache_keeps_remainders_only(self, monkeypatch):
-        # the cache holds r and s; no solution or transport outlives its build
+    def test_cgo_cache_keeps_one_step(self, monkeypatch):
+        # the problem keeps one (z0, h) step: a transport per family and the
+        # remainders built on it; no solution outlives its build, and a lookup
+        # at another (z0, h) lets the old step go
         import gc
         import weakref
 
         import polycgo.recovery as recovery_mod
         from polycgo import AmplitudeSpec, OscillatoryTransport, build_adjoint_cgo, build_cgo
 
-        built = []
+        built = []  # weakrefs to (transport, solution, remainder) of each build
 
         def recorded(T, *args, **kwargs):
             sol = build_cgo(T, *args, **kwargs)
-            built.append((weakref.ref(T), weakref.ref(sol)))
+            built.append((weakref.ref(T), weakref.ref(sol), weakref.ref(sol.r)))
             return sol
 
         monkeypatch.setattr(recovery_mod, "build_cgo", recorded)
@@ -358,21 +360,33 @@ class TestRecoverAll:
         L = PerturbedOperator(g, 2, {(0, 0): 0.5 * bump}, form="divergence")
         Lt = PerturbedOperator(g, 2, {(0, 0): bump, (1, 1): 0.3j * bump}, form="divergence")
         prob = RecoveryProblem(L, Lt, [z0], [h], mode=FULL_CGO)
-        r, s = prob._cgo_pair(z0, h, 1, 0)
+        pairs = {(k0, j0): prob._cgo_pair(z0, h, k0, j0) for k0 in (0, 1) for j0 in (0, 1)}
         gc.collect()
-        assert len(built) == 2
-        assert all(ref() is None for refs in built for ref in refs)
-        assert all(isinstance(rem, ScalarField) for rem in prob._cgo_cache.values())
+        assert len(built) == 4
+        assert all(sol() is None for _, sol, _ in built)
+        transports = {T() for T, _, _ in built}
+        assert sorted(T.sign for T in transports) == [-1, 1]
 
         phase = PhaseSpec(z0, h)
-        fresh_r = build_cgo(OscillatoryTransport(L, phase), AmplitudeSpec.monomial(g, 1)).r
-        fresh_s = build_adjoint_cgo(Lt, phase, AmplitudeSpec.monomial(g, 0)).r
-        assert not (fresh_r.is_zero() or fresh_s.is_zero())
-        assert np.array_equal(r.values, fresh_r.values)
-        assert np.array_equal(s.values, fresh_s.values)
-        # a repeated lookup is served from the cache
+        for degree in (0, 1):
+            amplitude = AmplitudeSpec.monomial(g, degree)
+            fresh_r = build_cgo(OscillatoryTransport(L, phase), amplitude).r
+            fresh_s = build_adjoint_cgo(Lt, phase, amplitude).r
+            assert not (fresh_r.is_zero() or fresh_s.is_zero())
+            assert np.array_equal(pairs[(degree, 0)][0].values, fresh_r.values)
+            assert np.array_equal(pairs[(0, degree)][1].values, fresh_s.values)
+        # a repeated lookup inside the step builds nothing
         again = prob._cgo_pair(z0, h, 1, 0)
-        assert again[0] is r and again[1] is s and len(built) == 2
+        assert again[0] is pairs[(1, 0)][0] and again[1] is pairs[(1, 0)][1]
+        assert len(built) == 4
+
+        # a lookup at another (z0, h) replaces the step
+        del pairs, again, transports, fresh_r, fresh_s
+        prob._cgo_pair(z0, 0.25, 0, 0)
+        gc.collect()
+        assert all(T() is None and r() is None for T, _, r in built[:4])
+        assert len(built) == 6
+        assert sorted(T().sign for T, _, _ in built[4:]) == [-1, 1]
 
 
 class TestBilinearSampling:
