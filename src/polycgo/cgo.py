@@ -11,7 +11,8 @@ dbar_inv^(m-k) are prefixes of one chain, and the outer sum is evaluated by
 Horner's rule, d_inv(y[m-1] + d_inv(y[m-2] + ...)), so one application costs
 at most 2m transforms instead of m(m+1).  The density solves (I - T) g = w by
 Neumann series (T contracts for small h), then the remainder is
-r = dbar_inv^m(E- * g) and u = exp(phase/h) * (a + r).  Adjoint solutions
+r = dbar_inv^m(E- * g), finished from the chain of the solve's a-posteriori
+check, and u = exp(phase/h) * (a + r).  Adjoint solutions
 reuse the same machinery with the carrier sign flipped.  The transport is the
 one object per (operator, phase, sign): build_cgo and transport_norm_probe
 both take it.  A solution keeps only g and r.
@@ -159,10 +160,15 @@ class OscillatoryTransport:
         )
         return ScalarField(self.grid, -self._horner(rows))
 
-    def apply(self, v: ScalarField) -> ScalarField:
+    def apply(self, v: ScalarField, _tail: list | None = None) -> ScalarField:
+        """T(v); a list passed as _tail receives the chain's last power,
+        dbar_inv^(m - min(cols))(E- * v), unless v or the map is zero."""
         if not self.active or v.is_zero():
             return self.grid.zero()
-        return self._outer_sum(self._dbar_powers(self.e_minus * v.values, self.cols[0]))
+        powers = self._dbar_powers(self.e_minus * v.values, self.cols[0])
+        if _tail is not None:
+            _tail.append(powers[self.cols[0]])
+        return self._outer_sum(powers)
 
     def apply_adjoint(self, v: ScalarField) -> ScalarField:
         """Exact discrete L2 adjoint; uses d_inv* = -dbar_inv for the odd kernel."""
@@ -272,14 +278,16 @@ def solve_density(
     amplitude: AmplitudeSpec,
     tol: float = DEFAULT_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
+    _tail: list | None = None,
 ):
     """Sum the Neumann series for (I - T) g = w, w = T.source(amplitude).
 
     Stops when the latest term drops below tol * ||w||_2 and verifies the
     residual ||(I - T)g - w||_2 <= 2 * tol * ||w||_2 a posteriori with one
-    extra application of the map.  Raises NonContractionError when the term
+    extra application of the map, whose chain tail goes to _tail (see
+    OscillatoryTransport.apply).  Raises NonContractionError when the term
     norms fail to decrease three times in a row, MaxTermsExceededError when
-    the budget runs out.
+    the budget runs out; both carry the term-norm ratios ||t_k|| / ||t_(k-1)||.
     """
     h = T.phase.h
     w = T.source(amplitude)
@@ -289,11 +297,13 @@ def solve_density(
     g = w
     term = w
     prev_norm = w_norm
+    ratios = []
     rises = 0
     terms_used = 1
     while True:
         term = T.apply(term)
         t_norm = norm_lp(term, 2)
+        ratios.append(t_norm / prev_norm)
         if t_norm <= tol * w_norm:
             if t_norm > 0:
                 g = g + term
@@ -302,18 +312,21 @@ def solve_density(
         if t_norm >= prev_norm:
             rises += 1
             if rises >= 3:
-                raise NonContractionError(h)
+                raise NonContractionError(h, ratios=ratios)
         else:
             rises = 0
         g = g + term
         terms_used += 1
         prev_norm = t_norm
         if terms_used >= max_terms:
-            raise MaxTermsExceededError(h, max_terms)
-    residual = norm_lp(g - T.apply(g) - w, 2)
+            raise MaxTermsExceededError(h, max_terms, ratios=ratios)
+    residual = norm_lp(g - T.apply(g, _tail) - w, 2)
     if residual > 2.0 * tol * w_norm:
         raise MaxTermsExceededError(
-            h, max_terms, f"a-posteriori residual {residual:.3e} exceeds 2*tol*||w|| at h={h}"
+            h,
+            max_terms,
+            f"a-posteriori residual {residual:.3e} exceeds 2*tol*||w|| at h={h}",
+            ratios,
         )
     return g, terms_used
 
@@ -324,13 +337,20 @@ def build_cgo(
     tol: float = DEFAULT_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> CGOSolution:
-    """Density solve and remainder on the transport T; the carrier sign is T's."""
-    m, grid = T.op.m, T.grid
-    amplitude.check_admissible(m)
-    g, terms = solve_density(T, amplitude, tol, max_terms)
-    r = grid.zero() if g.is_zero() else ScalarField(
-        grid, cauchy_chain(grid, T.e_minus * g.values, m)
-    )
+    """Density solve and remainder on the transport T; the carrier sign is T's.
+
+    The solve's a-posteriori check forms dbar_inv^(m - min(cols))(E- * g), so
+    r = dbar_inv^m(E- * g) takes only min(cols) more transforms.
+    """
+    grid = T.grid
+    amplitude.check_admissible(T.op.m)
+    tail = []
+    g, terms = solve_density(T, amplitude, tol, max_terms, tail)
+    if g.is_zero():
+        r = grid.zero()
+    else:
+        lowest = T.cols[0]
+        r = ScalarField(grid, cauchy_chain(grid, tail[0], lowest) if lowest else tail[0])
     return CGOSolution(
         phase=T.phase,
         amplitude=amplitude,
@@ -354,7 +374,7 @@ def build_adjoint_cgo(
 
 
 def smooth_random_field(grid: ComplexGrid, seed: int = 0) -> ScalarField:
-    """Unit-L2 random start for power iteration: white noise smoothed and normalized."""
+    """Unit-L2 random start for the norm probe: white noise smoothed and normalized."""
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
     width = max(2.0, grid.n / 32.0)
@@ -365,30 +385,70 @@ def smooth_random_field(grid: ComplexGrid, seed: int = 0) -> ScalarField:
     return f * (1.0 / norm_lp(f, 2))
 
 
-def transport_norm_probe(T: OscillatoryTransport, iterations: int = 20, seed: int = 0):
-    """Power-iteration estimate of the L2 operator norm of T, as (estimate, sweeps).
+def _ring(values: np.ndarray) -> np.ndarray:
+    """The 4n - 4 boundary entries of an n x n array: where a trapezoid weight is below 1."""
+    return np.concatenate((values[0], values[-1], values[1:-1, 0], values[1:-1, -1]))
 
-    Iterates T*T from a random smooth start; the square root of the Rayleigh
-    quotient estimates the largest singular value.  Each sweep applies T and
-    takes the estimate ||T v|| / ||v|| before applying T*.  The iteration
-    stops after sweep k >= 2 once |est_k - est_(k-1)| <= PROBE_RTOL * est_k,
-    or after `iterations` sweeps (the cap); the sweep that stops does not
-    apply T*.  The estimate converges geometrically, so a stopped estimate
-    lies within a small multiple of PROBE_RTOL of what further sweeps give.
-    A transport with no nonzero coefficient gives (0.0, 0).
+
+def _unit(grid: ComplexGrid, values: np.ndarray):
+    """(values / ||values|| as a field, ||values||) in the plain vdot norm; no field for 0."""
+    norm = float(np.sqrt(np.vdot(values, values).real))
+    return (ScalarField(grid, values * (1.0 / norm)) if norm else None), norm
+
+
+def _ritz_ratio(alphas, betas, u_rings, v_rings, c) -> float:
+    """||T x||_W / ||x||_W for the top Ritz vector x = V y of the bidiagonal.
+
+    B's top singular triplet (sigma, p, y) gives T x = U B y = sigma U p with
+    ||U p|| = ||V y|| = 1, and a field's squared W-norm is proportional to its
+    squared plain norm less sum_ring c |f|^2, so only the ring entries are needed.
     """
-    est, sweep = 0.0, 0
-    if T.active:
-        v = smooth_random_field(T.grid, seed)
-        for sweep in range(1, iterations + 1):
-            tv = T.apply(v)
-            nv = norm_lp(v, 2)
-            prev, est = est, (norm_lp(tv, 2) / nv) if nv > 0 else 0.0
-            if sweep == iterations or (sweep > 1 and abs(est - prev) <= PROBE_RTOL * est):
-                break
-            w = T.apply_adjoint(tv)
-            nw = norm_lp(w, 2)
-            if nw == 0.0:
-                break
-            v = w * (1.0 / nw)
-    return est, sweep
+    B = np.diag(alphas) + np.diag(betas, 1)
+    P, sigma, Qh = np.linalg.svd(B)
+    tx = reduce(add, (p * ring for p, ring in zip(P[:, 0], u_rings)))
+    x = reduce(add, (y * ring for y, ring in zip(Qh[0], v_rings)))
+    return float(sigma[0] * np.sqrt((1.0 - c @ np.abs(tx) ** 2) / (1.0 - c @ np.abs(x) ** 2)))
+
+
+def transport_norm_probe(T: OscillatoryTransport, iterations: int = 20, seed: int = 0):
+    """Golub-Kahan-Lanczos estimate of the L2 operator norm of T, as (estimate, sweeps).
+
+    Bidiagonalizes T from a random smooth start v_1 in the plain vdot inner
+    product, in which apply_adjoint is exact: step k applies T to v_k for
+    alpha_k u_k = T v_k - beta_(k-1) u_(k-1), then T* to u_k for
+    beta_k v_(k+1) = T* u_k - alpha_k v_k, so T V_k = U_k B_k with B_k upper
+    bidiagonal.  After the k-th forward apply the estimate is ||T x|| / ||x||
+    in the trapezoid-weighted norm_lp for the top Ritz vector x of B_k, the
+    ratio a power iteration on T*T converges to.  There is no
+    reorthogonalization, and memory stays flat: two Lanczos vectors, B_k and
+    the ring entries of each u_i and v_i are kept (see _ritz_ratio).  The
+    iteration stops after step k >= 2 once |est_k - est_(k-1)| <=
+    PROBE_RTOL * est_k, or after `iterations` steps (the cap); the step that
+    stops does not apply T*, and a zero alpha or beta stops with the current
+    estimate.  sweeps counts the forward applies.  A transport with no
+    nonzero coefficient gives (0.0, 0).
+    """
+    est, k = 0.0, 0
+    if not T.active:
+        return est, k
+    grid = T.grid
+    w = grid._trapezoid_1d
+    c = 1.0 - _ring(np.outer(w, w))
+    v, _ = _unit(grid, smooth_random_field(grid, seed).values)
+    alphas, betas, u_rings, v_rings = [], [], [], []
+    for k in range(1, iterations + 1):
+        # one expression each, so no unnormalized vector outlives its step
+        u, alpha = _unit(grid, T.apply(v).values - (betas[-1] * u.values if betas else 0.0))
+        if alpha == 0.0:
+            break
+        alphas.append(alpha)
+        u_rings.append(_ring(u.values))
+        v_rings.append(_ring(v.values))
+        prev, est = est, _ritz_ratio(alphas, betas, u_rings, v_rings, c)
+        if k == iterations or (k > 1 and abs(est - prev) <= PROBE_RTOL * est):
+            break
+        v, beta = _unit(grid, T.apply_adjoint(u).values - alpha * v.values)
+        if beta == 0.0:
+            break
+        betas.append(beta)
+    return est, k

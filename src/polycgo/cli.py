@@ -506,7 +506,7 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="run directory (default from config)")
         p.add_argument("--threads", type=int, default=1, help="FFT worker threads")
         p.add_argument("--seed", type=int, default=0,
-                       help="seed for the power-iteration start field")
+                       help="seed for the norm probe's start field")
     args = parser.parse_args(argv)
 
     try:

@@ -1,6 +1,15 @@
 """Exception types shared across the package."""
 
 
+def _with_ratios(message, ratios):
+    """message, followed by the Neumann term-norm ratios ||t_k|| / ||t_(k-1)|| if any."""
+    if not ratios:
+        return message
+    return f"{message}; term-norm ratios ||t_k||/||t_(k-1)||: " + ", ".join(
+        f"{r:.4g}" for r in ratios
+    )
+
+
 class CouplingError(ValueError):
     """Grid spacing is too coarse for the requested oscillation scale h."""
 
@@ -8,19 +17,25 @@ class CouplingError(ValueError):
 class NonContractionError(RuntimeError):
     """Neumann iteration stopped contracting; h is too large for this operator."""
 
-    def __init__(self, h, message=None):
+    def __init__(self, h, message=None, ratios=()):
         self.h = h
-        super().__init__(message or f"transport map is not a contraction at h={h}")
+        self.ratios = tuple(ratios)
+        super().__init__(
+            _with_ratios(message or f"transport map is not a contraction at h={h}", ratios)
+        )
 
 
 class MaxTermsExceededError(RuntimeError):
     """Neumann series failed to reach the requested tolerance within max_terms."""
 
-    def __init__(self, h, max_terms, message=None):
+    def __init__(self, h, max_terms, message=None, ratios=()):
         self.h = h
         self.max_terms = max_terms
+        self.ratios = tuple(ratios)
         super().__init__(
-            message or f"Neumann series at h={h} did not converge in {max_terms} terms"
+            _with_ratios(
+                message or f"Neumann series at h={h} did not converge in {max_terms} terms", ratios
+            )
         )
 
 

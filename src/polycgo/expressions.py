@@ -117,6 +117,18 @@ def _admitted(node, callees) -> bool:
     return isinstance(node, (ast.operator, ast.unaryop, ast.Load))
 
 
+def _operands(node) -> list:
+    """The children evaluated before node, left to right; a '^' exponent is
+    read from the tree, not evaluated."""
+    if isinstance(node, ast.BinOp):
+        return [node.left] if isinstance(node.op, ast.Pow) else [node.left, node.right]
+    if isinstance(node, ast.UnaryOp):
+        return [node.operand]
+    if isinstance(node, ast.Call):
+        return node.args
+    return []
+
+
 def bump_profile(z: np.ndarray, cx: float, cy: float, radius: float, amp: complex):
     """amp * exp(1 - 1/(1 - r^2/radius^2)) inside |z - c| < radius, else 0."""
     if radius <= 0:
@@ -144,26 +156,46 @@ class Expression:
                 found = ast.get_source_segment(source, node)
                 raise ExpressionError(f"{found!r} is not in the grammar, in {text!r}")
 
-    def _eval(self, node, z):
-        if isinstance(node, ast.Constant):
-            return complex(node.value)
-        if isinstance(node, ast.Name):
-            if z is None:
-                raise ExpressionError(f"{node.id!r} is not allowed in a constant expression")
-            return z if node.id == "z" else np.conj(z)
-        if isinstance(node, ast.UnaryOp):
-            return -self._eval(node.operand, z)
-        if isinstance(node, ast.BinOp):
-            if isinstance(node.op, ast.Pow):
-                return self._eval(node.left, z) ** _exponent(node.right)
-            return _BINARY[type(node.op)](self._eval(node.left, z), self._eval(node.right, z))
-        name = node.func.id
-        if name == "bump":
-            cx, cy, radius, amp = (complex(self._eval(a, None)) for a in node.args)
-            if z is None:
-                raise ExpressionError("bump is not allowed in a constant expression")
-            return bump_profile(z, cx.real, cy.real, radius.real, amp)
-        return _UNARY_FUNCTIONS[name](self._eval(node.args[0], z))
+    def _eval(self, root, z):
+        """The value of the tree at root, walked with an explicit stack.
+
+        Post-order: a node is computed once its operands, evaluated left to
+        right, are on the value stack, so sums of thousands of terms evaluate
+        with the same operations, in the same order, as a recursive walk.
+        bump's arguments are evaluated as constants (z is None).
+        """
+        values = []
+        todo = [(root, z, False)]
+        while todo:
+            node, z, ready = todo.pop()
+            if not ready:
+                todo.append((node, z, True))
+                if isinstance(node, ast.Call) and node.func.id == "bump":
+                    z = None
+                todo.extend((child, z, False) for child in reversed(_operands(node)))
+                continue
+            if isinstance(node, ast.Constant):
+                values.append(complex(node.value))
+            elif isinstance(node, ast.Name):
+                if z is None:
+                    raise ExpressionError(f"{node.id!r} is not allowed in a constant expression")
+                values.append(z if node.id == "z" else np.conj(z))
+            elif isinstance(node, ast.UnaryOp):
+                values.append(-values.pop())
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                values.append(values.pop() ** _exponent(node.right))
+            elif isinstance(node, ast.BinOp):
+                right = values.pop()
+                values.append(_BINARY[type(node.op)](values.pop(), right))
+            elif node.func.id == "bump":
+                cx, cy, radius, amp = (complex(a) for a in values[-4:])
+                del values[-4:]
+                if z is None:
+                    raise ExpressionError("bump is not allowed in a constant expression")
+                values.append(bump_profile(z, cx.real, cy.real, radius.real, amp))
+            else:
+                values.append(_UNARY_FUNCTIONS[node.func.id](values.pop()))
+        return values.pop()
 
     def _finite(self, z):
         """The expression's value at z (None for a constant), refused unless finite."""
@@ -172,7 +204,7 @@ class Expression:
                 vals = self._eval(self._ast, z)
             except ZeroDivisionError:
                 raise ExpressionError(f"division by zero in {self.text!r}") from None
-            except (OverflowError, RecursionError) as exc:
+            except OverflowError as exc:
                 raise ExpressionError(f"cannot evaluate {self.text!r}: {exc}") from None
         if not np.all(np.isfinite(vals)):
             raise ExpressionError(f"{self.text!r} is not finite everywhere it is evaluated")

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -12,6 +13,7 @@ from polycgo import (
     CauchyKernel,
     ComplexGrid,
     CouplingError,
+    MaxTermsExceededError,
     NonContractionError,
     OscillatoryTransport,
     PerturbedOperator,
@@ -30,6 +32,7 @@ from polycgo import (
     to_divergence_form,
     transport_norm_probe,
 )
+from polycgo import cgo
 from polycgo.cgo import PROBE_RTOL
 
 PHASE = PhaseSpec(0.1 + 0.1j, 0.3)
@@ -237,17 +240,18 @@ class TestArrayPath:
             assert counts["transforms"] == expect
         assert out.is_zero() == (constant_source == 0)
 
-        # build_cgo: the source, each Neumann apply, and m more for a nonzero remainder
+        # build_cgo: the source and each Neumann apply; the remainder finishes the
+        # a-posteriori check's chain, so a nonzero one takes lowest_col more
         apply = OscillatoryTransport.apply
 
-        def counted_apply(transport, v):
+        def counted_apply(transport, *args):
             counts["applies"] += 1
-            return apply(transport, v)
+            return apply(transport, *args)
 
         monkeypatch.setattr(OscillatoryTransport, "apply", counted_apply)
         counts.clear()
         sol = build_cgo(T, AmplitudeSpec.monomial(grid64, 0))
-        remainder = 0 if sol.g.is_zero() else m
+        remainder = 0 if sol.g.is_zero() else lowest_col
         expect = per_apply * counts["applies"] + constant_source + remainder
         assert counts["transforms"] == expect
 
@@ -306,13 +310,49 @@ class TestSolveDensity:
         assert terms >= 3
 
     def test_max_terms_budget(self, testbed128_div, grid128):
-        from polycgo import MaxTermsExceededError
-
         with pytest.raises(MaxTermsExceededError):
             solve_density(
                 OscillatoryTransport(testbed128_div, PHASE), AmplitudeSpec.monomial(grid128, 0),
                 tol=1e-14, max_terms=3,
             )
+
+    def test_max_terms_message_carries_term_ratios(self, testbed128_div, grid128):
+        T = OscillatoryTransport(testbed128_div, PHASE)
+        a = AmplitudeSpec.monomial(grid128, 0)
+        with pytest.raises(MaxTermsExceededError, match="did not converge in 3 terms") as info:
+            solve_density(T, a, tol=1e-14, max_terms=3)
+        term = T.source(a)
+        norms = [norm_lp(term, 2)]
+        for _ in range(2):
+            term = T.apply(term)
+            norms.append(norm_lp(term, 2))
+        ratios = tuple(n1 / n0 for n0, n1 in zip(norms, norms[1:]))
+        assert info.value.ratios == ratios
+        assert str(info.value) == (
+            f"Neumann series at h={PHASE.h} did not converge in 3 terms; term-norm ratios "
+            "||t_k||/||t_(k-1)||: " + ", ".join(f"{r:.4g}" for r in ratios)
+        )
+
+    def test_noncontraction_message_carries_term_ratios(self, grid64):
+        # the testbed's coefficients scaled until the map stops contracting
+        a = AmplitudeSpec.monomial(grid64, 0)
+        testbed = to_divergence_form(bump_testbed(grid64))
+        for scale in (1, 4, 16, 64):
+            coeffs = {jk: scale * testbed.coeff(*jk) for jk in testbed.nonzero_indices()}
+            op = PerturbedOperator(grid64, 2, coeffs, form="divergence")
+            try:
+                solve_density(OscillatoryTransport(op, PHASE), a)
+            except NonContractionError as exc:
+                err = exc
+                break
+        else:
+            pytest.fail("no scale made the map expand")
+        assert scale > 1
+        assert len(err.ratios) >= 3 and min(err.ratios[-3:]) >= 1.0
+        assert str(err) == (
+            f"transport map is not a contraction at h={PHASE.h}; term-norm ratios "
+            "||t_k||/||t_(k-1)||: " + ", ".join(f"{r:.4g}" for r in err.ratios)
+        )
 
     def test_noncontraction_detected(self, grid64):
         # a huge coefficient makes the map expand at any resolvable h; the
@@ -465,6 +505,35 @@ def power_estimates(T, v, sweeps):
     return ests
 
 
+# the probe's estimate against the explicit full-basis oracle: roundoff only
+GKL_RTOL = 1e-13
+
+
+def gkl_estimates(T, v, steps):
+    """The Golub-Kahan-Lanczos estimate after each of `steps` steps, with no stop.
+
+    Keeps every Lanczos vector, forms the top Ritz vector x = V y and applies T
+    to it, where the probe keeps ring entries only and uses T x = U B y.
+    """
+    vs, us, alphas, betas, ests = [], [], [], [], []
+    v = v * (1.0 / np.linalg.norm(v.values))
+    for k in range(steps):
+        p = T.apply(v) if k == 0 else T.apply(v) - betas[-1] * us[-1]
+        alphas.append(np.linalg.norm(p.values))
+        vs.append(v)
+        us.append(p * (1.0 / alphas[-1]))
+        B = np.diag(alphas) + np.diag(betas, 1)
+        y = np.linalg.svd(B)[2][0]
+        x = vs[0] * complex(y[0])
+        for yi, vi in zip(y[1:], vs[1:]):
+            x = x + vi * complex(yi)
+        ests.append(norm_lp(T.apply(x), 2) / norm_lp(x, 2))
+        q = T.apply_adjoint(us[-1]) - alphas[-1] * v
+        betas.append(np.linalg.norm(q.values))
+        v = q * (1.0 / betas[-1])
+    return ests
+
+
 def count_applies(monkeypatch):
     """Tally T.apply and T.apply_adjoint calls by h from here on."""
     calls = {"apply": Counter(), "apply_adjoint": Counter()}
@@ -508,7 +577,7 @@ class TestNormProbe:
         phases = [PHASE.with_h(h) for h in (0.3, 0.2)]
         start = smooth_random_field(grid128, 0)
         expect = [
-            power_estimates(OscillatoryTransport(testbed128_div, p), start, 4)[-1]
+            gkl_estimates(OscillatoryTransport(testbed128_div, p), start, 4)[-1]
             for p in phases
         ]
         calls = count_applies(monkeypatch)
@@ -516,7 +585,9 @@ class TestNormProbe:
             transport_norm_probe(OscillatoryTransport(testbed128_div, p), iterations=4, seed=0)
             for p in phases
         ]
-        assert probes == [(est, 4) for est in expect]
+        assert [k for _, k in probes] == [4, 4]
+        for (est, _), oracle in zip(probes, expect):
+            assert abs(est - oracle) <= GKL_RTOL * oracle
         # the capping sweep skips its adjoint
         assert calls == {"apply": {0.3: 4, 0.2: 4}, "apply_adjoint": {0.3: 3, 0.2: 3}}
 
@@ -527,14 +598,64 @@ class TestNormProbe:
             p.h: power_estimates(OscillatoryTransport(testbed128_div, p), start, 20)
             for p in phases
         }
+        oracle = {
+            p.h: gkl_estimates(OscillatoryTransport(testbed128_div, p), start, 20)
+            for p in phases
+        }
         calls = count_applies(monkeypatch)
         for p in phases:
             est, k = transport_norm_probe(OscillatoryTransport(testbed128_div, p), seed=0)
-            ests = full[p.h]
+            ests, gkl = full[p.h], oracle[p.h]
             settled = [
-                i + 1 for i in range(1, 20) if abs(ests[i] - ests[i - 1]) <= PROBE_RTOL * ests[i]
+                i + 1 for i in range(1, 20) if abs(gkl[i] - gkl[i - 1]) <= PROBE_RTOL * gkl[i]
             ]
-            assert k < 20 and k == settled[0]  # the first sweep that meets the rule
-            assert est == ests[k - 1]
+            assert k < 20 and k == settled[0]  # the first step that meets the rule
+            assert abs(est - gkl[k - 1]) <= GKL_RTOL * gkl[k - 1]
             assert abs(est - ests[-1]) <= 1e-11 * ests[-1]
             assert calls["apply"][p.h] == k and calls["apply_adjoint"][p.h] == k - 1
+
+    @pytest.mark.parametrize("n", (16, 32))
+    @pytest.mark.parametrize("table", ("testbed", "m3_cols_1_2"))
+    def test_matches_dense_oracle(self, n, table):
+        # T formed column by column; v1 is its top right singular vector in the
+        # plain inner product, the vector the probe's estimate is taken at
+        grid = ComplexGrid(0j, 1.0, n)
+        if table == "testbed":
+            op = to_divergence_form(bump_testbed(grid))
+        else:
+            op = coeff_table(grid, 3, ((0, 1), (1, 2), (2, 1)))
+        T = OscillatoryTransport(op, PhaseSpec(0.1 + 0.1j, 8.0 * grid.spacing))
+        unit = np.zeros(n * n, dtype=complex)
+        columns = []
+        for i in range(n * n):
+            unit[i] = 1.0
+            columns.append(T.apply(grid.field(unit.reshape(n, n))).values.ravel())
+            unit[i] = 0.0
+        M = np.column_stack(columns)
+        v1 = np.linalg.svd(M)[2][0].conj()
+        w = np.outer(grid._trapezoid_1d, grid._trapezoid_1d).ravel()
+        at_v1 = np.sqrt(np.sum(w * np.abs(M @ v1) ** 2) / np.sum(w * np.abs(v1) ** 2))
+        weighted_norm = np.linalg.norm(np.sqrt(w)[:, None] * M / np.sqrt(w)[None, :], 2)
+        est, k = transport_norm_probe(T)
+        assert k < 20
+        assert abs(est - at_v1) <= 1e-12 * at_v1
+        assert est <= weighted_norm * (1.0 + 1e-13)
+
+    def test_memory_flat_in_steps(self, testbed128_div, grid128, monkeypatch):
+        # with the settle rule off, 15 more steps may keep ring entries only:
+        # together less than one n x n field.  A negative tolerance, because at
+        # 0 the rule still stops where the estimate repeats to the last bit
+        monkeypatch.setattr(cgo, "PROBE_RTOL", -1.0)
+        T = OscillatoryTransport(testbed128_div, PHASE)
+        transport_norm_probe(T, iterations=2)  # kernel and adjoint weights built
+        peak = {}
+        tracemalloc.start()
+        try:
+            for steps in (5, 20):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                assert transport_norm_probe(T, iterations=steps)[1] == steps
+                peak[steps] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak[20] - peak[5] < grid128.n**2 * np.dtype(complex).itemsize

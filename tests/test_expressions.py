@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from support import DEEP_EXPRESSIONS, smooth_bump_profile
 
 from polycgo import (
+    ComplexGrid,
     ExpressionError,
     constant_from_expression,
     field_from_expression,
@@ -70,6 +71,18 @@ class TestGrammar:
     def test_deep_input_is_a_parse_error(self, text):
         with pytest.raises(ExpressionError):
             parse_expression(text)
+
+    @pytest.mark.parametrize("terms", (1500, 2500))
+    def test_long_sum_evaluates_left_to_right(self, terms):
+        # deeper than the interpreter's recursion limit, yet within ast.parse's
+        grid = ComplexGrid(0j, 1.0, 16)
+        values = {"z": grid.nodes, "0.3": 0.3 + 0j, "zbar": np.conj(grid.nodes), "1.7i": 1.7j}
+        parts = list(values) * (terms // 4)
+        expect = values[parts[0]]
+        for part in parts[1:]:
+            expect = expect + values[part]
+        got = field_from_expression(grid, "+".join(parts)).values
+        assert np.array_equal(got, expect)
 
     def test_unknown_character(self):
         with pytest.raises(ExpressionError):
