@@ -12,7 +12,9 @@ NUMBER is a float literal; an immediately trailing 'i' makes it imaginary, so
 complex constants are written like 1+2i or 0.5i.  Functions: exp(f), re(f),
 im(f), conj(f), and bump(cx, cy, radius, amp) - the smooth compactly supported
 profile amp * exp(1 - 1/(1 - r^2/radius^2)) for r = |z - (cx + i*cy)| < radius
-and identically zero outside.  Powers take integer exponents only.
+and identically zero outside.  Powers take integer exponents only.  A tree
+nested deeper than MAX_DEPTH (a sum of more than MAX_DEPTH terms, say) is
+refused.
 
 The grammar is a subset of Python's expression grammar with the same
 precedences, so each token is spelled as Python, Python's parser builds the
@@ -24,6 +26,7 @@ from __future__ import annotations
 import ast
 import operator
 import re as _re
+import sys
 from math import isfinite
 
 import numpy as np
@@ -52,6 +55,9 @@ _UNARY_FUNCTIONS = {
 }
 _ARITY = dict.fromkeys(_UNARY_FUNCTIONS, 1) | {"bump": 4}
 _VARIABLES = ("z", "zbar")
+# the most expression nodes on one root-to-leaf path: a bound of its own, so what
+# parses does not hang on the interpreter's recursion limit or the caller's stack
+MAX_DEPTH = 2500
 _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
            ast.Div: operator.truediv, ast.Pow: operator.pow}
 
@@ -117,6 +123,17 @@ def _admitted(node, callees) -> bool:
     return isinstance(node, (ast.operator, ast.unaryop, ast.Load))
 
 
+def _parse(source: str):
+    """ast.parse of source, with the recursion headroom its tree conversion
+    needs for MAX_DEPTH nodes whatever the caller's stack depth."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + MAX_DEPTH)
+    try:
+        return ast.parse(source, mode="eval").body
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def _operands(node) -> list:
     """The children evaluated before node, left to right; a '^' exponent is
     read from the tree, not evaluated."""
@@ -127,6 +144,17 @@ def _operands(node) -> list:
     if isinstance(node, ast.Call):
         return node.args
     return []
+
+
+def _depth(root) -> int:
+    """The most expression nodes on one path from root to a leaf."""
+    deepest = 0
+    todo = [(root, 1)]
+    while todo:
+        node, depth = todo.pop()
+        deepest = max(deepest, depth)
+        todo.extend((child, depth + 1) for child in _operands(node))
+    return deepest
 
 
 def bump_profile(z: np.ndarray, cx: float, cy: float, radius: float, amp: complex):
@@ -147,9 +175,11 @@ class Expression:
         self.text = text
         source = _as_python(text)
         try:
-            self._ast = ast.parse(source, mode="eval").body
+            self._ast = _parse(source)
         except (SyntaxError, RecursionError) as exc:
             raise ExpressionError(f"cannot parse {text!r}: {getattr(exc, 'msg', exc)}") from None
+        if _depth(self._ast) > MAX_DEPTH:
+            raise ExpressionError(f"{text!r} is nested deeper than {MAX_DEPTH}")
         callees = set()
         for node in ast.walk(self._ast):
             if not _admitted(node, callees):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from polycgo import (
     field_from_expression,
     parse_expression,
 )
+from polycgo.expressions import MAX_DEPTH
 
 
 class TestLiterals:
@@ -71,6 +74,26 @@ class TestGrammar:
     def test_deep_input_is_a_parse_error(self, text):
         with pytest.raises(ExpressionError):
             parse_expression(text)
+
+    @pytest.mark.parametrize("extra", (0, 2000, 10000))
+    def test_depth_bound_ignores_recursion_limit(self, extra):
+        # Hypothesis raises the interpreter's limit while a test runs; under a
+        # raised limit ast.parse once took 5000 minus signs, which then evaluated
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + extra)
+        try:
+            for text in DEEP_EXPRESSIONS.values():
+                with pytest.raises(ExpressionError):
+                    parse_expression(text)
+            sum_at_bound = "+".join(["z"] * MAX_DEPTH)
+            minus_at_bound = "-" * (MAX_DEPTH - 1) + "z"
+            parse_expression(sum_at_bound)
+            parse_expression(minus_at_bound)
+            for deeper in (sum_at_bound + "+z", "-" + minus_at_bound):
+                with pytest.raises(ExpressionError, match="nested deeper"):
+                    parse_expression(deeper)
+        finally:
+            sys.setrecursionlimit(limit)
 
     @pytest.mark.parametrize("terms", (1500, 2500))
     def test_long_sum_evaluates_left_to_right(self, terms):
