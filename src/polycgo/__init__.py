@@ -6,9 +6,7 @@ from .cauchy import (
     CauchyKernel,
     DecayProbe,
     d_inv,
-    d_inv_pow,
     dbar_inv,
-    dbar_inv_pow,
     kernel_for,
     lp_bound_constant,
     oscillatory_decay_probe,

@@ -8,8 +8,10 @@ smooth data and gives the singular cell its exact (zero, by odd symmetry)
 weight.  Application is fast convolution on the zero-padded doubled grid in
 pruned 1-D passes that transform no all-zero column and compute no cropped
 row; axis 0 goes first both ways, fft2's order, so the bits are those of the
-full padded fft2/ifft2.  CauchyKernel.apply_direct sums the same quadrature
-directly, as a validation oracle.
+full padded fft2/ifft2.  Both transforms take a power, dbar_inv(f, m) and
+d_inv(f, m), and run through one array-level chain, cauchy_chain.
+CauchyKernel.apply_direct sums the same quadrature directly, as a validation
+oracle.
 """
 
 from __future__ import annotations
@@ -82,12 +84,9 @@ class CauchyKernel:
 
     def __init__(self, grid: ComplexGrid):
         self.grid = grid
-        s = grid.spacing
-        cells = _cell_integral_table(grid.n, s)
-        self.kernel_table = cells / (np.pi * s * s)
-        self.kernel_table.setflags(write=False)
         # convolution with the exact cell integrals of 1/(pi*z); the area and
         # 1/pi factors are folded into the cached transform
+        cells = _cell_integral_table(grid.n, grid.spacing)
         self._khat = _fft.fft2(cells / np.pi, workers=_FFT_WORKERS)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -113,16 +112,17 @@ class CauchyKernel:
         """O(n^4) direct summation; validation oracle, refuses n > 128."""
         from scipy.signal import convolve2d
 
-        n = self.grid.n
+        n, s = self.grid.n, self.grid.spacing
         if n > 128:
             raise ValueError("direct summation is limited to n <= 128")
+        table = _cell_integral_table(n, s) / (np.pi * s * s)
         # unwrapped displacement table covering d in [-(n-1), n-1] per axis
         full = np.empty((2 * n - 1, 2 * n - 1), dtype=np.complex128)
         for a in range(-(n - 1), n):
             for b in range(-(n - 1), n):
-                full[a + n - 1, b + n - 1] = self.kernel_table[a % (2 * n), b % (2 * n)]
+                full[a + n - 1, b + n - 1] = table[a % (2 * n), b % (2 * n)]
         out = convolve2d(values, full, mode="full")[n - 1 : 2 * n - 1, n - 1 : 2 * n - 1]
-        return out * (self.grid.spacing**2)
+        return out * (s**2)
 
 
 @lru_cache(maxsize=4)
@@ -143,23 +143,13 @@ def cauchy_chain(
     return np.conj(out) if conj else out
 
 
-def dbar_inv(f: ScalarField) -> ScalarField:
-    """Right inverse of wirtinger_dbar: (1/pi) * integral of f(xi)/(z - xi)."""
-    return ScalarField(f.grid, cauchy_chain(f.grid, f.values))
-
-
-def d_inv(f: ScalarField) -> ScalarField:
-    """Right inverse of wirtinger_d; conjugate twin of dbar_inv."""
-    return ScalarField(f.grid, cauchy_chain(f.grid, f.values, conj=True))
-
-
-def dbar_inv_pow(f: ScalarField, m: int) -> ScalarField:
-    """m-fold composition of dbar_inv."""
+def dbar_inv(f: ScalarField, m: int = 1) -> ScalarField:
+    """Right inverse of wirtinger_dbar, (1/pi) * integral of f(xi)/(z - xi), applied m times."""
     return ScalarField(f.grid, cauchy_chain(f.grid, f.values, m))
 
 
-def d_inv_pow(f: ScalarField, m: int) -> ScalarField:
-    """m-fold composition of d_inv."""
+def d_inv(f: ScalarField, m: int = 1) -> ScalarField:
+    """Right inverse of wirtinger_d, the conjugate twin of dbar_inv, applied m times."""
     return ScalarField(f.grid, cauchy_chain(f.grid, f.values, m, conj=True))
 
 

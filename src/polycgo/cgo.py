@@ -15,7 +15,10 @@ r = dbar_inv^m(E- * g), finished from the chain of the solve's a-posteriori
 check, and u = exp(phase/h) * (a + r).  Adjoint solutions
 reuse the same machinery with the carrier sign flipped.  The transport is the
 one object per (operator, phase, sign): build_cgo and transport_norm_probe
-both take it.  A solution keeps only g and r.
+both take it, and it takes the divergence form, which to_divergence_form gives
+from either form.  A solution keeps only g and r.  Monomial amplitudes
+conj(z)^k/k! and recovery's monomial factors and weights are built by one
+rule, _monomial_part.
 """
 
 from __future__ import annotations
@@ -32,14 +35,7 @@ import scipy.ndimage
 from .cauchy import cauchy_chain
 from .errors import MaxTermsExceededError, NonContractionError, PrecisionError
 from .grid import ComplexGrid, ScalarField, _d, _dbar, mixed_wirtinger, norm_lp
-from .operators import (
-    DIVERGENCE,
-    STANDARD,
-    PerturbedOperator,
-    adjoint,
-    to_divergence_form,
-    to_standard_form,
-)
+from .operators import DIVERGENCE, STANDARD, PerturbedOperator, adjoint, to_divergence_form
 from .phase import PhaseSpec
 
 DEFAULT_TOL = 1e-10
@@ -49,6 +45,19 @@ RESIDUAL_MARGIN = 0.05  # residuals measured on the central 90% subgrid
 ADMISSIBLE_RTOL = 1e-6  # check_admissible's bound on |dbar^m a| / max(1, |a|)
 # residual_norm runs in np.longdouble, which some platforms make a plain double
 LONGDOUBLE_EPS = float(np.finfo(np.longdouble).eps)
+
+
+def _monomial_part(base, p: int):
+    """base**p / p! by repeated products: the scalar 1.0 for p = 0, base itself for p = 1."""
+    if p == 0:
+        return 1.0
+    if p == 1:
+        return base
+    out = base * base
+    for _ in range(p - 2):
+        out *= base
+    out /= factorial(p)
+    return out
 
 
 @dataclass(frozen=True)
@@ -61,11 +70,12 @@ class AmplitudeSpec:
 
     @classmethod
     def monomial(cls, grid: ComplexGrid, k: int) -> "AmplitudeSpec":
-        """conj(z)^k / k! in the global coordinate."""
+        """conj(z)^k / k! in the global coordinate, by repeated products."""
         if k < 0:
             raise ValueError("monomial degree must be nonnegative")
-        fac = factorial(k)
-        return cls("monomial", grid.sample(lambda z: np.conj(z) ** k / fac), degree=k)
+        zbar = np.conj(grid.nodes)
+        values = np.broadcast_to(_monomial_part(zbar, k), zbar.shape)
+        return cls("monomial", ScalarField(grid, values), degree=k)
 
     @classmethod
     def custom(cls, field: ScalarField) -> "AmplitudeSpec":
@@ -210,19 +220,9 @@ class OscillatoryTransport:
         return self._outer_sum(dbar_a)
 
 
-def as_divergence(op: PerturbedOperator) -> PerturbedOperator:
-    """op itself if it is in divergence form, else its conversion."""
-    return op if op.form == DIVERGENCE else to_divergence_form(op)
-
-
-def as_standard(op: PerturbedOperator) -> PerturbedOperator:
-    """op itself if it is in standard form, else its conversion."""
-    return op if op.form == STANDARD else to_standard_form(op)
-
-
 def adjoint_divergence(op: PerturbedOperator) -> PerturbedOperator:
     """Divergence form of the formal adjoint, the operator of the sign -1 family."""
-    return as_divergence(adjoint(as_standard(op)))
+    return to_divergence_form(adjoint(op))
 
 
 def residual_norm(op: PerturbedOperator, u: ScalarField) -> float:

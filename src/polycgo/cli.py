@@ -5,6 +5,9 @@ Commands:  poly cauchy-test | cgo | recover, each taking --config PATH plus
 normalized echo with its own hash), results.csv, slopes.csv, and log.txt; the
 CSV files embed the config hash and contain no wall-clock content, so a rerun
 of the same config is bit-identical (the log carries the only timestamp).
+Each command creates its run directory once it has read its whole config and
+before it computes anything; a directory that cannot be created is a config
+error.
 
 Exit codes: 0 success, 1 tolerance failure, 2 config error, 3 numerical
 failure (non-contraction, term budget, degenerate probe, carrier overflow,
@@ -25,10 +28,10 @@ from pathlib import Path
 from . import cauchy
 from .cauchy import dbar_inv, lp_bound_constant, oscillatory_decay_probe
 from .cgo import (
+    DEFAULT_MAX_TERMS,
+    DEFAULT_TOL,
     AmplitudeSpec,
     OscillatoryTransport,
-    as_divergence,
-    as_standard,
     build_cgo,
     residual_norm,
     transport_norm_probe,
@@ -44,7 +47,7 @@ from .errors import (
 )
 from .expressions import ExpressionError, constant_from_expression, field_from_expression
 from .grid import ComplexGrid, norm_hm, norm_lp, wirtinger_dbar
-from .operators import DIVERGENCE, STANDARD, PerturbedOperator
+from .operators import DIVERGENCE, STANDARD, PerturbedOperator, to_divergence_form, to_standard_form
 from .phase import COUPLING_FACTOR, PhaseSpec, violates_coupling
 from .recovery import AMPLITUDE_ONLY, FULL_CGO, RecoveryProblem, recover_all
 from .sweeps import DEFAULT_H_SWEEP, fit_loglog_slope
@@ -172,7 +175,7 @@ def build_grid(cfg: dict) -> ComplexGrid:
 
 
 def _coeff_table(grid, m, table, where):
-    coeffs = {}
+    coeffs, keys = {}, {}
     for key, text in sorted(table.items()):
         try:
             j_str, k_str = key.split(",")
@@ -181,6 +184,11 @@ def _coeff_table(grid, m, table, where):
             raise ConfigError(f"field {where}[{key}]: key must look like 'j,k'") from exc
         if not (0 <= j < m and 0 <= k < m):
             raise ConfigError(f"field {where}[{key}]: index out of range for m={m}")
+        if (j, k) in keys:
+            raise ConfigError(
+                f"field {where}[{key}]: index ({j},{k}) is already given by [{keys[(j, k)]}]"
+            )
+        keys[(j, k)] = key
         try:
             coeffs[(j, k)] = field_from_expression(grid, text)
         except ExpressionError as exc:
@@ -236,9 +244,10 @@ def build_phases(cfg: dict, grid: ComplexGrid):
 
 def build_solver(cfg: dict):
     section = _take(cfg, "", "solver", dict, default={})
-    tol = _take(section, "solver", "tol", float, default=1e-10, check=POSITIVE)
+    tol = _take(section, "solver", "tol", float, default=DEFAULT_TOL, check=POSITIVE)
     max_terms = _take(
-        section, "solver", "max_terms", int, default=50, check=(lambda n: n >= 1, ">= 1")
+        section, "solver", "max_terms", int, default=DEFAULT_MAX_TERMS,
+        check=(lambda n: n >= 1, ">= 1"),
     )
     return tol, max_terms
 
@@ -246,9 +255,17 @@ def build_solver(cfg: dict):
 # --------------------------------------------------------------- outputs ----
 
 class RunWriter:
-    """Collects result/slope rows and writes the run directory at the end."""
+    """Creates the run directory when opened, collects result/slope rows and
+    writes them at the end."""
 
     def __init__(self, out_dir: Path, cfg: dict):
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"--out/output.directory {str(out_dir)!r}: cannot create the run directory: "
+                f"{exc.strerror or exc}"
+            ) from exc
         self.out_dir = out_dir
         self.cfg = cfg
         self.hash = config_hash(cfg)
@@ -279,7 +296,6 @@ class RunWriter:
                 writer.writerow([_cell(row.get(c)) for c in cols])
 
     def flush(self) -> None:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         echo = dict(self.cfg)
         echo["config_hash"] = self.hash
         with open(self.out_dir / "config.json", "w") as fh:
@@ -330,15 +346,21 @@ def cmd_cauchy_test(cfg: dict, out_dir: Path) -> int:
         _as_float(q, f"cauchy.q_values[{i}]", (lambda q: 1 <= q < inf, ">= 1 and finite"))
         for i, q in enumerate(_take(section, "cauchy", "q_values", list, default=[2.0, 4.0]))
     ]
+    # the default gates q = 2 and q = 4 where they are configured
+    default_slopes = {key: s for key, s in (("2", 0.5), ("4", 0.2)) if float(key) in q_values}
     min_slopes = {}
     for key, value in _take(
-        section, "cauchy", "min_slopes", dict, default={"2": 0.5, "4": 0.2}
+        section, "cauchy", "min_slopes", dict, default=default_slopes
     ).items():
         where = f"cauchy.min_slopes[{key}]"
         try:
             q = float(key)
         except ValueError:
             raise ConfigError(f"field {where}: key must be a number") from None
+        if q not in q_values:
+            raise ConfigError(f"field {where}: q={q:g} is not in cauchy.q_values")
+        if q in min_slopes:
+            raise ConfigError(f"field {where}: another key already gives q={q:g}")
         min_slopes[q] = _as_float(value, where, FINITE)
     max_identity_err = _take(
         section, "cauchy", "inverse_identity_max_rel", float, default=1e-2, check=NON_NEGATIVE
@@ -394,7 +416,7 @@ def cmd_cgo(cfg: dict, out_dir: Path, seed: int) -> int:
     writer = RunWriter(out_dir, cfg)
     ok = True
     amplitude = AmplitudeSpec.monomial(grid, amplitude_degree)
-    op_div, op_std = as_divergence(op), as_standard(op)
+    op_div, op_std = to_divergence_form(op), to_standard_form(op)
     for z0 in z0_list:
         tag = f"z0={z0.real:g}{z0.imag:+g}i"
         rows = []

@@ -194,14 +194,14 @@ def wirtinger_dbar(f: ScalarField) -> ScalarField:
 
 
 def mixed_wirtinger(f: ScalarField, n_d: int, n_dbar: int) -> ScalarField:
-    """Apply wirtinger_d n_d times and wirtinger_dbar n_dbar times."""
+    """Apply wirtinger_d n_d times, then wirtinger_dbar n_dbar times."""
     if n_d < 0 or n_dbar < 0:
         raise ValueError("derivative orders must be nonnegative")
     out = f
-    for _ in range(n_dbar):
-        out = wirtinger_dbar(out)
     for _ in range(n_d):
         out = wirtinger_d(out)
+    for _ in range(n_dbar):
+        out = wirtinger_dbar(out)
     return out
 
 

@@ -8,16 +8,19 @@ are carried by a form tag:
   divergence:  d^m dbar^m u + sum d^j ( c[j,k] * dbar^k u )
 
 The two tables are related by a triangular binomial-derivative transform; the
-divergence table is the one the oscillatory integral equation consumes.  The
-formal adjoint (for the pairing integral of u * conj(v)) is produced by a
+divergence table is the one the oscillatory integral equation consumes.  Each
+conversion returns an operator already in its target form unchanged, so a
+caller converts without checking the form first.  The formal adjoint (for the
+pairing integral of u * conj(v)) takes either form and is produced by a
 Leibniz expansion over the (j, k) multi-indices rather than hand-coded per m.
+Every derivative d^a dbar^b is grid.mixed_wirtinger, d first.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .grid import ComplexGrid, ScalarField, mixed_wirtinger, wirtinger_d, wirtinger_dbar
+from .grid import ComplexGrid, ScalarField, mixed_wirtinger
 
 STANDARD = "standard"
 DIVERGENCE = "divergence"
@@ -62,32 +65,16 @@ class PerturbedOperator:
         return f"PerturbedOperator(m={self.m}, form={self.form}, nonzero={nz})"
 
 
-class _DerivativeCache:
-    """Memoized d^a dbar^b of one field, built by extending cached lower orders."""
-
-    def __init__(self, f: ScalarField):
-        self._memo = {(0, 0): f}
-
-    def get(self, a: int, b: int) -> ScalarField:
-        if (a, b) not in self._memo:
-            if b > 0:
-                self._memo[(a, b)] = wirtinger_dbar(self.get(a, b - 1))
-            else:
-                self._memo[(a, b)] = wirtinger_d(self.get(a - 1, 0))
-        return self._memo[(a, b)]
-
-
 def apply(op: PerturbedOperator, u: ScalarField) -> ScalarField:
     """Evaluate the operator on u with repeated Wirtinger stencils."""
     if u.grid != op.grid:
         raise ValueError("u lives on a different grid than the coefficients")
     m = op.m
-    du = _DerivativeCache(u)
-    out = du.get(m, m)
+    out = mixed_wirtinger(u, m, m)
     if op.form == STANDARD:
         for (j, k), c in sorted(op.coeffs.items()):
             if not c.is_zero():
-                out = out + c * du.get(j, k)
+                out = out + c * mixed_wirtinger(u, j, k)
     else:
         for j in range(m):
             row = None
@@ -95,7 +82,7 @@ def apply(op: PerturbedOperator, u: ScalarField) -> ScalarField:
                 c = op.coeffs[(j, k)]
                 if c.is_zero():
                     continue
-                term = c * du.get(0, k)
+                term = c * mixed_wirtinger(u, 0, k)
                 row = term if row is None else row + term
             if row is not None:
                 out = out + mixed_wirtinger(row, j, 0)
@@ -107,9 +94,10 @@ def to_divergence_form(op: PerturbedOperator) -> PerturbedOperator:
 
     Top-down in j: the highest row transfers unchanged, and each lower row is
     the standard coefficient minus the derivative spill-over of the rows above.
+    An operator already in divergence form is returned as it is.
     """
-    if op.form != STANDARD:
-        raise ValueError("operator is already in divergence form")
+    if op.form == DIVERGENCE:
+        return op
     m = op.m
     new = {}
     for k in range(m):
@@ -125,9 +113,10 @@ def to_divergence_form(op: PerturbedOperator) -> PerturbedOperator:
 
 
 def to_standard_form(op: PerturbedOperator) -> PerturbedOperator:
-    """Forward evaluation of the binomial-derivative sum."""
-    if op.form != DIVERGENCE:
-        raise ValueError("operator is already in standard form")
+    """Forward evaluation of the binomial-derivative sum; an operator already in
+    standard form is returned as it is."""
+    if op.form == STANDARD:
+        return op
     m = op.m
     new = {}
     for k in range(m):
@@ -146,10 +135,9 @@ def adjoint(op: PerturbedOperator) -> PerturbedOperator:
 
     The principal part is formally self-adjoint.  Each perturbation c * d^j dbar^k
     contributes (-1)^(j+k) dbar^j d^k (conj(c) * .), expanded by the Leibniz rule
-    into the standard coefficient table.
+    into the standard coefficient table, whichever form op is given in.
     """
-    if op.form != STANDARD:
-        raise ValueError("adjoint expects the standard form")
+    op = to_standard_form(op)
     m = op.m
     new = {}
     for (j, k) in sorted(op.coeffs):
@@ -157,11 +145,11 @@ def adjoint(op: PerturbedOperator) -> PerturbedOperator:
         if c.is_zero():
             continue
         sign = -1.0 if (j + k) % 2 else 1.0
-        dc = _DerivativeCache(c.conj())
+        cbar = c.conj()
         for alpha in range(j + 1):  # dbar falling on v (alpha times)
             for beta in range(k + 1):  # d falling on v (beta times)
                 w = sign * comb(j, alpha) * comb(k, beta)
-                contrib = w * dc.get(k - beta, j - alpha)
+                contrib = w * mixed_wirtinger(cbar, k - beta, j - alpha)
                 key = (beta, alpha)
                 new[key] = contrib if key not in new else new[key] + contrib
     return PerturbedOperator(op.grid, m, new, form=STANDARD)

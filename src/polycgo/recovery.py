@@ -9,7 +9,8 @@ is C * h * sum (-1)^j B[j,k](z0) * weights(z0), with the universal constant
 C = pi/2 (the product of two quadratic-phase line integrals).  Pairing with
 monomial amplitudes makes the weight matrix triangular, so the differences are
 recovered one level of j+k at a time, subtracting what earlier levels already
-determined.
+determined.  Every monomial here, in the integrand, the weights and the noise
+floor, is cgo._monomial_part, the rule AmplitudeSpec.monomial builds on.
 """
 
 from __future__ import annotations
@@ -17,14 +18,22 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import factorial, pi
+from math import pi
 
 import numpy as np
 
-from .cgo import AmplitudeSpec, OscillatoryTransport, adjoint_divergence, as_divergence, build_cgo
+from .cgo import (
+    DEFAULT_MAX_TERMS,
+    DEFAULT_TOL,
+    AmplitudeSpec,
+    OscillatoryTransport,
+    _monomial_part,
+    adjoint_divergence,
+    build_cgo,
+)
 from .errors import DegenerateProbeError
 from .grid import ComplexGrid, ScalarField, _dbar
-from .operators import PerturbedOperator
+from .operators import PerturbedOperator, to_divergence_form
 from .phase import PhaseSpec
 from .sweeps import fit_loglog_slope
 
@@ -34,6 +43,7 @@ STATIONARY_PHASE_CONSTANT = pi / 2.0
 
 SUPPORT_MARGIN = 0.05  # outer frame fraction that must be difference-free
 SUPPORT_TOL = 1e-12  # largest |difference| allowed on that frame
+CONDITIONING_BOUND = 100.0  # largest sum of a probe's subtraction weights
 AMPLITUDE_ONLY = "amplitude_only"
 FULL_CGO = "full_cgo"
 
@@ -120,25 +130,9 @@ def sample_bilinear(f: ScalarField, z: complex) -> complex:
     )
 
 
-def _monomial_part(base, p: int):
-    """base**p / p! by repeated products: the scalar 1.0 for p = 0, base itself for p = 1."""
-    if p == 0:
-        return 1.0
-    if p == 1:
-        return base
-    out = base * base
-    for _ in range(p - 2):
-        out *= base
-    out /= factorial(p)
-    return out
-
-
 def _monomial_weight(z0: complex, j0: int, k0: int, j: int, k: int) -> complex:
     """Value at z0 of dbar^k(conj(z)^k0/k0!) * d^j(z^j0/j0!)."""
-    return complex(
-        (np.conj(z0) ** (k0 - k) / factorial(k0 - k))
-        * (z0 ** (j0 - j) / factorial(j0 - j))
-    )
+    return complex(_monomial_part(np.conj(z0), k0 - k) * _monomial_part(z0, j0 - j))
 
 
 class RecoveryProblem:
@@ -158,9 +152,8 @@ class RecoveryProblem:
         probes,
         h_list,
         mode: str = AMPLITUDE_ONLY,
-        solver_tol: float = 1e-10,
-        max_terms: int = 50,
-        conditioning_bound: float = 100.0,
+        solver_tol: float = DEFAULT_TOL,
+        max_terms: int = DEFAULT_MAX_TERMS,
     ):
         if op.grid != op_tilde.grid:
             raise ValueError("operators live on different grids")
@@ -179,9 +172,8 @@ class RecoveryProblem:
         self.mode = mode
         self.solver_tol = solver_tol
         self.max_terms = max_terms
-        self.conditioning_bound = conditioning_bound
-        self._div = as_divergence(op)
-        self._div_tilde = as_divergence(op_tilde)
+        self._div = to_divergence_form(op)
+        self._div_tilde = to_divergence_form(op_tilde)
         self.differences = {
             (j, k): self._div_tilde.coeff(j, k) - self._div.coeff(j, k)
             for j in range(self.m)
@@ -210,9 +202,9 @@ class RecoveryProblem:
             for j0 in range(self.m)
             for k0 in range(self.m)
         )
-        if cond > self.conditioning_bound:
+        if cond > CONDITIONING_BOUND:
             raise DegenerateProbeError(
-                z0, f"subtraction weights sum to {cond:.3g} > bound {self.conditioning_bound:g}"
+                z0, f"subtraction weights sum to {cond:.3g} > bound {CONDITIONING_BOUND:g}"
             )
 
     def _cgo_pair(self, z0: complex, h: float, k0: int, j0: int):
@@ -312,10 +304,8 @@ def extraction_noise_floor(
     mass = 0.0
     for j in range(j0 + 1):
         for k in range(k0 + 1):
-            prod = np.abs(np.conj(z) ** (k0 - k)) * np.abs(z ** (j0 - j))
-            mass += float(np.mean(prod)) * (2 * grid.half_width) ** 2 / (
-                factorial(k0 - k) * factorial(j0 - j)
-            )
+            prod = np.abs(_monomial_part(np.conj(z), k0 - k) * _monomial_part(z, j0 - j))
+            mass += float(np.mean(prod)) * (2 * grid.half_width) ** 2
     return float(np.finfo(float).eps) * mass / (STATIONARY_PHASE_CONSTANT * h)
 
 
@@ -442,5 +432,5 @@ def _problem_config(problem: RecoveryProblem) -> dict:
         "h_list": list(problem.h_list),
         "solver_tol": problem.solver_tol,
         "max_terms": problem.max_terms,
-        "conditioning_bound": problem.conditioning_bound,
+        "conditioning_bound": CONDITIONING_BOUND,
     }

@@ -6,8 +6,13 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from polycgo import ComplexGrid, OscillatoryTransport, PerturbedOperator, field_from_expression
-from polycgo.cgo import as_divergence
+from polycgo import (
+    ComplexGrid,
+    OscillatoryTransport,
+    PerturbedOperator,
+    field_from_expression,
+    to_divergence_form,
+)
 
 # the standard m=2 bump testbed used by cgo/recovery tests: four distinct
 # smooth compactly supported coefficients well inside the outer frame
@@ -26,7 +31,7 @@ def bump_testbed(grid: ComplexGrid, form: str = "standard") -> PerturbedOperator
 
 def transport(op: PerturbedOperator, phase, sign: int = +1) -> OscillatoryTransport:
     """The transport of op in either form: what build_cgo and the norm probe take."""
-    return OscillatoryTransport(as_divergence(op), phase, sign)
+    return OscillatoryTransport(to_divergence_form(op), phase, sign)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import Counter
+from math import factorial
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from polycgo import (
     apply,
     build_adjoint_cgo,
     build_cgo,
-    d_inv_pow,
-    dbar_inv_pow,
+    d_inv,
+    dbar_inv,
     field_from_expression,
     masked_l2,
     mixed_wirtinger,
@@ -59,6 +60,16 @@ class TestAmplitudeSpec:
         a = AmplitudeSpec.monomial(grid64, 2)
         assert np.allclose(a.field.values, np.conj(grid64.nodes) ** 2 / 2.0)
 
+    @pytest.mark.parametrize("k", range(8))
+    def test_monomial_matches_complex_power(self, k, grid64):
+        # repeated products equal the complex power bit for bit up to k = 2 and
+        # to roundoff beyond; |z| <= sqrt(2) on the grid, so |zbar^k/k!| <= 1
+        got = AmplitudeSpec.monomial(grid64, k).field.values
+        expect = np.conj(grid64.nodes) ** k / factorial(k)
+        if k <= 2:
+            assert np.array_equal(got, expect)
+        assert np.max(np.abs(got - expect)) <= 1e-15
+
     def test_custom_admissibility_enforced(self, grid64):
         bad = AmplitudeSpec.custom(grid64.sample(lambda z: np.conj(z) ** 3))
         with pytest.raises(ValueError):
@@ -85,7 +96,7 @@ class TestTransportMap:
         got = OscillatoryTransport(op, PHASE).apply(v)
         e_plus = PHASE.oscillation(grid128)
         e_minus = PHASE.oscillation(grid128, -1)
-        expect = -1.0 * d_inv_pow(e_plus * bump * dbar_inv_pow(e_minus * v, 2), 2)
+        expect = -1.0 * d_inv(e_plus * bump * dbar_inv(e_minus * v, 2), 2)
         assert norm_lp(got - expect, 2) <= 1e-12 * max(norm_lp(expect, 2), 1.0)
 
     def test_linearity(self, testbed128_div, grid128):
@@ -173,13 +184,13 @@ class TestArrayPath:
             combo = op.coeff(j, 0) * x[0]
             for k in range(1, op.m):
                 combo = combo + op.coeff(j, k) * x[k]
-            out = out - d_inv_pow(e_plus * combo, op.m - j)
+            out = out - d_inv(e_plus * combo, op.m - j)
         return out
 
     def test_apply(self, setup, grid64):
         op, T, e_plus, e_minus = setup
         v = smooth_random_field(grid64, seed=3)
-        x = [dbar_inv_pow(e_minus * v, op.m - k) for k in range(op.m)]
+        x = [dbar_inv(e_minus * v, op.m - k) for k in range(op.m)]
         assert_matches_oracle(T.apply(v).values, self.outer_sum(op, e_plus, x).values)
 
     def test_source(self, setup, grid64):
@@ -192,7 +203,7 @@ class TestArrayPath:
         op, T, e_plus, _ = setup
         m = op.m
         v = smooth_random_field(grid64, seed=4)
-        inner = [dbar_inv_pow(v, m - j) for j in range(m)]
+        inner = [dbar_inv(v, m - j) for j in range(m)]
         out = None
         for k in range(m):
             combo = None
@@ -200,7 +211,7 @@ class TestArrayPath:
                 parity = -1.0 if (j + k) % 2 else 1.0
                 term = parity * (e_plus * op.coeff(j, k)).conj() * inner[j]
                 combo = term if combo is None else combo + term
-            piece = d_inv_pow(combo, m - k)
+            piece = d_inv(combo, m - k)
             out = piece if out is None else out + piece
         expect = -1.0 * (e_plus * out)
         assert "_adjoint_weights" not in vars(T)  # built on the first adjoint apply
@@ -286,7 +297,7 @@ class TestSource:
         e_plus = PHASE.oscillation(grid128)
         zbar = grid128.sample(np.conj)
         one = grid128.constant(1.0)
-        expect = -1.0 * d_inv_pow(e_plus * coeffs[(0, 0)] * zbar, 2) - d_inv_pow(
+        expect = -1.0 * d_inv(e_plus * coeffs[(0, 0)] * zbar, 2) - d_inv(
             e_plus * coeffs[(1, 1)] * one, 1
         )
         assert norm_lp(got - expect, 2) <= 1e-12 * norm_lp(expect, 2)

@@ -206,6 +206,26 @@ class TestCauchyCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["cauchy-test", "--config", cfg]) == 1
 
+    @pytest.mark.parametrize("min_slopes, key", [
+        ({"3": 100, "2.0": 0.5, "2": -100}, "3"),  # no q = 3 runs, so its gate never would
+        ({"2.0": 0.5, "2": -100}, "2"),  # two gates for q = 2; the later one once won
+    ])
+    def test_min_slopes_key_names_one_configured_q(self, tmp_path, capsys, min_slopes, key):
+        doc = base_cauchy_config(tmp_path / "r")
+        doc["cauchy"]["min_slopes"] = min_slopes
+        cfg = write_config(tmp_path, doc)
+        assert main(["cauchy-test", "--config", cfg]) == 2
+        assert f"cauchy.min_slopes[{key}]" in capsys.readouterr().err
+
+    def test_default_min_slopes_gate_the_configured_q(self, tmp_path):
+        # the default gates q = 2 and q = 4; with only q = 2 configured it gates q = 2
+        doc = base_cauchy_config(tmp_path / "r")
+        del doc["cauchy"]["min_slopes"]
+        cfg = write_config(tmp_path, doc)
+        assert main(["cauchy-test", "--config", cfg]) in (0, 1)
+        slopes = (tmp_path / "r" / "slopes.csv").read_text()
+        assert [l.split(",")[2] for l in slopes.splitlines() if l.startswith("decay")] == ["0.5"]
+
 
 class TestCgoCommand:
     def test_bump_run(self, tmp_path):
@@ -253,16 +273,19 @@ class TestCgoCommand:
     ])
     def test_one_conversion_and_one_transport_per_step(self, tmp_path, monkeypatch, form,
                                                        conversion):
-        # the operator is converted once per run, to the form it is not in;
-        # each (z0, h) builds one transport, which forms E+ and E- once and
-        # serves both the solution and the norm probe
+        # the operator is converted once per run, to the form it is not in
+        # (the conversion to its own form returns it as it is); each (z0, h)
+        # builds one transport, which forms E+ and E- once and serves both the
+        # solution and the norm probe
         calls = Counter()
-        for name in ("to_divergence_form", "to_standard_form", "adjoint"):
-            def counted(*args, _fn=getattr(cgo, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
+        for name in ("to_divergence_form", "to_standard_form"):
+            def counted(op, _fn=getattr(cli, name), _name=name):
+                out = _fn(op)
+                if out is not op:
+                    calls[_name] += 1
+                return out
 
-            monkeypatch.setattr(cgo, name, counted)
+            monkeypatch.setattr(cli, name, counted)
         init, oscillation = OscillatoryTransport.__init__, PhaseSpec.oscillation
         steps, transports = Counter(), []
 
@@ -507,6 +530,40 @@ def test_malformed_field_is_a_named_config_error(tmp_path, capsys, command, sect
     assert (f"{section}.{key}" if section else key) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, key, table", [
+    ("cgo", "coeffs", {"0,0": "bump(0, 0, 0.6, 1)", "00,0": "0"}),
+    ("recover", "coeffs_tilde", {"0,0": "bump(0, 0, 0.7, 1)", "0,00": "0"}),
+])
+def test_duplicate_coefficient_index_is_a_config_error(tmp_path, capsys, command, key, table):
+    # two keys for one (j, k): the later key in string order once silently won
+    doc = BASE_CONFIGS[command](tmp_path / "r")
+    doc["operator"][key] = table
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg]) == 2
+    assert f"operator.{key}[{sorted(table)[1]}]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, pipeline", [
+    ("cauchy-test", "dbar_inv"), ("cgo", "build_cgo"), ("recover", "recover_all"),
+])
+@pytest.mark.parametrize("via_flag", [True, False], ids=["--out", "output.directory"])
+def test_uncreatable_run_directory_is_a_config_error(tmp_path, capsys, monkeypatch, command,
+                                                     pipeline, via_flag):
+    # a file where the run directory should go: checked when the writer opens,
+    # before the pipeline runs; it once ran the command and then died in flush
+    taken = tmp_path / "taken"
+    taken.write_text("")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the pipeline ran before the run directory was checked")
+
+    monkeypatch.setattr(cli, pipeline, forbidden)
+    doc = BASE_CONFIGS[command](tmp_path / "unused" if via_flag else taken / "run")
+    argv = [command, "--config", write_config(tmp_path, doc)]
+    assert main(argv + ["--out", str(taken)] if via_flag else argv) == 2
+    assert "--out/output.directory" in capsys.readouterr().err
+
+
 SHIPPED_CONFIGS = sorted(
     str(p.relative_to(ROOT))
     for d in ("configs", "bench/configs")
@@ -583,6 +640,11 @@ def operator_fields(key, coeffs):
     }
 
 
+Q_VALUES = list_field(
+    st.floats(1.0, 6.0),
+    st.one_of(NOT_A_NUMBER, st.floats(max_value=1.0, exclude_max=True, allow_nan=False)),
+)
+
 # per command, the swept fields beyond grid and phase: (well-formed, malformed)
 SECTION_FIELDS = {
     "cgo": {
@@ -602,9 +664,9 @@ SECTION_FIELDS = {
         **operator_fields("coeffs", {"0,0": "bump(0, 0, 0.7, 0.2)", "1,1": "bump(0, 0, 0.7, 0.1)"}),
     },
     "cauchy-test": {
-        ("cauchy", "q_values"): list_field(
-            st.floats(1.0, 6.0),
-            st.one_of(NOT_A_NUMBER, st.floats(max_value=1.0, exclude_max=True, allow_nan=False)),
+        ("cauchy", "q_values"): (
+            # a well-formed q_values holds every q a well-formed min_slopes key names
+            Q_VALUES[0].map(lambda qs: [1.5, 2.0, 4.0] + qs), Q_VALUES[1],
         ),
         ("cauchy", "min_slopes"): (
             st.dictionaries(st.sampled_from(["2", "4", "1.5"]), st.floats(-1.0, 1.0)),
@@ -612,6 +674,8 @@ SECTION_FIELDS = {
                 st.sampled_from([[], 5, "x", None, True, [0.1]]),
                 st.dictionaries(st.sampled_from(["x", "", "two"]), st.floats(-1, 1), min_size=1),
                 st.fixed_dictionaries({"2": NOT_A_NUMBER}),
+                # a q that is not configured (q_values stay at or below 6), or one q twice
+                st.sampled_from([{"7": 0.1}, {"2": 0.1, "2.0": 0.2}]),
             ),
         ),
         ("cauchy", "inverse_identity_max_rel"): (

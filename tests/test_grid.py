@@ -12,6 +12,7 @@ from polycgo import (
     PerturbedOperator,
     ScalarField,
     integrate,
+    mixed_wirtinger,
     norm_hm,
     norm_lp,
     norm_w1p,
@@ -105,6 +106,18 @@ class TestWirtinger:
         ba = wirtinger_dbar(wirtinger_d(f))
         scale = norm_lp(ab, np.inf)
         assert norm_lp(ab - ba, np.inf) <= 1e-6 * scale
+
+    def test_mixed_wirtinger_applies_d_first(self, grid64, rng):
+        # the one order every derivative table uses: d^a, then dbar^b
+        f = grid64.field(rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+        for a in range(3):
+            for b in range(3):
+                expect = f
+                for _ in range(a):
+                    expect = wirtinger_d(expect)
+                for _ in range(b):
+                    expect = wirtinger_dbar(expect)
+                assert np.array_equal(mixed_wirtinger(f, a, b).values, expect.values), (a, b)
 
     def test_conjugation_duality_exact(self, grid64, rng):
         vals = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))

@@ -157,12 +157,12 @@ class TestFormTransforms:
         assert rels[0] / rels[1] >= 8.0
 
     def test_double_transform_rejected(self, grid64):
-        div = PerturbedOperator(grid64, 2, form="divergence")
-        with pytest.raises(ValueError):
-            to_divergence_form(div)
-        std = PerturbedOperator(grid64, 2)
-        with pytest.raises(ValueError):
-            to_standard_form(std)
+        # an operator already in the target form is returned as it is
+        bump = field_from_expression(grid64, "bump(0, 0, 0.6, 1)")
+        div = PerturbedOperator(grid64, 2, {(1, 0): bump}, form="divergence")
+        assert to_divergence_form(div) is div
+        std = PerturbedOperator(grid64, 2, {(1, 0): bump})
+        assert to_standard_form(std) is std
 
 
 class TestAdjoint:
@@ -190,9 +190,16 @@ class TestAdjoint:
         assert len(adj.nonzero_indices()) == 1
 
     def test_requires_standard_form(self, grid64):
-        div = PerturbedOperator(grid64, 2, form="divergence")
-        with pytest.raises(ValueError):
-            adjoint(div)
+        # a divergence-form operator is converted to standard form first
+        coeffs = {
+            (1, 0): field_from_expression(grid64, "bump(0.1, 0, 0.6, 1) * z"),
+            (1, 1): field_from_expression(grid64, "bump(0, -0.1, 0.5, 2)"),
+        }
+        div = PerturbedOperator(grid64, 2, coeffs, form="divergence")
+        got, expect = adjoint(div), adjoint(to_standard_form(div))
+        assert got.form == expect.form == "standard"
+        for jk, c in expect.coeffs.items():
+            assert np.array_equal(got.coeff(*jk).values, c.values), jk
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_bilinear_identity(self, m, rng):

@@ -25,6 +25,7 @@ from polycgo import (
     stationary_phase_calibration,
     stationary_phase_extract,
 )
+from polycgo import recovery
 
 
 def single_bump_problem(n=256, mode=AMPLITUDE_ONLY, h_list=(0.2, 0.14, 0.1), m=2,
@@ -247,16 +248,15 @@ class TestRecoveryProblem:
         assert rep.degenerate[0][0] == 0.98 + 0j
         assert {r.z0 for r in rep.rows} == {0.2 + 0.1j}
 
-    def test_conditioning_bound_triggers_degeneracy(self):
+    def test_conditioning_bound_triggers_degeneracy(self, monkeypatch):
+        monkeypatch.setattr(recovery, "CONDITIONING_BOUND", 0.1)
         g = ComplexGrid(0j, 1.0, 128)
         L = PerturbedOperator(g, 2, form="divergence")
         Lt = PerturbedOperator(
             g, 2, {(0, 0): field_from_expression(g, "bump(0, 0, 0.6, 1)")},
             form="divergence",
         )
-        prob = RecoveryProblem(
-            L, Lt, [0.5 + 0.5j], [0.3], conditioning_bound=0.1
-        )
+        prob = RecoveryProblem(L, Lt, [0.5 + 0.5j], [0.3])
         with pytest.raises(DegenerateProbeError, match="bound"):
             prob.check_probe(0.5 + 0.5j)
 
@@ -309,6 +309,7 @@ class TestRecoverAll:
         doc = json.loads(man_path.read_text())
         assert doc["config_sha256"] == "deadbeef"
         assert doc["config"]["m"] == 2
+        assert doc["config"]["conditioning_bound"] == recovery.CONDITIONING_BOUND == 100.0
         assert doc["rows"] == len(rep.rows)
 
     def test_full_cgo_builds_no_diagnostics(self, monkeypatch):
