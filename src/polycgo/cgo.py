@@ -17,8 +17,9 @@ reuse the same machinery with the carrier sign flipped.  The transport is the
 one object per (operator, phase, sign): build_cgo and transport_norm_probe
 both take it, and it takes the divergence form, which to_divergence_form gives
 from either form.  A solution keeps only g and r.  Monomial amplitudes
-conj(z)^k/k! and recovery's monomial factors and weights are built by one
-rule, _monomial_part.
+conj(z)^k/k! and recovery's point weights are built by one rule,
+_monomial_part; recovery's pairing expands the same monomials in x and y
+(recovery._monomial_table), which a test pins against this rule.
 """
 
 from __future__ import annotations

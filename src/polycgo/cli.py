@@ -7,7 +7,8 @@ CSV files embed the config hash and contain no wall-clock content, so a rerun
 of the same config is bit-identical (the log carries the only timestamp).
 Each command creates its run directory once it has read its whole config and
 before it computes anything; a directory that cannot be created is a config
-error.
+error.  A run that then fails numerically leaves log.txt alone there: the
+lines logged so far and a last line naming the failure.
 
 Exit codes: 0 success, 1 tolerance failure, 2 config error, 3 numerical
 failure (non-contraction, term budget, degenerate probe, carrier overflow,
@@ -56,6 +57,10 @@ EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+NUMERICAL_FAILURES = (
+    NonContractionError, MaxTermsExceededError, DegenerateProbeError, CarrierOverflowError,
+    PrecisionError,
+)
 
 # largest grid.n: the doubled kernel grid is already 1 GiB per table at 4096
 MAX_GRID_N = 4096
@@ -256,7 +261,8 @@ def build_solver(cfg: dict):
 
 class RunWriter:
     """Creates the run directory when opened, collects result/slope rows and
-    writes them at the end."""
+    writes them at the end.  Used as a context manager, it writes log.txt
+    alone, ending with the failure, when a numerical failure leaves the run."""
 
     def __init__(self, out_dir: Path, cfg: dict):
         try:
@@ -272,6 +278,13 @@ class RunWriter:
         self.results = []
         self.slopes = []
         self.log_lines = []
+
+    def __enter__(self) -> "RunWriter":
+        return self
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if isinstance(exc, NUMERICAL_FAILURES):
+            self._write_log("failed_at", self.log_lines + [_failure_line(exc)])
 
     def log(self, message: str) -> None:
         self.log_lines.append(message)
@@ -303,10 +316,18 @@ class RunWriter:
             fh.write("\n")
         self._write_csv(self.out_dir / "results.csv", self.results)
         self._write_csv(self.out_dir / "slopes.csv", self.slopes)
+        self._write_log("finished_at", self.log_lines)
+
+    def _write_log(self, stamp: str, lines) -> None:
         with open(self.out_dir / "log.txt", "w") as fh:
-            fh.write(f"finished_at={time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
-            for line in self.log_lines:
+            fh.write(f"{stamp}={time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
+            for line in lines:
                 fh.write(line + "\n")
+
+
+def _failure_line(exc: Exception) -> str:
+    """The one line, on stderr and ending log.txt, that names a numerical failure."""
+    return f"numerical failure: {exc}"
 
 
 def _cell(v):
@@ -342,10 +363,15 @@ def cmd_cauchy_test(cfg: dict, out_dir: Path) -> int:
     if omega.is_zero():
         raise ConfigError("field cauchy.omega vanishes on every grid node")
     omega_norm = _resolved(norm_lp(omega, 2), "the L2 norm", grid)
-    q_values = [
-        _as_float(q, f"cauchy.q_values[{i}]", (lambda q: 1 <= q < inf, ">= 1 and finite"))
-        for i, q in enumerate(_take(section, "cauchy", "q_values", list, default=[2.0, 4.0]))
-    ]
+    q_values = []
+    for i, q in enumerate(_take(section, "cauchy", "q_values", list, default=[2.0, 4.0])):
+        q = _as_float(q, f"cauchy.q_values[{i}]", (lambda q: 1 <= q < inf, ">= 1 and finite"))
+        if q in q_values:
+            raise ConfigError(
+                f"field cauchy.q_values[{i}]: q={q:g} repeats "
+                f"cauchy.q_values[{q_values.index(q)}]"
+            )
+        q_values.append(q)
     # the default gates q = 2 and q = 4 where they are configured
     default_slopes = {key: s for key, s in (("2", 0.5), ("4", 0.2)) if float(key) in q_values}
     min_slopes = {}
@@ -366,38 +392,38 @@ def cmd_cauchy_test(cfg: dict, out_dir: Path) -> int:
         section, "cauchy", "inverse_identity_max_rel", float, default=1e-2, check=NON_NEGATIVE
     )
 
-    writer = RunWriter(out_dir, cfg)
-    ok = True
+    with RunWriter(out_dir, cfg) as writer:
+        ok = True
 
-    # right-inverse identity on the configured grid
-    err = norm_lp(wirtinger_dbar(dbar_inv(omega)) - omega, 2) / omega_norm
-    passed = err <= max_identity_err
-    ok &= passed
-    writer.add_result(kind="inverse_identity", series="", h="", value=err)
-    writer.add_slope("inverse_identity_rel_err", err, max_identity_err, passed)
-    writer.log(f"inverse identity rel err {err:.3e} (<= {max_identity_err:g}: {passed})")
-
-    # L^p boundedness constants
-    for p in (1.5, 2.0, 4.0):
-        c = _resolved(lp_bound_constant(omega, p), f"the L^{p:g} norm of dbar_inv", grid)
-        writer.add_result(kind="lp_bound", series=f"p={p:g}", h="", value=c)
-        writer.log(f"lp bound constant p={p}: {c:.4f}")
-
-    # oscillatory decay probes
-    phase = PhaseSpec(z0_list[0], max(h_list))
-    for q in q_values:
-        probe = oscillatory_decay_probe(omega, phase, q, h_list)
-        for h, norm in probe.rows:
-            _resolved(norm, f"the L^{q:g} norm at h={h:g} of the oscillatory d_inv", grid)
-            writer.add_result(kind="decay", series=f"q={q:g}", h=h, value=norm)
-        threshold = min_slopes.get(q)
-        passed = threshold is None or probe.slope >= threshold
+        # right-inverse identity on the configured grid
+        err = norm_lp(wirtinger_dbar(dbar_inv(omega)) - omega, 2) / omega_norm
+        passed = err <= max_identity_err
         ok &= passed
-        writer.add_slope(f"decay_q{q:g}", probe.slope, threshold, passed)
-        writer.log(f"decay slope q={q:g}: {probe.slope:.3f} (>= {threshold}: {passed})")
+        writer.add_result(kind="inverse_identity", series="", h="", value=err)
+        writer.add_slope("inverse_identity_rel_err", err, max_identity_err, passed)
+        writer.log(f"inverse identity rel err {err:.3e} (<= {max_identity_err:g}: {passed})")
 
-    writer.flush()
-    return EXIT_OK if ok else EXIT_TOLERANCE
+        # L^p boundedness constants
+        for p in (1.5, 2.0, 4.0):
+            c = _resolved(lp_bound_constant(omega, p), f"the L^{p:g} norm of dbar_inv", grid)
+            writer.add_result(kind="lp_bound", series=f"p={p:g}", h="", value=c)
+            writer.log(f"lp bound constant p={p}: {c:.4f}")
+
+        # oscillatory decay probes
+        phase = PhaseSpec(z0_list[0], max(h_list))
+        for q in q_values:
+            probe = oscillatory_decay_probe(omega, phase, q, h_list)
+            for h, norm in probe.rows:
+                _resolved(norm, f"the L^{q:g} norm at h={h:g} of the oscillatory d_inv", grid)
+                writer.add_result(kind="decay", series=f"q={q:g}", h=h, value=norm)
+            threshold = min_slopes.get(q)
+            passed = threshold is None or probe.slope >= threshold
+            ok &= passed
+            writer.add_slope(f"decay_q{q:g}", probe.slope, threshold, passed)
+            writer.log(f"decay slope q={q:g}: {probe.slope:.3f} (>= {threshold}: {passed})")
+
+        writer.flush()
+        return EXIT_OK if ok else EXIT_TOLERANCE
 
 
 def cmd_cgo(cfg: dict, out_dir: Path, seed: int) -> int:
@@ -413,52 +439,52 @@ def cmd_cgo(cfg: dict, out_dir: Path, seed: int) -> int:
         check=(lambda d: 0 <= d < op.m, f"from 0 to operator.m - 1 = {op.m - 1}"),
     )
 
-    writer = RunWriter(out_dir, cfg)
-    ok = True
-    amplitude = AmplitudeSpec.monomial(grid, amplitude_degree)
-    op_div, op_std = to_divergence_form(op), to_standard_form(op)
-    for z0 in z0_list:
-        tag = f"z0={z0.real:g}{z0.imag:+g}i"
-        rows = []
-        for h in h_list:
-            T = OscillatoryTransport(op_div, PhaseSpec(z0, h))
-            sol = build_cgo(T, amplitude, tol=tol, max_terms=max_terms)
-            r_hm, g_l2 = norm_hm(sol.r, op.m), norm_lp(sol.g, 2)
-            writer.add_result(
-                kind="cgo", series=tag, h=h, value=r_hm, g_l2=g_l2,
-                residual_l2=residual_norm(op_std, sol.u), terms=sol.neumann_terms,
+    with RunWriter(out_dir, cfg) as writer:
+        ok = True
+        amplitude = AmplitudeSpec.monomial(grid, amplitude_degree)
+        op_div, op_std = to_divergence_form(op), to_standard_form(op)
+        for z0 in z0_list:
+            tag = f"z0={z0.real:g}{z0.imag:+g}i"
+            rows = []
+            for h in h_list:
+                T = OscillatoryTransport(op_div, PhaseSpec(z0, h))
+                sol = build_cgo(T, amplitude, tol=tol, max_terms=max_terms)
+                r_hm, g_l2 = norm_hm(sol.r, op.m), norm_lp(sol.g, 2)
+                writer.add_result(
+                    kind="cgo", series=tag, h=h, value=r_hm, g_l2=g_l2,
+                    residual_l2=residual_norm(op_std, sol.u), terms=sol.neumann_terms,
+                )
+                rows.append((h, r_hm, g_l2, *transport_norm_probe(T, seed=seed)))
+                del T, sol  # neither outlives its (z0, h) step
+            hs, r_hm, g_l2, estimates, sweeps = zip(*rows)
+            if op.is_unperturbed():
+                exact = all(v == 0.0 for v in r_hm)
+                ok &= exact
+                writer.add_slope(f"remainder_zero[{tag}]", 0.0, "exact", exact)
+                writer.log(f"{tag}: unperturbed remainder identically zero: {exact}")
+                continue
+            r_slope = fit_loglog_slope(hs, r_hm)
+            g_slope = fit_loglog_slope(hs, g_l2)
+            norm_slope = fit_loglog_slope(hs, estimates) if all(e > 0 for e in estimates) else nan
+            passed = r_slope >= min_r_slope
+            ok &= passed
+            writer.add_slope(f"remainder_hm[{tag}]", r_slope, min_r_slope, passed)
+            writer.add_slope(f"density_l2[{tag}]", g_slope, None, True)
+            writer.log(f"{tag}: remainder slope {r_slope:.3f}, density slope {g_slope:.3f}")
+
+            for h, est, k in zip(hs, estimates, sweeps):
+                writer.add_result(kind="transport_norm", series=tag, h=h, value=est)
+                writer.log(f"{tag}: transport norm h={h:g} estimate {est:.6g} after {k} sweeps")
+            contraction = all(est < 1.0 for est in estimates)
+            passed = norm_slope >= min_norm_slope and contraction
+            ok &= passed
+            writer.add_slope(f"transport_norm[{tag}]", norm_slope, min_norm_slope, passed)
+            writer.log(
+                f"{tag}: transport norm slope {norm_slope:.3f}, contraction: {contraction}"
             )
-            rows.append((h, r_hm, g_l2, *transport_norm_probe(T, seed=seed)))
-            del T, sol  # neither outlives its (z0, h) step
-        hs, r_hm, g_l2, estimates, sweeps = zip(*rows)
-        if op.is_unperturbed():
-            exact = all(v == 0.0 for v in r_hm)
-            ok &= exact
-            writer.add_slope(f"remainder_zero[{tag}]", 0.0, "exact", exact)
-            writer.log(f"{tag}: unperturbed remainder identically zero: {exact}")
-            continue
-        r_slope = fit_loglog_slope(hs, r_hm)
-        g_slope = fit_loglog_slope(hs, g_l2)
-        norm_slope = fit_loglog_slope(hs, estimates) if all(e > 0 for e in estimates) else nan
-        passed = r_slope >= min_r_slope
-        ok &= passed
-        writer.add_slope(f"remainder_hm[{tag}]", r_slope, min_r_slope, passed)
-        writer.add_slope(f"density_l2[{tag}]", g_slope, None, True)
-        writer.log(f"{tag}: remainder slope {r_slope:.3f}, density slope {g_slope:.3f}")
 
-        for h, est, k in zip(hs, estimates, sweeps):
-            writer.add_result(kind="transport_norm", series=tag, h=h, value=est)
-            writer.log(f"{tag}: transport norm h={h:g} estimate {est:.6g} after {k} sweeps")
-        contraction = all(est < 1.0 for est in estimates)
-        passed = norm_slope >= min_norm_slope and contraction
-        ok &= passed
-        writer.add_slope(f"transport_norm[{tag}]", norm_slope, min_norm_slope, passed)
-        writer.log(
-            f"{tag}: transport norm slope {norm_slope:.3f}, contraction: {contraction}"
-        )
-
-    writer.flush()
-    return EXIT_OK if ok else EXIT_TOLERANCE
+        writer.flush()
+        return EXIT_OK if ok else EXIT_TOLERANCE
 
 
 def cmd_recover(cfg: dict, out_dir: Path) -> int:
@@ -486,32 +512,32 @@ def cmd_recover(cfg: dict, out_dir: Path) -> int:
         # the config-level checks that remain concern the coefficient differences
         raise ConfigError(f"field operator.coeffs_tilde: {exc}") from exc
 
-    writer = RunWriter(out_dir, cfg)
-    report = recover_all(problem)
-    for r in report.rows:
-        writer.add_result(
-            m=r.m, j=r.j, k=r.k,
-            re_z0=r.z0.real, im_z0=r.z0.imag, h=r.h,
-            re_extracted=r.extracted.real, im_extracted=r.extracted.imag,
-            re_truth=r.truth.real, im_truth=r.truth.imag,
-            abs_err=r.abs_err, rel_err=r.rel_err,
-        )
-    worst = report.worst_rel_err_at_smallest_h()
-    ok = worst <= max_rel_err
-    for (j, k), slope in sorted(report.slopes.items()):
-        writer.add_slope(f"recovery_err[{j},{k}]", slope, None, True)
-    writer.add_slope("worst_rel_err_smallest_h", worst, max_rel_err, ok)
-    writer.log(f"worst relative error at smallest h: {worst:.3e} (<= {max_rel_err:g}: {ok})")
-    for z0, reason in report.degenerate:
-        writer.log(f"degenerate probe {z0}: {reason}")
-    writer.flush()
-    report.write_manifest(writer.out_dir / "manifest.json", writer.hash)
-    if report.degenerate:
-        print(
-            f"degenerate probes: {[z for z, _ in report.degenerate]}", file=sys.stderr
-        )
-        return EXIT_NUMERICAL
-    return EXIT_OK if ok else EXIT_TOLERANCE
+    with RunWriter(out_dir, cfg) as writer:
+        report = recover_all(problem)
+        for r in report.rows:
+            writer.add_result(
+                m=r.m, j=r.j, k=r.k,
+                re_z0=r.z0.real, im_z0=r.z0.imag, h=r.h,
+                re_extracted=r.extracted.real, im_extracted=r.extracted.imag,
+                re_truth=r.truth.real, im_truth=r.truth.imag,
+                abs_err=r.abs_err, rel_err=r.rel_err,
+            )
+        worst = report.worst_rel_err_at_smallest_h()
+        ok = worst <= max_rel_err
+        for (j, k), slope in sorted(report.slopes.items()):
+            writer.add_slope(f"recovery_err[{j},{k}]", slope, None, True)
+        writer.add_slope("worst_rel_err_smallest_h", worst, max_rel_err, ok)
+        writer.log(f"worst relative error at smallest h: {worst:.3e} (<= {max_rel_err:g}: {ok})")
+        for z0, reason in report.degenerate:
+            writer.log(f"degenerate probe {z0}: {reason}")
+        writer.flush()
+        report.write_manifest(writer.out_dir / "manifest.json", writer.hash)
+        if report.degenerate:
+            print(
+                f"degenerate probes: {[z for z, _ in report.degenerate]}", file=sys.stderr
+            )
+            return EXIT_NUMERICAL
+        return EXIT_OK if ok else EXIT_TOLERANCE
 
 
 # ------------------------------------------------------------------ main ----
@@ -546,11 +572,8 @@ def main(argv=None) -> int:
     except (ConfigError, CouplingError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (
-        NonContractionError, MaxTermsExceededError, DegenerateProbeError, CarrierOverflowError,
-        PrecisionError,
-    ) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except NUMERICAL_FAILURES as exc:
+        print(_failure_line(exc), file=sys.stderr)
         return EXIT_NUMERICAL
 
 

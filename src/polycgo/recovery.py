@@ -9,16 +9,27 @@ is C * h * sum (-1)^j B[j,k](z0) * weights(z0), with the universal constant
 C = pi/2 (the product of two quadratic-phase line integrals).  Pairing with
 monomial amplitudes makes the weight matrix triangular, so the differences are
 recovered one level of j+k at a time, subtracting what earlier levels already
-determined.  Every monomial here, in the integrand, the weights and the noise
-floor, is cgo._monomial_part, the rule AmplitudeSpec.monomial builds on.
+determined.
+
+The pairing never forms an n-by-n integrand.  E+ = ex(x) * ey(y) is separable
+and every monomial factor conj(z)^a z^b / (a! b!) is a polynomial in x and y
+(_monomial_table), so each term, an array G times such a monomial, pairs as
+sum c[p,q] * (X^T G Y)[p,q] * spacing^2 with X[:, p] = w*ex*x^p and
+Y[:, q] = w*ey*y^q.  G is a difference B[j,k], or in full_cgo B[j,k] times the
+remainder derivatives dbar^k r and conj(dbar^j s).  The moments X^T B Y of each
+difference are formed once per (z0, h) step and shared by its levels.  The
+point weights and the noise floor are cgo._monomial_part, the rule
+AmplitudeSpec.monomial builds on.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
-from math import pi
+from functools import cache, cached_property, reduce
+from itertools import product
+from math import comb, factorial, pi
 
 import numpy as np
 
@@ -135,6 +146,33 @@ def _monomial_weight(z0: complex, j0: int, k0: int, j: int, k: int) -> complex:
     return complex(_monomial_part(np.conj(z0), k0 - k) * _monomial_part(z0, j0 - j))
 
 
+@cache
+def _monomial_table(a: int, b: int) -> np.ndarray:
+    """c with conj(z)^a z^b / (a! b!) = sum c[p,q] x^p y^q for z = x + iy.
+
+    The table is (a+b+1)-square and nonzero only where p + q = a + b; it is the
+    binomial expansion of (x - iy)^a (x + iy)^b, built in exact powers of i.
+    """
+    d = a + b
+    c = np.zeros((d + 1, d + 1), dtype=np.complex128)
+    for r in range(a + 1):
+        for s in range(b + 1):
+            c[d - r - s, r + s] += comb(a, r) * comb(b, s) * (1, 1j, -1, -1j)[(s - r) % 4]
+    c /= factorial(a) * factorial(b)
+    c.setflags(write=False)
+    return c
+
+
+def _parts(degree: int, remainder):
+    """One side's amplitude derivative as (array or None, monomial degree) parts.
+
+    The monomial part exists for degree >= 0; a remainder derivative adds an
+    array part of degree 0.
+    """
+    parts = [(None, degree)] if degree >= 0 else []
+    return parts + ([(remainder, 0)] if remainder is not None else [])
+
+
 class RecoveryProblem:
     """Two same-order operators, probe points, and an h sweep for recovery runs.
 
@@ -142,7 +180,8 @@ class RecoveryProblem:
     differences must be compactly supported away from the outer frame (the
     numerical stand-in for boundary-flat data).  The adjoint family's operator
     is built on the first full_cgo pairing.  Only one (z0, h) step is kept: a
-    transport per family and the remainders built on it.
+    transport per family, the remainders built on it, the moment bases X and Y
+    and the moments X^T B Y of each nonzero difference.
     """
 
     def __init__(
@@ -187,7 +226,7 @@ class RecoveryProblem:
                     f"difference ({j},{k}) is not supported away from the frame "
                     f"(max |B| = {worst:.3e} on the outer {SUPPORT_MARGIN:.0%})"
                 )
-        self._step = self._transports = self._remainders = None
+        self._step = None
 
     def check_probe(self, z0: complex) -> None:
         if not self.grid.contains(z0, margin=SUPPORT_MARGIN):
@@ -207,14 +246,43 @@ class RecoveryProblem:
                 z0, f"subtraction weights sum to {cond:.3g} > bound {CONDITIONING_BOUND:g}"
             )
 
+    def _enter(self, z0: complex, h: float) -> None:
+        """Make (z0, h) the kept step; entering another drops the last step's objects."""
+        if self._step != (z0, h):
+            self._step, self._transports, self._remainders = (z0, h), {}, {}
+            self._bases, self._moments = None, {}
+
+    def _moments_of(self, z0: complex, h: float, values: np.ndarray) -> np.ndarray:
+        """X^T values Y for the step's bases: (2m-1)-square, one pass over values.
+
+        values @ Y runs first: BLAS streams the n-by-n array far faster
+        against a few columns than against a few rows.
+        """
+        self._enter(z0, h)
+        if self._bases is None:
+            grid = self.grid
+            ex, ey = PhaseSpec(z0, h).oscillation_factors(grid)
+            w, t = grid._trapezoid_1d[:, None], grid.axis_offsets[:, None]
+            powers = np.arange(2 * self.m - 1)
+            x, y = grid.center.real + t, grid.center.imag + t
+            self._bases = (w * ex[:, None] * x**powers).T, w * ey[:, None] * y**powers
+        left, right = self._bases
+        return left @ (values @ right)
+
+    def _difference_moments(self, z0: complex, h: float, jk) -> np.ndarray:
+        """Moments of the difference B[j,k], formed once per (z0, h) step."""
+        self._enter(z0, h)
+        if jk not in self._moments:
+            self._moments[jk] = self._moments_of(z0, h, self.differences[jk].values)
+        return self._moments[jk]
+
     def _cgo_pair(self, z0: complex, h: float, k0: int, j0: int):
         """Remainders (r, s) of both families' oscillatory solutions."""
         return self._remainder(z0, h, +1, k0), self._remainder(z0, h, -1, j0)
 
     def _remainder(self, z0: complex, h: float, sign: int, degree: int) -> ScalarField:
         """r of one family's solution, kept with its family's transport for the (z0, h) step."""
-        if self._step != (z0, h):
-            self._step, self._transports, self._remainders = (z0, h), {}, {}
+        self._enter(z0, h)
         if (sign, degree) not in self._remainders:
             if sign not in self._transports:
                 op = self._div if sign > 0 else self._adjoint_div
@@ -235,51 +303,47 @@ def identity_lhs(
     """Evaluate the bilinear pairing with monomial amplitudes of degrees (k0, j0).
 
     amplitude_only pairs the pure amplitudes; full_cgo pairs the assembled
-    oscillatory solutions, picking up the small remainder cross terms.  The
-    integrand is built in place and paired through
-    PhaseSpec.oscillatory_integral, so no n-by-n oscillation is formed.
+    oscillatory solutions, picking up the small remainder cross terms.  Each
+    term is an array G times conj(z)^a z^b / (a! b!), paired through its
+    moments: the step's moments of B[j,k], or one pass over a product with the
+    remainder derivatives.  No n-by-n integrand or oscillation is formed.
     """
     grid = problem.grid
     m = problem.m
-    phase = PhaseSpec(z0, h)
-    phase.check_grid(grid)
+    PhaseSpec(z0, h).check_grid(grid)
     problem.check_probe(z0)
 
-    z = grid.nodes
-    zbar = np.conj(z) if k0 else None
-    # exact monomial derivatives dbar^k a and d^j conj(b): scalars or arrays
-    a_parts = {k: _monomial_part(zbar, k0 - k) for k in range(min(k0, m - 1) + 1)}
-    b_parts = {j: _monomial_part(z, j0 - j) for j in range(min(j0, m - 1) + 1)}
-
+    # dbar^k r joins dbar^k a, and conj(dbar^j s) joins d^j conj(b); zero ones add nothing
+    rem_a, rem_b = {}, {}
     if problem.mode == FULL_CGO:
         r, s = problem._cgo_pair(z0, h, k0, j0)
-        # dbar^k r joins dbar^k a, and conj(dbar^j s) joins d^j conj(b); zero ones add nothing
-        for parts, rem, conj in ((a_parts, r, False), (b_parts, s, True)):
+        for derivatives, rem, conj in ((rem_a, r, False), (rem_b, s, True)):
             if rem.is_zero():
                 continue
             d = rem.values
             for k in range(m):
                 d = _dbar(d, grid.spacing) if k else d
-                dk = np.conj(d) if conj else d
-                parts[k] = (parts[k] + dk) if k in parts else dk
+                derivatives[k] = np.conj(d) if conj else d
 
-    # the integrand accumulates in place: two n-by-n arrays besides the parts
-    combined = term = None
+    total = 0j
     for (j, k), b_field in sorted(problem.differences.items()):
-        if b_field.is_zero() or k not in a_parts or j not in b_parts:
+        if b_field.is_zero():
             continue
-        term = np.multiply(b_field.values, a_parts[k], out=term)
-        term *= b_parts[j]
-        if combined is None:
-            combined = np.negative(term, out=term) if j % 2 else term
-            term = None
-        elif j % 2:
-            np.subtract(combined, term, out=combined)
-        else:
-            np.add(combined, term, out=combined)
-    if combined is None:
-        return 0.0 + 0.0j
-    return phase.oscillatory_integral(grid, combined)
+        a_side, b_side = _parts(k0 - k, rem_a.get(k)), _parts(j0 - j, rem_b.get(j))
+        for (r_part, a), (s_part, b) in product(a_side, b_side):
+            if r_part is None and s_part is None:
+                moments = problem._difference_moments(z0, h, (j, k))
+            else:
+                factors = [v for v in (r_part, s_part) if v is not None]
+                g = reduce(np.multiply, factors, b_field.values)
+                moments = problem._moments_of(z0, h, g)
+            d = a + b + 1
+            term = np.sum(_monomial_table(a, b) * moments[:d, :d])
+            total = total - term if j % 2 else total + term
+    value = complex(total) * grid.spacing**2
+    if not cmath.isfinite(value):
+        raise ValueError("field contains non-finite values")
+    return value
 
 
 def stationary_phase_extract(values, z0: complex):

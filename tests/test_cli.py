@@ -200,6 +200,16 @@ class TestCauchyCommand:
         assert main(["cauchy-test", "--config", cfg]) == 1
         assert "nan" in (tmp_path / "r" / "slopes.csv").read_text()
 
+    def test_repeated_q_config_error(self, tmp_path, capsys):
+        # a repeated q would run its decay probe twice and write duplicate rows
+        doc = base_cauchy_config(tmp_path / "r")
+        doc["cauchy"]["q_values"] = [2, 2.0]
+        cfg = write_config(tmp_path, doc)
+        assert main(["cauchy-test", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "cauchy.q_values[1]" in err and "cauchy.q_values[0]" in err
+        assert not (tmp_path / "r").exists()
+
     def test_failed_tolerance_exits_one(self, tmp_path):
         doc = base_cauchy_config(tmp_path / "r")
         doc["cauchy"]["min_slopes"] = {"2": 5.0}  # unattainable
@@ -260,6 +270,21 @@ class TestCgoCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["cgo", "--config", cfg]) == 3
         assert "0.3" in capsys.readouterr().err  # offending h named
+
+    def test_numerical_failure_writes_log_only(self, tmp_path, capsys):
+        # the run directory of a failed run says why: log.txt ends with the
+        # failure printed on stderr, and no result table is written
+        out = tmp_path / "r"
+        doc = base_cgo_config(out)
+        doc["operator"]["coeffs"] = {"1,1": "bump(0, 0, 0.7, 500)"}
+        doc["cgo"]["amplitude_degree"] = 1
+        cfg = write_config(tmp_path, doc)
+        assert main(["cgo", "--config", cfg]) == 3
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("numerical failure: ") and "0.3" in err
+        lines = (out / "log.txt").read_text().splitlines()
+        assert lines[0].startswith("failed_at=") and lines[-1] == err
+        assert sorted(p.name for p in out.iterdir()) == ["log.txt"]
 
     def test_double_long_double_exit_three(self, tmp_path, capsys, monkeypatch):
         # where np.longdouble is a plain double the extended-precision residual cannot run
@@ -665,8 +690,9 @@ SECTION_FIELDS = {
     },
     "cauchy-test": {
         ("cauchy", "q_values"): (
-            # a well-formed q_values holds every q a well-formed min_slopes key names
-            Q_VALUES[0].map(lambda qs: [1.5, 2.0, 4.0] + qs), Q_VALUES[1],
+            # a well-formed q_values holds every q a well-formed min_slopes key
+            # names, and no q twice
+            Q_VALUES[0].map(lambda qs: list(dict.fromkeys([1.5, 2.0, 4.0] + qs))), Q_VALUES[1],
         ),
         ("cauchy", "min_slopes"): (
             st.dictionaries(st.sampled_from(["2", "4", "1.5"]), st.floats(-1.0, 1.0)),

@@ -26,6 +26,7 @@ from polycgo import (
     stationary_phase_extract,
 )
 from polycgo import recovery
+from polycgo.cgo import _monomial_part
 
 
 def single_bump_problem(n=256, mode=AMPLITUDE_ONLY, h_list=(0.2, 0.14, 0.1), m=2,
@@ -107,23 +108,29 @@ class TestIdentity:
         assert all(r.extracted == 0 for r in rep.rows)
 
     @pytest.mark.parametrize(
-        "perturbed, mode",
-        [(True, FULL_CGO), (False, FULL_CGO), (True, AMPLITUDE_ONLY), (False, AMPLITUDE_ONLY)],
-        ids=["both", "tilde_only", "both-amplitude_only", "tilde_only-amplitude_only"],
+        "perturbed, mode, m",
+        [(True, FULL_CGO, 2), (False, FULL_CGO, 2), (True, AMPLITUDE_ONLY, 2),
+         (False, AMPLITUDE_ONLY, 2), (True, FULL_CGO, 3), (True, AMPLITUDE_ONLY, 3)],
+        ids=["both", "tilde_only", "both-amplitude_only", "tilde_only-amplitude_only",
+             "m3", "m3-amplitude_only"],
     )
-    def test_array_path_matches_field_composition(self, perturbed, mode):
-        # the pairing built from fields, term by term, must agree bit for bit;
-        # (1,0) brings a negative-parity term, (0,1) a degree-0 amplitude part
+    def test_array_path_matches_field_composition(self, perturbed, mode, m):
+        # the pairing built from fields, term by term, must agree to roundoff
+        # (the moment path sums the same terms in another order); at m=2, (1,0)
+        # brings a negative-parity term and (0,1) a degree-0 amplitude part; at
+        # m=3 the table reaches degree-2 monomials and a level above the target
         g = ComplexGrid(0j, 1.0, 128)
-        m, z0, h = 2, 0.2 + 0.1j, 0.2
+        z0, h = 0.2 + 0.1j, 0.2
         bump = field_from_expression(g, "bump(0.05, 0, 0.6, 1)")
         L = PerturbedOperator(
             g, m, {(0, 0): bump, (1, 1): 0.5j * bump} if perturbed else {}, form="divergence"
         )
-        Lt = PerturbedOperator(
-            g, m, {(0, 0): 1.5 * bump, (1, 0): 0.4 * bump, (0, 1): -0.3j * bump},
-            form="divergence",
-        )
+        if m == 2:
+            tilde = {(0, 0): 1.5 * bump, (1, 0): 0.4 * bump, (0, 1): -0.3j * bump}
+        else:
+            tilde = {(0, 2): 0.4 * bump, (2, 0): -0.3j * bump, (2, 1): 0.2 * bump,
+                     (1, 1): 0.6 * bump}
+        Lt = PerturbedOperator(g, m, tilde, form="divergence")
         prob = RecoveryProblem(L, Lt, [z0], [h], mode=mode)
         z = g.nodes
         for j0 in range(m):
@@ -144,7 +151,8 @@ class TestIdentity:
                         term = (-1.0 if j % 2 else 1.0) * diff * a[k] * b[j]
                         combined = term if combined is None else combined + term
                 expect = PhaseSpec(z0, h).oscillatory_integral(g, combined.values)
-                assert identity_lhs(prob, j0, k0, h, z0) == expect
+                got = identity_lhs(prob, j0, k0, h, z0)
+                assert abs(got - expect) <= 1e-13 * abs(expect), (j0, k0)
 
     @pytest.mark.parametrize("mode", [AMPLITUDE_ONLY, FULL_CGO])
     def test_pairing_builds_no_oscillation(self, mode, monkeypatch):
@@ -162,6 +170,54 @@ class TestIdentity:
         for j0 in range(2):
             for k0 in range(2):
                 assert identity_lhs(prob, j0, k0, 0.3, 0.2 + 0.1j) != 0
+
+    @pytest.mark.parametrize("mode", [AMPLITUDE_ONLY, FULL_CGO])
+    def test_difference_moments_formed_once_per_step(self, mode, monkeypatch):
+        # the four levels of one (z0, h) step read each nonzero difference once;
+        # another step forms them again and lets the old moments go
+        import weakref
+
+        formed = []
+
+        def counted(self, z0, h, values, _fn=RecoveryProblem._moments_of):
+            out = _fn(self, z0, h, values)
+            formed.append((values, weakref.ref(out)))
+            return out
+
+        monkeypatch.setattr(RecoveryProblem, "_moments_of", counted)
+        g = ComplexGrid(0j, 1.0, 128)
+        bump = field_from_expression(g, "bump(0.05, 0, 0.6, 1)")
+        L = PerturbedOperator(g, 2, form="divergence")
+        Lt = PerturbedOperator(
+            g, 2, {(0, 0): bump, (0, 1): 0.5 * bump, (1, 1): -0.2j * bump}, form="divergence"
+        )
+        prob = RecoveryProblem(L, Lt, [0.2 + 0.1j], [0.3, 0.25], mode=mode)
+        nonzero = {jk: b.values for jk, b in prob.differences.items() if not b.is_zero()}
+        steps = []
+        for h in prob.h_list:
+            formed.clear()
+            for j0 in range(2):
+                for k0 in range(2):
+                    identity_lhs(prob, j0, k0, h, 0.2 + 0.1j)
+            made = [(jk, ref) for values, ref in formed for jk, v in nonzero.items() if values is v]
+            assert sorted(jk for jk, _ in made) == sorted(nonzero)
+            assert set(prob._moments) == set(nonzero)
+            steps.append([ref for _, ref in made])
+        # the first step's difference moments are gone with it
+        assert all(ref() is None for ref in steps[0])
+        assert all(ref() is not None for ref in steps[1])
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_non_finite_pairing_raises(self):
+        # a finite difference whose moments overflow must not pair to inf or nan
+        g = ComplexGrid(0j, 1.0, 64)
+        bump = field_from_expression(g, "bump(0, 0, 0.6, 1)")
+        L = PerturbedOperator(g, 2, form="divergence")
+        Lt = PerturbedOperator(g, 2, {(0, 0): ScalarField(g, 1e308 * bump.values)},
+                               form="divergence")
+        prob = RecoveryProblem(L, Lt, [0.1 + 0.1j], [0.3])
+        with pytest.raises(ValueError, match="non-finite"):
+            identity_lhs(prob, 0, 0, 0.3, 0.1 + 0.1j)
 
     def test_against_brute_force_quadrature(self):
         # independent adaptive 2D quadrature of the same oscillatory integrand
@@ -388,6 +444,22 @@ class TestRecoverAll:
         assert all(T() is None and r() is None for T, _, r in built[:4])
         assert len(built) == 6
         assert sorted(T().sign for T, _, _ in built[4:]) == [-1, 1]
+
+
+class TestMonomialTable:
+    @pytest.mark.parametrize("center", [0j, 0.3 - 0.2j], ids=["centred", "offset"])
+    def test_matches_monomial_part(self, center):
+        # sum c[p,q] x^p y^q must reproduce conj(z)^a z^b / (a! b!) in global x, y
+        g = ComplexGrid(center, 1.0, 64)
+        z = g.nodes
+        for a in range(4):
+            for b in range(4):
+                c = recovery._monomial_table(a, b)
+                got = sum(c[p, q] * z.real**p * z.imag**q
+                          for p in range(a + b + 1) for q in range(a + b + 1))
+                expect = _monomial_part(np.conj(z), a) * _monomial_part(z, b)
+                scale = np.max(np.abs(expect))
+                assert np.max(np.abs(got - expect)) <= 1e-13 * scale, (a, b)
 
 
 class TestBilinearSampling:
