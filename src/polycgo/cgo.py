@@ -12,11 +12,13 @@ Horner's rule, d_inv(y[m-1] + d_inv(y[m-2] + ...)), so one application costs
 at most 2m transforms instead of m(m+1).  The density solves (I - T) g = w by
 Neumann series (T contracts for small h), then the remainder is
 r = dbar_inv^m(E- * g), finished from the chain of the solve's a-posteriori
-check, and u = exp(phase/h) * (a + r).  Adjoint solutions
-reuse the same machinery with the carrier sign flipped.  The transport is the
-one object per (operator, phase, sign): build_cgo and transport_norm_probe
-both take it, and it takes the divergence form, which to_divergence_form gives
-from either form.  A solution keeps only g and r.  Monomial amplitudes
+check, and u = exp(phase/h) * (a + r).  Adjoint solutions reuse the same
+machinery with the carrier sign flipped.  The transport is the one object per
+(operator, phase, sign): build_cgo and transport_norm_probe both take it, and
+it takes the divergence form, which to_divergence_form gives from either form.
+The map and its loops run on arrays, with fields only at their edges, and a
+non-finite norm in a loop (the map overflowed) is a NonContractionError.  A
+solution keeps only g and r.  Monomial amplitudes
 conj(z)^k/k! and recovery's point weights are built by one rule,
 _monomial_part; recovery's pairing expands the same monomials in x and y
 (recovery._monomial_table), which a test pins against this rule.
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import groupby
-from math import factorial
+from math import factorial, isfinite
 from operator import add, itemgetter
 
 import numpy as np
@@ -35,7 +37,7 @@ import scipy.ndimage
 
 from .cauchy import cauchy_chain
 from .errors import MaxTermsExceededError, NonContractionError, PrecisionError
-from .grid import ComplexGrid, ScalarField, _d, _dbar, mixed_wirtinger, norm_lp
+from .grid import ComplexGrid, ScalarField, _d, _dbar, _weighted_p_sum, mixed_wirtinger, norm_lp
 from .operators import DIVERGENCE, STANDARD, PerturbedOperator, adjoint, to_divergence_form
 from .phase import PhaseSpec
 
@@ -118,7 +120,7 @@ class OscillatoryTransport:
 
     Built once per (operator, phase, sign); the oscillations E+/- and the
     nonzero coefficients are kept as arrays, so Neumann iterations only pay
-    for transforms and each call wraps one field.  sign=+1 matches the carrier
+    for transforms, and calls take and return arrays.  sign=+1 matches the carrier
     exp(+phase/h), sign=-1 the adjoint-family carrier exp(-phase/h).
 
     Each call runs one dbar_inv chain for the inner powers and one Horner
@@ -163,34 +165,34 @@ class OscillatoryTransport:
             level = i
         return cauchy_chain(self.grid, acc, self.op.m - level, conj=True)
 
-    def _outer_sum(self, x) -> ScalarField:
+    def _outer_sum(self, x) -> np.ndarray:
         """-sum_j d_inv^(m-j)(E+ * sum_k c[j,k] * x[k]) over the nonzero coefficients."""
         rows = (
             (j, self.e_plus * reduce(add, (self.coeffs[jk] * x[jk[1]] for jk in row)))
             for j, row in groupby(self.active, key=itemgetter(0))
         )
-        return ScalarField(self.grid, -self._horner(rows))
+        return -self._horner(rows)
 
-    def apply(self, v: ScalarField, _tail: list | None = None) -> ScalarField:
-        """T(v); a list passed as _tail receives the chain's last power,
-        dbar_inv^(m - min(cols))(E- * v), unless v or the map is zero."""
-        if not self.active or v.is_zero():
-            return self.grid.zero()
-        powers = self._dbar_powers(self.e_minus * v.values, self.cols[0])
+    def apply(self, v: np.ndarray, _tail: list | None = None) -> np.ndarray:
+        """T(v) on n x n arrays, the grid's shared read-only zero for a zero v or
+        map; otherwise a list passed as _tail receives dbar_inv^(m - min(cols))(E- * v)."""
+        if not self.active or not np.any(v):
+            return self.grid.zero().values
+        powers = self._dbar_powers(self.e_minus * v, self.cols[0])
         if _tail is not None:
             _tail.append(powers[self.cols[0]])
         return self._outer_sum(powers)
 
-    def apply_adjoint(self, v: ScalarField) -> ScalarField:
+    def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
         """Exact discrete L2 adjoint; uses d_inv* = -dbar_inv for the odd kernel."""
-        if not self.active or v.is_zero():
-            return self.grid.zero()
-        inner = self._dbar_powers(v.values, self.rows[0])
+        if not self.active or not np.any(v):
+            return self.grid.zero().values
+        inner = self._dbar_powers(v, self.rows[0])
         cols = (
             (k, reduce(add, (w * inner[j] for j, w in col)))
             for k, col in self._adjoint_weights.items()
         )
-        return ScalarField(self.grid, -1.0 * (self.e_plus * self._horner(cols)))
+        return -1.0 * (self.e_plus * self._horner(cols))
 
     @cached_property
     def _adjoint_weights(self) -> dict:
@@ -208,16 +210,16 @@ class OscillatoryTransport:
             for k, col in by_col
         }
 
-    def source(self, amplitude: AmplitudeSpec) -> ScalarField:
+    def source(self, amplitude: AmplitudeSpec) -> np.ndarray:
         """Right-hand side from the amplitude's dbar derivatives; zero, with no
         transform, when every derivative a coefficient multiplies vanishes."""
         if not self.active:
-            return self.grid.zero()
+            return self.grid.zero().values
         dbar_a = [amplitude.field.values]
         for _ in range(1, self.op.m):
             dbar_a.append(_dbar(dbar_a[-1], self.grid.spacing))
         if not any(np.any(dbar_a[k]) for k in self.cols):
-            return self.grid.zero()
+            return self.grid.zero().values
         return self._outer_sum(dbar_a)
 
 
@@ -274,6 +276,12 @@ def residual_norm(op: PerturbedOperator, u: ScalarField) -> float:
     return float(np.sqrt(total))
 
 
+def _overflow(h: float, what: str, ratios=()) -> NonContractionError:
+    """The error for a transport whose arithmetic left the double range."""
+    message = f"transport map overflows at h={h}: {what} is not finite"
+    return NonContractionError(h, message, ratios)
+
+
 def solve_density(
     T: OscillatoryTransport,
     amplitude: AmplitudeSpec,
@@ -287,14 +295,17 @@ def solve_density(
     residual ||(I - T)g - w||_2 <= 2 * tol * ||w||_2 a posteriori with one
     extra application of the map, whose chain tail goes to _tail (see
     OscillatoryTransport.apply).  Raises NonContractionError when the term
-    norms fail to decrease three times in a row, MaxTermsExceededError when
-    the budget runs out; both carry the term-norm ratios ||t_k|| / ||t_(k-1)||.
+    norms fail to decrease three times in a row or a norm is not finite,
+    MaxTermsExceededError when the budget runs out; both carry the
+    term-norm ratios ||t_k|| / ||t_(k-1)||.
     """
-    h = T.phase.h
+    h, grid = T.phase.h, T.grid
     w = T.source(amplitude)
-    w_norm = norm_lp(w, 2)
+    w_norm = _weighted_p_sum(grid, w, 2) ** 0.5
+    if not isfinite(w_norm):
+        raise _overflow(h, "the source")
     if w_norm == 0.0:
-        return T.grid.zero(), 1
+        return grid.zero(), 1
     g = w
     term = w
     prev_norm = w_norm
@@ -303,8 +314,10 @@ def solve_density(
     terms_used = 1
     while True:
         term = T.apply(term)
-        t_norm = norm_lp(term, 2)
+        t_norm = _weighted_p_sum(grid, term, 2) ** 0.5
         ratios.append(t_norm / prev_norm)
+        if not isfinite(t_norm):
+            raise _overflow(h, f"Neumann term {terms_used}", ratios)
         if t_norm <= tol * w_norm:
             if t_norm > 0:
                 g = g + term
@@ -321,7 +334,9 @@ def solve_density(
         prev_norm = t_norm
         if terms_used >= max_terms:
             raise MaxTermsExceededError(h, max_terms, ratios=ratios)
-    residual = norm_lp(g - T.apply(g, _tail) - w, 2)
+    residual = _weighted_p_sum(grid, g - T.apply(g, _tail) - w, 2) ** 0.5
+    if not isfinite(residual):
+        raise _overflow(h, "the a-posteriori residual", ratios)
     if residual > 2.0 * tol * w_norm:
         raise MaxTermsExceededError(
             h,
@@ -329,7 +344,7 @@ def solve_density(
             f"a-posteriori residual {residual:.3e} exceeds 2*tol*||w|| at h={h}",
             ratios,
         )
-    return g, terms_used
+    return ScalarField(grid, g), terms_used
 
 
 def build_cgo(
@@ -391,10 +406,10 @@ def _ring(values: np.ndarray) -> np.ndarray:
     return np.concatenate((values[0], values[-1], values[1:-1, 0], values[1:-1, -1]))
 
 
-def _unit(grid: ComplexGrid, values: np.ndarray):
-    """(values / ||values|| as a field, ||values||) in the plain vdot norm; no field for 0."""
+def _unit(values: np.ndarray):
+    """(values / ||values||, ||values||) in the plain vdot norm; None for 0."""
     norm = float(np.sqrt(np.vdot(values, values).real))
-    return (ScalarField(grid, values * (1.0 / norm)) if norm else None), norm
+    return (values * (1.0 / norm) if norm else None), norm
 
 
 def _ritz_ratio(alphas, betas, u_rings, v_rings, c) -> float:
@@ -426,8 +441,9 @@ def transport_norm_probe(T: OscillatoryTransport, iterations: int = 20, seed: in
     iteration stops after step k >= 2 once |est_k - est_(k-1)| <=
     PROBE_RTOL * est_k, or after `iterations` steps (the cap); the step that
     stops does not apply T*, and a zero alpha or beta stops with the current
-    estimate.  sweeps counts the forward applies.  A transport with no
-    nonzero coefficient gives (0.0, 0).
+    estimate, while a non-finite one (the map overflowed) raises
+    NonContractionError.  sweeps counts the forward applies.  A transport with
+    no nonzero coefficient gives (0.0, 0).
     """
     est, k = 0.0, 0
     if not T.active:
@@ -435,20 +451,24 @@ def transport_norm_probe(T: OscillatoryTransport, iterations: int = 20, seed: in
     grid = T.grid
     w = grid._trapezoid_1d
     c = 1.0 - _ring(np.outer(w, w))
-    v, _ = _unit(grid, smooth_random_field(grid, seed).values)
+    v, _ = _unit(smooth_random_field(grid, seed).values)
     alphas, betas, u_rings, v_rings = [], [], [], []
     for k in range(1, iterations + 1):
         # one expression each, so no unnormalized vector outlives its step
-        u, alpha = _unit(grid, T.apply(v).values - (betas[-1] * u.values if betas else 0.0))
+        u, alpha = _unit(T.apply(v) - (betas[-1] * u if betas else 0.0))
+        if not isfinite(alpha):
+            raise _overflow(T.phase.h, f"the norm probe's alpha at step {k}")
         if alpha == 0.0:
             break
         alphas.append(alpha)
-        u_rings.append(_ring(u.values))
-        v_rings.append(_ring(v.values))
+        u_rings.append(_ring(u))
+        v_rings.append(_ring(v))
         prev, est = est, _ritz_ratio(alphas, betas, u_rings, v_rings, c)
         if k == iterations or (k > 1 and abs(est - prev) <= PROBE_RTOL * est):
             break
-        v, beta = _unit(grid, T.apply_adjoint(u).values - alpha * v.values)
+        v, beta = _unit(T.apply_adjoint(u) - alpha * v)
+        if not isfinite(beta):
+            raise _overflow(T.phase.h, f"the norm probe's beta at step {k}")
         if beta == 0.0:
             break
         betas.append(beta)

@@ -24,6 +24,7 @@ tree, and one pass over the tree admits only the nodes the grammar allows.
 from __future__ import annotations
 
 import ast
+import cmath
 import operator
 import re as _re
 import sys
@@ -158,14 +159,19 @@ def _depth(root) -> int:
 
 
 def bump_profile(z: np.ndarray, cx: float, cy: float, radius: float, amp: complex):
-    """amp * exp(1 - 1/(1 - r^2/radius^2)) inside |z - c| < radius, else 0."""
+    """amp * exp(1 - 1/(1 - r^2/radius^2)) inside |z - c| < radius, else 0.
+
+    exp is evaluated on the nodes inside only; the rest stay +0.0.
+    """
     if radius <= 0:
         raise ExpressionError(f"bump radius must be positive, got {radius}")
+    if not cmath.isfinite(amp):
+        raise ExpressionError(f"bump amplitude must be finite, got {amp}")
     t = np.abs(z - (cx + 1j * cy)) ** 2 / radius**2
     inside = t < 1.0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        body = np.exp(1.0 - 1.0 / np.where(inside, 1.0 - t, 1.0))
-    return amp * np.where(inside, body, 0.0)
+    out = np.zeros(t.shape, dtype=np.complex128)
+    out[inside] = amp * np.exp(1.0 - 1.0 / (1.0 - t[inside]))
+    return out
 
 
 class Expression:

@@ -212,11 +212,11 @@ def integrate(f: ScalarField) -> complex:
     return complex(w @ f.values @ w) * g.spacing**2
 
 
-def _weighted_p_sum(f: ScalarField, p: float) -> float:
-    g = f.grid
-    w = g._trapezoid_1d
-    a = np.abs(f.values) ** p
-    return float(w @ a @ w) * g.spacing**2
+def _weighted_p_sum(grid: ComplexGrid, values: np.ndarray, p: float) -> float:
+    """Trapezoid sum of |values|^p over the grid: the p-th power of the L^p norm."""
+    w = grid._trapezoid_1d
+    a = np.abs(values) ** p
+    return float(w @ a @ w) * grid.spacing**2
 
 
 def norm_lp(f: ScalarField, p) -> float:
@@ -225,7 +225,7 @@ def norm_lp(f: ScalarField, p) -> float:
         return float(np.max(np.abs(f.values)))
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    return _weighted_p_sum(f, p) ** (1.0 / p)
+    return _weighted_p_sum(f.grid, f.values, p) ** (1.0 / p)
 
 
 def norm_w1p(f: ScalarField, p) -> float:
@@ -235,7 +235,7 @@ def norm_w1p(f: ScalarField, p) -> float:
         return max(norm_lp(q, p) for q in parts)
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    return sum(_weighted_p_sum(q, p) for q in parts) ** (1.0 / p)
+    return sum(_weighted_p_sum(q.grid, q.values, p) for q in parts) ** (1.0 / p)
 
 
 def norm_hm(f: ScalarField, m: int) -> float:
@@ -249,10 +249,10 @@ def norm_hm(f: ScalarField, m: int) -> float:
         if a > 0:
             rows[(a, 0)] = wirtinger_d(rows[(a - 1, 0)])
         cur = rows[(a, 0)]
-        total += _weighted_p_sum(cur, 2)
+        total += _weighted_p_sum(cur.grid, cur.values, 2)
         for b in range(1, m + 1 - a):
             cur = wirtinger_dbar(cur)
-            total += _weighted_p_sum(cur, 2)
+            total += _weighted_p_sum(cur.grid, cur.values, 2)
     return total**0.5
 
 

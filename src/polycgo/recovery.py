@@ -180,8 +180,8 @@ class RecoveryProblem:
     differences must be compactly supported away from the outer frame (the
     numerical stand-in for boundary-flat data).  The adjoint family's operator
     is built on the first full_cgo pairing.  Only one (z0, h) step is kept: a
-    transport per family, the remainders built on it, the moment bases X and Y
-    and the moments X^T B Y of each nonzero difference.
+    transport per family, the remainders built on it with their derivatives,
+    the moment bases X and Y and the moments X^T B Y of each nonzero difference.
     """
 
     def __init__(
@@ -250,7 +250,7 @@ class RecoveryProblem:
         """Make (z0, h) the kept step; entering another drops the last step's objects."""
         if self._step != (z0, h):
             self._step, self._transports, self._remainders = (z0, h), {}, {}
-            self._bases, self._moments = None, {}
+            self._derivatives, self._bases, self._moments = {}, None, {}
 
     def _moments_of(self, z0: complex, h: float, values: np.ndarray) -> np.ndarray:
         """X^T values Y for the step's bases: (2m-1)-square, one pass over values.
@@ -277,19 +277,29 @@ class RecoveryProblem:
         return self._moments[jk]
 
     def _cgo_pair(self, z0: complex, h: float, k0: int, j0: int):
-        """Remainders (r, s) of both families' oscillatory solutions."""
+        """Remainders (r, s) of both families' oscillatory solutions; the
+        step keeps their derivatives beside them, as _derivatives[(sign, degree)]."""
         return self._remainder(z0, h, +1, k0), self._remainder(z0, h, -1, j0)
 
     def _remainder(self, z0: complex, h: float, sign: int, degree: int) -> ScalarField:
-        """r of one family's solution, kept with its family's transport for the (z0, h) step."""
+        """r of one family's solution, kept with its family's transport for the (z0, h) step.
+
+        Beside it the step keeps {k: dbar^k r} for k < m, conjugated for the
+        adjoint family (sign -1), the form the pairing reads; empty for r = 0.
+        """
         self._enter(z0, h)
         if (sign, degree) not in self._remainders:
             if sign not in self._transports:
                 op = self._div if sign > 0 else self._adjoint_div
                 self._transports[sign] = OscillatoryTransport(op, PhaseSpec(z0, h), sign)
             T, amplitude = self._transports[sign], AmplitudeSpec.monomial(self.grid, degree)
-            sol = build_cgo(T, amplitude, tol=self.solver_tol, max_terms=self.max_terms)
-            self._remainders[(sign, degree)] = sol.r
+            r = build_cgo(T, amplitude, tol=self.solver_tol, max_terms=self.max_terms).r
+            derivatives, d = {}, r.values
+            if not r.is_zero():
+                for k in range(self.m):
+                    d = _dbar(d, self.grid.spacing) if k else d
+                    derivatives[k] = np.conj(d) if sign < 0 else d
+            self._remainders[(sign, degree)], self._derivatives[(sign, degree)] = r, derivatives
         return self._remainders[(sign, degree)]
 
     @cached_property
@@ -309,21 +319,14 @@ def identity_lhs(
     remainder derivatives.  No n-by-n integrand or oscillation is formed.
     """
     grid = problem.grid
-    m = problem.m
     PhaseSpec(z0, h).check_grid(grid)
     problem.check_probe(z0)
 
     # dbar^k r joins dbar^k a, and conj(dbar^j s) joins d^j conj(b); zero ones add nothing
-    rem_a, rem_b = {}, {}
+    rem_a = rem_b = {}
     if problem.mode == FULL_CGO:
-        r, s = problem._cgo_pair(z0, h, k0, j0)
-        for derivatives, rem, conj in ((rem_a, r, False), (rem_b, s, True)):
-            if rem.is_zero():
-                continue
-            d = rem.values
-            for k in range(m):
-                d = _dbar(d, grid.spacing) if k else d
-                derivatives[k] = np.conj(d) if conj else d
+        problem._cgo_pair(z0, h, k0, j0)
+        rem_a, rem_b = problem._derivatives[(+1, k0)], problem._derivatives[(-1, j0)]
 
     total = 0j
     for (j, k), b_field in sorted(problem.differences.items()):

@@ -1,4 +1,4 @@
-"""The recovery workloads of the benchmark reproduce its committed tables.
+"""The benchmark's workloads reproduce its committed tables.
 
 The benchmark checks every repetition against bench/reference/<workload>/;
 running the same configs here catches a drift before a benchmark run does.
@@ -34,15 +34,27 @@ def cell_matches(got, ref):
     return abs(x - r) <= RTOL * abs(r) + ATOL
 
 
-@pytest.mark.parametrize("workload", ["recover_amp", "recover_full"])
-def test_recover_workload_matches_reference(workload, tmp_path):
-    config = BENCH / "configs" / f"{workload}.json"
-    assert main(["recover", "--config", str(config), "--out", str(tmp_path)]) == 0
+def assert_matches_reference(workload, out):
     for name in ("results.csv", "slopes.csv"):
-        got = read_table(tmp_path / name)
+        got = read_table(out / name)
         ref = read_table(BENCH / "reference" / workload / name)
         assert len(got) == len(ref) and got[0] == ref[0], name
         for i, (row, ref_row) in enumerate(zip(got, ref)):
             assert len(row) == len(ref_row), (name, i)
             bad = [(a, b) for a, b in zip(row, ref_row) if not cell_matches(a, b)]
             assert not bad, (name, i, bad)
+
+
+@pytest.mark.parametrize("workload", ["recover_amp", "recover_full"])
+def test_recover_workload_matches_reference(workload, tmp_path):
+    config = BENCH / "configs" / f"{workload}.json"
+    assert main(["recover", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert_matches_reference(workload, tmp_path)
+
+
+def test_cgo_workload_matches_reference(tmp_path):
+    # the benchmark runs it as poly cgo --seed 0; the only tier-1 run of the
+    # adjoint apply and the norm probe at the workload's size
+    config = BENCH / "configs" / "cgo_sweep.json"
+    assert main(["cgo", "--config", str(config), "--out", str(tmp_path), "--seed", "0"]) == 0
+    assert_matches_reference("cgo_sweep", tmp_path)

@@ -19,6 +19,7 @@ from polycgo import (
     OscillatoryTransport,
     PerturbedOperator,
     PhaseSpec,
+    ScalarField,
     apply,
     build_adjoint_cgo,
     build_cgo,
@@ -81,11 +82,12 @@ class TestAmplitudeSpec:
 class TestTransportMap:
     def test_zero_coefficients_give_zero(self, grid128):
         op = to_divergence_form(PerturbedOperator(grid128, 2))
-        v = grid128.constant(1.0)
-        assert OscillatoryTransport(op, PHASE).apply(v).is_zero()
+        out = OscillatoryTransport(op, PHASE).apply(grid128.constant(1.0).values)
+        assert not np.any(out) and not out.flags.writeable  # the grid's shared zero
 
     def test_zero_input_gives_zero(self, testbed128_div, grid128):
-        assert OscillatoryTransport(testbed128_div, PHASE).apply(grid128.zero()).is_zero()
+        out = OscillatoryTransport(testbed128_div, PHASE).apply(grid128.zero().values)
+        assert not np.any(out) and not out.flags.writeable
 
     def test_compositional_oracle_single_coefficient(self, grid128):
         # single divergence coefficient (0,0): the map must equal the direct
@@ -93,7 +95,7 @@ class TestTransportMap:
         bump = field_from_expression(grid128, "bump(0.1, 0, 0.6, 1)")
         op = PerturbedOperator(grid128, 2, {(0, 0): bump}, form="divergence")
         v = smooth_random_field(grid128, seed=5)
-        got = OscillatoryTransport(op, PHASE).apply(v)
+        got = grid128.field(OscillatoryTransport(op, PHASE).apply(v.values))
         e_plus = PHASE.oscillation(grid128)
         e_minus = PHASE.oscillation(grid128, -1)
         expect = -1.0 * d_inv(e_plus * bump * dbar_inv(e_minus * v, 2), 2)
@@ -104,16 +106,16 @@ class TestTransportMap:
         v1 = smooth_random_field(grid128, seed=1)
         v2 = smooth_random_field(grid128, seed=2)
         lam = 0.7 - 0.3j
-        lhs = T.apply(v1 + lam * v2)
-        rhs = T.apply(v1) + lam * T.apply(v2)
+        lhs = grid128.field(T.apply((v1 + lam * v2).values))
+        rhs = grid128.field(T.apply(v1.values) + lam * T.apply(v2.values))
         assert norm_lp(lhs - rhs, 2) <= 1e-12 * norm_lp(rhs, 2)
 
     def test_adjoint_pairing_exact(self, testbed128_div, grid128, rng):
         T = OscillatoryTransport(testbed128_div, PHASE)
         v = grid128.field(rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128)))
         w = grid128.field(rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128)))
-        lhs = np.vdot(w.values, T.apply(v).values)
-        rhs = np.vdot(T.apply_adjoint(w).values, v.values)
+        lhs = np.vdot(w.values, T.apply(v.values))
+        rhs = np.vdot(T.apply_adjoint(w.values), v.values)
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
     @given(
@@ -126,8 +128,8 @@ class TestTransportMap:
     def test_adjoint_identity_on_smooth_fields(self, grid64, m, sign, h, seeds):
         T = OscillatoryTransport(coeff_table(grid64, m), PhaseSpec(PHASE.z0, h), sign)
         v, w = (smooth_random_field(grid64, seed) for seed in seeds)
-        lhs = np.vdot(w.values, T.apply(v).values)
-        rhs = np.vdot(T.apply_adjoint(w).values, v.values)
+        lhs = np.vdot(w.values, T.apply(v.values))
+        rhs = np.vdot(T.apply_adjoint(w.values), v.values)
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
     def test_coupling_enforced(self, testbed128_div):
@@ -191,13 +193,13 @@ class TestArrayPath:
         op, T, e_plus, e_minus = setup
         v = smooth_random_field(grid64, seed=3)
         x = [dbar_inv(e_minus * v, op.m - k) for k in range(op.m)]
-        assert_matches_oracle(T.apply(v).values, self.outer_sum(op, e_plus, x).values)
+        assert_matches_oracle(T.apply(v.values), self.outer_sum(op, e_plus, x).values)
 
     def test_source(self, setup, grid64):
         op, T, e_plus, _ = setup
         a = AmplitudeSpec.monomial(grid64, 2)
         x = [mixed_wirtinger(a.field, 0, k) for k in range(op.m)]
-        assert_matches_oracle(T.source(a).values, self.outer_sum(op, e_plus, x).values)
+        assert_matches_oracle(T.source(a), self.outer_sum(op, e_plus, x).values)
 
     def test_apply_adjoint(self, setup, grid64):
         op, T, e_plus, _ = setup
@@ -216,7 +218,7 @@ class TestArrayPath:
         expect = -1.0 * (e_plus * out)
         assert "_adjoint_weights" not in vars(T)  # built on the first adjoint apply
         for _ in range(2):  # the first call builds the weights, the second reuses them
-            assert_matches_oracle(T.apply_adjoint(v).values, expect.values)
+            assert_matches_oracle(T.apply_adjoint(v.values), expect.values)
 
     def test_transforms_per_call(self, setup, grid64, monkeypatch):
         # one dbar_inv chain down to the lowest column (row for the adjoint) and
@@ -236,7 +238,7 @@ class TestArrayPath:
             return transform(kernel, values)
 
         monkeypatch.setattr(CauchyKernel, "apply", counted)
-        v = smooth_random_field(grid64, seed=3)
+        v = smooth_random_field(grid64, seed=3).values
         # a constant amplitude has dbar a = 0: with no coefficient in column 0
         # every row combination vanishes, and source returns zero untransformed
         constant_source = m - lowest_row if lowest_col == 0 else 0
@@ -249,7 +251,7 @@ class TestArrayPath:
             counts.clear()
             out = call()
             assert counts["transforms"] == expect
-        assert out.is_zero() == (constant_source == 0)
+        assert (not np.any(out)) == (constant_source == 0)
 
         # build_cgo: the source and each Neumann apply; the remainder finishes the
         # a-posteriori check's chain, so a nonzero one takes lowest_col more
@@ -268,21 +270,30 @@ class TestArrayPath:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_overflow_caught_on_return(self, grid64):
-        # c * dbar_inv^2(E- v) overflows inside the call; the returned field is checked
-        op = PerturbedOperator(grid64, 2, {(0, 0): grid64.constant(1e300)}, form="divergence")
-        T = OscillatoryTransport(op, PHASE)
-        v = grid64.constant(1e30)
-        with pytest.raises(ValueError, match="non-finite"):
-            T.apply(v)
-        with pytest.raises(ValueError, match="non-finite"):
-            T.apply_adjoint(v)
+        # c * dbar_inv^2(E- v) overflows inside the call; the calls return arrays
+        # unchecked, and the loops over them refuse the norms they take of the
+        # returns: the probe its first alpha, the Neumann sum its first term's
+        def transport_of(c):
+            op = PerturbedOperator(grid64, 2, {(0, 0): grid64.constant(c)}, form="divergence")
+            return OscillatoryTransport(op, PHASE)
+
+        T = transport_of(1e300)
+        v = grid64.constant(1e30).values
+        assert not np.all(np.isfinite(T.apply(v)))
+        assert not np.all(np.isfinite(T.apply_adjoint(v)))
+        with pytest.raises(NonContractionError, match="alpha at step 1 is not finite"):
+            transport_norm_probe(T)
+        # at c = 1e150 the source's norm is finite and the first term's is not
+        with pytest.raises(NonContractionError, match="Neumann term 1 is not finite") as info:
+            solve_density(transport_of(1e150), AmplitudeSpec.monomial(grid64, 0))
+        assert info.value.h == PHASE.h and len(info.value.ratios) == 1
 
 
 class TestSource:
     def test_zero_coefficients(self, grid128):
         op = to_divergence_form(PerturbedOperator(grid128, 2))
         w = OscillatoryTransport(op, PHASE).source(AmplitudeSpec.monomial(grid128, 0))
-        assert w.is_zero()
+        assert not np.any(w)
 
     def test_monomial_term_bookkeeping(self, grid128):
         # a = zbar with m=2: dbar^0 a = zbar and dbar^1 a = 1 both enter;
@@ -293,7 +304,7 @@ class TestSource:
         }
         op = PerturbedOperator(grid128, 2, coeffs, form="divergence")
         a = AmplitudeSpec.monomial(grid128, 1)
-        got = OscillatoryTransport(op, PHASE).source(a)
+        got = grid128.field(OscillatoryTransport(op, PHASE).source(a))
         e_plus = PHASE.oscillation(grid128)
         zbar = grid128.sample(np.conj)
         one = grid128.constant(1.0)
@@ -315,8 +326,8 @@ class TestSolveDensity:
         a = AmplitudeSpec.monomial(grid128, 0)
         T = OscillatoryTransport(testbed128_div, PHASE)
         g, terms = solve_density(T, a, tol=tol)
-        w = T.source(a)
-        resid = norm_lp(g - T.apply(g) - w, 2)
+        w = grid128.field(T.source(a))
+        resid = norm_lp(g - grid128.field(T.apply(g.values)) - w, 2)
         assert resid <= 2.0 * tol * norm_lp(w, 2)
         assert terms >= 3
 
@@ -333,10 +344,10 @@ class TestSolveDensity:
         with pytest.raises(MaxTermsExceededError, match="did not converge in 3 terms") as info:
             solve_density(T, a, tol=1e-14, max_terms=3)
         term = T.source(a)
-        norms = [norm_lp(term, 2)]
+        norms = [norm_lp(grid128.field(term), 2)]
         for _ in range(2):
             term = T.apply(term)
-            norms.append(norm_lp(term, 2))
+            norms.append(norm_lp(grid128.field(term), 2))
         ratios = tuple(n1 / n0 for n0, n1 in zip(norms, norms[1:]))
         assert info.value.ratios == ratios
         assert str(info.value) == (
@@ -472,8 +483,41 @@ class TestBuildCGO:
         op = to_divergence_form(bump_testbed(g))
         a = AmplitudeSpec.monomial(g, 0)
         hs = (0.2, 0.14, 0.1, 0.07)
-        norms = [_norm(OscillatoryTransport(op, PhaseSpec(0.1 + 0.1j, h)).source(a), 2) for h in hs]
+        norms = [
+            _norm(g.field(OscillatoryTransport(op, PhaseSpec(0.1 + 0.1j, h)).source(a)), 2)
+            for h in hs
+        ]
         assert fit_loglog_slope(hs, norms) >= 0.5
+
+
+class TestFieldsAtTheEdges:
+    """The loops run on arrays: a field is made where a result leaves them."""
+
+    def test_field_count_independent_of_steps(self, testbed128_div, grid128, monkeypatch):
+        made = Counter()
+        init = ScalarField.__init__
+
+        def counted(self, *args):
+            made["fields"] += 1
+            init(self, *args)
+
+        T = OscillatoryTransport(testbed128_div, PHASE)
+        a = AmplitudeSpec.monomial(grid128, 0)
+        monkeypatch.setattr(ScalarField, "__init__", counted)
+        builds = []
+        for tol in (1e-4, 1e-10):
+            made.clear()
+            builds.append((build_cgo(T, a, tol=tol).neumann_terms, made["fields"]))
+        # with the settle rule off, the cap alone sets the step count
+        monkeypatch.setattr(cgo, "PROBE_RTOL", -1.0)
+        probes = []
+        for cap in (2, 8):
+            made.clear()
+            probes.append((transport_norm_probe(T, iterations=cap)[1], made["fields"]))
+        assert builds[0][0] < builds[1][0]
+        # g and r; the probe's start field and its normalized copy
+        assert [fields for _, fields in builds] == [2, 2]
+        assert probes == [(2, 2), (8, 2)]
 
 
 class TestAdjointCGO:
@@ -509,9 +553,9 @@ def power_estimates(T, v, sweeps):
     """The estimate after each of `sweeps` full T*T sweeps, with no stop."""
     ests = []
     for _ in range(sweeps):
-        tv = T.apply(v)
+        tv = v.grid.field(T.apply(v.values))
         ests.append(norm_lp(tv, 2) / norm_lp(v, 2))
-        w = T.apply_adjoint(tv)
+        w = v.grid.field(T.apply_adjoint(tv.values))
         v = w * (1.0 / norm_lp(w, 2))
     return ests
 
@@ -526,10 +570,13 @@ def gkl_estimates(T, v, steps):
     Keeps every Lanczos vector, forms the top Ritz vector x = V y and applies T
     to it, where the probe keeps ring entries only and uses T x = U B y.
     """
+    def apply(f):
+        return f.grid.field(T.apply(f.values))
+
     vs, us, alphas, betas, ests = [], [], [], [], []
     v = v * (1.0 / np.linalg.norm(v.values))
     for k in range(steps):
-        p = T.apply(v) if k == 0 else T.apply(v) - betas[-1] * us[-1]
+        p = apply(v) if k == 0 else apply(v) - betas[-1] * us[-1]
         alphas.append(np.linalg.norm(p.values))
         vs.append(v)
         us.append(p * (1.0 / alphas[-1]))
@@ -538,8 +585,8 @@ def gkl_estimates(T, v, steps):
         x = vs[0] * complex(y[0])
         for yi, vi in zip(y[1:], vs[1:]):
             x = x + vi * complex(yi)
-        ests.append(norm_lp(T.apply(x), 2) / norm_lp(x, 2))
-        q = T.apply_adjoint(us[-1]) - alphas[-1] * v
+        ests.append(norm_lp(apply(x), 2) / norm_lp(x, 2))
+        q = v.grid.field(T.apply_adjoint(us[-1].values)) - alphas[-1] * v
         betas.append(np.linalg.norm(q.values))
         v = q * (1.0 / betas[-1])
     return ests
@@ -640,7 +687,7 @@ class TestNormProbe:
         columns = []
         for i in range(n * n):
             unit[i] = 1.0
-            columns.append(T.apply(grid.field(unit.reshape(n, n))).values.ravel())
+            columns.append(T.apply(unit.reshape(n, n)).ravel())
             unit[i] = 0.0
         M = np.column_stack(columns)
         v1 = np.linalg.svd(M)[2][0].conj()

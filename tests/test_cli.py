@@ -286,6 +286,26 @@ class TestCgoCommand:
         assert lines[0].startswith("failed_at=") and lines[-1] == err
         assert sorted(p.name for p in out.iterdir()) == ["log.txt"]
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.parametrize("degree, where", [
+        (0, "the norm probe's alpha at step 1"),  # no source: the probe overflows
+        (1, "the source"),  # the Neumann solve overflows
+    ], ids=["probe", "neumann"])
+    def test_overflow_is_a_numerical_failure(self, tmp_path, capsys, degree, where):
+        out = tmp_path / "r"
+        doc = base_cgo_config(out)
+        doc["grid"]["n"] = 64
+        doc["operator"] = {"m": 2, "form": "divergence",
+                           "coeffs": {"1,1": "bump(0, 0, 0.7, 1e300)"}}
+        doc["phase"]["h"] = [0.5, 0.3]
+        doc["cgo"]["amplitude_degree"] = degree
+        assert main(["cgo", "--config", write_config(tmp_path, doc)]) == 3
+        err = capsys.readouterr().err.strip()
+        assert err == f"numerical failure: transport map overflows at h=0.5: {where} is not finite"
+        lines = (out / "log.txt").read_text().splitlines()
+        assert lines[0].startswith("failed_at=") and lines[-1] == err
+        assert sorted(p.name for p in out.iterdir()) == ["log.txt"]
+
     def test_double_long_double_exit_three(self, tmp_path, capsys, monkeypatch):
         # where np.longdouble is a plain double the extended-precision residual cannot run
         monkeypatch.setattr(cgo, "LONGDOUBLE_EPS", float(np.finfo(np.float64).eps))
@@ -375,6 +395,22 @@ class TestRecoverCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["recover", "--config", cfg]) == 3
         assert "degenerate" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_overflow_is_a_numerical_failure(self, tmp_path, capsys):
+        # the adjoint family's Neumann solve overflows on the huge difference
+        out = tmp_path / "r"
+        doc = base_recover_config(out)
+        doc["grid"]["n"] = 64
+        doc["phase"]["h"] = [0.5, 0.3]
+        doc["operator"]["coeffs_tilde"] = {"0,0": "bump(0, 0, 0.7, 1e300)"}
+        doc["recovery"]["mode"] = "full_cgo"
+        assert main(["recover", "--config", write_config(tmp_path, doc)]) == 3
+        err = capsys.readouterr().err.strip()
+        assert err == "numerical failure: transport map overflows at h=0.5: the source is not finite"
+        lines = (out / "log.txt").read_text().splitlines()
+        assert lines[0].startswith("failed_at=") and lines[-1] == err
+        assert sorted(p.name for p in out.iterdir()) == ["log.txt"]
 
     def test_missing_probes_config_error(self, tmp_path):
         doc = base_recover_config(tmp_path / "r")

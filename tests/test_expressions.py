@@ -140,6 +140,19 @@ class TestFieldEvaluation:
         outside = np.abs(grid256.nodes) >= 0.5
         assert np.all(f.values[outside] == 0)
 
+    @pytest.mark.parametrize("amp", ["1e308*10", "-1e308*10", "1e308*10i", "1e308*10 - 1e308*10"])
+    def test_bump_non_finite_amplitude_refused(self, amp):
+        # also where no node lies inside the support, so no node's value is non-finite
+        grid = ComplexGrid(0j, 1.0, 16)
+        with pytest.raises(ExpressionError, match="amplitude must be finite"):
+            field_from_expression(grid, f"bump(0.01, 0.01, 1e-3, {amp})")
+
+    def test_bump_is_positive_zero_outside(self, grid64):
+        f = field_from_expression(grid64, "bump(0, 0, 0.5, -2 + 0.5i)")
+        outside = np.abs(grid64.nodes) >= 0.5
+        parts = np.stack((f.values.real, f.values.imag))[:, outside]
+        assert np.all(parts == 0) and not np.any(np.signbit(parts))
+
     def test_bump_argument_validation(self, grid64):
         with pytest.raises(ExpressionError):
             field_from_expression(grid64, "bump(0, 0, 1)")

@@ -207,6 +207,35 @@ class TestIdentity:
         assert all(ref() is None for ref in steps[0])
         assert all(ref() is not None for ref in steps[1])
 
+    def test_remainder_derivatives_formed_once_per_step(self, monkeypatch):
+        # full_cgo differentiates each remainder of a step once (m - 1 = 1 dbar),
+        # however many of the step's pairings share its degree or repeat
+        differentiated = []
+
+        def counted(values, spacing, _fn=recovery._dbar):
+            differentiated.append(values)
+            return _fn(values, spacing)
+
+        monkeypatch.setattr(recovery, "_dbar", counted)
+        g = ComplexGrid(0j, 1.0, 128)
+        z0 = 0.2 + 0.1j
+        bump = field_from_expression(g, "bump(0.05, 0, 0.6, 1)")
+        L = PerturbedOperator(g, 2, {(0, 0): 0.5 * bump}, form="divergence")
+        Lt = PerturbedOperator(g, 2, {(0, 0): bump, (1, 1): 0.3j * bump}, form="divergence")
+        prob = RecoveryProblem(L, Lt, [z0], [0.3, 0.25], mode=FULL_CGO)
+        for h in prob.h_list:
+            differentiated.clear()
+            for _ in range(2):
+                for j0 in range(2):
+                    for k0 in range(2):
+                        identity_lhs(prob, j0, k0, h, z0)
+            remainders = [
+                prob._remainder(z0, h, sign, degree) for sign in (1, -1) for degree in (0, 1)
+            ]
+            assert not any(r.is_zero() for r in remainders)
+            assert len(differentiated) == 4
+            assert all(any(v is r.values for v in differentiated) for r in remainders)
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_non_finite_pairing_raises(self):
         # a finite difference whose moments overflow must not pair to inf or nan
