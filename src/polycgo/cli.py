@@ -139,6 +139,18 @@ def _complex_from(value, where: str) -> complex:
     raise ConfigError(f"field {where} must be a number, 'a+bi' string, or [re, im]")
 
 
+def _distinct(raw: list, where: str, parse) -> list:
+    """parse(entry, name) for each entry of the list field `where`; a repeat is a config error."""
+    values = []
+    for i, entry in enumerate(raw):
+        value = parse(entry, f"{where}[{i}]")
+        if value in values:
+            first = values.index(value)
+            raise ConfigError(f"field {where}[{i}]: {value:g} repeats {where}[{first}]")
+        values.append(value)
+    return values
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -236,14 +248,12 @@ def build_phases(cfg: dict, grid: ComplexGrid):
     """(phase.z0 list, phase.h list); each z0 finite and strictly inside the grid square."""
     h_list = build_h_list(cfg, grid)
     raw = _take(cfg.get("phase", {}), "phase", "z0", list, default=[0.0], check=NON_EMPTY)
-    z0_list = []
-    for i, value in enumerate(raw):
-        z0 = _complex_from(value, f"phase.z0[{i}]")
+    z0_list = _distinct(raw, "phase.z0", _complex_from)
+    for i, z0 in enumerate(z0_list):
         try:
             PhaseSpec(z0, h_list[0]).check_grid(grid)
         except ValueError as exc:
             raise ConfigError(f"field phase.z0[{i}]: {exc}") from exc
-        z0_list.append(z0)
     return z0_list, h_list
 
 
@@ -363,15 +373,10 @@ def cmd_cauchy_test(cfg: dict, out_dir: Path) -> int:
     if omega.is_zero():
         raise ConfigError("field cauchy.omega vanishes on every grid node")
     omega_norm = _resolved(norm_lp(omega, 2), "the L2 norm", grid)
-    q_values = []
-    for i, q in enumerate(_take(section, "cauchy", "q_values", list, default=[2.0, 4.0])):
-        q = _as_float(q, f"cauchy.q_values[{i}]", (lambda q: 1 <= q < inf, ">= 1 and finite"))
-        if q in q_values:
-            raise ConfigError(
-                f"field cauchy.q_values[{i}]: q={q:g} repeats "
-                f"cauchy.q_values[{q_values.index(q)}]"
-            )
-        q_values.append(q)
+    q_values = _distinct(
+        _take(section, "cauchy", "q_values", list, default=[2.0, 4.0]), "cauchy.q_values",
+        lambda q, where: _as_float(q, where, (lambda q: 1 <= q < inf, ">= 1 and finite")),
+    )
     # the default gates q = 2 and q = 4 where they are configured
     default_slopes = {key: s for key, s in (("2", 0.5), ("4", 0.2)) if float(key) in q_values}
     min_slopes = {}
@@ -499,7 +504,7 @@ def cmd_recover(cfg: dict, out_dir: Path) -> int:
         check=((AMPLITUDE_ONLY, FULL_CGO).__contains__, "amplitude_only or full_cgo"),
     )
     raw = _take(section, "recovery", "probes", list, required=True, check=NON_EMPTY)
-    probes = [_complex_from(v, f"recovery.probes[{i}]") for i, v in enumerate(raw)]
+    probes = _distinct(raw, "recovery.probes", _complex_from)
     max_rel_err = _take(
         section, "recovery", "max_rel_err", float, default=0.15, check=NON_NEGATIVE
     )

@@ -16,8 +16,8 @@ and every monomial factor conj(z)^a z^b / (a! b!) is a polynomial in x and y
 (_monomial_table), so each term, an array G times such a monomial, pairs as
 sum c[p,q] * (X^T G Y)[p,q] * spacing^2 with X[:, p] = w*ex*x^p and
 Y[:, q] = w*ey*y^q.  G is a difference B[j,k], or in full_cgo B[j,k] times the
-remainder derivatives dbar^k r and conj(dbar^j s).  The moments X^T B Y of each
-difference are formed once per (z0, h) step and shared by its levels.  The
+remainder derivatives dbar^k r and conj(dbar^j s).  RecoveryProblem.step forms
+each G's moments once per (z0, h) step, and its levels pair from them.  The
 point weights and the noise floor are cgo._monomial_part, the rule
 AmplitudeSpec.monomial builds on.
 """
@@ -27,8 +27,7 @@ from __future__ import annotations
 import cmath
 import json
 from dataclasses import dataclass, field
-from functools import cache, cached_property, reduce
-from itertools import product
+from functools import cache, cached_property
 from math import comb, factorial, pi
 
 import numpy as np
@@ -163,25 +162,15 @@ def _monomial_table(a: int, b: int) -> np.ndarray:
     return c
 
 
-def _parts(degree: int, remainder):
-    """One side's amplitude derivative as (array or None, monomial degree) parts.
-
-    The monomial part exists for degree >= 0; a remainder derivative adds an
-    array part of degree 0.
-    """
-    parts = [(None, degree)] if degree >= 0 else []
-    return parts + ([(remainder, 0)] if remainder is not None else [])
-
-
 class RecoveryProblem:
     """Two same-order operators, probe points, and an h sweep for recovery runs.
 
     The operators are converted to divergence form; their coefficient
     differences must be compactly supported away from the outer frame (the
     numerical stand-in for boundary-flat data).  The adjoint family's operator
-    is built on the first full_cgo pairing.  Only one (z0, h) step is kept: a
-    transport per family, the remainders built on it with their derivatives,
-    the moment bases X and Y and the moments X^T B Y of each nonzero difference.
+    is built on the first full_cgo pairing.  Only one (z0, h) step is kept, as
+    step(z0, h) returns it; its transports, remainder derivatives and arrays G
+    live only while it is built.
     """
 
     def __init__(
@@ -246,61 +235,70 @@ class RecoveryProblem:
                 z0, f"subtraction weights sum to {cond:.3g} > bound {CONDITIONING_BOUND:g}"
             )
 
-    def _enter(self, z0: complex, h: float) -> None:
-        """Make (z0, h) the kept step; entering another drops the last step's objects."""
-        if self._step != (z0, h):
-            self._step, self._transports, self._remainders = (z0, h), {}, {}
-            self._derivatives, self._bases, self._moments = {}, None, {}
+    def step(self, z0: complex, h: float):
+        """(remainders, moments) of the (z0, h) step, built once after the last is dropped.
 
-    def _moments_of(self, z0: complex, h: float, values: np.ndarray) -> np.ndarray:
-        """X^T values Y for the step's bases: (2m-1)-square, one pass over values.
-
-        values @ Y runs first: BLAS streams the n-by-n array far faster
-        against a few columns than against a few rows.
+        remainders[(sign, degree)]: full_cgo's r per family and monomial degree.
+        moments[(j, k)][(kr, js)]: X^T G Y per nonzero B[j,k], G being B, B * dbar^k r
+        of degree kr, B * conj(dbar^j s) of degree js, or both; a zero r or s adds no key.
         """
-        self._enter(z0, h)
-        if self._bases is None:
-            grid = self.grid
-            ex, ey = PhaseSpec(z0, h).oscillation_factors(grid)
-            w, t = grid._trapezoid_1d[:, None], grid.axis_offsets[:, None]
-            powers = np.arange(2 * self.m - 1)
-            x, y = grid.center.real + t, grid.center.imag + t
-            self._bases = (w * ex[:, None] * x**powers).T, w * ey[:, None] * y**powers
-        left, right = self._bases
-        return left @ (values @ right)
-
-    def _difference_moments(self, z0: complex, h: float, jk) -> np.ndarray:
-        """Moments of the difference B[j,k], formed once per (z0, h) step."""
-        self._enter(z0, h)
-        if jk not in self._moments:
-            self._moments[jk] = self._moments_of(z0, h, self.differences[jk].values)
-        return self._moments[jk]
+        if self._step is None or self._step[0] != (z0, h):
+            self._step = None
+            remainders = self._remainders(z0, h) if self.mode == FULL_CGO else {}
+            self._step = (z0, h), (remainders, self._moments(z0, h, remainders))
+        return self._step[1]
 
     def _cgo_pair(self, z0: complex, h: float, k0: int, j0: int):
-        """Remainders (r, s) of both families' oscillatory solutions; the
-        step keeps their derivatives beside them, as _derivatives[(sign, degree)]."""
-        return self._remainder(z0, h, +1, k0), self._remainder(z0, h, -1, j0)
+        """Remainders (r, s) of both families' oscillatory solutions at the (z0, h) step."""
+        remainders, _ = self.step(z0, h)
+        return remainders[(+1, k0)], remainders[(-1, j0)]
 
-    def _remainder(self, z0: complex, h: float, sign: int, degree: int) -> ScalarField:
-        """r of one family's solution, kept with its family's transport for the (z0, h) step.
+    def _remainders(self, z0: complex, h: float) -> dict:
+        """r of both families' solutions for every degree < m, on one transport each."""
+        phase, ops = PhaseSpec(z0, h), {+1: self._div, -1: self._adjoint_div}
+        transports = {sign: OscillatoryTransport(op, phase, sign) for sign, op in ops.items()}
+        remainders = {}
+        for degree in range(self.m):
+            amplitude = AmplitudeSpec.monomial(self.grid, degree)
+            for sign, T in transports.items():
+                sol = build_cgo(T, amplitude, tol=self.solver_tol, max_terms=self.max_terms)
+                remainders[(sign, degree)] = sol.r
+        return remainders
 
-        Beside it the step keeps {k: dbar^k r} for k < m, conjugated for the
-        adjoint family (sign -1), the form the pairing reads; empty for r = 0.
+    def _moments(self, z0: complex, h: float, remainders: dict) -> dict:
+        """The step's moment table; each array G is formed once and dropped after its pass.
+
+        G @ Y runs first: BLAS streams the n-by-n array far faster against a
+        few columns than against a few rows.
         """
-        self._enter(z0, h)
-        if (sign, degree) not in self._remainders:
-            if sign not in self._transports:
-                op = self._div if sign > 0 else self._adjoint_div
-                self._transports[sign] = OscillatoryTransport(op, PhaseSpec(z0, h), sign)
-            T, amplitude = self._transports[sign], AmplitudeSpec.monomial(self.grid, degree)
-            r = build_cgo(T, amplitude, tol=self.solver_tol, max_terms=self.max_terms).r
-            derivatives, d = {}, r.values
+        grid, m = self.grid, self.m
+        ex, ey = PhaseSpec(z0, h).oscillation_factors(grid)
+        w, t = grid._trapezoid_1d[:, None], grid.axis_offsets[:, None]
+        powers = np.arange(2 * m - 1)
+        x, y = grid.center.real + t, grid.center.imag + t
+        left, right = (w * ex[:, None] * x**powers).T, w * ey[:, None] * y**powers
+        # {degree: [dbar^k r for k < m]} per family, conjugated for s: the form the pairing reads
+        rs, ss = {}, {}
+        for (sign, degree), r in remainders.items():
             if not r.is_zero():
-                for k in range(self.m):
-                    d = _dbar(d, self.grid.spacing) if k else d
-                    derivatives[k] = np.conj(d) if sign < 0 else d
-            self._remainders[(sign, degree)], self._derivatives[(sign, degree)] = r, derivatives
-        return self._remainders[(sign, degree)]
+                d, derivatives = r.values, []
+                for k in range(m):
+                    d = _dbar(d, grid.spacing) if k else d
+                    derivatives.append(np.conj(d) if sign < 0 else d)
+                (rs if sign > 0 else ss)[degree] = derivatives
+        moments = {}
+        for (j, k), b in sorted(self.differences.items()):
+            if b.is_zero():
+                continue
+            table = moments[(j, k)] = {(None, None): left @ (b.values @ right)}
+            for js, s in ss.items():
+                table[(None, js)] = left @ ((b.values * s[j]) @ right)
+            for kr, r in rs.items():
+                g = b.values * r[k]
+                table[(kr, None)] = left @ (g @ right)
+                for js, s in ss.items():
+                    table[(kr, js)] = left @ ((g * s[j]) @ right)
+        return moments
 
     @cached_property
     def _adjoint_div(self) -> PerturbedOperator:
@@ -314,35 +312,30 @@ def identity_lhs(
 
     amplitude_only pairs the pure amplitudes; full_cgo pairs the assembled
     oscillatory solutions, picking up the small remainder cross terms.  Each
-    term is an array G times conj(z)^a z^b / (a! b!), paired through its
-    moments: the step's moments of B[j,k], or one pass over a product with the
-    remainder derivatives.  No n-by-n integrand or oscillation is formed.
+    term is an array G times conj(z)^a z^b / (a! b!), paired through the
+    moments of G in the step's table.  Once the step exists no n-by-n array
+    is formed.
     """
     grid = problem.grid
     PhaseSpec(z0, h).check_grid(grid)
     problem.check_probe(z0)
 
-    # dbar^k r joins dbar^k a, and conj(dbar^j s) joins d^j conj(b); zero ones add nothing
-    rem_a = rem_b = {}
     if problem.mode == FULL_CGO:
+        # reach the step through the CGO lookup, so a trace counts its builds there
         problem._cgo_pair(z0, h, k0, j0)
-        rem_a, rem_b = problem._derivatives[(+1, k0)], problem._derivatives[(-1, j0)]
+    _, moments = problem.step(z0, h)
 
+    # dbar^k a of degree k0 - k pairs with d^j conj(b) of degree j0 - j; in
+    # full_cgo, dbar^k r joins the first and conj(dbar^j s) the second
     total = 0j
-    for (j, k), b_field in sorted(problem.differences.items()):
-        if b_field.is_zero():
-            continue
-        a_side, b_side = _parts(k0 - k, rem_a.get(k)), _parts(j0 - j, rem_b.get(j))
-        for (r_part, a), (s_part, b) in product(a_side, b_side):
-            if r_part is None and s_part is None:
-                moments = problem._difference_moments(z0, h, (j, k))
-            else:
-                factors = [v for v in (r_part, s_part) if v is not None]
-                g = reduce(np.multiply, factors, b_field.values)
-                moments = problem._moments_of(z0, h, g)
-            d = a + b + 1
-            term = np.sum(_monomial_table(a, b) * moments[:d, :d])
-            total = total - term if j % 2 else total + term
+    for (j, k), table in moments.items():
+        for kr, a in ((None, k0 - k), (k0, 0)):
+            for js, b in ((None, j0 - j), (j0, 0)):
+                if a < 0 or b < 0 or (kr, js) not in table:
+                    continue
+                d = a + b + 1
+                term = np.sum(_monomial_table(a, b) * table[(kr, js)][:d, :d])
+                total = total - term if j % 2 else total + term
     value = complex(total) * grid.spacing**2
     if not cmath.isfinite(value):
         raise ValueError("field contains non-finite values")

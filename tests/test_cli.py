@@ -210,6 +210,16 @@ class TestCauchyCommand:
         assert "cauchy.q_values[1]" in err and "cauchy.q_values[0]" in err
         assert not (tmp_path / "r").exists()
 
+    def test_repeated_z0_config_error(self, tmp_path, capsys):
+        # a repeated critical point, however it is spelled, would write duplicate rows
+        doc = base_cauchy_config(tmp_path / "r")
+        doc["phase"]["z0"] = ["0.05+0.05i", "-0.1", [0.05, 0.05]]
+        cfg = write_config(tmp_path, doc)
+        assert main(["cauchy-test", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "phase.z0[2]" in err and "phase.z0[0]" in err
+        assert not (tmp_path / "r").exists()
+
     def test_failed_tolerance_exits_one(self, tmp_path):
         doc = base_cauchy_config(tmp_path / "r")
         doc["cauchy"]["min_slopes"] = {"2": 5.0}  # unattainable
@@ -412,6 +422,16 @@ class TestRecoverCommand:
         assert lines[0].startswith("failed_at=") and lines[-1] == err
         assert sorted(p.name for p in out.iterdir()) == ["log.txt"]
 
+    def test_repeated_probe_config_error(self, tmp_path, capsys):
+        # a repeated probe, however it is spelled, would write duplicate rows
+        doc = base_recover_config(tmp_path / "r")
+        doc["recovery"]["probes"] = [[0.2, 0.1], "-0.1+0.05i", "0.2+0.1i"]
+        cfg = write_config(tmp_path, doc)
+        assert main(["recover", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "recovery.probes[2]" in err and "recovery.probes[0]" in err
+        assert not (tmp_path / "r").exists()
+
     def test_missing_probes_config_error(self, tmp_path):
         doc = base_recover_config(tmp_path / "r")
         doc["recovery"]["probes"] = []
@@ -495,6 +515,11 @@ def points(radius):
     return st.complex_numbers(max_magnitude=radius).map(lambda z: [z.real, z.imag])
 
 
+def same_point(p):
+    # a config point list may not name one point twice
+    return complex(*p)
+
+
 # per field: (well-formed values, malformed values).  Well-formed ones pass
 # every check together: half_width <= 1 and h > 1.07 meet spacing <= h/8 at
 # n = 16 and 32, and |z0| < 0.5 lies inside the square.
@@ -516,7 +541,7 @@ SWEPT_FIELDS = {
         st.one_of(st.lists(st.one_of(st.floats(0.1, 3.0), MALFORMED), max_size=3), MALFORMED),
     ),
     ("phase", "z0"): (
-        st.lists(points(0.45), min_size=1, max_size=2),
+        st.lists(points(0.45), min_size=1, max_size=2, unique_by=same_point),
         st.one_of(st.lists(st.one_of(points(2.0), MALFORMED), max_size=2), MALFORMED),
     ),
 }
@@ -667,11 +692,11 @@ FORMS = ("standard", "divergence")
 UNSET = object()  # a well-formed config leaves the field out
 
 
-def list_field(good_item, bad_item, min_size=0):
+def list_field(good_item, bad_item, min_size=0, unique_by=None):
     """(well-formed, malformed) strategies for a list field: one bad entry spoils it."""
     bad_list = st.tuples(st.lists(good_item, max_size=2), bad_item).map(lambda t: t[0] + [t[1]])
     wrong_kind = MALFORMED.filter(lambda v: not isinstance(v, list) or len(v) < min_size)
-    good = st.lists(good_item, min_size=max(min_size, 1), max_size=2)
+    good = st.lists(good_item, min_size=max(min_size, 1), max_size=2, unique_by=unique_by)
     return good, st.one_of(bad_list, wrong_kind)
 
 
@@ -748,7 +773,8 @@ SECTION_FIELDS = {
         ("recovery", "mode"): (
             st.sampled_from(MODES), MALFORMED.filter(lambda v: v not in MODES),
         ),
-        ("recovery", "probes"): list_field(points(0.25), BAD_POINT, min_size=1),
+        ("recovery", "probes"): list_field(points(0.25), BAD_POINT, min_size=1,
+                                           unique_by=same_point),
         ("recovery", "max_rel_err"): (
             st.floats(0.0, 10.0), st.one_of(NOT_A_NUMBER, BELOW_ZERO),
         ),

@@ -173,18 +173,18 @@ class TestIdentity:
 
     @pytest.mark.parametrize("mode", [AMPLITUDE_ONLY, FULL_CGO])
     def test_difference_moments_formed_once_per_step(self, mode, monkeypatch):
-        # the four levels of one (z0, h) step read each nonzero difference once;
-        # another step forms them again and lets the old moments go
+        # the four levels of one (z0, h) step read one moment table, keyed by the
+        # nonzero differences; another step builds its own and lets the old one go
+        import gc
         import weakref
 
-        formed = []
+        tables = []
 
-        def counted(self, z0, h, values, _fn=RecoveryProblem._moments_of):
-            out = _fn(self, z0, h, values)
-            formed.append((values, weakref.ref(out)))
-            return out
+        def counted(self, *args, _fn=RecoveryProblem._moments):
+            tables.append(_fn(self, *args))
+            return tables[-1]
 
-        monkeypatch.setattr(RecoveryProblem, "_moments_of", counted)
+        monkeypatch.setattr(RecoveryProblem, "_moments", counted)
         g = ComplexGrid(0j, 1.0, 128)
         bump = field_from_expression(g, "bump(0.05, 0, 0.6, 1)")
         L = PerturbedOperator(g, 2, form="divergence")
@@ -192,23 +192,29 @@ class TestIdentity:
             g, 2, {(0, 0): bump, (0, 1): 0.5 * bump, (1, 1): -0.2j * bump}, form="divergence"
         )
         prob = RecoveryProblem(L, Lt, [0.2 + 0.1j], [0.3, 0.25], mode=mode)
-        nonzero = {jk: b.values for jk, b in prob.differences.items() if not b.is_zero()}
+        nonzero = sorted(jk for jk, b in prob.differences.items() if not b.is_zero())
+        keys = {(None, None)}
+        if mode == FULL_CGO:
+            # L is unperturbed, so only the adjoint family's remainders are nonzero
+            keys |= {(None, 0), (None, 1)}
         steps = []
         for h in prob.h_list:
-            formed.clear()
             for j0 in range(2):
                 for k0 in range(2):
                     identity_lhs(prob, j0, k0, h, 0.2 + 0.1j)
-            made = [(jk, ref) for values, ref in formed for jk, v in nonzero.items() if values is v]
-            assert sorted(jk for jk, _ in made) == sorted(nonzero)
-            assert set(prob._moments) == set(nonzero)
-            steps.append([ref for _, ref in made])
-        # the first step's difference moments are gone with it
+            assert len(tables) == len(steps) + 1
+            assert prob.step(0.2 + 0.1j, h)[1] is tables[-1]
+            assert sorted(tables[-1]) == nonzero
+            assert all(set(table) == keys for table in tables[-1].values())
+            steps.append([weakref.ref(v) for table in tables[-1].values() for v in table.values()])
+        tables.clear()
+        gc.collect()
+        # the first step's moments are gone with it
         assert all(ref() is None for ref in steps[0])
         assert all(ref() is not None for ref in steps[1])
 
     def test_remainder_derivatives_formed_once_per_step(self, monkeypatch):
-        # full_cgo differentiates each remainder of a step once (m - 1 = 1 dbar),
+        # full_cgo differentiates each nonzero remainder of a step m - 1 = 1 times,
         # however many of the step's pairings share its degree or repeat
         differentiated = []
 
@@ -229,12 +235,45 @@ class TestIdentity:
                 for j0 in range(2):
                     for k0 in range(2):
                         identity_lhs(prob, j0, k0, h, z0)
-            remainders = [
-                prob._remainder(z0, h, sign, degree) for sign in (1, -1) for degree in (0, 1)
-            ]
-            assert not any(r.is_zero() for r in remainders)
+            remainders = prob.step(z0, h)[0]
+            assert sorted(remainders) == [(s, d) for s in (-1, 1) for d in (0, 1)]
+            assert not any(r.is_zero() for r in remainders.values())
             assert len(differentiated) == 4
-            assert all(any(v is r.values for v in differentiated) for r in remainders)
+            assert all(any(v is r.values for v in differentiated) for r in remainders.values())
+
+    @pytest.mark.parametrize("mode", [AMPLITUDE_ONLY, FULL_CGO])
+    def test_pairing_after_the_step_does_no_array_work(self, mode, monkeypatch):
+        # once step() has run, every level pairs from the moment table alone:
+        # nothing that forms or differentiates an n-by-n array is reached again,
+        # and no transport outlives the build
+        import gc
+        import weakref
+
+        transports = []
+
+        def recorded(T, *args, _fn=recovery.build_cgo, **kwargs):
+            transports.append(weakref.ref(T))
+            return _fn(T, *args, **kwargs)
+
+        monkeypatch.setattr(recovery, "build_cgo", recorded)
+        z0, h = 0.2 + 0.1j, 0.3
+        prob = single_bump_problem(n=128, mode=mode, h_list=(h,))
+        prob.step(z0, h)
+        gc.collect()
+        assert len(transports) == (4 if mode == FULL_CGO else 0)
+        assert all(T() is None for T in transports)
+        levels = [(j0, k0) for j0 in range(2) for k0 in range(2)]
+        first = [identity_lhs(prob, j0, k0, h, z0) for j0, k0 in levels]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("array work after the step was built")
+
+        for owner, name in ((RecoveryProblem, "_remainders"), (RecoveryProblem, "_moments"),
+                            (recovery, "_dbar"), (recovery, "build_cgo")):
+            monkeypatch.setattr(owner, name, forbidden)
+        again = [identity_lhs(prob, j0, k0, h, z0) for j0, k0 in levels]
+        assert all(v != 0 for v in first)
+        assert again == first
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_non_finite_pairing_raises(self):
@@ -423,9 +462,9 @@ class TestRecoverAll:
         assert calls == {"to_divergence_form": 1, "adjoint": 1}
 
     def test_cgo_cache_keeps_one_step(self, monkeypatch):
-        # the problem keeps one (z0, h) step: a transport per family and the
-        # remainders built on it; no solution outlives its build, and a lookup
-        # at another (z0, h) lets the old step go
+        # the problem keeps one (z0, h) step: 2m builds on one transport per
+        # family give its remainders; no solution outlives its build, and a
+        # step at another (z0, h) lets the old step's remainders go
         import gc
         import weakref
 
@@ -433,10 +472,12 @@ class TestRecoverAll:
         from polycgo import AmplitudeSpec, OscillatoryTransport, build_adjoint_cgo, build_cgo
 
         built = []  # weakrefs to (transport, solution, remainder) of each build
+        transports = []  # (id, sign) of each build's transport; both live through a step
 
         def recorded(T, *args, **kwargs):
             sol = build_cgo(T, *args, **kwargs)
             built.append((weakref.ref(T), weakref.ref(sol), weakref.ref(sol.r)))
+            transports.append((id(T), T.sign))
             return sol
 
         monkeypatch.setattr(recovery_mod, "build_cgo", recorded)
@@ -446,12 +487,11 @@ class TestRecoverAll:
         L = PerturbedOperator(g, 2, {(0, 0): 0.5 * bump}, form="divergence")
         Lt = PerturbedOperator(g, 2, {(0, 0): bump, (1, 1): 0.3j * bump}, form="divergence")
         prob = RecoveryProblem(L, Lt, [z0], [h], mode=FULL_CGO)
-        pairs = {(k0, j0): prob._cgo_pair(z0, h, k0, j0) for k0 in (0, 1) for j0 in (0, 1)}
+        remainders = prob.step(z0, h)[0]
         gc.collect()
         assert len(built) == 4
-        assert all(sol() is None for _, sol, _ in built)
-        transports = {T() for T, _, _ in built}
-        assert sorted(T.sign for T in transports) == [-1, 1]
+        assert sorted(sign for _, sign in set(transports)) == [-1, 1]
+        assert all(T() is None and sol() is None for T, sol, _ in built)
 
         phase = PhaseSpec(z0, h)
         for degree in (0, 1):
@@ -459,20 +499,26 @@ class TestRecoverAll:
             fresh_r = build_cgo(OscillatoryTransport(L, phase), amplitude).r
             fresh_s = build_adjoint_cgo(Lt, phase, amplitude).r
             assert not (fresh_r.is_zero() or fresh_s.is_zero())
-            assert np.array_equal(pairs[(degree, 0)][0].values, fresh_r.values)
-            assert np.array_equal(pairs[(0, degree)][1].values, fresh_s.values)
+            assert np.array_equal(remainders[(1, degree)].values, fresh_r.values)
+            assert np.array_equal(remainders[(-1, degree)].values, fresh_s.values)
         # a repeated lookup inside the step builds nothing
-        again = prob._cgo_pair(z0, h, 1, 0)
-        assert again[0] is pairs[(1, 0)][0] and again[1] is pairs[(1, 0)][1]
+        r, s = prob._cgo_pair(z0, h, 1, 0)
+        assert r is remainders[(1, 1)] and s is remainders[(-1, 0)]
+        assert prob.step(z0, h)[0] is remainders
         assert len(built) == 4
 
-        # a lookup at another (z0, h) replaces the step
-        del pairs, again, transports, fresh_r, fresh_s
+        # a step at another (z0, h) replaces the old one, which is gone before
+        # the new remainders are built
+        def after_the_old_step(self, *args, _fn=RecoveryProblem._remainders):
+            gc.collect()
+            assert all(T() is None and r() is None for T, _, r in built[:4])
+            return _fn(self, *args)
+
+        monkeypatch.setattr(RecoveryProblem, "_remainders", after_the_old_step)
+        del remainders, r, s, fresh_r, fresh_s
         prob._cgo_pair(z0, 0.25, 0, 0)
-        gc.collect()
-        assert all(T() is None and r() is None for T, _, r in built[:4])
-        assert len(built) == 6
-        assert sorted(T().sign for T, _, _ in built[4:]) == [-1, 1]
+        assert len(built) == 8
+        assert sorted(sign for _, sign in set(transports[4:])) == [-1, 1]
 
 
 class TestMonomialTable:
