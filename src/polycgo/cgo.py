@@ -37,14 +37,17 @@ import scipy.ndimage
 
 from .cauchy import cauchy_chain
 from .errors import MaxTermsExceededError, NonContractionError, PrecisionError
-from .grid import ComplexGrid, ScalarField, _d, _dbar, _weighted_p_sum, mixed_wirtinger, norm_lp
-from .operators import DIVERGENCE, STANDARD, PerturbedOperator, adjoint, to_divergence_form
+from .grid import (
+    ComplexGrid, ScalarField, _dbar, _masked_l2, _weighted_p_sum, mixed_wirtinger, norm_lp,
+)
+from .operators import (
+    DIVERGENCE, STANDARD, PerturbedOperator, adjoint, apply_values, to_divergence_form,
+)
 from .phase import PhaseSpec
 
 DEFAULT_TOL = 1e-10
 PROBE_RTOL = 1e-12  # the norm probe stops once its estimate moves less than this
 DEFAULT_MAX_TERMS = 50
-RESIDUAL_MARGIN = 0.05  # residuals measured on the central 90% subgrid
 ADMISSIBLE_RTOL = 1e-6  # check_admissible's bound on |dbar^m a| / max(1, |a|)
 # residual_norm runs in np.longdouble, which some platforms make a plain double
 LONGDOUBLE_EPS = float(np.finfo(np.longdouble).eps)
@@ -231,49 +234,17 @@ def adjoint_divergence(op: PerturbedOperator) -> PerturbedOperator:
 def residual_norm(op: PerturbedOperator, u: ScalarField) -> float:
     """Masked L2 norm of the operator applied to u, in extended precision.
 
-    The 2m-fold stencil chain amplifies double roundoff by 1/spacing per
-    derivative; on fine grids that floor exceeds the truncation error this
-    diagnostic exists to measure, so the chain runs in 80-bit arithmetic
-    (the measuring instrument must sit below the signal).  Memory stays flat:
-    one dbar column and one running d-derivative are alive at a time.
-    Raises PrecisionError where np.longdouble is only a double.
+    The 2m-fold stencil chain (operators.apply_values) amplifies double roundoff
+    by 1/spacing per derivative, past the truncation error this diagnostic
+    measures on fine grids, so it runs in 80-bit arithmetic.  Raises
+    PrecisionError where np.longdouble is only a double.
     """
     if op.form != STANDARD:
         raise ValueError("residual evaluation expects the standard form")
     if LONGDOUBLE_EPS >= np.finfo(np.float64).eps:
         raise PrecisionError(LONGDOUBLE_EPS)
-    grid = u.grid
-    m = op.m
-    s = np.longdouble(grid.spacing)
-    nonzero_by_col = {
-        k: [j for j in range(m) if not op.coeffs[(j, k)].is_zero()] for k in range(m)
-    }
-    out = None
-    col = u.values.astype(np.clongdouble)
-    for k in range(m + 1):
-        if k > 0:
-            col = _dbar(col, s)
-        if k == m:
-            cur = col
-            for _ in range(m):
-                cur = _d(cur, s)
-            out = cur if out is None else out + cur
-            break
-        wanted = nonzero_by_col[k]
-        if not wanted:
-            continue
-        cur = col
-        for j in range(wanted[-1] + 1):
-            if j > 0:
-                cur = _d(cur, s)
-            if j in wanted:
-                term = op.coeffs[(j, k)].values * cur
-                out = term if out is None else out + term
-    mask = grid.interior_mask(RESIDUAL_MARGIN)
-    w = grid._trapezoid_1d.astype(np.longdouble)
-    a = np.abs(out) ** 2 * mask
-    total = w @ a @ w * s * s
-    return float(np.sqrt(total))
+    values = apply_values(op, u.values.astype(np.clongdouble), np.longdouble(u.grid.spacing))
+    return _masked_l2(u.grid, values)
 
 
 def _overflow(h: float, what: str, ratios=()) -> NonContractionError:

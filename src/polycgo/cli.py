@@ -21,6 +21,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 import time
 from math import inf, isfinite, nan
@@ -364,6 +365,8 @@ def _resolved(norm: float, what: str, grid: ComplexGrid) -> float:
 def cmd_cauchy_test(cfg: dict, out_dir: Path) -> int:
     grid = build_grid(cfg)
     z0_list, h_list = build_phases(cfg, grid)
+    if len(z0_list) > 1:
+        raise ConfigError("field phase.z0[1]: cauchy-test probes the decay at one point only")
     section = _take(cfg, "", "cauchy", dict, default={})
     omega_text = _take(section, "cauchy", "omega", str, default="bump(0, 0, 0.6, 1)")
     try:
@@ -515,7 +518,7 @@ def cmd_recover(cfg: dict, out_dir: Path) -> int:
         )
     except ValueError as exc:
         # the config-level checks that remain concern the coefficient differences
-        raise ConfigError(f"field operator.coeffs_tilde: {exc}") from exc
+        raise ConfigError(f"fields operator.coeffs and operator.coeffs_tilde: {exc}") from exc
 
     with RunWriter(out_dir, cfg) as writer:
         report = recover_all(problem)
@@ -563,6 +566,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        cpus = os.cpu_count() or 1
+        if not 1 <= args.threads <= cpus:
+            raise ConfigError(f"--threads {args.threads} is outside 1..{cpus}, the CPU count")
         cfg = load_config(args.config)
         out_section = _take(cfg, "", "output", dict, default={})
         directory = _take(out_section, "output", "directory", str, default=f"runs/{args.command}")

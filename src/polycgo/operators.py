@@ -13,14 +13,15 @@ conversion returns an operator already in its target form unchanged, so a
 caller converts without checking the form first.  The formal adjoint (for the
 pairing integral of u * conj(v)) takes either form and is produced by a
 Leibniz expansion over the (j, k) multi-indices rather than hand-coded per m.
-Every derivative d^a dbar^b is grid.mixed_wirtinger, d first.
+The transforms and the adjoint differentiate by grid.mixed_wirtinger, d first;
+apply_values, the one stencil evaluation of the operator, takes dbar first.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .grid import ComplexGrid, ScalarField, mixed_wirtinger
+from .grid import ComplexGrid, ScalarField, _d, _dbar, mixed_wirtinger
 
 STANDARD = "standard"
 DIVERGENCE = "divergence"
@@ -65,28 +66,44 @@ class PerturbedOperator:
         return f"PerturbedOperator(m={self.m}, form={self.form}, nonzero={nz})"
 
 
+def apply_values(op: PerturbedOperator, values, spacing):
+    """The operator on an array, in the array's precision (spacing shares it):
+    dbar^k u one column at a time, each column's d-derivatives only as far as a
+    nonzero coefficient needs them, the principal part d^m dbar^m u last; the
+    divergence form sums its rows c[j,k] dbar^k u and applies d^j at the end."""
+    m = op.m
+    out, rows, col = None, {}, values
+    del values  # col alone holds the samples, so the first dbar column frees them
+    for k in range(m):
+        if k > 0:
+            col = _dbar(col, spacing)
+        wanted = [j for j in range(m) if not op.coeffs[(j, k)].is_zero()]
+        if op.form == DIVERGENCE:
+            for j in wanted:
+                rows[j] = rows.get(j, 0) + op.coeffs[(j, k)].values * col
+            continue
+        cur = col
+        for j in range(wanted[-1] + 1 if wanted else 0):
+            if j > 0:
+                cur = _d(cur, spacing)
+            if j in wanted:
+                term = op.coeffs[(j, k)].values * cur
+                out = term if out is None else out + term
+    for j, row in sorted(rows.items()):
+        for _ in range(j):
+            row = _d(row, spacing)
+        out = row if out is None else out + row
+    col = _dbar(col, spacing)
+    for _ in range(m):
+        col = _d(col, spacing)
+    return col if out is None else out + col
+
+
 def apply(op: PerturbedOperator, u: ScalarField) -> ScalarField:
-    """Evaluate the operator on u with repeated Wirtinger stencils."""
+    """Evaluate the operator on u with repeated Wirtinger stencils (apply_values)."""
     if u.grid != op.grid:
         raise ValueError("u lives on a different grid than the coefficients")
-    m = op.m
-    out = mixed_wirtinger(u, m, m)
-    if op.form == STANDARD:
-        for (j, k), c in sorted(op.coeffs.items()):
-            if not c.is_zero():
-                out = out + c * mixed_wirtinger(u, j, k)
-    else:
-        for j in range(m):
-            row = None
-            for k in range(m):
-                c = op.coeffs[(j, k)]
-                if c.is_zero():
-                    continue
-                term = c * mixed_wirtinger(u, 0, k)
-                row = term if row is None else row + term
-            if row is not None:
-                out = out + mixed_wirtinger(row, j, 0)
-    return out
+    return ScalarField(op.grid, apply_values(op, u.values, op.grid.spacing))
 
 
 def to_divergence_form(op: PerturbedOperator) -> PerturbedOperator:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -218,6 +219,15 @@ class TestCauchyCommand:
         assert main(["cauchy-test", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert "phase.z0[2]" in err and "phase.z0[0]" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_second_z0_config_error(self, tmp_path, capsys):
+        # the decay probe runs at one point; a second one was once silently dropped
+        doc = base_cauchy_config(tmp_path / "r")
+        doc["phase"]["z0"] = ["0.05+0.05i", "0.3-0.2i"]
+        cfg = write_config(tmp_path, doc)
+        assert main(["cauchy-test", "--config", cfg]) == 2
+        assert "phase.z0[1]" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
     def test_failed_tolerance_exits_one(self, tmp_path):
@@ -449,6 +459,20 @@ class TestRecoverCommand:
         assert main(["recover", "--config", cfg]) == 2
         assert "operator.coeffs_tilde" in capsys.readouterr().err
 
+    def test_difference_on_frame_from_coeffs_names_both_fields(self, tmp_path, capsys):
+        # the rule concerns the difference: a bump in coeffs alone that reaches
+        # the frame once blamed coeffs_tilde, which was empty
+        doc = base_recover_config(tmp_path / "r")
+        doc["grid"]["n"] = 64
+        doc["phase"]["h"] = [0.5, 0.3]
+        doc["operator"]["coeffs"] = {"0,0": "bump(0.85, 0, 0.3, 1)"}
+        doc["operator"]["coeffs_tilde"] = {}
+        cfg = write_config(tmp_path, doc)
+        assert main(["recover", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "fields operator.coeffs and operator.coeffs_tilde" in err
+        assert not (tmp_path / "r").exists()
+
     def test_empty_h_list_config_error(self, tmp_path, capsys):
         doc = base_recover_config(tmp_path / "r")
         doc["phase"]["h"] = []
@@ -499,6 +523,19 @@ class TestDeterminismAndProvenance:
         assert main(["cauchy-test", "--config", str(p)]) == 2
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-1", "3"])
+    def test_threads_outside_cpu_count_config_error(self, tmp_path, capsys, monkeypatch, threads):
+        # set_fft_workers once clamped 0 and below to 1 and passed any count to scipy.fft
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the FFT workers were set before --threads was checked")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli.cauchy, "set_fft_workers", forbidden)
+        cfg = write_config(tmp_path, base_cauchy_config(tmp_path / "r"))
+        assert main(["cauchy-test", "--config", cfg, "--threads", threads]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
 
 
 # malformed values for numeric config fields: wrong types, non-finite, out of range
@@ -541,7 +578,7 @@ SWEPT_FIELDS = {
         st.one_of(st.lists(st.one_of(st.floats(0.1, 3.0), MALFORMED), max_size=3), MALFORMED),
     ),
     ("phase", "z0"): (
-        st.lists(points(0.45), min_size=1, max_size=2, unique_by=same_point),
+        st.lists(points(0.45), min_size=1, max_size=1),  # cauchy-test takes one point
         st.one_of(st.lists(st.one_of(points(2.0), MALFORMED), max_size=2), MALFORMED),
     ),
 }

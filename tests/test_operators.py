@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import bump_testbed
 from support import smooth_bump_profile, symbolic_wirtinger
 
 import sympy as sp
@@ -13,12 +16,15 @@ from polycgo import (
     field_from_expression,
     integrate,
     masked_l2,
+    mixed_wirtinger,
     norm_lp,
+    residual_norm,
     to_divergence_form,
     to_standard_form,
     wirtinger_d,
     wirtinger_dbar,
 )
+from polycgo.grid import _d, _dbar
 
 
 class TestPerturbedOperator:
@@ -70,6 +76,125 @@ class TestApply:
     def test_grid_mismatch(self, grid64, grid128):
         with pytest.raises(ValueError):
             apply(PerturbedOperator(grid64, 2), grid128.constant(1.0))
+
+
+def reference_residual(op, u):
+    """The 80-bit residual loop as cgo.residual_norm ran it before it shared
+    operators.apply_values: a reference implementation, kept here verbatim."""
+    grid = u.grid
+    m = op.m
+    s = np.longdouble(grid.spacing)
+    nonzero_by_col = {
+        k: [j for j in range(m) if not op.coeffs[(j, k)].is_zero()] for k in range(m)
+    }
+    out = None
+    col = u.values.astype(np.clongdouble)
+    for k in range(m + 1):
+        if k > 0:
+            col = _dbar(col, s)
+        if k == m:
+            cur = col
+            for _ in range(m):
+                cur = _d(cur, s)
+            out = cur if out is None else out + cur
+            break
+        wanted = nonzero_by_col[k]
+        if not wanted:
+            continue
+        cur = col
+        for j in range(wanted[-1] + 1):
+            if j > 0:
+                cur = _d(cur, s)
+            if j in wanted:
+                term = op.coeffs[(j, k)].values * cur
+                out = term if out is None else out + term
+    mask = grid.interior_mask(0.05)
+    w = grid._trapezoid_1d.astype(np.longdouble)
+    a = np.abs(out) ** 2 * mask
+    total = w @ a @ w * s * s
+    return float(np.sqrt(total))
+
+
+def reference_apply(op, u):
+    """The operator by d-first mixed_wirtinger compositions, principal part first."""
+    m = op.m
+    out = mixed_wirtinger(u, m, m)
+    if op.form == "standard":
+        for (j, k), c in sorted(op.coeffs.items()):
+            if not c.is_zero():
+                out = out + c * mixed_wirtinger(u, j, k)
+        return out
+    for j in range(m):
+        terms = [op.coeffs[(j, k)] * mixed_wirtinger(u, 0, k) for k in range(m)
+                 if not op.coeffs[(j, k)].is_zero()]
+        if terms:
+            out = out + mixed_wirtinger(sum(terms[1:], terms[0]), j, 0)
+    return out
+
+
+def chain_tables(grid):
+    """The m = 2 testbed, a full m = 3 table and a gapped m = 3 table."""
+    full = {
+        (j, k): field_from_expression(
+            grid, f"bump({0.05 * (j - k)}, {0.04 * (j + k) - 0.08}, 0.6, {0.3 + 0.1 * j + 0.05 * k})"
+        )
+        for j in range(3)
+        for k in range(3)
+    }
+    gapped = {key: full[key] for key in ((0, 2), (2, 1))}
+    return {
+        "m2-testbed": bump_testbed(grid),
+        "m3-full": PerturbedOperator(grid, 3, full),
+        "m3-gapped": PerturbedOperator(grid, 3, gapped),
+    }
+
+
+def oscillatory_sample(grid):
+    return grid.sample(lambda z: np.exp(1j * (z - 0.1 - 0.05j) ** 2 / 0.2) * (1 + 0.5 * np.conj(z)))
+
+
+class TestApplyValues:
+    """operators.apply_values is the one stencil chain of the operator: the
+    80-bit residual and the double-precision apply both run it."""
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_residual_bit_equal_to_reference_loop(self, n):
+        g = ComplexGrid(0j, 1.0, n)
+        u = oscillatory_sample(g)
+        for name, op in chain_tables(g).items():
+            assert residual_norm(op, u) == reference_residual(op, u), name
+
+    @pytest.mark.parametrize("field", ["bump-polynomial", "oscillatory"])
+    @pytest.mark.parametrize("form", ["standard", "divergence"])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_apply_matches_d_first_composition(self, grid128, m, form, field):
+        # the d and dbar stencils commute in exact arithmetic, so taking dbar
+        # first moves the double result only by roundoff of the 2m-fold chain:
+        # ~1e-13 relative where L u is resolved, ~1e-10 on the oscillatory field
+        op = chain_tables(grid128)["m2-testbed" if m == 2 else "m3-full"]
+        if form == "divergence":
+            op = to_divergence_form(op)
+        if field == "oscillatory":
+            u = oscillatory_sample(grid128)
+        else:
+            u = field_from_expression(grid128, "bump(0, 0, 0.8, 1) * zbar^2 * z")
+        got, expect = apply(op, u), reference_apply(op, u)
+        rel = norm_lp(got - expect, np.inf) / norm_lp(expect, np.inf)
+        assert rel <= 1e-9
+
+    def test_residual_memory_stays_flat(self, grid256):
+        # one dbar column, one running d-derivative, the sum and the stencil
+        # temporaries: about 8 clongdouble n^2 arrays at the peak
+        op = chain_tables(grid256)["m3-full"]
+        u = oscillatory_sample(grid256)
+        op.nonzero_indices()  # the zero flags are cached before tracing
+        tracemalloc.start()
+        try:
+            residual_norm(op, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * 32 * grid256.n**2
 
 
 class TestFormTransforms:
