@@ -8,16 +8,20 @@ smooth data and gives the singular cell its exact (zero, by odd symmetry)
 weight.  Application is fast convolution on the zero-padded doubled grid in
 pruned 1-D passes that transform no all-zero column and compute no cropped
 row; axis 0 goes first both ways, fft2's order, so the bits are those of the
-full padded fft2/ifft2.  Both transforms take a power, dbar_inv(f, m) and
-d_inv(f, m), and run through one array-level chain, cauchy_chain.
+full padded fft2/ifft2.  The transform follows its input's precision: a
+complex64 array runs the same passes against a complex64 copy of the kernel
+transform, built on first single-precision use, and any other array is cast
+to complex128.  Both transforms take a power, dbar_inv(f, m) and d_inv(f, m),
+and run through one array-level chain, cauchy_chain.
 CauchyKernel.apply_direct sums the same quadrature directly, as a validation
 oracle.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import nan
 
 import numpy as np
@@ -31,9 +35,15 @@ _FFT_WORKERS = 1
 
 
 def set_fft_workers(n: int) -> None:
-    """Worker count passed to scipy.fft (results are bitwise worker-independent)."""
+    """Worker count passed to scipy.fft (results are bitwise worker-independent).
+
+    Raises ValueError for a count outside 1..os.cpu_count().
+    """
     global _FFT_WORKERS
-    _FFT_WORKERS = max(1, int(n))
+    cpus = os.cpu_count() or 1
+    if not 1 <= n <= cpus:
+        raise ValueError(f"FFT worker count {n} is outside 1..{cpus}, the CPU count")
+    _FFT_WORKERS = int(n)
 
 
 def _corner_antiderivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -96,17 +106,29 @@ class CauchyKernel:
         length argument pads them), then axis 1; after the kernel product,
         inverse along axis 0, then axis 1 over the n kept rows.  That is 6n
         transforms where padded fft2/ifft2 do 8n.  Axis 0 goes first both
-        ways, as in fft2/ifft2, so the bits equal the padded path's; real
-        input is cast to complex so it runs the same transform.
+        ways, as in fft2/ifft2, so the bits equal the padded path's.  A
+        complex64 array stays in single precision throughout and returns
+        complex64; any other input is cast to complex128, so real input runs
+        the same transform.
         """
         n = self.grid.n
         w = _FFT_WORKERS
-        a = _fft.fft(np.asarray(values, dtype=np.complex128), 2 * n, axis=0, workers=w)
+        values = np.asarray(values)
+        if values.dtype == np.complex64:
+            khat = self._khat_single
+        else:
+            values, khat = values.astype(np.complex128, copy=False), self._khat
+        a = _fft.fft(values, 2 * n, axis=0, workers=w)
         a = _fft.fft(a, 2 * n, axis=1, overwrite_x=True, workers=w)
-        a *= self._khat
+        a *= khat
         a = _fft.ifft(a, axis=0, overwrite_x=True, workers=w)
         a = _fft.ifft(a[:n], axis=1, overwrite_x=True, workers=w)
         return np.ascontiguousarray(a[:, :n])
+
+    @cached_property
+    def _khat_single(self) -> np.ndarray:
+        """complex64 copy of the kernel transform, built on the first complex64 apply."""
+        return self._khat.astype(np.complex64)
 
     def apply_direct(self, values: np.ndarray) -> np.ndarray:
         """O(n^4) direct summation; validation oracle, refuses n > 128."""

@@ -17,8 +17,16 @@ machinery with the carrier sign flipped.  The transport is the one object per
 (operator, phase, sign): build_cgo and transport_norm_probe both take it, and
 it takes the divergence form, which to_divergence_form gives from either form.
 The map and its loops run on arrays, with fields only at their edges, and a
-non-finite norm in a loop (the map overflowed) is a NonContractionError.  A
-solution keeps only g and r.  Monomial amplitudes
+non-finite norm in a loop (the map overflowed) is a NonContractionError.
+The map follows the precision of its input: a complex64 v runs every
+transform in complex64 (CauchyKernel.apply follows its input's dtype), while
+E+/-, the coefficients and the sums between the transforms stay in double.
+solve_density forms each Neumann term whose predecessor's norm is at most
+tol * ||w|| / (10 * float32 eps) that way, since single-precision digits then
+suffice for the sum to meet tol, unless the grid's scale would carry the
+map's intermediates out of float32's range.  The source, the earlier terms,
+the sum g, the a-posteriori check, the remainder, apply_adjoint and the norm
+probe stay in double.  A solution keeps only g and r.  Monomial amplitudes
 conj(z)^k/k! and recovery's point weights are built by one rule,
 _monomial_part; recovery's pairing expands the same monomials in x and y
 (recovery._monomial_table), which a test pins against this rule.
@@ -29,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import groupby
-from math import factorial, isfinite
+from math import factorial, isfinite, log2
 from operator import add, itemgetter
 
 import numpy as np
@@ -51,6 +59,10 @@ DEFAULT_MAX_TERMS = 50
 ADMISSIBLE_RTOL = 1e-6  # check_admissible's bound on |dbar^m a| / max(1, |a|)
 # residual_norm runs in np.longdouble, which some platforms make a plain double
 LONGDOUBLE_EPS = float(np.finfo(np.longdouble).eps)
+# solve_density forms the Neumann tail in complex64 transforms, while the map's
+# intermediates stay within 2**+-SINGLE_RANGE_BITS, far inside float32's range
+SINGLE_EPS = float(np.finfo(np.float32).eps)
+SINGLE_RANGE_BITS = 64
 
 
 def _monomial_part(base, p: int):
@@ -156,35 +168,46 @@ class OscillatoryTransport:
             powers[i] = cur
         return powers
 
-    def _horner(self, terms) -> np.ndarray:
+    def _horner(self, terms, dtype=np.complex128) -> np.ndarray:
         """sum_i d_inv^(m-i)(y_i) over (i, y_i) pairs in ascending i, by Horner's rule.
 
         d_inv(y[m-1] + d_inv(y[m-2] + ...)): one d_inv per level from the
-        first i to m - 1, so a level with no term still takes its step.
+        first i to m - 1, so a level with no term still takes its step; each
+        level's sum is cast to dtype for its transform.
         """
+
+        def d_inv(acc, power):
+            return cauchy_chain(self.grid, acc.astype(dtype, copy=False), power, conj=True)
+
         acc = level = None
         for i, y in terms:
-            acc = y if acc is None else cauchy_chain(self.grid, acc, i - level, conj=True) + y
+            acc = y if acc is None else d_inv(acc, i - level) + y
             level = i
-        return cauchy_chain(self.grid, acc, self.op.m - level, conj=True)
+        return d_inv(acc, self.op.m - level)
 
-    def _outer_sum(self, x) -> np.ndarray:
+    def _outer_sum(self, x, dtype=np.complex128) -> np.ndarray:
         """-sum_j d_inv^(m-j)(E+ * sum_k c[j,k] * x[k]) over the nonzero coefficients."""
         rows = (
             (j, self.e_plus * reduce(add, (self.coeffs[jk] * x[jk[1]] for jk in row)))
             for j, row in groupby(self.active, key=itemgetter(0))
         )
-        return -self._horner(rows)
+        return -self._horner(rows, dtype)
 
     def apply(self, v: np.ndarray, _tail: list | None = None) -> np.ndarray:
         """T(v) on n x n arrays, the grid's shared read-only zero for a zero v or
-        map; otherwise a list passed as _tail receives dbar_inv^(m - min(cols))(E- * v)."""
+        map; otherwise a list passed as _tail receives dbar_inv^(m - min(cols))(E- * v).
+
+        A complex64 v runs every transform in single precision and gives a
+        complex64 result; E+/-, the coefficients and the sums between the
+        transforms stay in double, and any other v runs in double.
+        """
         if not self.active or not np.any(v):
             return self.grid.zero().values
-        powers = self._dbar_powers(self.e_minus * v, self.cols[0])
+        dtype = np.complex64 if v.dtype == np.complex64 else np.complex128
+        powers = self._dbar_powers((self.e_minus * v).astype(dtype, copy=False), self.cols[0])
         if _tail is not None:
             _tail.append(powers[self.cols[0]])
-        return self._outer_sum(powers)
+        return self._outer_sum(powers, dtype)
 
     def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
         """Exact discrete L2 adjoint; uses d_inv* = -dbar_inv for the odd kernel."""
@@ -265,10 +288,19 @@ def solve_density(
     Stops when the latest term drops below tol * ||w||_2 and verifies the
     residual ||(I - T)g - w||_2 <= 2 * tol * ||w||_2 a posteriori with one
     extra application of the map, whose chain tail goes to _tail (see
-    OscillatoryTransport.apply).  Raises NonContractionError when the term
-    norms fail to decrease three times in a row or a norm is not finite,
-    MaxTermsExceededError when the budget runs out; both carry the
-    term-norm ratios ||t_k|| / ||t_(k-1)||.
+    OscillatoryTransport.apply).  A term formed from a predecessor of norm at
+    most tol * ||w||_2 / (10 * SINGLE_EPS) is formed in complex64 transforms:
+    single-precision error in it stays near a tenth of tol * ||w||_2.  That
+    needs the map's intermediates inside float32's exponent range: a term of
+    norm p has rms value p / D on the grid of side D, and each of the m
+    transforms of a chain scales by about D, so a term is formed in single
+    only while |log2(p / D)| + m * |log2 D| <= SINGLE_RANGE_BITS.  The
+    source, the earlier terms, the sum g and the a-posteriori check stay in
+    double, so the check guards the single-precision terms.  Raises
+    NonContractionError when the term norms fail to decrease three times in a
+    row or a norm is not finite, MaxTermsExceededError when the budget runs
+    out or the check fails; both carry the term-norm ratios
+    ||t_k|| / ||t_(k-1)||.
     """
     h, grid = T.phase.h, T.grid
     w = T.source(amplitude)
@@ -277,6 +309,9 @@ def solve_density(
         raise _overflow(h, "the source")
     if w_norm == 0.0:
         return grid.zero(), 1
+    single_below = tol * w_norm / (10.0 * SINGLE_EPS)
+    log2_side = log2(2.0 * grid.half_width)
+    reach = SINGLE_RANGE_BITS - T.op.m * abs(log2_side)
     g = w
     term = w
     prev_norm = w_norm
@@ -284,7 +319,9 @@ def solve_density(
     rises = 0
     terms_used = 1
     while True:
-        term = T.apply(term)
+        single = prev_norm <= single_below and abs(log2(prev_norm) - log2_side) <= reach
+        dtype = np.complex64 if single else np.complex128
+        term = T.apply(term.astype(dtype, copy=False))
         t_norm = _weighted_p_sum(grid, term, 2) ** 0.5
         ratios.append(t_norm / prev_norm)
         if not isfinite(t_norm):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -5,6 +7,7 @@ import scipy.fft
 from support import dblquad_complex, disc_cauchy_transform_oracle, gaussian_bump
 
 from polycgo import (
+    CauchyKernel,
     ComplexGrid,
     CouplingError,
     PhaseSpec,
@@ -14,6 +17,7 @@ from polycgo import (
     lp_bound_constant,
     norm_lp,
     oscillatory_decay_probe,
+    smooth_random_field,
     wirtinger_d,
     wirtinger_dbar,
 )
@@ -88,7 +92,8 @@ class TestPrunedTransform:
             assert not np.shares_memory(out, values)
         assert np.array_equal(k.apply(k.apply(z)), padded_reference(k, padded_reference(k, z)))
 
-    def test_two_workers_give_the_same_bits(self, grid256):
+    def test_two_workers_give_the_same_bits(self, grid256, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # set_fft_workers allows 1..cpu_count
         k = kernel_for(grid256)
         rng = np.random.default_rng(2)
         z = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
@@ -99,6 +104,37 @@ class TestPrunedTransform:
         finally:
             cauchy.set_fft_workers(1)
         assert np.array_equal(one, two)
+
+
+    def test_single_precision_input_stays_single(self, grid128):
+        # a fresh kernel, so the complex64 kernel transform is built here, on
+        # the first complex64 apply, and leaves the double path's bits alone;
+        # measured gap 1.2e-7 relative L2, about float32's eps: 8x under the bound
+        k = CauchyKernel(grid128)
+        v = smooth_random_field(grid128, seed=7).values
+        double = k.apply(v)
+        assert "_khat_single" not in vars(k)
+        single = k.apply(v.astype(np.complex64))
+        assert single.dtype == np.complex64 and k._khat_single.dtype == np.complex64
+        assert np.linalg.norm(single - double) <= 1e-6 * np.linalg.norm(double)
+        assert np.array_equal(k.apply(v), double)
+        assert np.array_equal(double, padded_reference(k, v))
+
+    @pytest.mark.parametrize("count", [0, -3, 3])
+    def test_fft_workers_outside_cpu_count_refused(self, monkeypatch, count):
+        # set_fft_workers once clamped 0 and below to 1 and passed any count to scipy.fft
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(ValueError, match=f"FFT worker count {count} is outside 1..2"):
+            cauchy.set_fft_workers(count)
+        assert cauchy._FFT_WORKERS == 1
+
+    def test_fft_workers_up_to_cpu_count_accepted(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        try:
+            cauchy.set_fft_workers(2)
+            assert cauchy._FFT_WORKERS == 2
+        finally:
+            cauchy.set_fft_workers(1)
 
 
 class TestCauchyTransforms:

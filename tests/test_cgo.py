@@ -235,6 +235,7 @@ class TestArrayPath:
 
         def counted(kernel, values):
             counts["transforms"] += 1
+            counts[values.dtype] += 1
             return transform(kernel, values)
 
         monkeypatch.setattr(CauchyKernel, "apply", counted)
@@ -242,15 +243,18 @@ class TestArrayPath:
         # a constant amplitude has dbar a = 0: with no coefficient in column 0
         # every row combination vanishes, and source returns zero untransformed
         constant_source = m - lowest_row if lowest_col == 0 else 0
-        for call, expect in (
-            (lambda: T.apply(v), per_apply),
-            (lambda: T.apply_adjoint(v), per_apply),
-            (lambda: T.source(AmplitudeSpec.monomial(grid64, 2)), m - lowest_row),
-            (lambda: T.source(AmplitudeSpec.monomial(grid64, 0)), constant_source),
+        double, single = np.dtype(np.complex128), np.dtype(np.complex64)
+        for call, expect, dtype in (
+            (lambda: T.apply(v), per_apply, double),
+            (lambda: T.apply(v.astype(single)), per_apply, single),
+            (lambda: T.apply_adjoint(v), per_apply, double),
+            (lambda: T.source(AmplitudeSpec.monomial(grid64, 2)), m - lowest_row, double),
+            (lambda: T.source(AmplitudeSpec.monomial(grid64, 0)), constant_source, double),
         ):
             counts.clear()
             out = call()
-            assert counts["transforms"] == expect
+            assert counts["transforms"] == counts[dtype] == expect
+            assert out.dtype == dtype or not np.any(out)
         assert (not np.any(out)) == (constant_source == 0)
 
         # build_cgo: the source and each Neumann apply; the remainder finishes the
@@ -387,6 +391,92 @@ class TestSolveDensity:
         with pytest.raises(NonContractionError) as info:
             solve_density(T, AmplitudeSpec.monomial(grid64, 1))
         assert info.value.h == 0.4
+
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_single_precision_tail_matches_double_loop(self, grid128, m, monkeypatch):
+        # the tail past the crossover runs in complex64 transforms; the sum
+        # agrees with an all-double Neumann loop to a small share of tol*||w||:
+        # measured 0.0059 at m=2 and 0.0019 at m=3, 3x and 10x under the bound
+        tol = 1e-10
+        T = OscillatoryTransport(coeff_table(grid128, m), PHASE)
+        a = AmplitudeSpec.monomial(grid128, 1)
+        w = T.source(a)
+        expect, expect_terms = double_neumann(T, w, tol)
+        counts = Counter()
+        transform = CauchyKernel.apply
+
+        def counted(kernel, values):
+            counts[values.dtype] += 1
+            return transform(kernel, values)
+
+        monkeypatch.setattr(CauchyKernel, "apply", counted)
+        g, terms = solve_density(T, a, tol=tol)
+        assert terms == expect_terms
+        assert counts[np.dtype(np.complex64)] > 0 and counts[np.dtype(np.complex128)] > 0
+        assert set(counts) == {np.dtype(np.complex64), np.dtype(np.complex128)}
+        gap = norm_lp(g - grid128.field(expect), 2)
+        assert gap <= 0.02 * tol * norm_lp(grid128.field(w), 2)
+
+    def test_gate_guards_single_precision_terms(self, testbed128_div, grid128, monkeypatch):
+        # a complex64 transform that errs by 1e-3 relative puts an error far
+        # above tol*||w|| into g; the terms still contract, so the loop stops,
+        # and the double-precision a-posteriori check must refuse the sum
+        transform = CauchyKernel.apply
+        hits = Counter()
+
+        def erring(kernel, values):
+            out = transform(kernel, values)
+            if values.dtype == np.complex64:
+                hits["single"] += 1
+                out *= np.complex64(1.0 + 1e-3)
+            return out
+
+        monkeypatch.setattr(CauchyKernel, "apply", erring)
+        T = OscillatoryTransport(testbed128_div, PHASE)
+        with pytest.raises(MaxTermsExceededError, match="a-posteriori residual"):
+            solve_density(T, AmplitudeSpec.monomial(grid128, 0))
+        assert hits["single"] > 0
+
+    @pytest.mark.parametrize("half_width", [1e-12, 1e6])
+    def test_extreme_grid_scale_stays_double(self, half_width, monkeypatch):
+        # coefficients scaled by half_width^-(2m-j-k) keep the map contracting,
+        # but its intermediates would leave float32's range: the tail overflowed
+        # at 1e-12 and underflowed past the a-posteriori check at 1e6, so the
+        # range rule keeps every term in double, bit for bit the double loop
+        grid = ComplexGrid(0j, half_width, 64)
+        L = half_width
+        coeffs = {
+            (j, k): L ** -(4 - j - k) * (1.0 + 0.3j * j - 0.2 * k)
+            * field_from_expression(grid, f"bump({0.1 * j * L}, {-0.1 * k * L}, {0.6 * L}, 1)")
+            for j in range(2) for k in range(2)
+        }
+        op = PerturbedOperator(grid, 2, coeffs, form="divergence")
+        T = OscillatoryTransport(op, PhaseSpec((0.1 + 0.1j) * L, 0.4 * L))
+        a = AmplitudeSpec.monomial(grid, 0)
+        expect, expect_terms = double_neumann(T, T.source(a), cgo.DEFAULT_TOL)
+        transform = CauchyKernel.apply
+
+        def double_only(kernel, values):
+            assert values.dtype != np.complex64
+            return transform(kernel, values)
+
+        monkeypatch.setattr(CauchyKernel, "apply", double_only)
+        g, terms = solve_density(T, a)
+        assert terms == expect_terms and np.array_equal(g.values, expect)
+
+
+def double_neumann(T, w, tol):
+    """The Neumann sum of solve_density with every term formed in double, as (g, terms)."""
+    w_norm = norm_lp(T.grid.field(w), 2)
+    g, term, terms = w, w, 1
+    while True:
+        term = T.apply(term)
+        t_norm = norm_lp(T.grid.field(term), 2)
+        if t_norm > 0:
+            g, terms = g + term, terms + 1
+        if t_norm <= tol * w_norm:
+            return g, terms
 
 
 class TestBuildCGO:
