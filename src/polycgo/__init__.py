@@ -30,6 +30,7 @@ from .errors import (
     DegenerateProbeError,
     MaxTermsExceededError,
     NonContractionError,
+    PairingOverflowError,
     PrecisionError,
 )
 from .expressions import (

@@ -13,9 +13,10 @@ at most 2m transforms instead of m(m+1).  The density solves (I - T) g = w by
 Neumann series (T contracts for small h), then the remainder is
 r = dbar_inv^m(E- * g), finished from the chain of the solve's a-posteriori
 check, and u = exp(phase/h) * (a + r).  Adjoint solutions reuse the same
-machinery with the carrier sign flipped.  The transport is the one object per
-(operator, phase, sign): build_cgo and transport_norm_probe both take it, and
-it takes the divergence form, which to_divergence_form gives from either form.
+machinery on operators.adjoint with the carrier sign flipped.  The transport
+is the one object per (operator, phase, sign): build_cgo and
+transport_norm_probe both take it, and it takes the divergence form, which
+to_divergence_form gives from either form.
 The map and its loops run on arrays, with fields only at their edges, and a
 non-finite norm in a loop (the map overflowed) is a NonContractionError.
 The map follows the precision of its input: a complex64 v runs every
@@ -48,9 +49,7 @@ from .errors import MaxTermsExceededError, NonContractionError, PrecisionError
 from .grid import (
     ComplexGrid, ScalarField, _dbar, _masked_l2, _weighted_p_sum, mixed_wirtinger, norm_lp,
 )
-from .operators import (
-    DIVERGENCE, STANDARD, PerturbedOperator, adjoint, apply_values, to_divergence_form,
-)
+from .operators import DIVERGENCE, STANDARD, PerturbedOperator, adjoint, apply_values
 from .phase import PhaseSpec
 
 DEFAULT_TOL = 1e-10
@@ -249,11 +248,6 @@ class OscillatoryTransport:
         return self._outer_sum(dbar_a)
 
 
-def adjoint_divergence(op: PerturbedOperator) -> PerturbedOperator:
-    """Divergence form of the formal adjoint, the operator of the sign -1 family."""
-    return to_divergence_form(adjoint(op))
-
-
 def residual_norm(op: PerturbedOperator, u: ScalarField) -> float:
     """Masked L2 norm of the operator applied to u, in extended precision.
 
@@ -393,7 +387,7 @@ def build_adjoint_cgo(
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> CGOSolution:
     """Oscillatory solution of the formal adjoint with the carrier exp(-phase/h)."""
-    T = OscillatoryTransport(adjoint_divergence(op), phase, -1)
+    T = OscillatoryTransport(adjoint(op), phase, -1)
     return build_cgo(T, amplitude, tol, max_terms)
 
 

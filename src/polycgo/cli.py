@@ -12,7 +12,7 @@ lines logged so far and a last line naming the failure.
 
 Exit codes: 0 success, 1 tolerance failure, 2 config error, 3 numerical
 failure (non-contraction, term budget, degenerate probe, carrier overflow,
-no extended-precision long double).
+pairing overflow, no extended-precision long double).
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .errors import (
     DegenerateProbeError,
     MaxTermsExceededError,
     NonContractionError,
+    PairingOverflowError,
     PrecisionError,
 )
 from .expressions import ExpressionError, constant_from_expression, field_from_expression
@@ -60,7 +61,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 NUMERICAL_FAILURES = (
     NonContractionError, MaxTermsExceededError, DegenerateProbeError, CarrierOverflowError,
-    PrecisionError,
+    PairingOverflowError, PrecisionError,
 )
 
 # largest grid.n: the doubled kernel grid is already 1 GiB per table at 4096

@@ -49,6 +49,14 @@ class CarrierOverflowError(OverflowError):
         )
 
 
+class PairingOverflowError(OverflowError):
+    """A pairing value of the recovery left the double range; the difference is too large."""
+
+    def __init__(self, j0, k0, z0, h):
+        self.j0, self.k0, self.z0, self.h = j0, k0, z0, h
+        super().__init__(f"pairing of level ({j0},{k0}) at z0={z0:g}, h={h} is not finite")
+
+
 class PrecisionError(RuntimeError):
     """np.longdouble is no wider than a double, so the extended-precision residual cannot run."""
 

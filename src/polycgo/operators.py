@@ -11,10 +11,12 @@ The two tables are related by a triangular binomial-derivative transform; the
 divergence table is the one the oscillatory integral equation consumes.  Each
 conversion returns an operator already in its target form unchanged, so a
 caller converts without checking the form first.  The formal adjoint (for the
-pairing integral of u * conj(v)) takes either form and is produced by a
-Leibniz expansion over the (j, k) multi-indices rather than hand-coded per m.
-The transforms and the adjoint differentiate by grid.mixed_wirtinger, d first;
-apply_values, the one stencil evaluation of the operator, takes dbar first.
+pairing integral of u * conj(v)) takes either form and returns the divergence
+form: since d* = -dbar and dbar* = -d, the adjoint of d^j (c * dbar^k .) is
+(-1)^(j+k) d^k (conj(c) * dbar^j .), so the adjoint's table is the divergence
+table transposed, conjugated and signed, with no derivative taken.  The
+transforms differentiate by grid.mixed_wirtinger, d first; apply_values, the
+one stencil evaluation of the operator, takes dbar first.
 """
 
 from __future__ import annotations
@@ -148,25 +150,13 @@ def to_standard_form(op: PerturbedOperator) -> PerturbedOperator:
 
 
 def adjoint(op: PerturbedOperator) -> PerturbedOperator:
-    """Normal form of the formal adjoint for the pairing integral(u * conj(v)).
-
-    The principal part is formally self-adjoint.  Each perturbation c * d^j dbar^k
-    contributes (-1)^(j+k) dbar^j d^k (conj(c) * .), expanded by the Leibniz rule
-    into the standard coefficient table, whichever form op is given in.
-    """
-    op = to_standard_form(op)
-    m = op.m
+    """Divergence form of the formal adjoint: the divergence table of op, transposed,
+    conjugated and signed (-1)^(j+k), over its nonzero entries only, so the
+    adjoint of the adjoint is that table bit for bit.  The principal part is
+    formally self-adjoint."""
+    op = to_divergence_form(op)
     new = {}
-    for (j, k) in sorted(op.coeffs):
-        c = op.coeffs[(j, k)]
-        if c.is_zero():
-            continue
-        sign = -1.0 if (j + k) % 2 else 1.0
-        cbar = c.conj()
-        for alpha in range(j + 1):  # dbar falling on v (alpha times)
-            for beta in range(k + 1):  # d falling on v (beta times)
-                w = sign * comb(j, alpha) * comb(k, beta)
-                contrib = w * mixed_wirtinger(cbar, k - beta, j - alpha)
-                key = (beta, alpha)
-                new[key] = contrib if key not in new else new[key] + contrib
-    return PerturbedOperator(op.grid, m, new, form=STANDARD)
+    for j, k in op.nonzero_indices():
+        c = op.coeff(j, k)
+        new[(k, j)] = -c.conj() if (j + k) % 2 else c.conj()
+    return PerturbedOperator(op.grid, op.m, new, form=DIVERGENCE)

@@ -38,12 +38,11 @@ from .cgo import (
     AmplitudeSpec,
     OscillatoryTransport,
     _monomial_part,
-    adjoint_divergence,
     build_cgo,
 )
-from .errors import DegenerateProbeError
+from .errors import DegenerateProbeError, PairingOverflowError
 from .grid import ComplexGrid, ScalarField, _dbar
-from .operators import PerturbedOperator, to_divergence_form
+from .operators import PerturbedOperator, adjoint, to_divergence_form
 from .phase import PhaseSpec
 from .sweeps import fit_loglog_slope
 
@@ -302,7 +301,7 @@ class RecoveryProblem:
 
     @cached_property
     def _adjoint_div(self) -> PerturbedOperator:
-        return adjoint_divergence(self.op_tilde)
+        return adjoint(self._div_tilde)
 
 
 def identity_lhs(
@@ -338,7 +337,7 @@ def identity_lhs(
                 total = total - term if j % 2 else total + term
     value = complex(total) * grid.spacing**2
     if not cmath.isfinite(value):
-        raise ValueError("field contains non-finite values")
+        raise PairingOverflowError(j0, k0, z0, h)
     return value
 
 

@@ -7,6 +7,9 @@ recovery); the remaining criteria run at the largest size their transform
 count affords on one core.  Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -40,8 +43,10 @@ from polycgo import (
     transport_norm_probe,
     wirtinger_dbar,
 )
+from polycgo.cli import main
 
 H_SWEEP = (0.2, 0.14, 0.1, 0.07, 0.05)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def report(criterion: int, name: str, ok: bool, detail: str) -> None:
@@ -233,3 +238,22 @@ def test_criterion_10_remainder_negligibility():
     report(10, "remainder contributions are higher order", ok,
            f"|full - amplitude| slope {slope:.3f} (>=1.0), gaps "
            f"{[f'{v:.2e}' for _, v in gaps]}")
+
+
+def test_criterion_11_m3_recovery(tmp_path):
+    # configs/recover_m3.json: nine differences at m = 3 recovered in full_cgo
+    # mode, about 10 s on one core; the levels j + k = 3 and 4 are the
+    # perturbation orders m to 2m - 2
+    out = tmp_path / "run"
+    code = main(["recover", "--config", str(CONFIGS / "recover_m3.json"), "--out", str(out)])
+    manifest = json.loads((out / "manifest.json").read_text())
+    worst = next(
+        float(line.split(",")[1])
+        for line in (out / "slopes.csv").read_text().splitlines()
+        if line.startswith("worst_rel_err_smallest_h,")
+    )
+    slopes = {jk: manifest["slopes"][jk] for jk in ("1,2", "2,1", "2,2")}
+    ok = code == 0 and worst <= 0.15 and all(s > 0 for s in slopes.values())
+    report(11, "m = 3 recovery", ok,
+           f"exit {code}, worst rel err {worst:.4f} at the smallest h (<=0.15), "
+           f"error slopes {', '.join(f'({jk}) {s:.2f}' for jk, s in slopes.items())} (>0)")

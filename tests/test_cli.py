@@ -432,6 +432,24 @@ class TestRecoverCommand:
         assert lines[0].startswith("failed_at=") and lines[-1] == err
         assert sorted(p.name for p in out.iterdir()) == ["log.txt"]
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_pairing_overflow_is_a_numerical_failure(self, tmp_path, capsys):
+        # a finite difference whose pairing moments overflow: no transform
+        # runs in amplitude_only, so the first pairing meets the overflow
+        out = tmp_path / "r"
+        doc = json.loads((ROOT / "bench/configs/recover_full.json").read_text())
+        doc["grid"]["n"] = 128
+        doc["phase"]["h"] = [0.3, 0.2]
+        doc["operator"]["coeffs_tilde"] = {"0,0": "bump(0.12, 0.08, 0.7, 1e308)"}
+        doc["recovery"]["mode"] = "amplitude_only"
+        doc["output"]["directory"] = str(out)
+        assert main(["recover", "--config", write_config(tmp_path, doc)]) == 3
+        err = capsys.readouterr().err.strip()
+        assert err == "numerical failure: pairing of level (0,0) at z0=0.08+0.08j, h=0.3 is not finite"
+        lines = (out / "log.txt").read_text().splitlines()
+        assert lines[0].startswith("failed_at=") and lines[-1] == err
+        assert sorted(p.name for p in out.iterdir()) == ["log.txt"]
+
     def test_repeated_probe_config_error(self, tmp_path, capsys):
         # a repeated probe, however it is spelled, would write duplicate rows
         doc = base_recover_config(tmp_path / "r")

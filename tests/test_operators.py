@@ -1,4 +1,5 @@
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -290,11 +291,45 @@ class TestFormTransforms:
         assert to_standard_form(std) is std
 
 
+def leibniz_adjoint(op):
+    """The standard table of the formal adjoint by the Leibniz rule, as
+    operators.adjoint built it before it transposed the divergence table: a
+    reference implementation, kept here verbatim."""
+    op = to_standard_form(op)
+    m = op.m
+    new = {}
+    for (j, k) in sorted(op.coeffs):
+        c = op.coeffs[(j, k)]
+        if c.is_zero():
+            continue
+        sign = -1.0 if (j + k) % 2 else 1.0
+        cbar = c.conj()
+        for alpha in range(j + 1):  # dbar falling on v (alpha times)
+            for beta in range(k + 1):  # d falling on v (beta times)
+                w = sign * comb(j, alpha) * comb(k, beta)
+                contrib = w * mixed_wirtinger(cbar, k - beta, j - alpha)
+                key = (beta, alpha)
+                new[key] = contrib if key not in new else new[key] + contrib
+    return PerturbedOperator(op.grid, m, new)
+
+
+def complex_bump_table(grid, m):
+    """A full m x m table of distinct complex bumps inside the outer frame."""
+    return {
+        (j, k): field_from_expression(
+            grid, f"bump({0.08 * (j - k)}, {0.05 * (j + k) - 0.1}, 0.6, {0.5 + 0.3 * j}) "
+                  f"* (1 + {0.2 * (k + 1)}i * z)"
+        )
+        for j in range(m)
+        for k in range(m)
+    }
+
+
 class TestAdjoint:
     def test_hand_leibniz_expansion(self, grid64):
         A = field_from_expression(grid64, "bump(0, 0, 0.6, 1) * z")
         op = PerturbedOperator(grid64, 2, {(1, 1): A})
-        adj = adjoint(op)
+        adj = to_standard_form(adjoint(op))
         Abar = A.conj()
         assert np.array_equal(adj.coeff(1, 1).values, Abar.values)
         assert np.allclose(adj.coeff(1, 0).values, wirtinger_dbar(Abar).values)
@@ -314,17 +349,54 @@ class TestAdjoint:
         assert np.allclose(adj.coeff(0, 0).values, V.values)
         assert len(adj.nonzero_indices()) == 1
 
-    def test_requires_standard_form(self, grid64):
-        # a divergence-form operator is converted to standard form first
+    def test_either_form_in_same_adjoint_out(self, grid64):
+        # a standard-form operator is converted to divergence form first
         coeffs = {
             (1, 0): field_from_expression(grid64, "bump(0.1, 0, 0.6, 1) * z"),
             (1, 1): field_from_expression(grid64, "bump(0, -0.1, 0.5, 2)"),
         }
         div = PerturbedOperator(grid64, 2, coeffs, form="divergence")
         got, expect = adjoint(div), adjoint(to_standard_form(div))
-        assert got.form == expect.form == "standard"
+        assert got.form == expect.form == "divergence"
         for jk, c in expect.coeffs.items():
-            assert np.array_equal(got.coeff(*jk).values, c.values), jk
+            assert np.allclose(got.coeff(*jk).values, c.values, rtol=0, atol=1e-12), jk
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_adjoint_twice_is_bit_equal(self, grid64, m):
+        div = PerturbedOperator(grid64, m, complex_bump_table(grid64, m), form="divergence")
+        back = adjoint(adjoint(div))
+        assert back.form == "divergence"
+        for jk, c in div.coeffs.items():
+            assert np.array_equal(back.coeff(*jk).values, c.values), jk
+
+    def test_divergence_adjoint_takes_no_derivative(self, grid64, monkeypatch):
+        import polycgo.grid as grid_mod
+        import polycgo.operators as operators_mod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("stencil applied while transposing the table")
+
+        for module in (grid_mod, operators_mod):
+            for name in ("_d", "_dbar"):
+                monkeypatch.setattr(module, name, forbidden)
+        table = complex_bump_table(grid64, 3)
+        del table[(1, 2)]  # an absent entry stays the grid's shared zero
+        adj = adjoint(PerturbedOperator(grid64, 3, table, form="divergence"))
+        assert adj.coeff(2, 1) is grid64.zero()
+        assert np.array_equal(adj.coeff(2, 0).values, table[(0, 2)].values.conj())
+        assert np.array_equal(adj.coeff(1, 0).values, -table[(0, 1)].values.conj())
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_matches_leibniz_reference(self, grid128, m):
+        # in exact arithmetic both are the same table; they differ by the
+        # roundoff of the stencil derivatives each takes, measured at
+        # 1.5e-14 (m=2) and 1.2e-13 (m=3) of the table's largest entry, so
+        # the bound 1e-11 leaves a margin of about 80 at m=3
+        op = PerturbedOperator(grid128, m, complex_bump_table(grid128, m))
+        got, ref = to_standard_form(adjoint(op)), leibniz_adjoint(op)
+        scale = max(norm_lp(c, np.inf) for c in ref.coeffs.values())
+        for jk, c in ref.coeffs.items():
+            assert norm_lp(got.coeff(*jk) - c, np.inf) <= 1e-11 * scale, jk
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_bilinear_identity(self, m, rng):
