@@ -13,21 +13,22 @@ at most 2m transforms instead of m(m+1).  The density solves (I - T) g = w by
 Neumann series (T contracts for small h), then the remainder is
 r = dbar_inv^m(E- * g), finished from the chain of the solve's a-posteriori
 check, and u = exp(phase/h) * (a + r).  Adjoint solutions reuse the same
-machinery on operators.adjoint with the carrier sign flipped.  The transport
+machinery on operators.adjoint with the carrier sign flipped, and so does the
+adjoint map T* = E+ . T'(E- .), T' the map of operators.adjoint.  The transport
 is the one object per (operator, phase, sign): build_cgo and
 transport_norm_probe both take it, and it takes the divergence form, which
 to_divergence_form gives from either form.
 The map and its loops run on arrays, with fields only at their edges, and a
 non-finite norm in a loop (the map overflowed) is a NonContractionError.
-The map follows the precision of its input: a complex64 v runs every
+The maps follow the precision of their input: a complex64 v runs every
 transform in complex64 (CauchyKernel.apply follows its input's dtype), while
 E+/-, the coefficients and the sums between the transforms stay in double.
 solve_density forms each Neumann term whose predecessor's norm is at most
 tol * ||w|| / (10 * float32 eps) that way, since single-precision digits then
 suffice for the sum to meet tol, unless the grid's scale would carry the
 map's intermediates out of float32's range.  The source, the earlier terms,
-the sum g, the a-posteriori check, the remainder, apply_adjoint and the norm
-probe stay in double.  A solution keeps only g and r.  Monomial amplitudes
+the sum g, the a-posteriori check, the remainder and the norm probe stay in
+double.  A solution keeps only g and r.  Monomial amplitudes
 conj(z)^k/k! and recovery's point weights are built by one rule,
 _monomial_part; recovery's pairing expands the same monomials in x and y
 (recovery._monomial_table), which a test pins against this rule.
@@ -75,6 +76,13 @@ def _monomial_part(base, p: int):
         out *= base
     out /= factorial(p)
     return out
+
+
+def _oscillate(factors, values: np.ndarray) -> np.ndarray:
+    """The oscillation with 1-D factors (ex, ey) times values, complex64 for complex64 values."""
+    ex, ey = factors
+    out = (ex[:, None] * values) * ey
+    return out.astype(np.complex64) if values.dtype == np.complex64 else out
 
 
 @dataclass(frozen=True)
@@ -132,14 +140,17 @@ class CGOSolution:
 class OscillatoryTransport:
     """The fixed-point map of the density equation, with its L2 adjoint.
 
-    Built once per (operator, phase, sign); the oscillations E+/- and the
-    nonzero coefficients are kept as arrays, so Neumann iterations only pay
+    Built once per (operator, phase, sign); the nonzero coefficients are kept
+    as arrays and E+/- as their 1-D factors, so Neumann iterations only pay
     for transforms, and calls take and return arrays.  sign=+1 matches the carrier
     exp(+phase/h), sign=-1 the adjoint-family carrier exp(-phase/h).
 
     Each call runs one dbar_inv chain for the inner powers and one Horner
     pass of d_inv for the outer sum: apply takes m - min(cols) + m - min(rows)
-    transforms, at most 2m, and apply_adjoint mirrors it step for step.
+    transforms, at most 2m.  Since d_inv* = -dbar_inv and dbar_inv* = -d_inv
+    for the odd kernel, T* = E+ . T'(E- .) for T' the transport of adjoint(op)
+    with the sign flipped; T' opens with E+, which cancels E-, so apply_adjoint
+    is E+ . T'._map.
     """
 
     def __init__(self, op: PerturbedOperator, phase: PhaseSpec, sign: int = +1):
@@ -152,20 +163,9 @@ class OscillatoryTransport:
         self.grid = op.grid
         self.active = op.nonzero_indices()
         self.coeffs = {jk: op.coeff(*jk).values for jk in self.active}
-        self.rows = sorted({j for j, _ in self.active})
         self.cols = sorted({k for _, k in self.active})
-        self.e_plus = self.e_minus = None
-        if self.active:
-            self.e_plus = phase.oscillation(op.grid, sign).values
-            self.e_minus = phase.oscillation(op.grid, -sign).values
-
-    def _dbar_powers(self, values: np.ndarray, lowest: int) -> dict:
-        """{i: dbar_inv^(m-i)(values)} for lowest <= i < m, each kept as the chain forms it."""
-        powers, cur = {}, values
-        for i in range(self.op.m - 1, lowest - 1, -1):
-            cur = cauchy_chain(self.grid, cur)
-            powers[i] = cur
-        return powers
+        self.e_plus = phase.oscillation_factors(op.grid, sign)
+        self.e_minus = phase.oscillation_factors(op.grid, -sign)
 
     def _horner(self, terms, dtype=np.complex128) -> np.ndarray:
         """sum_i d_inv^(m-i)(y_i) over (i, y_i) pairs in ascending i, by Horner's rule.
@@ -187,10 +187,22 @@ class OscillatoryTransport:
     def _outer_sum(self, x, dtype=np.complex128) -> np.ndarray:
         """-sum_j d_inv^(m-j)(E+ * sum_k c[j,k] * x[k]) over the nonzero coefficients."""
         rows = (
-            (j, self.e_plus * reduce(add, (self.coeffs[jk] * x[jk[1]] for jk in row)))
+            (j, _oscillate(self.e_plus, reduce(add, (self.coeffs[jk] * x[jk[1]] for jk in row))))
             for j, row in groupby(self.active, key=itemgetter(0))
         )
         return -self._horner(rows, dtype)
+
+    def _map(self, x: np.ndarray, _tail: list | None = None) -> np.ndarray:
+        """T after its E- factor, in complex64 transforms for a complex64 x: the outer
+        sum of the powers dbar_inv^(m-k)(x), each kept as one chain forms it."""
+        if not self.active or not np.any(x):
+            return self.grid.zero().values
+        powers, cur = {}, x
+        for k in range(self.op.m - 1, self.cols[0] - 1, -1):
+            powers[k] = cur = cauchy_chain(self.grid, cur)
+        if _tail is not None:
+            _tail.append(powers[self.cols[0]])
+        return self._outer_sum(powers, np.complex64 if x.dtype == np.complex64 else np.complex128)
 
     def apply(self, v: np.ndarray, _tail: list | None = None) -> np.ndarray:
         """T(v) on n x n arrays, the grid's shared read-only zero for a zero v or
@@ -200,40 +212,17 @@ class OscillatoryTransport:
         complex64 result; E+/-, the coefficients and the sums between the
         transforms stay in double, and any other v runs in double.
         """
-        if not self.active or not np.any(v):
-            return self.grid.zero().values
-        dtype = np.complex64 if v.dtype == np.complex64 else np.complex128
-        powers = self._dbar_powers((self.e_minus * v).astype(dtype, copy=False), self.cols[0])
-        if _tail is not None:
-            _tail.append(powers[self.cols[0]])
-        return self._outer_sum(powers, dtype)
+        return self._map(_oscillate(self.e_minus, v), _tail)
 
     def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
-        """Exact discrete L2 adjoint; uses d_inv* = -dbar_inv for the odd kernel."""
-        if not self.active or not np.any(v):
-            return self.grid.zero().values
-        inner = self._dbar_powers(v, self.rows[0])
-        cols = (
-            (k, reduce(add, (w * inner[j] for j, w in col)))
-            for k, col in self._adjoint_weights.items()
-        )
-        return -1.0 * (self.e_plus * self._horner(cols))
+        """Exact discrete L2 adjoint E+ * T'(E- * v), in v's precision as apply is."""
+        return _oscillate(self.e_plus, self._adjoint._map(v))
 
     @cached_property
-    def _adjoint_weights(self) -> dict:
-        """conj(E+ * c[j,k]) * (-1)^(j+k) as [(j, weight)] per column k.
-
-        Built on the first adjoint apply, so a transport that is only applied
-        forward (recovery, the Neumann solve) holds no copy of them.
-        """
-        by_col = groupby(sorted(self.active, key=itemgetter(1, 0)), key=itemgetter(1))
-        return {
-            k: [
-                (j, np.conj(self.e_plus * self.coeffs[(j, k)]) * (-1.0 if (j + k) % 2 else 1.0))
-                for j, _ in col
-            ]
-            for k, col in by_col
-        }
+    def _adjoint(self) -> "OscillatoryTransport":
+        """T', built on the first adjoint apply: a transport that is only applied
+        forward (recovery, the Neumann solve) holds no copy of the adjoint table."""
+        return OscillatoryTransport(adjoint(self.op), self.phase, -self.sign)
 
     def source(self, amplitude: AmplitudeSpec) -> np.ndarray:
         """Right-hand side from the amplitude's dbar derivatives; zero, with no
@@ -270,6 +259,7 @@ def _overflow(h: float, what: str, ratios=()) -> NonContractionError:
     return NonContractionError(h, message, ratios)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # each norm is checked and named
 def solve_density(
     T: OscillatoryTransport,
     amplitude: AmplitudeSpec,
@@ -428,6 +418,7 @@ def _ritz_ratio(alphas, betas, u_rings, v_rings, c) -> float:
     return float(sigma[0] * np.sqrt((1.0 - c @ np.abs(tx) ** 2) / (1.0 - c @ np.abs(x) ** 2)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # alpha and beta are checked and named
 def transport_norm_probe(T: OscillatoryTransport, iterations: int = 20, seed: int = 0):
     """Golub-Kahan-Lanczos estimate of the L2 operator norm of T, as (estimate, sweeps).
 
@@ -445,8 +436,11 @@ def transport_norm_probe(T: OscillatoryTransport, iterations: int = 20, seed: in
     stops does not apply T*, and a zero alpha or beta stops with the current
     estimate, while a non-finite one (the map overflowed) raises
     NonContractionError.  sweeps counts the forward applies.  A transport with
-    no nonzero coefficient gives (0.0, 0).
+    no nonzero coefficient gives (0.0, 0); an iteration cap below 1 is a
+    ValueError, since no estimate is taken.
     """
+    if iterations < 1:
+        raise ValueError(f"iterations must be at least 1, got {iterations}")
     est, k = 0.0, 0
     if not T.active:
         return est, k

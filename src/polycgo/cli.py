@@ -570,6 +570,8 @@ def main(argv=None) -> int:
         cpus = os.cpu_count() or 1
         if not 1 <= args.threads <= cpus:
             raise ConfigError(f"--threads {args.threads} is outside 1..{cpus}, the CPU count")
+        if args.seed < 0:
+            raise ConfigError(f"--seed {args.seed} is negative; the probe's seed is 0 or more")
         cfg = load_config(args.config)
         out_section = _take(cfg, "", "output", dict, default={})
         directory = _take(out_section, "output", "directory", str, default=f"runs/{args.command}")

@@ -264,6 +264,7 @@ class RecoveryProblem:
                 remainders[(sign, degree)] = sol.r
         return remainders
 
+    @np.errstate(over="ignore", invalid="ignore")  # identity_lhs checks the pairing's value
     def _moments(self, z0: complex, h: float, remainders: dict) -> dict:
         """The step's moment table; each array G is formed once and dropped after its pass.
 
@@ -327,15 +328,16 @@ def identity_lhs(
     # dbar^k a of degree k0 - k pairs with d^j conj(b) of degree j0 - j; in
     # full_cgo, dbar^k r joins the first and conj(dbar^j s) the second
     total = 0j
-    for (j, k), table in moments.items():
-        for kr, a in ((None, k0 - k), (k0, 0)):
-            for js, b in ((None, j0 - j), (j0, 0)):
-                if a < 0 or b < 0 or (kr, js) not in table:
-                    continue
-                d = a + b + 1
-                term = np.sum(_monomial_table(a, b) * table[(kr, js)][:d, :d])
-                total = total - term if j % 2 else total + term
-    value = complex(total) * grid.spacing**2
+    with np.errstate(over="ignore", invalid="ignore"):  # the value is checked below
+        for (j, k), table in moments.items():
+            for kr, a in ((None, k0 - k), (k0, 0)):
+                for js, b in ((None, j0 - j), (j0, 0)):
+                    if a < 0 or b < 0 or (kr, js) not in table:
+                        continue
+                    d = a + b + 1
+                    term = np.sum(_monomial_table(a, b) * table[(kr, js)][:d, :d])
+                    total = total - term if j % 2 else total + term
+        value = complex(total) * grid.spacing**2
     if not cmath.isfinite(value):
         raise PairingOverflowError(j0, k0, z0, h)
     return value

@@ -20,6 +20,7 @@ from polycgo import (
     PerturbedOperator,
     PhaseSpec,
     ScalarField,
+    adjoint,
     apply,
     build_adjoint_cgo,
     build_cgo,
@@ -216,9 +217,32 @@ class TestArrayPath:
             piece = d_inv(combo, m - k)
             out = piece if out is None else out + piece
         expect = -1.0 * (e_plus * out)
-        assert "_adjoint_weights" not in vars(T)  # built on the first adjoint apply
-        for _ in range(2):  # the first call builds the weights, the second reuses them
+        assert "_adjoint" not in vars(T)  # built on the first adjoint apply
+        for _ in range(2):  # the first call builds T', the second reuses it
             assert_matches_oracle(T.apply_adjoint(v.values), expect.values)
+        assert "_adjoint" in vars(T)
+
+    def test_adjoint_is_the_map_of_the_adjoint_operator(self, setup, grid64):
+        # T* = E+ . T'(E- .), T' the public transport of adjoint(op) with the sign
+        # flipped; the two differ by roundoff, at most 5.6e-16 relative over these
+        # cases, so ORACLE_RTOL (1e-13) leaves a margin of about 180
+        op, T, e_plus, e_minus = setup
+        T_adj = OscillatoryTransport(adjoint(op), PHASE, -T.sign)
+        v = smooth_random_field(grid64, seed=6).values
+        expect = e_plus.values * T_adj.apply(e_minus.values * v)
+        assert_matches_oracle(T.apply_adjoint(v), expect)
+
+    def test_fresh_transport_holds_no_oscillation(self, setup, grid64):
+        # E+/- are kept as their 1-D factors: the coefficients are the only n x n arrays
+        _, T, _, _ = setup
+        held = [
+            value
+            for item in vars(T).values()
+            for value in (item.values() if isinstance(item, dict) else
+                          item if isinstance(item, (tuple, list)) else (item,))
+            if isinstance(value, np.ndarray) and value.ndim == 2
+        ]
+        assert held and all(any(a is c for c in T.coeffs.values()) for a in held)
 
     def test_transforms_per_call(self, setup, grid64, monkeypatch):
         # one dbar_inv chain down to the lowest column (row for the adjoint) and
@@ -593,6 +617,7 @@ class TestFieldsAtTheEdges:
 
         T = OscillatoryTransport(testbed128_div, PHASE)
         a = AmplitudeSpec.monomial(grid128, 0)
+        transport_norm_probe(T, iterations=2)  # the adjoint transport's one-time build
         monkeypatch.setattr(ScalarField, "__init__", counted)
         builds = []
         for tol in (1e-4, 1e-10):
@@ -701,6 +726,13 @@ class TestNormProbe:
         op = PerturbedOperator(grid128, 2)
         assert transport_norm_probe(transport(op, PHASE), iterations=3) == (0.0, 0)
 
+    @pytest.mark.parametrize("iterations", (0, -1))
+    def test_cap_below_one_is_refused(self, testbed128_div, iterations):
+        # a zero cap took no estimate and returned (0.0, 0), which reads as a zero norm
+        T = OscillatoryTransport(testbed128_div, PHASE)
+        with pytest.raises(ValueError, match="iterations"):
+            transport_norm_probe(T, iterations=iterations)
+
     def test_contraction_and_slope(self):
         from polycgo import fit_loglog_slope
 
@@ -795,7 +827,7 @@ class TestNormProbe:
         # 0 the rule still stops where the estimate repeats to the last bit
         monkeypatch.setattr(cgo, "PROBE_RTOL", -1.0)
         T = OscillatoryTransport(testbed128_div, PHASE)
-        transport_norm_probe(T, iterations=2)  # kernel and adjoint weights built
+        transport_norm_probe(T, iterations=2)  # kernel and adjoint transport built
         peak = {}
         tracemalloc.start()
         try:

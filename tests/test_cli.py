@@ -306,7 +306,7 @@ class TestCgoCommand:
         assert lines[0].startswith("failed_at=") and lines[-1] == err
         assert sorted(p.name for p in out.iterdir()) == ["log.txt"]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")  # the failure line is all stderr says
     @pytest.mark.parametrize("degree, where", [
         (0, "the norm probe's alpha at step 1"),  # no source: the probe overflows
         (1, "the source"),  # the Neumann solve overflows
@@ -340,8 +340,9 @@ class TestCgoCommand:
                                                        conversion):
         # the operator is converted once per run, to the form it is not in
         # (the conversion to its own form returns it as it is); each (z0, h)
-        # builds one transport, which forms E+ and E- once and serves both the
-        # solution and the norm probe
+        # builds one transport, which forms the factors of E+ and E- once and
+        # serves both the solution and the norm probe, and the probe builds
+        # its adjoint transport once
         calls = Counter()
         for name in ("to_divergence_form", "to_standard_form"):
             def counted(op, _fn=getattr(cli, name), _name=name):
@@ -351,29 +352,32 @@ class TestCgoCommand:
                 return out
 
             monkeypatch.setattr(cli, name, counted)
-        init, oscillation = OscillatoryTransport.__init__, PhaseSpec.oscillation
+        init, factors = OscillatoryTransport.__init__, PhaseSpec.oscillation_factors
         steps, transports = Counter(), []
 
         def counted_init(self, op, phase, sign=+1):
-            steps[(phase.z0, phase.h)] += 1
+            steps[(phase.z0, phase.h, sign)] += 1
             transports.append(self)
             init(self, op, phase, sign)
 
-        def counted_oscillation(self, grid, sign=+1):
-            calls["oscillation"] += 1
-            return oscillation(self, grid, sign)
+        def counted_factors(self, grid, sign=+1):
+            calls["oscillation_factors"] += 1
+            return factors(self, grid, sign)
 
         monkeypatch.setattr(OscillatoryTransport, "__init__", counted_init)
-        monkeypatch.setattr(PhaseSpec, "oscillation", counted_oscillation)
+        monkeypatch.setattr(PhaseSpec, "oscillation_factors", counted_factors)
         doc = base_cgo_config(tmp_path / "r")
         doc["operator"]["form"] = form
         doc["phase"]["z0"] = ["0.1+0.1i", "-0.1+0.05i"]
         doc["cgo"]["min_norm_slope"] = 0.1  # the second point's slope over two h is 0.17
         cfg = write_config(tmp_path, doc)
         assert main(["cgo", "--config", cfg]) == 0
-        assert calls == {conversion: 1, "oscillation": 2 * len(transports)}
+        assert calls == {conversion: 1, "oscillation_factors": 2 * len(transports)}
         assert all(T.active for T in transports)
-        assert steps == {(z0, h): 1 for z0 in (0.1 + 0.1j, -0.1 + 0.05j) for h in (0.3, 0.2)}
+        assert steps == {
+            (z0, h, sign): 1
+            for z0 in (0.1 + 0.1j, -0.1 + 0.05j) for h in (0.3, 0.2) for sign in (+1, -1)
+        }
 
     def test_carrier_overflow_exit_three(self, tmp_path, capsys):
         # passes every config check, but 2*max|xy|/h = 769 > 709 on this square
@@ -416,7 +420,7 @@ class TestRecoverCommand:
         assert main(["recover", "--config", cfg]) == 3
         assert "degenerate" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")  # the failure line is all stderr says
     def test_overflow_is_a_numerical_failure(self, tmp_path, capsys):
         # the adjoint family's Neumann solve overflows on the huge difference
         out = tmp_path / "r"
@@ -432,7 +436,7 @@ class TestRecoverCommand:
         assert lines[0].startswith("failed_at=") and lines[-1] == err
         assert sorted(p.name for p in out.iterdir()) == ["log.txt"]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")  # the failure line is all stderr says
     def test_pairing_overflow_is_a_numerical_failure(self, tmp_path, capsys):
         # a finite difference whose pairing moments overflow: no transform
         # runs in amplitude_only, so the first pairing meets the overflow
@@ -552,6 +556,13 @@ class TestDeterminismAndProvenance:
         cfg = write_config(tmp_path, base_cauchy_config(tmp_path / "r"))
         assert main(["cauchy-test", "--config", cfg, "--threads", threads]) == 2
         assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_negative_seed_config_error(self, tmp_path, capsys):
+        # the probe's default_rng refused it only after the first h was solved
+        cfg = write_config(tmp_path, base_cgo_config(tmp_path / "r"))
+        assert main(["cgo", "--config", cfg, "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
 

@@ -276,7 +276,7 @@ class TestIdentity:
         assert all(v != 0 for v in first)
         assert again == first
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")  # the overflow is named, not warned about
     def test_non_finite_pairing_raises(self):
         # a finite difference whose moments overflow must not pair to inf or nan
         g = ComplexGrid(0j, 1.0, 64)
