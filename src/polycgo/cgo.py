@@ -87,9 +87,8 @@ def _oscillate(factors, values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AmplitudeSpec:
-    """Amplitude field with a kind tag; admissible when dbar^m kills it."""
+    """Amplitude field, with its degree when it is a monomial; admissible when dbar^m kills it."""
 
-    kind: str
     field: ScalarField
     degree: int | None = None
 
@@ -100,15 +99,15 @@ class AmplitudeSpec:
             raise ValueError("monomial degree must be nonnegative")
         zbar = np.conj(grid.nodes)
         values = np.broadcast_to(_monomial_part(zbar, k), zbar.shape)
-        return cls("monomial", ScalarField(grid, values), degree=k)
+        return cls(ScalarField(grid, values), degree=k)
 
     @classmethod
     def custom(cls, field: ScalarField) -> "AmplitudeSpec":
-        return cls("custom", field)
+        return cls(field)
 
     def check_admissible(self, m: int) -> None:
         """Require dbar^m(field) ~ 0 within stencil truncation tolerance."""
-        if self.kind == "monomial" and self.degree is not None and self.degree < m:
+        if self.degree is not None and self.degree < m:
             return  # annihilated identically; the stencil check is redundant
         resid = norm_lp(mixed_wirtinger(self.field, 0, m), np.inf)
         scale = max(1.0, norm_lp(self.field, np.inf))

@@ -230,19 +230,17 @@ def build_operator(cfg: dict, grid: ComplexGrid, key: str = "coeffs") -> Perturb
 
 
 def build_h_list(cfg: dict, grid: ComplexGrid) -> list:
-    """phase.h, largest first; each entry positive, finite and resolved by the grid."""
+    """phase.h, largest first; each entry positive, finite, resolved by the grid, distinct."""
     section = _take(cfg, "", "phase", dict, default={})
     raw = _take(section, "phase", "h", list, default=list(DEFAULT_H_SWEEP), check=NON_EMPTY)
-    h_list = []
-    for i, value in enumerate(raw):
-        h = _as_float(value, f"phase.h[{i}]", POSITIVE)
+    h_list = _distinct(raw, "phase.h", lambda value, where: _as_float(value, where, POSITIVE))
+    for i, h in enumerate(h_list):
         if violates_coupling(grid, h):
             raise ConfigError(
                 f"field phase.h[{i}]={h:g} violates spacing <= h/{COUPLING_FACTOR:g} "
                 f"for grid.n={grid.n} "
                 f"(spacing={grid.spacing:.6g} > {h / COUPLING_FACTOR:.6g})"
             )
-        h_list.append(h)
     return sorted(h_list, reverse=True)
 
 

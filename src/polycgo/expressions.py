@@ -12,13 +12,15 @@ NUMBER is a float literal; an immediately trailing 'i' makes it imaginary, so
 complex constants are written like 1+2i or 0.5i.  Functions: exp(f), re(f),
 im(f), conj(f), and bump(cx, cy, radius, amp) - the smooth compactly supported
 profile amp * exp(1 - 1/(1 - r^2/radius^2)) for r = |z - (cx + i*cy)| < radius
-and identically zero outside.  Powers take integer exponents only.  A tree
-nested deeper than MAX_DEPTH (a sum of more than MAX_DEPTH terms, say) is
-refused.
+and identically zero outside, where cx, cy and radius are finite and real.
+Powers take integer exponents only.  A tree nested deeper than MAX_DEPTH (a
+sum of more than MAX_DEPTH terms, say) is refused.
 
 The grammar is a subset of Python's expression grammar with the same
-precedences, so each token is spelled as Python, Python's parser builds the
-tree, and one pass over the tree admits only the nodes the grammar allows.
+precedences, so each token is spelled as Python and Python's parser builds the
+tree.  One walk over the tree, at construction, admits only the nodes the
+grammar allows, bounds its depth and compiles it to a postfix program; each
+evaluation is one pass over that program.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ _VARIABLES = ("z", "zbar")
 # parses does not hang on the interpreter's recursion limit or the caller's stack
 MAX_DEPTH = 2500
 _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-           ast.Div: operator.truediv, ast.Pow: operator.pow}
+           ast.Div: operator.truediv}
 
 
 def _as_python(text: str) -> str:
@@ -102,28 +104,6 @@ def _exponent(node) -> int | None:
     return None
 
 
-def _admitted(node, callees) -> bool:
-    """Whether node belongs to the grammar; each call's function name joins callees."""
-    if isinstance(node, ast.BinOp):
-        return type(node.op) in _BINARY and (
-            not isinstance(node.op, ast.Pow) or _exponent(node.right) is not None
-        )
-    if isinstance(node, ast.UnaryOp):
-        return isinstance(node.op, ast.USub)
-    if isinstance(node, ast.Constant):
-        return type(node.value) in (float, complex)
-    if isinstance(node, ast.Name):
-        return node.id in _VARIABLES or node in callees
-    if isinstance(node, ast.Call):
-        callees.add(node.func)
-        return (
-            isinstance(node.func, ast.Name)
-            and len(node.args) == _ARITY.get(node.func.id)
-            and not node.keywords
-        )
-    return isinstance(node, (ast.operator, ast.unaryop, ast.Load))
-
-
 def _parse(source: str):
     """ast.parse of source, with the recursion headroom its tree conversion
     needs for MAX_DEPTH nodes whatever the caller's stack depth."""
@@ -135,34 +115,41 @@ def _parse(source: str):
         sys.setrecursionlimit(limit)
 
 
-def _operands(node) -> list:
-    """The children evaluated before node, left to right; a '^' exponent is
-    read from the tree, not evaluated."""
-    if isinstance(node, ast.BinOp):
-        return [node.left] if isinstance(node.op, ast.Pow) else [node.left, node.right]
-    if isinstance(node, ast.UnaryOp):
-        return [node.operand]
-    if isinstance(node, ast.Call):
-        return node.args
-    return []
+def _step(node, constant: bool):
+    """(node's program step, its operands left to right), or None outside the grammar.
+
+    constant marks a node inside bump's arguments: a variable or bump there is
+    refused when evaluated.  A '^' exponent is read from the tree, not compiled.
+    """
+    if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+        return ("const", complex(node.value)), []
+    if isinstance(node, ast.Name) and node.id in _VARIABLES:
+        return (node.id, constant), []
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return ("neg", None), [node.operand]
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        exponent = _exponent(node.right)
+        return None if exponent is None else (("pow", exponent), [node.left])
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return ("binary", _BINARY[type(node.op)]), [node.left, node.right]
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
+        name = node.func.id
+        if len(node.args) == _ARITY.get(name):
+            step = ("bump", constant) if name == "bump" else ("call", _UNARY_FUNCTIONS[name])
+            return step, node.args
+    return None
 
 
-def _depth(root) -> int:
-    """The most expression nodes on one path from root to a leaf."""
-    deepest = 0
-    todo = [(root, 1)]
-    while todo:
-        node, depth = todo.pop()
-        deepest = max(deepest, depth)
-        todo.extend((child, depth + 1) for child in _operands(node))
-    return deepest
-
-
-def bump_profile(z: np.ndarray, cx: float, cy: float, radius: float, amp: complex):
+def bump_profile(z: np.ndarray, cx: complex, cy: complex, radius: complex, amp: complex):
     """amp * exp(1 - 1/(1 - r^2/radius^2)) inside |z - c| < radius, else 0.
 
-    exp is evaluated on the nodes inside only; the rest stay +0.0.
+    cx, cy and radius must be finite and real; exp is evaluated on the nodes
+    inside only, and the rest stay +0.0.
     """
+    for name, arg in (("cx", cx), ("cy", cy), ("radius", radius)):
+        if arg.imag or not cmath.isfinite(arg):
+            raise ExpressionError(f"bump {name} must be a finite real number, got {arg}")
+    cx, cy, radius = cx.real, cy.real, radius.real
     if radius <= 0:
         raise ExpressionError(f"bump radius must be positive, got {radius}")
     if not cmath.isfinite(amp):
@@ -175,69 +162,75 @@ def bump_profile(z: np.ndarray, cx: float, cy: float, radius: float, amp: comple
 
 
 class Expression:
-    """Parsed expression; evaluate on a grid or as a variable-free constant."""
+    """Parsed expression, held as its postfix program; evaluate on a grid or as
+    a variable-free constant."""
 
     def __init__(self, text: str):
+        """Parse text and compile its tree to the postfix program in one walk.
+
+        The walk, with an explicit stack, admits each node to the grammar and
+        bounds its depth by MAX_DEPTH when it reaches it.  A node's step follows
+        its operands' steps, left to right, so a sum of thousands of terms runs
+        the operations, in the order, of a recursive walk.
+        """
         self.text = text
         source = _as_python(text)
         try:
-            self._ast = _parse(source)
+            root = _parse(source)
         except (SyntaxError, RecursionError) as exc:
             raise ExpressionError(f"cannot parse {text!r}: {getattr(exc, 'msg', exc)}") from None
-        if _depth(self._ast) > MAX_DEPTH:
-            raise ExpressionError(f"{text!r} is nested deeper than {MAX_DEPTH}")
-        callees = set()
-        for node in ast.walk(self._ast):
-            if not _admitted(node, callees):
-                found = ast.get_source_segment(source, node)
-                raise ExpressionError(f"{found!r} is not in the grammar, in {text!r}")
-
-    def _eval(self, root, z):
-        """The value of the tree at root, walked with an explicit stack.
-
-        Post-order: a node is computed once its operands, evaluated left to
-        right, are on the value stack, so sums of thousands of terms evaluate
-        with the same operations, in the same order, as a recursive walk.
-        bump's arguments are evaluated as constants (z is None).
-        """
-        values = []
-        todo = [(root, z, False)]
+        self._program = []
+        todo = [(root, 1, False)]
         while todo:
-            node, z, ready = todo.pop()
-            if not ready:
-                todo.append((node, z, True))
-                if isinstance(node, ast.Call) and node.func.id == "bump":
-                    z = None
-                todo.extend((child, z, False) for child in reversed(_operands(node)))
+            entry = todo.pop()
+            if not isinstance(entry[0], ast.AST):  # a step whose operands are compiled
+                self._program.append(entry)
                 continue
-            if isinstance(node, ast.Constant):
-                values.append(complex(node.value))
-            elif isinstance(node, ast.Name):
-                if z is None:
-                    raise ExpressionError(f"{node.id!r} is not allowed in a constant expression")
-                values.append(z if node.id == "z" else np.conj(z))
-            elif isinstance(node, ast.UnaryOp):
+            node, depth, constant = entry
+            if depth > MAX_DEPTH:
+                raise ExpressionError(f"{text!r} is nested deeper than {MAX_DEPTH}")
+            found = _step(node, constant)
+            if found is None:
+                segment = ast.get_source_segment(source, node)
+                raise ExpressionError(f"{segment!r} is not in the grammar, in {text!r}")
+            step, operands = found
+            todo.append(step)
+            constant = constant or step[0] == "bump"
+            todo.extend((child, depth + 1, constant) for child in reversed(operands))
+
+    def _eval(self, z):
+        """The program's value at z (None for a constant): each step takes its
+        operands from the top of the value stack and leaves its value there."""
+        values = []
+        for kind, arg in self._program:
+            if kind == "const":
+                values.append(arg)
+            elif kind in _VARIABLES:
+                if arg or z is None:
+                    raise ExpressionError(f"{kind!r} is not allowed in a constant expression")
+                values.append(z if kind == "z" else np.conj(z))
+            elif kind == "neg":
                 values.append(-values.pop())
-            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-                values.append(values.pop() ** _exponent(node.right))
-            elif isinstance(node, ast.BinOp):
+            elif kind == "pow":
+                values.append(values.pop() ** arg)
+            elif kind == "binary":
                 right = values.pop()
-                values.append(_BINARY[type(node.op)](values.pop(), right))
-            elif node.func.id == "bump":
+                values.append(arg(values.pop(), right))
+            elif kind == "call":
+                values.append(arg(values.pop()))
+            else:
                 cx, cy, radius, amp = (complex(a) for a in values[-4:])
                 del values[-4:]
-                if z is None:
+                if arg or z is None:
                     raise ExpressionError("bump is not allowed in a constant expression")
-                values.append(bump_profile(z, cx.real, cy.real, radius.real, amp))
-            else:
-                values.append(_UNARY_FUNCTIONS[node.func.id](values.pop()))
+                values.append(bump_profile(z, cx, cy, radius, amp))
         return values.pop()
 
     def _finite(self, z):
         """The expression's value at z (None for a constant), refused unless finite."""
         with np.errstate(all="ignore"):
             try:
-                vals = self._eval(self._ast, z)
+                vals = self._eval(z)
             except ZeroDivisionError:
                 raise ExpressionError(f"division by zero in {self.text!r}") from None
             except OverflowError as exc:

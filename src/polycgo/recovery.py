@@ -190,8 +190,6 @@ class RecoveryProblem:
             raise ValueError(f"unknown mode {mode!r}")
         if len(h_list) < 1:
             raise ValueError("h_list must be nonempty")
-        self.op = op
-        self.op_tilde = op_tilde
         self.grid = op.grid
         self.m = op.m
         self.probes = tuple(complex(z) for z in probes)

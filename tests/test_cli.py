@@ -193,10 +193,10 @@ class TestCauchyCommand:
         assert main(["cauchy-test", "--config", cfg]) == 2
         assert "cauchy.omega" in capsys.readouterr().err
 
-    def test_repeated_h_fits_no_slope(self, tmp_path, capsys):
+    def test_one_h_fits_no_slope(self, tmp_path, capsys):
         # one distinct h gives no slope to fit: a failed tolerance, not a traceback
         doc = base_cauchy_config(tmp_path / "r")
-        doc["phase"]["h"] = [0.3, 0.3]
+        doc["phase"]["h"] = [0.3]
         cfg = write_config(tmp_path, doc)
         assert main(["cauchy-test", "--config", cfg]) == 1
         assert "nan" in (tmp_path / "r" / "slopes.csv").read_text()
@@ -693,6 +693,37 @@ def test_duplicate_coefficient_index_is_a_config_error(tmp_path, capsys, command
     cfg = write_config(tmp_path, doc)
     assert main([command, "--config", cfg]) == 2
     assert f"operator.{key}[{sorted(table)[1]}]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(BASE_CONFIGS))
+def test_repeated_h_is_a_config_error(tmp_path, capsys, command):
+    # a repeated h once wrote its rows twice and counted twice in the slope fit
+    doc = BASE_CONFIGS[command](tmp_path / "r")
+    doc["phase"]["h"] = [0.3, 0.2, 0.2]
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "phase.h[2]" in err and "phase.h[1]" in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command, section, key, value, where, name", [
+    ("cgo", "operator", "coeffs", {"0,0": "bump(0.5i, 0, 0.3, 1)"}, "operator.coeffs[0,0]",
+     "cx"),
+    ("recover", "operator", "coeffs_tilde", {"0,0": "bump(0, 0, 0.3+5i, 1)"},
+     "operator.coeffs_tilde[0,0]", "radius"),
+    ("cauchy-test", "cauchy", "omega", "bump(0, -0.1i, 0.6, 1)", "cauchy.omega", "cy"),
+])
+def test_non_real_bump_argument_is_a_config_error(tmp_path, capsys, command, section, key,
+                                                  value, where, name):
+    # bump once read the real parts alone, so these ran as bumps on the real axis
+    doc = BASE_CONFIGS[command](tmp_path / "r")
+    doc[section][key] = value
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert where in err and f"bump {name} must be a finite real number" in err
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("command, pipeline", [

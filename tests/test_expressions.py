@@ -1,3 +1,5 @@
+import ast
+import operator
 import sys
 
 import numpy as np
@@ -14,7 +16,13 @@ from polycgo import (
     field_from_expression,
     parse_expression,
 )
-from polycgo.expressions import MAX_DEPTH
+from polycgo.expressions import (
+    _UNARY_FUNCTIONS,
+    MAX_DEPTH,
+    _as_python,
+    _parse,
+    bump_profile,
+)
 
 
 class TestLiterals:
@@ -95,6 +103,15 @@ class TestGrammar:
         finally:
             sys.setrecursionlimit(limit)
 
+    def test_parse_keeps_the_recursion_limit(self):
+        limit = sys.getrecursionlimit()
+        sum_at_bound = "+".join(["z"] * MAX_DEPTH)
+        parse_expression(sum_at_bound)
+        assert sys.getrecursionlimit() == limit
+        with pytest.raises(ExpressionError, match="nested deeper"):
+            parse_expression(sum_at_bound + "+z")
+        assert sys.getrecursionlimit() == limit
+
     @pytest.mark.parametrize("terms", (1500, 2500))
     def test_long_sum_evaluates_left_to_right(self, terms):
         # deeper than the interpreter's recursion limit, yet within ast.parse's
@@ -153,6 +170,17 @@ class TestFieldEvaluation:
         parts = np.stack((f.values.real, f.values.imag))[:, outside]
         assert np.all(parts == 0) and not np.any(np.signbit(parts))
 
+    @pytest.mark.parametrize("args,name", [
+        ("0.5i, 0, 0.3, 1", "cx"), ("0, 0.1 - 2i, 0.3, 1", "cy"), ("0, 0, 0.3+5i, 1", "radius"),
+        ("1e308*10, 0, 0.3, 1", "cx"), ("0, 1e308*10 - 1e308*10, 0.3, 1", "cy"),
+        ("0, 0, 1e308*10, 2", "radius"),
+    ])
+    def test_bump_center_and_radius_must_be_finite_and_real(self, grid64, args, name):
+        # bump once read the real parts alone, so bump(0.5i, 0, 0.3, 1) was bump(0, 0, 0.3, 1);
+        # an infinite center gave a zero field, and an infinite radius the constant amp
+        with pytest.raises(ExpressionError, match=f"bump {name} must be a finite real number"):
+            field_from_expression(grid64, f"bump({args})")
+
     def test_bump_argument_validation(self, grid64):
         with pytest.raises(ExpressionError):
             field_from_expression(grid64, "bump(0, 0, 1)")
@@ -176,3 +204,169 @@ def test_polynomial_expressions_match_numpy(a, b, c, ):
     f = field_from_expression(g, text)
     z = g.nodes
     assert np.allclose(f.values, a * z**c + b * np.conj(z) - 0.5j)
+
+
+# A tree-walking reference for the compiled program: the depth bounded by one
+# walk, the grammar admitted by ast.walk, and the value computed by a post-order
+# walk of the tree on each evaluation.
+_REF_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+               ast.Div: operator.truediv, ast.Pow: operator.pow}
+_REF_ARITY = dict.fromkeys(_UNARY_FUNCTIONS, 1) | {"bump": 4}
+
+
+def _ref_exponent(node):
+    sign = 1
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node, sign = node.operand, -1
+    if isinstance(node, ast.Constant) and type(node.value) is float and node.value.is_integer():
+        return sign * int(node.value)
+    return None
+
+
+def _ref_operands(node):
+    if isinstance(node, ast.BinOp):
+        return [node.left] if isinstance(node.op, ast.Pow) else [node.left, node.right]
+    if isinstance(node, ast.UnaryOp):
+        return [node.operand]
+    if isinstance(node, ast.Call):
+        return node.args
+    return []
+
+
+def _ref_admitted(node, callees):
+    if isinstance(node, ast.BinOp):
+        return type(node.op) in _REF_BINARY and (
+            not isinstance(node.op, ast.Pow) or _ref_exponent(node.right) is not None
+        )
+    if isinstance(node, ast.UnaryOp):
+        return isinstance(node.op, ast.USub)
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (float, complex)
+    if isinstance(node, ast.Name):
+        return node.id in ("z", "zbar") or node in callees
+    if isinstance(node, ast.Call):
+        callees.add(node.func)
+        return (
+            isinstance(node.func, ast.Name)
+            and len(node.args) == _REF_ARITY.get(node.func.id)
+            and not node.keywords
+        )
+    return isinstance(node, (ast.operator, ast.unaryop, ast.Load))
+
+
+def _ref_walk(root, z):
+    values = []
+    todo = [(root, z, False)]
+    while todo:
+        node, z, ready = todo.pop()
+        if not ready:
+            todo.append((node, z, True))
+            if isinstance(node, ast.Call) and node.func.id == "bump":
+                z = None
+            todo.extend((child, z, False) for child in reversed(_ref_operands(node)))
+            continue
+        if isinstance(node, ast.Constant):
+            values.append(complex(node.value))
+        elif isinstance(node, ast.Name):
+            if z is None:
+                raise ExpressionError(f"{node.id!r} is not allowed in a constant expression")
+            values.append(z if node.id == "z" else np.conj(z))
+        elif isinstance(node, ast.UnaryOp):
+            values.append(-values.pop())
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            values.append(values.pop() ** _ref_exponent(node.right))
+        elif isinstance(node, ast.BinOp):
+            right = values.pop()
+            values.append(_REF_BINARY[type(node.op)](values.pop(), right))
+        elif node.func.id == "bump":
+            cx, cy, radius, amp = (complex(a) for a in values[-4:])
+            del values[-4:]
+            if z is None:
+                raise ExpressionError("bump is not allowed in a constant expression")
+            values.append(bump_profile(z, cx, cy, radius, amp))
+        else:
+            values.append(_UNARY_FUNCTIONS[node.func.id](values.pop()))
+    return values.pop()
+
+
+def reference_value(text, z):
+    """text's finite value at z (None for a constant) by the tree walks."""
+    source = _as_python(text)
+    try:
+        root = _parse(source)
+    except (SyntaxError, RecursionError):
+        raise ExpressionError("cannot parse") from None
+    deepest, todo = 0, [(root, 1)]
+    while todo:
+        node, depth = todo.pop()
+        deepest = max(deepest, depth)
+        todo.extend((child, depth + 1) for child in _ref_operands(node))
+    callees = set()
+    if deepest > MAX_DEPTH or not all(_ref_admitted(n, callees) for n in ast.walk(root)):
+        raise ExpressionError("refused")
+    with np.errstate(all="ignore"):
+        try:
+            vals = _ref_walk(root, z)
+        except (ZeroDivisionError, OverflowError):
+            raise ExpressionError("refused") from None
+    if not np.all(np.isfinite(vals)):
+        raise ExpressionError("not finite")
+    return vals
+
+
+def _outcome(evaluate):
+    try:
+        return np.asarray(evaluate()).tobytes()
+    except ExpressionError:
+        return "refused"
+
+
+_NUMBERS = st.sampled_from([
+    "0", "0.0", "1", "2", "0.5", "2.5", "1e-3", "3e2", "1e308", "0.5i", "3i", "0.0i", ".25",
+])
+_CONSTANTS = st.recursive(
+    _NUMBERS,
+    lambda inner: st.one_of(
+        st.builds("-{}".format, inner),
+        st.builds("({} {} {})".format, inner, st.sampled_from("+-*/"), inner),
+    ),
+    max_leaves=3,
+)
+
+
+def _compound(inner):
+    return st.one_of(
+        st.builds("({} {} {})".format, inner, st.sampled_from("+-*/"), inner),
+        st.builds("{}{}{}".format, inner, st.sampled_from("+-*/"), inner),
+        st.builds("-{}".format, inner),
+        st.builds("{}^{}".format, inner, st.sampled_from(
+            ["0", "1", "2", "3", "-1", "-2", "2.0", "-0", "1.5", "z", "(2)"])),
+        st.builds("{}({})".format, st.sampled_from(["exp", "re", "im", "conj", "foo", "z"]), inner),
+        st.builds("bump({}, {}, {}, {})".format, _CONSTANTS, _CONSTANTS,
+                  st.sampled_from(["0.3", "0.7", "-1", "0", "0.5+1i", "1e-3"]), inner),
+        st.builds("bump({}, {}, {}, {})".format, inner, inner, inner, inner),
+        st.builds("({}, {})".format, inner, inner),
+    )
+
+
+_EXPRESSIONS = st.recursive(
+    st.one_of(_NUMBERS, st.sampled_from(["z", "zbar"])), _compound, max_leaves=12
+)
+
+
+@given(text=_EXPRESSIONS)
+@settings(max_examples=400, deadline=None)
+def test_program_matches_the_tree_walk(text):
+    # the same inputs refused, and every value's bytes equal, signed zeros included
+    grid = ComplexGrid(0.1 - 0.05j, 1.0, 16)
+
+    def reference_field():
+        vals = reference_value(text, grid.nodes)
+        return grid.constant(complex(vals)).values if np.ndim(vals) == 0 else vals
+
+    assert _outcome(lambda: field_from_expression(grid, text).values) == _outcome(
+        reference_field
+    )
+    assert _outcome(lambda: constant_from_expression(text)) == _outcome(
+        lambda: complex(reference_value(text, None))
+    )
