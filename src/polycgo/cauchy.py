@@ -3,16 +3,18 @@
 dbar_inv is convolution with 1/(pi*z); d_inv is its conjugate twin with kernel
 1/(pi*conj(z)).  Discretization is product integration: the kernel enters the
 quadrature through its exact integral over each grid cell, computed from the
-corner antiderivative of 1/z.  That makes the scheme second-order accurate for
-smooth data and gives the singular cell its exact (zero, by odd symmetry)
-weight.  Application is fast convolution on the zero-padded doubled grid in
-pruned 1-D passes that transform no all-zero column and compute no cropped
-row; axis 0 goes first both ways, fft2's order, so the bits are those of the
-full padded fft2/ifft2.  The transform follows its input's precision: a
-complex64 array runs the same passes against a complex64 copy of the kernel
-transform, built on first single-precision use, and any other array is cast
-to complex128.  Both transforms take a power, dbar_inv(f, m) and d_inv(f, m),
-and run through one array-level chain, cauchy_chain.
+corner antiderivative of 1/z.  The antiderivative is evaluated once per corner
+of the cell lattice, each interior corner being shared by four cells.  That
+makes the scheme second-order accurate for smooth data and gives the singular
+cell its exact (zero, by odd symmetry) weight.  Application is fast
+convolution on the zero-padded doubled grid in pruned 1-D passes that
+transform no all-zero column and compute no cropped row; axis 0 goes first
+both ways, fft2's order, so the bits are those of the full padded fft2/ifft2.
+The transform follows its input's precision: a complex64 array runs the same
+passes against a complex64 copy of the kernel transform, built on first
+single-precision use, and any other array is cast to complex128.  Both
+transforms take a power, dbar_inv(f, m) and d_inv(f, m), and run through one
+array-level chain, cauchy_chain.
 CauchyKernel.apply_direct sums the same quadrature directly, as a validation
 oracle.
 """
@@ -59,26 +61,22 @@ def _cell_integral_table(n: int, spacing: float) -> np.ndarray:
 
     Index layout is FFT-wrapped: entry (a, b) holds the cell centered at
     displacement (p*spacing, q*spacing) with p = a for a < n else a - 2n.
-    The corner-difference formula is invalid where a cell meets the branch
+    The corner antiderivative is evaluated once per lattice corner
+    (c - 1/2)*spacing, c = -n..n, and each cell takes the difference of its
+    four corners.  That formula is invalid where a cell meets the branch
     cut of the principal log (the strip q = 0, p <= 0); those entries are
     rebuilt from the reflected cell using the odd symmetry of 1/z, and the
     singular cell itself integrates to exactly zero by the same symmetry.
     """
-    idx = _fft.fftfreq(2 * n, 1.0 / (2 * n))
-    p = idx[:, None]
-    q = idx[None, :]
-    x1, x2 = (p - 0.5) * spacing, (p + 0.5) * spacing
-    y1, y2 = (q - 0.5) * spacing, (q + 0.5) * spacing
-    table = (
-        _corner_antiderivative(x2, y2)
-        - _corner_antiderivative(x1, y2)
-        - _corner_antiderivative(x2, y1)
-        + _corner_antiderivative(x1, y1)
-    )
+    corners = (np.arange(-n, n + 1) - 0.5) * spacing
+    f = _corner_antiderivative(corners[:, None], corners[None, :])
+    table = _fft.ifftshift(f[1:, 1:] - f[:-1, 1:] - f[1:, :-1] + f[:-1, :-1])
     # the branch-cut strip: column q = 0, rows p <= 0
+    idx = _fft.fftfreq(2 * n, 1.0 / (2 * n))
+    x1, x2 = (idx - 0.5) * spacing, (idx + 0.5) * spacing
     rows = idx < 0.5
-    sx1, sx2 = -x1[rows, 0], -x2[rows, 0]
-    sy1, sy2 = -y1[0, 0], -y2[0, 0]
+    sx1, sx2 = -x1[rows], -x2[rows]
+    sy1, sy2 = -x1[0], -x2[0]
     table[rows, 0] = -(
         _corner_antiderivative(sx1, sy1)
         - _corner_antiderivative(sx2, sy1)

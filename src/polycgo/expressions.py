@@ -243,6 +243,9 @@ class Expression:
         vals = self._finite(grid.nodes)
         if np.isscalar(vals) or getattr(vals, "shape", ()) == ():
             return grid.constant(complex(vals))
+        if vals.dtype == np.complex128 and vals.flags.owndata and vals.flags.writeable:
+            # made by this evaluation (the nodes are read-only) and scanned by _finite
+            return ScalarField._adopt(grid, vals)
         return ScalarField(grid, vals)
 
     def evaluate_constant(self) -> complex:

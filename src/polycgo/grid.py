@@ -89,9 +89,13 @@ class ComplexGrid:
             self.__dict__["_zero"] = weakref.ref(z)
         return z
 
+    def interior_axis(self, margin: float) -> np.ndarray:
+        """Boolean mask of axis offsets farther than margin*(2*half_width) from both ends."""
+        return np.abs(self.axis_offsets) <= self.half_width * (1.0 - 2.0 * margin)
+
     def interior_mask(self, margin: float) -> np.ndarray:
         """Boolean mask of nodes farther than margin*(2*half_width) from every edge."""
-        t = np.abs(self.axis_offsets) <= self.half_width * (1.0 - 2.0 * margin)
+        t = self.interior_axis(margin)
         return t[:, None] & t[None, :]
 
     def contains(self, z: complex, margin: float = 0.0) -> bool:
@@ -113,6 +117,17 @@ class ScalarField:
             v = v.copy()  # never alias caller-owned memory
         if not np.all(np.isfinite(v)):
             raise ValueError("field contains non-finite values")
+        self._hold(grid, v)
+
+    @classmethod
+    def _adopt(cls, grid: ComplexGrid, values: np.ndarray) -> "ScalarField":
+        """The field of a fresh, finite complex128 (n, n) array that no one else
+        holds, kept as it is: no copy and no second finiteness scan."""
+        field = object.__new__(cls)
+        field._hold(grid, values)
+        return field
+
+    def _hold(self, grid, v):
         v.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", v)

@@ -43,18 +43,34 @@ class TestKernelTable:
 
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_strip_reflection_matches_whole_table_reflection(self, n):
-        # reference: reflect every cell, then keep the reflection on the strip
-        s = 2.0 / (n - 1)
+        # reference: the four-corner formula on every cell, reflect every cell,
+        # then keep the reflection on the strip; the spacings include those of
+        # the half_width 1e-12 and 1e6 grids at n = 64
         idx = scipy.fft.fftfreq(2 * n, 1.0 / (2 * n))
         p, q = idx[:, None], idx[None, :]
-        x1, x2 = (p - 0.5) * s, (p + 0.5) * s
-        y1, y2 = (q - 0.5) * s, (q + 0.5) * s
         F = _corner_antiderivative
-        direct = F(x2, y2) - F(x1, y2) - F(x2, y1) + F(x1, y1)
-        reflected = F(-x1, -y1) - F(-x2, -y1) - F(-x1, -y2) + F(-x2, -y2)
-        expect = np.where((np.abs(q) < 0.5) & (p < 0.5), -reflected, direct)
-        expect[0, 0] = 0.0
-        assert np.array_equal(_cell_integral_table(n, s), expect)
+        for s in (2.0 / (n - 1), 1e-6, 3.7, 1e5, 2e-12 / 63, 2e6 / 63):
+            x1, x2 = (p - 0.5) * s, (p + 0.5) * s
+            y1, y2 = (q - 0.5) * s, (q + 0.5) * s
+            direct = F(x2, y2) - F(x1, y2) - F(x2, y1) + F(x1, y1)
+            reflected = F(-x1, -y1) - F(-x2, -y1) - F(-x1, -y2) + F(-x2, -y2)
+            expect = np.where((np.abs(q) < 0.5) & (p < 0.5), -reflected, direct)
+            expect[0, 0] = 0.0
+            assert np.array_equal(_cell_integral_table(n, s), expect), s
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_antiderivative_evaluated_once_per_corner(self, n, monkeypatch):
+        # (2n+1)^2 lattice corners plus the strip's four reflected corner rows of
+        # n+1 points; the four-corner formula on every cell evaluates 4(2n)^2
+        points = []
+
+        def counted(x, y):
+            points.append(np.broadcast(x, y).size)
+            return _corner_antiderivative(x, y)
+
+        monkeypatch.setattr(cauchy, "_corner_antiderivative", counted)
+        _cell_integral_table(n, 2.0 / (n - 1))
+        assert sum(points) <= (2 * n + 1) ** 2 + 4 * (n + 1)
 
     def test_singular_cell_weight_is_exact_zero(self, grid64):
         assert _cell_integral_table(grid64.n, grid64.spacing)[0, 0] == 0.0

@@ -1,6 +1,7 @@
 import ast
 import operator
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,21 @@ class TestFieldEvaluation:
         # an infinite center gave a zero field, and an infinite radius the constant amp
         with pytest.raises(ExpressionError, match=f"bump {name} must be a finite real number"):
             field_from_expression(grid64, f"bump({args})")
+
+    @pytest.mark.parametrize("text", ["exp(z)", "re(z)", "z"])
+    def test_evaluated_array_is_not_copied(self, text):
+        # a field made from the evaluator's own array keeps that array; the
+        # nodes themselves ("z") are copied, never frozen into a field
+        grid = ComplexGrid(0j, 1.0, 512)
+        nodes, size = grid.nodes, grid.n * grid.n * 16
+        tracemalloc.start()
+        try:
+            f = field_from_expression(grid, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * size
+        assert not f.values.flags.writeable and not np.shares_memory(f.values, nodes)
 
     def test_bump_argument_validation(self, grid64):
         with pytest.raises(ExpressionError):

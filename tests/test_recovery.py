@@ -97,6 +97,33 @@ class TestFresnelConstant:
         assert worst[0.05] < worst[0.1]
 
 
+class TestDifferences:
+    def test_difference_against_a_zero_base_is_the_table_itself(self):
+        g = ComplexGrid(0j, 1.0, 64)
+        bump = field_from_expression(g, "bump(0.1, 0, 0.6, 1)")
+        L = PerturbedOperator(g, 2, {(0, 0): bump}, form="divergence")
+        Lt = PerturbedOperator(g, 2, {(0, 0): 2.0 * bump, (1, 0): -0.0 * bump,
+                                      (0, 1): 0.5j * bump}, form="divergence")
+        prob = RecoveryProblem(L, Lt, [0.1 + 0.1j], [0.3])
+        for jk, b in prob.differences.items():
+            base, tilde = L.coeff(*jk), Lt.coeff(*jk)
+            if base.is_zero():
+                assert b is tilde
+            else:
+                assert b is not tilde and np.array_equal(b.values, tilde.values - base.values)
+        assert np.array_equal(prob.differences[(0, 0)].values, bump.values)
+
+    def test_frame_check_names_the_worst_frame_value(self):
+        g = ComplexGrid(0j, 1.0, 64)
+        edge = np.zeros((64, 64), dtype=complex)
+        edge[40, -1], edge[0, 20], edge[32, 32] = 3e-6, -2e-6j, 5.0
+        L = PerturbedOperator(g, 2, form="divergence")
+        Lt = PerturbedOperator(g, 2, {(1, 1): g.field(edge)}, form="divergence")
+        message = r"difference \(1,1\) is not supported .*\(max \|B\| = 3\.000e-06 on the outer 5%\)"
+        with pytest.raises(ValueError, match=message):
+            RecoveryProblem(L, Lt, [0.1 + 0.1j], [0.3])
+
+
 class TestIdentity:
     def test_identical_operators_give_zero(self):
         g = ComplexGrid(0j, 1.0, 128)
