@@ -7,6 +7,7 @@ from .cauchy import (
     DecayProbe,
     d_inv,
     dbar_inv,
+    fit_loglog_slope,
     kernel_for,
     lp_bound_constant,
     oscillatory_decay_probe,
@@ -16,13 +17,13 @@ from .cgo import (
     AmplitudeSpec,
     CGOSolution,
     OscillatoryTransport,
-    build_adjoint_cgo,
     build_cgo,
     residual_norm,
     smooth_random_field,
     solve_density,
     transport_norm_probe,
 )
+from .cli import DEFAULT_H_SWEEP
 from .errors import (
     CarrierOverflowError,
     ConfigError,
@@ -47,7 +48,6 @@ from .grid import (
     mixed_wirtinger,
     norm_hm,
     norm_lp,
-    norm_w1p,
     wirtinger_d,
     wirtinger_dbar,
 )
@@ -73,8 +73,6 @@ from .recovery import (
     recover_all,
     sample_bilinear,
     stationary_phase_calibration,
-    stationary_phase_extract,
 )
-from .sweeps import DEFAULT_H_SWEEP, fit_loglog_slope
 
 __version__ = "0.1.0"

@@ -1,4 +1,5 @@
-"""Solid Cauchy transforms on the grid square and their oscillatory-decay probes.
+"""Solid Cauchy transforms on the grid square, their oscillatory-decay probes,
+and the log-log slope fit of every h-sweep table.
 
 dbar_inv is convolution with 1/(pi*z); d_inv is its conjugate twin with kernel
 1/(pi*conj(z)).  Discretization is product integration: the kernel enters the
@@ -31,7 +32,6 @@ import scipy.fft as _fft
 
 from .grid import ComplexGrid, ScalarField, norm_lp
 from .phase import PhaseSpec
-from .sweeps import fit_loglog_slope
 
 _FFT_WORKERS = 1
 
@@ -49,11 +49,13 @@ def set_fft_workers(n: int) -> None:
 
 
 def _corner_antiderivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """F with d^2 F/(dx dy) = 1/(x + iy), F = -i*z*(log z - 1), principal log."""
+    """F with d^2 F/(dx dy) = 1/(x + iy), F = -i*z*(log z - 1), principal log.
+
+    z = 0 is never asked for: every corner the table reads is an odd multiple
+    of spacing/2 in both coordinates.
+    """
     z = x + 1j * y
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = -1j * z * (np.log(z) - 1.0)
-    return np.where(z == 0, 0.0 + 0.0j, f)
+    return -1j * z * (np.log(z) - 1.0)
 
 
 def _cell_integral_table(n: int, spacing: float) -> np.ndarray:
@@ -180,6 +182,16 @@ class DecayProbe:
     q: float
     rows: tuple
     slope: float
+
+
+def fit_loglog_slope(xs, ys) -> float:
+    """Slope of log(y) against log(x); nan if fewer than 2 usable points with distinct x."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    keep = (xs > 0) & (ys > 0)
+    if np.unique(xs[keep]).size < 2:
+        return nan
+    return float(np.polyfit(np.log(xs[keep]), np.log(ys[keep]), 1)[0])
 
 
 def oscillatory_decay_probe(

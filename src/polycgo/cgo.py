@@ -101,10 +101,6 @@ class AmplitudeSpec:
         values = np.broadcast_to(_monomial_part(zbar, k), zbar.shape)
         return cls(ScalarField(grid, values), degree=k)
 
-    @classmethod
-    def custom(cls, field: ScalarField) -> "AmplitudeSpec":
-        return cls(field)
-
     def check_admissible(self, m: int) -> None:
         """Require dbar^m(field) ~ 0 within stencil truncation tolerance."""
         if self.degree is not None and self.degree < m:
@@ -366,18 +362,6 @@ def build_cgo(
         r=r,
         neumann_terms=terms,
     )
-
-
-def build_adjoint_cgo(
-    op: PerturbedOperator,
-    phase: PhaseSpec,
-    amplitude: AmplitudeSpec,
-    tol: float = DEFAULT_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> CGOSolution:
-    """Oscillatory solution of the formal adjoint with the carrier exp(-phase/h)."""
-    T = OscillatoryTransport(adjoint(op), phase, -1)
-    return build_cgo(T, amplitude, tol, max_terms)
 
 
 def smooth_random_field(grid: ComplexGrid, seed: int = 0) -> ScalarField:

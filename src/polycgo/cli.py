@@ -28,7 +28,7 @@ from math import inf, isfinite, nan
 from pathlib import Path
 
 from . import cauchy
-from .cauchy import dbar_inv, lp_bound_constant, oscillatory_decay_probe
+from .cauchy import dbar_inv, fit_loglog_slope, lp_bound_constant, oscillatory_decay_probe
 from .cgo import (
     DEFAULT_MAX_TERMS,
     DEFAULT_TOL,
@@ -53,7 +53,6 @@ from .grid import ComplexGrid, norm_hm, norm_lp, wirtinger_dbar
 from .operators import DIVERGENCE, STANDARD, PerturbedOperator, to_divergence_form, to_standard_form
 from .phase import COUPLING_FACTOR, PhaseSpec, violates_coupling
 from .recovery import AMPLITUDE_ONLY, FULL_CGO, RecoveryProblem, recover_all
-from .sweeps import DEFAULT_H_SWEEP, fit_loglog_slope
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -69,6 +68,8 @@ MAX_GRID_N = 4096
 # largest operator.m: the coefficient table has m^2 entries and the form
 # conversion costs O(m^3) field operations
 MAX_OPERATOR_M = 16
+# phase.h when a config names none
+DEFAULT_H_SWEEP = (0.2, 0.14, 0.1, 0.07, 0.05)
 
 
 # ---------------------------------------------------------------- config ----

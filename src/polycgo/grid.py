@@ -243,16 +243,6 @@ def norm_lp(f: ScalarField, p) -> float:
     return _weighted_p_sum(f.grid, f.values, p) ** (1.0 / p)
 
 
-def norm_w1p(f: ScalarField, p) -> float:
-    """L^p norm of (f, df, dbar f) combined: first-order Sobolev norm."""
-    parts = (f, wirtinger_d(f), wirtinger_dbar(f))
-    if p == np.inf or p == float("inf"):
-        return max(norm_lp(q, p) for q in parts)
-    if p < 1:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
-    return sum(_weighted_p_sum(q.grid, q.values, p) for q in parts) ** (1.0 / p)
-
-
 def norm_hm(f: ScalarField, m: int) -> float:
     """Sobolev H^m norm: L^2 norms of all d^a dbar^b f with a + b <= m."""
     if m < 0:

@@ -32,6 +32,7 @@ from math import comb, factorial, pi
 
 import numpy as np
 
+from .cauchy import fit_loglog_slope
 from .cgo import (
     DEFAULT_MAX_TERMS,
     DEFAULT_TOL,
@@ -44,7 +45,6 @@ from .errors import DegenerateProbeError, PairingOverflowError
 from .grid import ComplexGrid, ScalarField, _dbar
 from .operators import PerturbedOperator, adjoint, to_divergence_form
 from .phase import PhaseSpec
-from .sweeps import fit_loglog_slope
 
 # leading coefficient of the quadratic-phase point pairing: the plane integral
 # of exp(2i*Re(z^2)/h) equals (pi/2)*h
@@ -88,37 +88,6 @@ def stationary_phase_calibration(
     phase.check_grid(grid)
     chi = plateau_cutoff(grid, phase.z0, plateau, support)
     return phase.oscillatory_integral(grid, chi.values) / phase.h
-
-
-def empirical_constants(
-    grid: ComplexGrid, phase: PhaseSpec, m: int, plateau: float = 0.3, support: float = 0.6
-) -> dict:
-    """Measured leading constant of the point pairing, per coefficient index.
-
-    Pairs a plateau cutoff at the critical point with the monomial amplitude
-    factors each (j, k) term carries when targeting (m-1, m-1), and divides
-    out the point values.  The constants are expected to sit near pi/2 for
-    every index; deviations are reported, not corrected for.
-    """
-    phase.check_grid(grid)
-    chi = plateau_cutoff(grid, phase.z0, plateau, support).values
-    z = grid.nodes
-    zbar = np.conj(z)
-    z0 = phase.z0
-    j0 = k0 = m - 1
-    out = {}
-    for j in range(m):
-        for k in range(m):
-            factor = _monomial_part(zbar, k0 - k) * _monomial_part(z, j0 - j)
-            value = phase.oscillatory_integral(grid, chi * factor)
-            weight = _monomial_weight(z0, j0, k0, j, k)
-            if abs(weight) < 1e-12:
-                raise ValueError(
-                    f"monomial weight vanishes at z0={z0} for index ({j},{k}); "
-                    "pick a critical point away from the origin"
-                )
-            out[(j, k)] = complex(value / (phase.h * weight))
-    return out
 
 
 def sample_bilinear(f: ScalarField, z: complex) -> complex:
@@ -341,20 +310,6 @@ def identity_lhs(
     if not cmath.isfinite(value):
         raise PairingOverflowError(j0, k0, z0, h)
     return value
-
-
-def stationary_phase_extract(values, z0: complex):
-    """Point value from a sweep of pairing values: value/(C*h) at the smallest h.
-
-    The exponential prefactor of the leading term is 1 because the phase
-    vanishes at its own critical point.  Returns (extracted, error_estimate)
-    with a Richardson-style error bar from the two smallest h.
-    """
-    rows = sorted(((float(h), complex(v)) for h, v in values), key=lambda r: -r[0])
-    if len(rows) < 2:
-        raise ValueError("need at least two h samples to extract")
-    ext = [v / (STATIONARY_PHASE_CONSTANT * h) for h, v in rows]
-    return ext[-1], abs(ext[-1] - ext[-2])
 
 
 def extraction_noise_floor(

@@ -72,6 +72,24 @@ class TestKernelTable:
         _cell_integral_table(n, 2.0 / (n - 1))
         assert sum(points) <= (2 * n + 1) ** 2 + 4 * (n + 1)
 
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_no_corner_is_zero(self, n, monkeypatch):
+        # the antiderivative has no guard for z = 0: every lattice and strip
+        # corner is an odd multiple of spacing/2, so log z stays finite
+        corners = []
+
+        def recorded(x, y):
+            corners.append(np.broadcast_arrays(x, y))
+            return _corner_antiderivative(x, y)
+
+        monkeypatch.setattr(cauchy, "_corner_antiderivative", recorded)
+        for s in (2.0 / (n - 1), 2e-12 / 63, 2e6 / 63):
+            corners.clear()
+            table = _cell_integral_table(n, s)
+            assert len(corners) == 5  # the lattice, then the strip's four rows
+            assert all(np.all((x != 0) & (y != 0)) for x, y in corners), s
+            assert np.all(np.isfinite(table)), s
+
     def test_singular_cell_weight_is_exact_zero(self, grid64):
         assert _cell_integral_table(grid64.n, grid64.spacing)[0, 0] == 0.0
 

@@ -22,7 +22,6 @@ from polycgo import (
     ScalarField,
     adjoint,
     apply,
-    build_adjoint_cgo,
     build_cgo,
     d_inv,
     dbar_inv,
@@ -73,10 +72,10 @@ class TestAmplitudeSpec:
         assert np.max(np.abs(got - expect)) <= 1e-15
 
     def test_custom_admissibility_enforced(self, grid64):
-        bad = AmplitudeSpec.custom(grid64.sample(lambda z: np.conj(z) ** 3))
+        bad = AmplitudeSpec(grid64.sample(lambda z: np.conj(z) ** 3))
         with pytest.raises(ValueError):
             bad.check_admissible(2)
-        good = AmplitudeSpec.custom(grid64.sample(lambda z: np.conj(z) + 2.0))
+        good = AmplitudeSpec(grid64.sample(lambda z: np.conj(z) + 2.0))
         good.check_admissible(2)
 
 
@@ -520,7 +519,7 @@ class TestBuildCGO:
         op = PerturbedOperator(grid128, 2)
         for sol in (
             build_cgo(transport(op, PHASE), AmplitudeSpec.monomial(grid128, 1)),
-            build_adjoint_cgo(op, PHASE, AmplitudeSpec.monomial(grid128, 0)),
+            build_cgo(transport(adjoint(op), PHASE, -1), AmplitudeSpec.monomial(grid128, 0)),
         ):
             assert sol.g.is_zero() and sol.r.is_zero()
 
@@ -638,17 +637,16 @@ class TestFieldsAtTheEdges:
 class TestAdjointCGO:
     def test_unperturbed_exact(self, grid128):
         op = PerturbedOperator(grid128, 2)
-        sol = build_adjoint_cgo(op, PHASE, AmplitudeSpec.monomial(grid128, 0))
+        sol = build_cgo(transport(adjoint(op), PHASE, -1), AmplitudeSpec.monomial(grid128, 0))
         assert sol.r.is_zero()
         assert sol.carrier_sign == -1
         expect = PHASE.carrier(grid128, -1)
         assert np.array_equal(sol.u.values, expect.values)
 
     def test_adjoint_solution_solves_adjoint_equation(self, testbed128, grid128):
-        from polycgo import adjoint as op_adjoint
-
-        sol = build_adjoint_cgo(testbed128, PHASE, AmplitudeSpec.monomial(grid128, 0))
-        res = masked_l2(apply(op_adjoint(testbed128), sol.u))
+        T = transport(adjoint(testbed128), PHASE, -1)
+        sol = build_cgo(T, AmplitudeSpec.monomial(grid128, 0))
+        res = masked_l2(apply(T.op, sol.u))
         rel = res / masked_l2(sol.u)
         assert rel <= 0.05  # truncation floor at n=128; refinement tested in acceptance
 
@@ -656,10 +654,10 @@ class TestAdjointCGO:
         from polycgo import fit_loglog_slope, norm_hm
 
         g = ComplexGrid(0j, 1.0, 256)
-        op = bump_testbed(g)
+        op = adjoint(bump_testbed(g))
         b = AmplitudeSpec.monomial(g, 0)
         hs = (0.2, 0.14, 0.1)
-        rs = [norm_hm(build_adjoint_cgo(op, PhaseSpec(0.1 + 0.1j, h), b).r, 2) for h in hs]
+        rs = [norm_hm(build_cgo(transport(op, PhaseSpec(0.1 + 0.1j, h), -1), b).r, 2) for h in hs]
         assert all(a > b for a, b in zip(rs, rs[1:]))
         assert fit_loglog_slope(hs, rs) >= 0.45
 

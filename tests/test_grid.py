@@ -15,7 +15,6 @@ from polycgo import (
     mixed_wirtinger,
     norm_hm,
     norm_lp,
-    norm_w1p,
     wirtinger_d,
     wirtinger_dbar,
 )
@@ -188,12 +187,6 @@ class TestNorms:
         # integral of |z|^2 over [-1,1]^2 is 8/3
         f = grid256.sample(lambda z: z)
         assert norm_lp(f, 2) == pytest.approx((8.0 / 3.0) ** 0.5, rel=1e-4)
-
-    def test_w1p_of_z(self, grid64):
-        # dz = 1, dbar z = 0: ||z||_W12^2 = 8/3 + 4
-        f = grid64.sample(lambda z: z)
-        expect = (8.0 / 3.0 + 4.0) ** 0.5
-        assert norm_w1p(f, 2) == pytest.approx(expect, rel=1e-3)
 
     def test_inf_norm(self, grid64):
         f = grid64.sample(lambda z: z)

@@ -1,7 +1,9 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every private
+helper it defines is read somewhere in the package.
 
-Read with the standard library's ast, so the check needs no linter.  The
-package's __init__ imports names only to re-export them and is not checked.
+Read with the standard library's ast, so the checks need no linter.  The
+package's __init__ imports names only to re-export them and is not checked
+for unused imports.
 """
 
 import ast
@@ -35,3 +37,52 @@ def test_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_helpers(sources) -> list:
+    """Module-level functions and methods named _x (not dunders) that no source reads.
+
+    A read is a loaded name or attribute; the def itself, a string and an
+    import do not count.
+    """
+    defined, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        scopes = [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef)]
+        defined.update(
+            node.name
+            for scope in scopes
+            for node in scope.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_")
+            and not node.name.startswith("__")
+        )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(defined - read)
+
+
+def test_finds_unread_private_helpers():
+    a = (
+        "from b import _used\n"
+        "def _dead(): pass\n"
+        "def _alive(): pass\n"
+        "class C:\n"
+        "    def __init__(self): self._m = _alive()\n"
+        "    def _method(self): pass\n"
+        "    def _kept(self): return self._kept_too\n"
+        "    def _kept_too(self): pass\n"
+        "    def f(self):\n"
+        "        def _nested(): pass\n"
+        "        return self._kept()\n"
+    )
+    b = "def _used(): pass\n_used()\n"
+    assert unread_private_helpers([a, b]) == ["_dead", "_method"]
+
+
+def test_no_unread_private_helper():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert unread_private_helpers(sources) == []

@@ -24,7 +24,6 @@ from polycgo import (
     recover_all,
     sample_bilinear,
     stationary_phase_calibration,
-    stationary_phase_extract,
 )
 from polycgo import recovery
 from polycgo.cgo import _monomial_part
@@ -81,18 +80,32 @@ class TestFresnelConstant:
         assert np.all((np.abs(chi.values) <= 1.0 + 1e-15))
 
     def test_per_index_empirical_constants(self):
-        from polycgo.recovery import empirical_constants
-
+        # the measured leading constant of each (j, k) term when targeting
+        # (m-1, m-1): a plateau cutoff at the critical point times the term's
+        # monomial amplitude factors, paired, over h and the point weight
         g = ComplexGrid(0j, 1.0, 512)
+        z = g.nodes
         base = np.pi / 2.0
+
+        def empirical_constants(phase, m):
+            chi = plateau_cutoff(g, phase.z0, 0.3, 0.6).values
+            j0 = k0 = m - 1
+            return {
+                (j, k): phase.oscillatory_integral(
+                    g, chi * _monomial_part(np.conj(z), k0 - k) * _monomial_part(z, j0 - j)
+                ) / (phase.h * recovery._monomial_weight(phase.z0, j0, k0, j, k))
+                for j in range(m)
+                for k in range(m)
+            }
+
         # m=2: every index within 10% at h=0.05
-        cs = empirical_constants(g, PhaseSpec(0.25 + 0.2j, 0.05), 2)
+        cs = empirical_constants(PhaseSpec(0.25 + 0.2j, 0.05), 2)
         assert max(abs(v - base) / base for v in cs.values()) <= 0.10
         # higher indices carry curved monomial weights whose corrections are
         # first order in h: the worst deviation must shrink with h
         worst = {}
         for h in (0.1, 0.05):
-            cs3 = empirical_constants(g, PhaseSpec(0.25 + 0.2j, h), 3)
+            cs3 = empirical_constants(PhaseSpec(0.25 + 0.2j, h), 3)
             worst[h] = max(abs(v - base) / base for v in cs3.values())
         assert worst[0.05] < worst[0.1]
 
@@ -332,12 +345,9 @@ class TestIdentity:
 
     def test_extraction_recovers_bump_value(self):
         prob = single_bump_problem(n=512, h_list=(0.14, 0.1, 0.07))
-        z0 = 0.2 + 0.1j
-        vals = [(h, identity_lhs(prob, 0, 0, h, z0)) for h in prob.h_list]
-        extracted, err_bar = stationary_phase_extract(vals, z0)
-        truth = sample_bilinear(prob.differences[(0, 0)], z0)
-        assert abs(extracted - truth) / abs(truth) <= 0.1
-        assert err_bar < abs(truth)
+        row, = (r for r in recover_all(prob).rows if (r.j, r.k, r.h) == (0, 0, 0.07))
+        assert row.truth == sample_bilinear(prob.differences[(0, 0)], 0.2 + 0.1j)
+        assert row.rel_err <= 0.1
 
     def test_triangularity_higher_terms_vanish(self):
         # a coefficient at (1,1) cannot enter the (0,0) pairing: dbar a = 0
@@ -351,14 +361,6 @@ class TestIdentity:
         assert identity_lhs(prob, 0, 0, 0.3, 0.1 + 0.1j) == 0
         # but it does enter its own pairing
         assert abs(identity_lhs(prob, 1, 1, 0.3, 0.1 + 0.1j)) > 1e-3
-
-    def test_extract_needs_two_samples(self):
-        with pytest.raises(ValueError):
-            stationary_phase_extract([(0.1, 1.0 + 0j)], 0j)
-
-    def test_extract_zero_values(self):
-        value, err = stationary_phase_extract([(0.2, 0j), (0.1, 0j)], 0j)
-        assert value == 0 and err == 0
 
     def test_full_cgo_close_to_amplitude_only(self):
         # remainder cross terms are higher order in h
@@ -498,7 +500,7 @@ class TestRecoverAll:
         import weakref
 
         import polycgo.recovery as recovery_mod
-        from polycgo import AmplitudeSpec, OscillatoryTransport, build_adjoint_cgo, build_cgo
+        from polycgo import AmplitudeSpec, OscillatoryTransport, adjoint, build_cgo
 
         built = []  # weakrefs to (transport, solution, remainder) of each build
         transports = []  # (id, sign) of each build's transport; both live through a step
@@ -526,7 +528,7 @@ class TestRecoverAll:
         for degree in (0, 1):
             amplitude = AmplitudeSpec.monomial(g, degree)
             fresh_r = build_cgo(OscillatoryTransport(L, phase), amplitude).r
-            fresh_s = build_adjoint_cgo(Lt, phase, amplitude).r
+            fresh_s = build_cgo(OscillatoryTransport(adjoint(Lt), phase, -1), amplitude).r
             assert not (fresh_r.is_zero() or fresh_s.is_zero())
             assert np.array_equal(remainders[(1, degree)].values, fresh_r.values)
             assert np.array_equal(remainders[(-1, degree)].values, fresh_s.values)
