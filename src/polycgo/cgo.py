@@ -54,7 +54,9 @@ from .operators import DIVERGENCE, STANDARD, PerturbedOperator, adjoint, apply_v
 from .phase import PhaseSpec
 
 DEFAULT_TOL = 1e-10
-PROBE_RTOL = 1e-12  # the norm probe stops once its estimate moves less than this
+# the norm probe stops once its estimate moves less than this, relative: poly cgo
+# logs the estimate to 6 significant digits, and a rerun's is compared at 1e-6
+PROBE_RTOL = 1e-6
 DEFAULT_MAX_TERMS = 50
 ADMISSIBLE_RTOL = 1e-6  # check_admissible's bound on |dbar^m a| / max(1, |a|)
 # residual_norm runs in np.longdouble, which some platforms make a plain double
@@ -421,6 +423,14 @@ def transport_norm_probe(T: OscillatoryTransport, iterations: int = 20, seed: in
     NonContractionError.  sweeps counts the forward applies.  A transport with
     no nonzero coefficient gives (0.0, 0); an iteration cap below 1 is a
     ValueError, since no estimate is taken.
+
+    The stop puts the estimate within PROBE_RTOL, relative, of the value the
+    iteration settles to.  The rule alone proves no such bound, but the Ritz
+    values converge superlinearly, and in every case measured the stopped
+    estimate was that close to the value after 20 steps: at most 4.8e-9 on
+    the four-bump operator of `poly cgo` at n = 256 and h = 0.2...0.07 (5
+    steps at each h), 1.9e-8 on the n = 128 bump testbed, and 6.3e-7 on the
+    n = 32 testbed, where one step moved the estimate away from its limit.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be at least 1, got {iterations}")

@@ -18,8 +18,12 @@ sum c[p,q] * (X^T G Y)[p,q] * spacing^2 with X[:, p] = w*ex*x^p and
 Y[:, q] = w*ey*y^q.  G is a difference B[j,k], or in full_cgo B[j,k] times the
 remainder derivatives dbar^k r and conj(dbar^j s).  RecoveryProblem.step forms
 each G's moments once per (z0, h) step, and its levels pair from them.  The
-point weights and the noise floor are cgo._monomial_part, the rule
-AmplitudeSpec.monomial builds on.
+amplitude moments X_s^T B Y_s of every planned step come from one batch: the
+first step stacks R = [Y_s for every step] and takes B @ R once per nonzero
+difference and group of up to n / (8(2m - 1)) steps, so each n-by-n
+difference is read once per group, not once per step.  The point weights and
+the noise floor are cgo._monomial_part, the rule AmplitudeSpec.monomial builds
+on.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from math import comb, factorial, pi
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,6 +135,13 @@ def _monomial_table(a: int, b: int) -> np.ndarray:
     return c
 
 
+class ProbePlan(NamedTuple):
+    """The probes a recovery pairs at, and the degenerate ones with their reasons."""
+
+    usable: tuple
+    degenerate: tuple
+
+
 class RecoveryProblem:
     """Two same-order operators, probe points, and an h sweep for recovery runs.
 
@@ -138,7 +150,9 @@ class RecoveryProblem:
     numerical stand-in for boundary-flat data).  The adjoint family's operator
     is built on the first full_cgo pairing.  Only one (z0, h) step is kept, as
     step(z0, h) returns it; its transports, remainder derivatives and arrays G
-    live only while it is built.
+    live only while it is built.  The amplitude moments of every step of the
+    plan (each usable probe at each h) are formed together on the first step,
+    not at construction, and each step takes its own when it is built.
     """
 
     def __init__(
@@ -184,6 +198,19 @@ class RecoveryProblem:
                     f"(max |B| = {worst:.3e} on the outer {SUPPORT_MARGIN:.0%})"
                 )
         self._step = None
+        self._batch = None  # {(z0, h): amplitude moments} of the plan's steps not yet built
+
+    @cached_property
+    def plan(self) -> ProbePlan:
+        """Each probe checked once: recover_all, identity_lhs and the moment batch read this."""
+        usable, degenerate = [], []
+        for z0 in self.probes:
+            try:
+                self.check_probe(z0)
+                usable.append(z0)
+            except DegenerateProbeError as exc:
+                degenerate.append((z0, exc.reason))
+        return ProbePlan(tuple(usable), tuple(degenerate))
 
     def check_probe(self, z0: complex) -> None:
         if not self.grid.contains(z0, margin=SUPPORT_MARGIN):
@@ -212,8 +239,16 @@ class RecoveryProblem:
         """
         if self._step is None or self._step[0] != (z0, h):
             self._step = None
+            if self._batch is None:
+                self._batch = self._amplitude_moments(
+                    [(z, hh) for z in self.plan.usable for hh in self.h_list]
+                )
+            # a step outside the plan, or one built before, forms its own
+            amplitude = self._batch.pop((z0, h), None)
+            if amplitude is None:
+                amplitude = self._amplitude_moments([(z0, h)])[(z0, h)]
             remainders = self._remainders(z0, h) if self.mode == FULL_CGO else {}
-            self._step = (z0, h), (remainders, self._moments(z0, h, remainders))
+            self._step = (z0, h), (remainders, self._moments(z0, h, remainders, amplitude))
         return self._step[1]
 
     def _cgo_pair(self, z0: complex, h: float, k0: int, j0: int):
@@ -233,19 +268,53 @@ class RecoveryProblem:
                 remainders[(sign, degree)] = sol.r
         return remainders
 
+    def _factors(self, z0: complex, h: float):
+        """(X^T, Y) of the (z0, h) step: X[:, p] = w*ex*x^p, Y[:, q] = w*ey*y^q, p, q < 2m - 1."""
+        grid = self.grid
+        ex, ey = PhaseSpec(z0, h).oscillation_factors(grid)
+        w, t = grid._trapezoid_1d[:, None], grid.axis_offsets[:, None]
+        powers = np.arange(2 * self.m - 1)
+        x, y = grid.center.real + t, grid.center.imag + t
+        return (w * ex[:, None] * x**powers).T, w * ey[:, None] * y**powers
+
     @np.errstate(over="ignore", invalid="ignore")  # identity_lhs checks the pairing's value
-    def _moments(self, z0: complex, h: float, remainders: dict) -> dict:
-        """The step's moment table; each array G is formed once and dropped after its pass.
+    def _amplitude_moments(self, steps) -> dict:
+        """{step: {(j, k): X^T B Y}} over the nonzero B[j,k], for every (z0, h) step given.
+
+        R = [Y_s for each step s] is stacked, B @ R is taken once per
+        difference, and each step's block of it meets that step's X^T.  Steps
+        go in groups of at most n / (8(2m - 1)), so R, B @ R and the stacked
+        X^T each hold at most an eighth of an n-by-n array; a plan that fits
+        one group reads each difference once.
+        """
+        n, width = self.grid.n, 2 * self.m - 1
+        size = max(1, n // (8 * width))
+        nonzero = [(jk, b.values) for jk, b in sorted(self.differences.items()) if not b.is_zero()]
+        moments = {}
+        for start in range(0, len(steps), size):
+            group = steps[start:start + size]
+            blocks = [slice(i * width, (i + 1) * width) for i in range(len(group))]
+            right, lefts = np.empty((n, width * len(group)), dtype=np.complex128), []
+            for (z0, h), block in zip(group, blocks):
+                left, right[:, block] = self._factors(z0, h)
+                lefts.append(left)
+            tables = [moments.setdefault(step, {}) for step in group]
+            for jk, b in nonzero:
+                by = b @ right
+                for left, block, table in zip(lefts, blocks, tables):
+                    table[jk] = left @ by[:, block]
+                del by  # freed before the next difference's product is allocated
+        return moments
+
+    @np.errstate(over="ignore", invalid="ignore")  # identity_lhs checks the pairing's value
+    def _moments(self, z0: complex, h: float, remainders: dict, amplitude: dict) -> dict:
+        """The step's moment table around its amplitude moments; each remainder
+        array G is formed once and dropped after its pass.
 
         G @ Y runs first: BLAS streams the n-by-n array far faster against a
         few columns than against a few rows.
         """
         grid, m = self.grid, self.m
-        ex, ey = PhaseSpec(z0, h).oscillation_factors(grid)
-        w, t = grid._trapezoid_1d[:, None], grid.axis_offsets[:, None]
-        powers = np.arange(2 * m - 1)
-        x, y = grid.center.real + t, grid.center.imag + t
-        left, right = (w * ex[:, None] * x**powers).T, w * ey[:, None] * y**powers
         # {degree: [dbar^k r for k < m]} per family, conjugated for s: the form the pairing reads
         rs, ss = {}, {}
         for (sign, degree), r in remainders.items():
@@ -255,15 +324,14 @@ class RecoveryProblem:
                     d = _dbar(d, grid.spacing) if k else d
                     derivatives.append(np.conj(d) if sign < 0 else d)
                 (rs if sign > 0 else ss)[degree] = derivatives
-        moments = {}
-        for (j, k), b in sorted(self.differences.items()):
-            if b.is_zero():
-                continue
-            table = moments[(j, k)] = {(None, None): left @ (b.values @ right)}
+        left, right = self._factors(z0, h)
+        moments = {jk: {(None, None): a} for jk, a in amplitude.items()}
+        for (j, k), table in moments.items():
+            b = self.differences[(j, k)].values
             for js, s in ss.items():
-                table[(None, js)] = left @ ((b.values * s[j]) @ right)
+                table[(None, js)] = left @ ((b * s[j]) @ right)
             for kr, r in rs.items():
-                g = b.values * r[k]
+                g = b * r[k]
                 table[(kr, None)] = left @ (g @ right)
                 for js, s in ss.items():
                     table[(kr, js)] = left @ ((g * s[j]) @ right)
@@ -287,7 +355,8 @@ def identity_lhs(
     """
     grid = problem.grid
     PhaseSpec(z0, h).check_grid(grid)
-    problem.check_probe(z0)
+    if z0 not in problem.plan.usable:
+        problem.check_probe(z0)
 
     if problem.mode == FULL_CGO:
         # reach the step through the CGO lookup, so a trace counts its builds there
@@ -394,14 +463,8 @@ def recover_all(problem: RecoveryProblem) -> RecoveryReport:
     """
     m = problem.m
     C = STATIONARY_PHASE_CONSTANT
-    report = RecoveryReport(config=_problem_config(problem))
-    usable = []
-    for z0 in problem.probes:
-        try:
-            problem.check_probe(z0)
-            usable.append(z0)
-        except DegenerateProbeError as exc:
-            report.degenerate.append((z0, exc.reason))
+    usable, degenerate = problem.plan
+    report = RecoveryReport(degenerate=list(degenerate), config=_problem_config(problem))
 
     order = sorted(((j0 + k0, j0, k0) for j0 in range(m) for k0 in range(m)))
     level_rows = {(j0, k0): [] for _, j0, k0 in order}  # each in (z0, h) order

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -550,6 +551,163 @@ class TestRecoverAll:
         prob._cgo_pair(z0, 0.25, 0, 0)
         assert len(built) == 8
         assert sorted(sign for _, sign in set(transports[4:])) == [-1, 1]
+
+
+class CountedArray(np.ndarray):
+    """An array view that records every product it is the left operand of."""
+
+    products = []
+
+    def __matmul__(self, other):
+        CountedArray.products.append(self)
+        return np.ndarray.__matmul__(self, other)
+
+
+def random_differences(prob, seed=0):
+    """Replace every difference of prob by a random complex table, in place."""
+    rng = np.random.default_rng(seed)
+    n = prob.grid.n
+    for jk in prob.differences:
+        values = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        prob.differences[jk] = ScalarField(prob.grid, values)
+
+
+def per_step(prob, z0, h):
+    """The amplitude moments of one step, product by product: X^T (B Y)."""
+    left, right = prob._factors(z0, h)
+    return {jk: left @ (b.values @ right) for jk, b in sorted(prob.differences.items())
+            if not b.is_zero()}
+
+
+# A block of B @ R is the same dot products as B @ Y, but BLAS blocks a product
+# by its width, so with more than one step it may sum them in another order.
+# Any two orders differ by at most 2*gamma_2n*|X|^T |B| |Y| (Higham, Accuracy
+# and Stability of Numerical Algorithms, 3.1); BLAS keeps far inside that:
+# measured at most 0.18 eps |X|^T |B| |Y| on random complex B, n = 64...1024
+# and 2...15 steps.  A one-step list is the per-step product itself.
+BATCH_ROUNDOFF = np.finfo(float).eps
+
+
+def assert_moments_match(prob, z0, h, moments, exact=False):
+    left, right = prob._factors(z0, h)
+    expect = per_step(prob, z0, h)
+    assert list(moments) == list(expect)
+    for jk, moment in moments.items():
+        if exact:
+            assert np.array_equal(moment, expect[jk]), (z0, h, jk)
+        scale = np.abs(left) @ (np.abs(prob.differences[jk].values) @ np.abs(right))
+        assert np.all(np.abs(moment - expect[jk]) <= BATCH_ROUNDOFF * scale), (z0, h, jk)
+
+
+class TestMomentBatch:
+    # the amplitude moments of every planned step come from one B @ R per
+    # difference; each must match the per-step product X^T (B Y)
+
+    @pytest.mark.parametrize("count", (1, 2, 5, 13))
+    def test_batch_equals_per_step_products(self, count):
+        # n = 64, m = 2 makes groups of 64 // 24 = 2 steps, so 5 and 13 steps
+        # also cross group boundaries
+        rng = np.random.default_rng(count)
+        prob = single_bump_problem(n=64, h_list=(0.3,))
+        random_differences(prob, seed=count)
+        steps = [(complex(*rng.uniform(-0.5, 0.5, 2)), float(rng.uniform(0.2, 0.5)))
+                 for _ in range(count)]
+        batch = prob._amplitude_moments(steps)
+        assert list(batch) == steps
+        for z0, h in steps:
+            assert all(moment.shape == (3, 3) for moment in batch[(z0, h)].values())
+            assert_moments_match(prob, z0, h, batch[(z0, h)], exact=count == 1)
+
+    def test_steps_outside_the_plan_and_revisited(self, monkeypatch):
+        # a step outside the plan and a step built before each form their own
+        # entry through the same function, with a one-step list
+        lists = []
+
+        def recorded(self, steps, _fn=RecoveryProblem._amplitude_moments):
+            lists.append(list(steps))
+            return _fn(self, steps)
+
+        monkeypatch.setattr(RecoveryProblem, "_amplitude_moments", recorded)
+        probes, hs = (0.2 + 0.1j, -0.1 + 0.2j), (0.3, 0.25)
+        prob = single_bump_problem(n=64, h_list=hs, probes=probes)
+        random_differences(prob)
+        plan = [(z0, h) for z0 in probes for h in sorted(hs, reverse=True)]
+        visits = [plan[0], (0.1 + 0.1j, 0.3), plan[1], plan[0], (probes[1], 0.2), plan[3]]
+        for i, (z0, h) in enumerate(visits):
+            moments = prob.step(z0, h)[1]
+            assert all(list(table) == [(None, None)] for table in moments.values())
+            amplitude = {jk: table[(None, None)] for jk, table in moments.items()}
+            assert_moments_match(prob, z0, h, amplitude, exact=i in (1, 3, 4))
+        # the plan once, then one step each for the three visits it does not hold
+        assert lists == [plan, [visits[1]], [visits[3]], [visits[4]]]
+        # plan[2] was never visited: its entry alone is still held
+        assert list(prob._batch) == [plan[2]]
+
+    @pytest.mark.parametrize("mode", [AMPLITUDE_ONLY, FULL_CGO])
+    def test_one_product_per_difference_per_problem(self, mode, monkeypatch):
+        # construction forms no moment; recover_all then reads each nonzero
+        # difference in one n-by-n product for all of its 2 x 2 steps
+        batches = []
+
+        def recorded(self, steps, _fn=RecoveryProblem._amplitude_moments):
+            batches.append(len(steps))
+            return _fn(self, steps)
+
+        monkeypatch.setattr(RecoveryProblem, "_amplitude_moments", recorded)
+        g = ComplexGrid(0j, 1.0, 128)
+        bump = field_from_expression(g, "bump(0.05, 0, 0.6, 1)")
+        L = PerturbedOperator(g, 2, {(0, 0): 0.5 * bump}, form="divergence")
+        Lt = PerturbedOperator(g, 2, {(0, 0): bump, (1, 1): 0.3j * bump}, form="divergence")
+        prob = RecoveryProblem(L, Lt, [0.2 + 0.1j, -0.1 + 0.1j], [0.3, 0.25], mode=mode)
+        assert batches == []
+        nonzero = {}
+        for jk, b in prob.differences.items():
+            if not b.is_zero():
+                nonzero[jk] = b.values.view(CountedArray)
+                prob.differences[jk] = ScalarField._adopt(g, nonzero[jk])
+        assert sorted(nonzero) == [(0, 0), (1, 1)]
+        CountedArray.products.clear()
+        rep = recover_all(prob)
+        assert len(rep.rows) == 16
+        assert batches == [4]
+        for view in nonzero.values():
+            assert sum(a is view for a in CountedArray.products) == 1
+        CountedArray.products.clear()
+
+    def test_batch_peak_below_one_field(self):
+        # 3 probes x 10 h is 30 steps; at n = 256, m = 2 the groups hold 10, so
+        # R, B @ R and the X^T blocks each stay near 256 x 30 entries
+        prob = single_bump_problem(n=256, h_list=tuple(0.3 - 0.02 * i for i in range(10)),
+                                   probes=(0.2 + 0.1j, -0.1 + 0.2j, 0.1 - 0.2j))
+        random_differences(prob)
+        steps = [(z0, h) for z0 in prob.probes for h in prob.h_list]
+        prob._amplitude_moments(steps[:1])  # any first-call set-up outside the trace
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            batch = prob._amplitude_moments(steps)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(batch) == 30
+        assert peak < prob.grid.n**2 * np.dtype(complex).itemsize
+
+    def test_plan_checks_each_probe_once(self, monkeypatch):
+        # recover_all and the batch read one plan: each probe is checked once
+        checked = []
+
+        def counted(self, z0, _fn=RecoveryProblem.check_probe):
+            checked.append(z0)
+            return _fn(self, z0)
+
+        monkeypatch.setattr(RecoveryProblem, "check_probe", counted)
+        prob = single_bump_problem(n=128, h_list=(0.3, 0.2), probes=(0.2 + 0.1j, 0.98 + 0j))
+        rep = recover_all(prob)
+        assert checked == [0.2 + 0.1j, 0.98 + 0j]
+        assert prob.plan.usable == (0.2 + 0.1j,)
+        assert rep.degenerate == list(prob.plan.degenerate)
+        assert [z for z, _ in rep.degenerate] == [0.98 + 0j]
+        assert list(prob._batch) == []  # every planned step took its entry
 
 
 class TestMonomialTable:
