@@ -23,7 +23,6 @@ from .cgo import (
     solve_density,
     transport_norm_probe,
 )
-from .cli import DEFAULT_H_SWEEP
 from .errors import (
     CarrierOverflowError,
     ConfigError,

@@ -99,9 +99,9 @@ class AmplitudeSpec:
         """conj(z)^k / k! in the global coordinate, by repeated products."""
         if k < 0:
             raise ValueError("monomial degree must be nonnegative")
-        zbar = np.conj(grid.nodes)
-        values = np.broadcast_to(_monomial_part(zbar, k), zbar.shape)
-        return cls(ScalarField(grid, values), degree=k)
+        if k == 0:
+            return cls(grid.constant(1.0), degree=0)
+        return cls(ScalarField(grid, _monomial_part(np.conj(grid.nodes), k)), degree=k)
 
     def check_admissible(self, m: int) -> None:
         """Require dbar^m(field) ~ 0 within stencil truncation tolerance."""

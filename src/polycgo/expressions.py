@@ -226,30 +226,28 @@ class Expression:
                 values.append(bump_profile(z, cx, cy, radius, amp))
         return values.pop()
 
-    def _finite(self, z):
-        """The expression's value at z (None for a constant), refused unless finite."""
+    def _value(self, z):
+        """The expression's value at z (None for a constant), not yet checked finite."""
         with np.errstate(all="ignore"):
             try:
-                vals = self._eval(z)
+                return self._eval(z)
             except ZeroDivisionError:
                 raise ExpressionError(f"division by zero in {self.text!r}") from None
             except OverflowError as exc:
                 raise ExpressionError(f"cannot evaluate {self.text!r}: {exc}") from None
-        if not np.all(np.isfinite(vals)):
-            raise ExpressionError(f"{self.text!r} is not finite everywhere it is evaluated")
-        return vals
 
     def evaluate(self, grid: ComplexGrid) -> ScalarField:
-        vals = self._finite(grid.nodes)
-        if np.isscalar(vals) or getattr(vals, "shape", ()) == ():
-            return grid.constant(complex(vals))
-        if vals.dtype == np.complex128 and vals.flags.owndata and vals.flags.writeable:
-            # made by this evaluation (the nodes are read-only) and scanned by _finite
-            return ScalarField._adopt(grid, vals)
-        return ScalarField(grid, vals)
+        vals = self._value(grid.nodes)
+        try:  # the field's one finiteness scan; a field keeps the evaluation's own array
+            return grid.constant(complex(vals)) if np.ndim(vals) == 0 else ScalarField(grid, vals)
+        except ValueError:
+            raise ExpressionError(f"{self.text!r} is not finite everywhere it is evaluated") from None
 
     def evaluate_constant(self) -> complex:
-        return complex(self._finite(None))
+        value = complex(self._value(None))
+        if not cmath.isfinite(value):
+            raise ExpressionError(f"{self.text!r} is not finite")
+        return value
 
 
 def parse_expression(text: str) -> Expression:

@@ -27,6 +27,12 @@ class ComplexGrid:
     with spacing = 2*half_width/(n-1).  n must be a power of two (>= 16) so the
     Cauchy transforms can use zero-padded doubling.  The squared extent
     (2*half_width)^2 must be finite, since the phase squares node offsets.
+
+    Rounding center + offset moves a node by up to about eps*|Re c| or eps*|Im c|,
+    while the stencils, quadrature and Cauchy kernel use the exact spacing, so
+    |Re c| and |Im c| must be at most 1e-6*spacing/eps: a sampled field then moves
+    by at most a millionth of its change over one spacing.  Each ValueError opens
+    with the name of the field it refuses.
     """
 
     center: complex = 0j
@@ -44,6 +50,10 @@ class ComplexGrid:
                 f"half_width must be positive, with spacing^2 a normal double and "
                 f"(2*half_width)^2 finite; got {self.half_width}"
             )
+        c, bound = self.center, 1e-6 * s / np.finfo(float).eps
+        if not (abs(c.real) <= bound and abs(c.imag) <= bound):
+            raise ValueError(f"center must have |Re| and |Im| at most 1e-6*spacing/eps = "
+                             f"{bound:.3g}, or rounding it moves the nodes; got {c}")
 
     @property
     def spacing(self) -> float:
@@ -68,9 +78,6 @@ class ComplexGrid:
         w[0] = w[-1] = 0.5
         w.setflags(write=False)
         return w
-
-    def field(self, values) -> "ScalarField":
-        return ScalarField(self, values)
 
     def sample(self, fn) -> "ScalarField":
         """Evaluate fn on the node array (fn maps complex ndarray -> ndarray)."""
@@ -105,29 +112,25 @@ class ComplexGrid:
 
 
 class ScalarField:
-    """Complex samples of a function on a ComplexGrid; immutable after construction."""
+    """Complex samples of a function on a ComplexGrid; immutable after construction.
+
+    An array that is complex128, C-contiguous, owns its memory and is writeable
+    is handed over: the field keeps it and makes it read-only.  Any other array
+    (a view, a read-only array such as grid.nodes, another dtype or layout) is
+    copied.  Every field is scanned once for non-finite values.
+    """
 
     __slots__ = ("grid", "values", "_zero_flag", "__weakref__")
 
     def __init__(self, grid: ComplexGrid, values):
-        v = np.asarray(values, dtype=np.complex128)
+        v = np.asarray(values)
         if v.shape != (grid.n, grid.n):
             raise ValueError(f"values shape {v.shape} does not match grid n={grid.n}")
-        if v is values or v.base is not None:
-            v = v.copy()  # never alias caller-owned memory
+        owned = v.base is None and v.flags.writeable and v.flags.c_contiguous
+        if not (owned and v.dtype == np.complex128):
+            v = np.array(v, dtype=np.complex128, order="C")  # never alias what is not handed over
         if not np.all(np.isfinite(v)):
             raise ValueError("field contains non-finite values")
-        self._hold(grid, v)
-
-    @classmethod
-    def _adopt(cls, grid: ComplexGrid, values: np.ndarray) -> "ScalarField":
-        """The field of a fresh, finite complex128 (n, n) array that no one else
-        holds, kept as it is: no copy and no second finiteness scan."""
-        field = object.__new__(cls)
-        field._hold(grid, values)
-        return field
-
-    def _hold(self, grid, v):
         v.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", v)

@@ -11,6 +11,7 @@ from polycgo import (
     ComplexGrid,
     CouplingError,
     PhaseSpec,
+    ScalarField,
     d_inv,
     dbar_inv,
     kernel_for,
@@ -229,7 +230,7 @@ class TestCauchyTransforms:
         assert err <= 1e-2
 
     def test_conjugation_duality_exact(self, grid64, rng):
-        f = grid64.field(rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+        f = ScalarField(grid64, rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
         lhs = d_inv(f)
         rhs = dbar_inv(f.conj()).conj()
         assert np.array_equal(lhs.values, rhs.values)
@@ -237,7 +238,7 @@ class TestCauchyTransforms:
     def test_direct_summation_oracle_matches_fft(self):
         g = ComplexGrid(0j, 1.0, 32)
         rng = np.random.default_rng(3)
-        f = g.field(rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)))
+        f = ScalarField(g, rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)))
         fast = dbar_inv(f)
         slow = kernel_for(g).apply_direct(f.values)
         assert np.max(np.abs(fast.values - slow)) <= 1e-12 * norm_lp(f, np.inf)
@@ -259,12 +260,12 @@ class TestCauchyTransforms:
 
 class TestIteratedInverses:
     def test_power_one_equals_single(self, grid64, rng):
-        f = grid64.field(rng.standard_normal((64, 64)) + 0j)
+        f = ScalarField(grid64, rng.standard_normal((64, 64)) + 0j)
         assert np.array_equal(dbar_inv(f, 1).values, dbar_inv(f).values)
 
     @pytest.mark.parametrize("transform", [dbar_inv, d_inv])
     def test_power_equals_successive_applications(self, grid64, rng, transform):
-        f = grid64.field(rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+        f = ScalarField(grid64, rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
         for m in (2, 3):
             step = f
             for _ in range(m):

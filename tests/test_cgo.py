@@ -95,7 +95,7 @@ class TestTransportMap:
         bump = field_from_expression(grid128, "bump(0.1, 0, 0.6, 1)")
         op = PerturbedOperator(grid128, 2, {(0, 0): bump}, form="divergence")
         v = smooth_random_field(grid128, seed=5)
-        got = grid128.field(OscillatoryTransport(op, PHASE).apply(v.values))
+        got = ScalarField(grid128, OscillatoryTransport(op, PHASE).apply(v.values))
         e_plus = PHASE.oscillation(grid128)
         e_minus = PHASE.oscillation(grid128, -1)
         expect = -1.0 * d_inv(e_plus * bump * dbar_inv(e_minus * v, 2), 2)
@@ -106,14 +106,14 @@ class TestTransportMap:
         v1 = smooth_random_field(grid128, seed=1)
         v2 = smooth_random_field(grid128, seed=2)
         lam = 0.7 - 0.3j
-        lhs = grid128.field(T.apply((v1 + lam * v2).values))
-        rhs = grid128.field(T.apply(v1.values) + lam * T.apply(v2.values))
+        lhs = ScalarField(grid128, T.apply((v1 + lam * v2).values))
+        rhs = ScalarField(grid128, T.apply(v1.values) + lam * T.apply(v2.values))
         assert norm_lp(lhs - rhs, 2) <= 1e-12 * norm_lp(rhs, 2)
 
     def test_adjoint_pairing_exact(self, testbed128_div, grid128, rng):
         T = OscillatoryTransport(testbed128_div, PHASE)
-        v = grid128.field(rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128)))
-        w = grid128.field(rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128)))
+        v, w = (ScalarField(grid128, rng.standard_normal((128, 128))
+                            + 1j * rng.standard_normal((128, 128))) for _ in range(2))
         lhs = np.vdot(w.values, T.apply(v.values))
         rhs = np.vdot(T.apply_adjoint(w.values), v.values)
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
@@ -331,7 +331,7 @@ class TestSource:
         }
         op = PerturbedOperator(grid128, 2, coeffs, form="divergence")
         a = AmplitudeSpec.monomial(grid128, 1)
-        got = grid128.field(OscillatoryTransport(op, PHASE).source(a))
+        got = ScalarField(grid128, OscillatoryTransport(op, PHASE).source(a))
         e_plus = PHASE.oscillation(grid128)
         zbar = grid128.sample(np.conj)
         one = grid128.constant(1.0)
@@ -353,8 +353,8 @@ class TestSolveDensity:
         a = AmplitudeSpec.monomial(grid128, 0)
         T = OscillatoryTransport(testbed128_div, PHASE)
         g, terms = solve_density(T, a, tol=tol)
-        w = grid128.field(T.source(a))
-        resid = norm_lp(g - grid128.field(T.apply(g.values)) - w, 2)
+        w = ScalarField(grid128, T.source(a))
+        resid = norm_lp(g - ScalarField(grid128, T.apply(g.values)) - w, 2)
         assert resid <= 2.0 * tol * norm_lp(w, 2)
         assert terms >= 3
 
@@ -371,10 +371,10 @@ class TestSolveDensity:
         with pytest.raises(MaxTermsExceededError, match="did not converge in 3 terms") as info:
             solve_density(T, a, tol=1e-14, max_terms=3)
         term = T.source(a)
-        norms = [norm_lp(grid128.field(term), 2)]
+        norms = [norm_lp(ScalarField(grid128, term), 2)]
         for _ in range(2):
             term = T.apply(term)
-            norms.append(norm_lp(grid128.field(term), 2))
+            norms.append(norm_lp(ScalarField(grid128, term), 2))
         ratios = tuple(n1 / n0 for n0, n1 in zip(norms, norms[1:]))
         assert info.value.ratios == ratios
         assert str(info.value) == (
@@ -438,8 +438,8 @@ class TestSolveDensity:
         assert terms == expect_terms
         assert counts[np.dtype(np.complex64)] > 0 and counts[np.dtype(np.complex128)] > 0
         assert set(counts) == {np.dtype(np.complex64), np.dtype(np.complex128)}
-        gap = norm_lp(g - grid128.field(expect), 2)
-        assert gap <= 0.02 * tol * norm_lp(grid128.field(w), 2)
+        gap = norm_lp(g - ScalarField(grid128, expect), 2)
+        assert gap <= 0.02 * tol * norm_lp(ScalarField(grid128, w), 2)
 
     def test_gate_guards_single_precision_terms(self, testbed128_div, grid128, monkeypatch):
         # a complex64 transform that errs by 1e-3 relative puts an error far
@@ -491,11 +491,11 @@ class TestSolveDensity:
 
 def double_neumann(T, w, tol):
     """The Neumann sum of solve_density with every term formed in double, as (g, terms)."""
-    w_norm = norm_lp(T.grid.field(w), 2)
+    w_norm = norm_lp(ScalarField(T.grid, w), 2)
     g, term, terms = w, w, 1
     while True:
         term = T.apply(term)
-        t_norm = norm_lp(T.grid.field(term), 2)
+        t_norm = norm_lp(ScalarField(T.grid, term), 2)
         if t_norm > 0:
             g, terms = g + term, terms + 1
         if t_norm <= tol * w_norm:
@@ -597,7 +597,7 @@ class TestBuildCGO:
         a = AmplitudeSpec.monomial(g, 0)
         hs = (0.2, 0.14, 0.1, 0.07)
         norms = [
-            _norm(g.field(OscillatoryTransport(op, PhaseSpec(0.1 + 0.1j, h)).source(a)), 2)
+            _norm(ScalarField(g, OscillatoryTransport(op, PhaseSpec(0.1 + 0.1j, h)).source(a)), 2)
             for h in hs
         ]
         assert fit_loglog_slope(hs, norms) >= 0.5
@@ -666,9 +666,9 @@ def power_estimates(T, v, sweeps):
     """The estimate after each of `sweeps` full T*T sweeps, with no stop."""
     ests = []
     for _ in range(sweeps):
-        tv = v.grid.field(T.apply(v.values))
+        tv = ScalarField(v.grid, T.apply(v.values))
         ests.append(norm_lp(tv, 2) / norm_lp(v, 2))
-        w = v.grid.field(T.apply_adjoint(tv.values))
+        w = ScalarField(v.grid, T.apply_adjoint(tv.values))
         v = w * (1.0 / norm_lp(w, 2))
     return ests
 
@@ -684,7 +684,7 @@ def gkl_estimates(T, v, steps):
     to it, where the probe keeps ring entries only and uses T x = U B y.
     """
     def apply(f):
-        return f.grid.field(T.apply(f.values))
+        return ScalarField(f.grid, T.apply(f.values))
 
     vs, us, alphas, betas, ests = [], [], [], [], []
     v = v * (1.0 / np.linalg.norm(v.values))
@@ -699,7 +699,7 @@ def gkl_estimates(T, v, steps):
         for yi, vi in zip(y[1:], vs[1:]):
             x = x + vi * complex(yi)
         ests.append(norm_lp(apply(x), 2) / norm_lp(x, 2))
-        q = v.grid.field(T.apply_adjoint(us[-1].values)) - alphas[-1] * v
+        q = ScalarField(v.grid, T.apply_adjoint(us[-1].values)) - alphas[-1] * v
         betas.append(np.linalg.norm(q.values))
         v = q * (1.0 / betas[-1])
     return ests

@@ -193,6 +193,18 @@ class TestCauchyCommand:
         assert main(["cauchy-test", "--config", cfg]) == 2
         assert "cauchy.omega" in capsys.readouterr().err
 
+    def test_center_that_moves_the_nodes_config_error(self, tmp_path, capsys):
+        # at 1e17 all 32 node abscissae round to one value; the run once
+        # computed its tables on that collapsed lattice and exited 1
+        doc = base_cauchy_config(tmp_path / "r")
+        doc["grid"] = {"n": 32, "half_width": 1.0, "center": [1e17, 0]}
+        doc["phase"] = {"z0": [[1e17, 0]], "h": [0.6, 0.52]}
+        doc["cauchy"]["omega"] = "bump(1e17, 0, 0.6, 1)"
+        cfg = write_config(tmp_path, doc)
+        assert main(["cauchy-test", "--config", cfg]) == 2
+        assert "field grid.center: " in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_one_h_fits_no_slope(self, tmp_path, capsys):
         # one distinct h gives no slope to fit: a failed tolerance, not a traceback
         doc = base_cauchy_config(tmp_path / "r")

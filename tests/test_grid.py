@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -7,10 +8,13 @@ from hypothesis import strategies as st
 
 from support import dblquad_complex, normalized_gaussian, symbolic_wirtinger
 
+import polycgo.grid as grid_module
 from polycgo import (
     ComplexGrid,
     PerturbedOperator,
     ScalarField,
+    cauchy,
+    dbar_inv,
     integrate,
     mixed_wirtinger,
     norm_hm,
@@ -39,11 +43,27 @@ class TestComplexGrid:
         with pytest.raises(ValueError):
             ComplexGrid(0j, -1.0, 64)
 
+    @pytest.mark.parametrize("direction", [1, -1, 1j, -1j])
+    def test_center_bound(self, direction):
+        # a center whose rounding passes 1e-6 of the spacing is refused, one within it kept
+        spacing = 2.0 / 31
+        limit = 1e-6 * spacing / np.finfo(float).eps
+        assert ComplexGrid(0.9 * limit * direction, 1.0, 32).n == 32
+        with pytest.raises(ValueError, match=r"^center "):
+            ComplexGrid(1.1 * limit * direction, 1.0, 32)
+
+    @pytest.mark.parametrize("center", [1e17, complex(0, np.nan), complex(np.inf, 0)])
+    def test_rejects_center_that_moves_the_nodes(self, center):
+        # at 1e17 all 32 node abscissae round to one value; a non-finite part has no bound
+        with pytest.raises(ValueError, match=r"^center "):
+            ComplexGrid(center, 1.0, 32)
+
     def test_rejects_nan_fields(self, grid64):
         vals = np.zeros((64, 64), dtype=complex)
         vals[3, 5] = np.nan
         with pytest.raises(ValueError):
             ScalarField(grid64, vals)
+        assert vals.flags.writeable  # a refused array is not taken over
 
     def test_field_immutable(self, grid64):
         f = grid64.constant(1.0)
@@ -68,6 +88,78 @@ class TestComplexGrid:
     def test_grid_mismatch_rejected(self, grid64, grid128):
         with pytest.raises(ValueError):
             grid64.constant(1.0) + grid128.constant(1.0)
+
+
+# arrays a field must copy: (array, the caller's array whose flags must not change)
+def _slice(grid):
+    big = np.zeros((2 * grid.n, grid.n), dtype=complex)
+    return big[: grid.n], big
+
+
+def _broadcast(grid):
+    row = np.ones(grid.n, dtype=complex)
+    return np.broadcast_to(row, (grid.n, grid.n)), row
+
+
+def _nodes(grid):
+    return grid.nodes, grid.nodes
+
+
+def _float(grid):
+    vals = np.ones((grid.n, grid.n))
+    return vals, vals
+
+
+def _fortran(grid):
+    vals = np.ones((grid.n, grid.n), dtype=complex, order="F")
+    return vals, vals
+
+
+class TestOwnership:
+    def test_fresh_array_is_kept_and_frozen(self, grid64):
+        vals = np.ones((64, 64), dtype=complex)
+        f = ScalarField(grid64, vals)
+        assert f.values is vals and not vals.flags.writeable
+
+    @pytest.mark.parametrize("make", [_slice, _broadcast, _nodes, _float, _fortran])
+    def test_other_arrays_are_copied(self, grid64, make):
+        vals, owner = make(grid64)
+        writeable = owner.flags.writeable
+        f = ScalarField(grid64, vals)
+        assert not np.shares_memory(f.values, owner) and not f.values.flags.writeable
+        assert f.values.flags.c_contiguous and np.array_equal(f.values, vals)
+        assert owner.flags.writeable == writeable
+
+    @pytest.mark.parametrize("op", ["zero", "add"])
+    def test_peak_is_the_result_alone(self, op):
+        # the result and the finiteness scan's boolean mask; a copy would double it
+        g = ComplexGrid(0j, 1.0, 512)
+        a, b = g.constant(0.5), g.constant(0.25j)
+        make = g.zero if op == "zero" else (lambda: a + b)
+        tracemalloc.start()
+        try:
+            f = make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.values.shape == (512, 512)
+        assert peak <= 1.1 * g.n * g.n * 16
+
+    @pytest.mark.parametrize("module, name, fn", [
+        (cauchy, "cauchy_chain", dbar_inv),
+        (grid_module, "_dbar", wirtinger_dbar),
+    ], ids=["dbar_inv", "wirtinger_dbar"])
+    def test_result_array_is_kept(self, grid64, monkeypatch, module, name, fn):
+        # both allocate scratch arrays, so the array their field keeps is traced instead
+        made, inner = [], getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            made.append(inner(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(module, name, recorded)
+        f = fn(grid64.sample(lambda z: z * np.conj(z)))
+        assert len(made) == 1 and np.shares_memory(f.values, made[0])
 
 
 class TestWirtinger:
@@ -108,7 +200,7 @@ class TestWirtinger:
 
     def test_mixed_wirtinger_applies_d_first(self, grid64, rng):
         # the one order every derivative table uses: d^a, then dbar^b
-        f = grid64.field(rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+        f = ScalarField(grid64, rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
         for a in range(3):
             for b in range(3):
                 expect = f
@@ -120,7 +212,7 @@ class TestWirtinger:
 
     def test_conjugation_duality_exact(self, grid64, rng):
         vals = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-        f = grid64.field(vals)
+        f = ScalarField(grid64, vals)
         lhs = wirtinger_d(f.conj())
         rhs = wirtinger_dbar(f).conj()
         assert np.array_equal(lhs.values, rhs.values)
@@ -167,8 +259,8 @@ class TestIntegrate:
     def test_linear_and_conjugation_equivariant(self, a, b):
         g = ComplexGrid(0j, 1.0, 16)
         rng = np.random.default_rng(7)
-        f1 = g.field(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
-        f2 = g.field(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+        f1 = ScalarField(g, rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+        f2 = ScalarField(g, rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
         lin = integrate(a * f1 + b * f2)
         assert lin == pytest.approx(a * integrate(f1) + b * integrate(f2), rel=1e-12, abs=1e-12)
         assert integrate(f1.conj()) == np.conj(integrate(f1))

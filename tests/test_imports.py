@@ -7,6 +7,9 @@ for unused imports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,3 +89,20 @@ def test_finds_unread_private_helpers():
 def test_no_unread_private_helper():
     sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
     assert unread_private_helpers(sources) == []
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter with the package's source directory first on its path."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
+def test_package_import_leaves_the_driver_out():
+    # the package once imported polycgo.cli, so `python -m polycgo.cli` warned
+    # on every run that the module was already loaded
+    probe = run_python("-c", "import sys, polycgo; print('polycgo.cli' in sys.modules)")
+    assert probe.returncode == 0 and probe.stdout == "False\n"
+    driver = run_python("-m", "polycgo.cli", "--help")
+    assert driver.returncode == 0 and driver.stderr == ""

@@ -12,6 +12,7 @@ import sympy as sp
 from polycgo import (
     ComplexGrid,
     PerturbedOperator,
+    ScalarField,
     adjoint,
     apply,
     field_from_expression,
@@ -409,7 +410,7 @@ class TestAdjoint:
         def rand_poly_field():
             c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             vals = c[0] + c[1] * z + c[2] * np.conj(z) + c[3] * z * np.conj(z)
-            return g.field(vals) * cut
+            return ScalarField(g, vals) * cut
 
         coeffs = {
             (j, k): field_from_expression(
