@@ -11,6 +11,11 @@ cell its exact (zero, by odd symmetry) weight.  Application is fast
 convolution on the zero-padded doubled grid in pruned 1-D passes that
 transform no all-zero column and compute no cropped row; axis 0 goes first
 both ways, fft2's order, so the bits are those of the full padded fft2/ifft2.
+The passes run in place on one 2n x 2n work array whose rows are one 64-byte
+cache line longer than 2n: with a power-of-two row stride every step of an
+axis-0 pass lands in the same cache sets, which made those passes about twice
+as slow as the axis-1 ones.  The stride changes no arithmetic, so no bit.
+The kernel transform is built in the same layout.
 The transform follows its input's precision: a complex64 array runs the same
 passes against a complex64 copy of the kernel transform, built on first
 single-precision use, and any other array is cast to complex128.  Both
@@ -34,6 +39,9 @@ from .grid import ComplexGrid, ScalarField, norm_lp
 from .phase import PhaseSpec
 
 _FFT_WORKERS = 1
+# padding of each work-array row: one cache line, so the row stride is no
+# power of two
+_ROW_PAD_BYTES = 64
 
 
 def set_fft_workers(n: int) -> None:
@@ -89,6 +97,12 @@ def _cell_integral_table(n: int, spacing: float) -> np.ndarray:
     return table
 
 
+def _work_array(n: int, dtype) -> np.ndarray:
+    """An uninitialised 2n x 2n array whose rows are _ROW_PAD_BYTES longer in memory."""
+    pad = _ROW_PAD_BYTES // np.dtype(dtype).itemsize
+    return np.empty((2 * n, 2 * n + pad), dtype)[:, : 2 * n]
+
+
 class CauchyKernel:
     """Cell-averaged 1/(pi*z) kernel on the doubled grid plus its FFT cache."""
 
@@ -96,34 +110,45 @@ class CauchyKernel:
         self.grid = grid
         # convolution with the exact cell integrals of 1/(pi*z); the area and
         # 1/pi factors are folded into the cached transform
-        cells = _cell_integral_table(grid.n, grid.spacing)
-        self._khat = _fft.fft2(cells / np.pi, workers=_FFT_WORKERS)
+        khat = _work_array(grid.n, np.complex128)
+        np.divide(_cell_integral_table(grid.n, grid.spacing), np.pi, out=khat)
+        for axis in (0, 1):  # fft2's order, so its bits
+            _fft.fft(khat, axis=axis, overwrite_x=True, workers=_FFT_WORKERS)
+        self._khat = khat
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Circular convolution on the zero-padded doubled grid, cropped to a new n x n array.
 
-        Length-2n passes: forward along axis 0 over the n input columns (the
-        length argument pads them), then axis 1; after the kernel product,
-        inverse along axis 0, then axis 1 over the n kept rows.  That is 6n
+        Length-2n passes, each in place on one work array (see _work_array)
+        holding values in its top-left block: forward along axis 0 over the
+        n input columns, then along axis 1; after the kernel product, inverse
+        along axis 0, then along axis 1 over the n kept rows.  That is 6n
         transforms where padded fft2/ifft2 do 8n.  Axis 0 goes first both
-        ways, as in fft2/ifft2, so the bits equal the padded path's.  A
-        complex64 array stays in single precision throughout and returns
-        complex64; any other input is cast to complex128, so real input runs
-        the same transform.
+        ways, as in fft2/ifft2, so the bits equal the padded path's; the
+        padded row stride changes none.  A complex64 array stays in single
+        precision throughout and returns complex64; any other input is cast
+        to complex128 as it is written in, so real input runs the same
+        transform.  The input is never written to.
+
+        Raises ValueError for an array whose shape is not (n, n).
         """
         n = self.grid.n
         w = _FFT_WORKERS
         values = np.asarray(values)
-        if values.dtype == np.complex64:
-            khat = self._khat_single
-        else:
-            values, khat = values.astype(np.complex128, copy=False), self._khat
-        a = _fft.fft(values, 2 * n, axis=0, workers=w)
-        a = _fft.fft(a, 2 * n, axis=1, overwrite_x=True, workers=w)
+        if values.shape != (n, n):
+            raise ValueError(f"expected an array of shape {(n, n)}, got shape {values.shape}")
+        khat = self._khat_single if values.dtype == np.complex64 else self._khat
+        a = _work_array(n, khat.dtype)
+        a[:n, :n] = values
+        a[n:, :n] = 0
+        # scipy.fft writes an overwrite_x transform of a complex view into the view
+        _fft.fft(a[:, :n], axis=0, overwrite_x=True, workers=w)
+        a[:, n:] = 0
+        _fft.fft(a, axis=1, overwrite_x=True, workers=w)
         a *= khat
-        a = _fft.ifft(a, axis=0, overwrite_x=True, workers=w)
-        a = _fft.ifft(a[:n], axis=1, overwrite_x=True, workers=w)
-        return np.ascontiguousarray(a[:, :n])
+        _fft.ifft(a, axis=0, overwrite_x=True, workers=w)
+        _fft.ifft(a[:n], axis=1, overwrite_x=True, workers=w)
+        return a[:n, :n].copy()
 
     @cached_property
     def _khat_single(self) -> np.ndarray:

@@ -80,7 +80,8 @@ class PhaseSpec:
         """
         ex, ey = self.oscillation_factors(grid)
         w = grid._trapezoid_1d
-        value = complex((w * ex) @ values @ (w * ey)) * grid.spacing**2
+        with np.errstate(over="ignore", invalid="ignore"):  # the value is checked below
+            value = complex((w * ex) @ values @ (w * ey)) * grid.spacing**2
         if not cmath.isfinite(value):
             raise ValueError("field contains non-finite values")
         return value

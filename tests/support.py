@@ -2,12 +2,21 @@
 
 Everything here computes expected values by a route that does not touch the
 code paths under test: sympy for Wirtinger calculus, adaptive quadrature for
-integrals, closed forms where classical results exist.
+integrals, closed forms where classical results exist.  run_python starts a
+fresh interpreter on the package's source, for checks that depend on how the
+process starts.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import sympy as sp
 from scipy.integrate import dblquad, quad
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 _X, _Y = sp.symbols("x y", real=True)
 _Z = _X + sp.I * _Y
@@ -95,3 +104,14 @@ DEEP_EXPRESSIONS = {
     "parentheses": "(" * 2000 + "z" + ")" * 2000,
     "sum": "+".join(["z"] * 3000),
 }
+
+
+def run_python(*args, **env) -> subprocess.CompletedProcess:
+    """A fresh interpreter with the package's source directory first on its path.
+
+    Keyword arguments are set as environment variables of the child.
+    """
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, **env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=60)

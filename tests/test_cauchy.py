@@ -1,4 +1,6 @@
 import os
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,12 +107,13 @@ class TestKernelTable:
             )
 
 
-def padded_reference(kernel, values):
+def padded_reference(kernel, values, dtype=np.complex128):
     """The convolution as one padded fft2, kernel product, ifft2 and crop."""
     n = kernel.grid.n
-    pad = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    khat = kernel._khat_single if dtype == np.complex64 else kernel._khat
+    pad = np.zeros((2 * n, 2 * n), dtype=dtype)
     pad[:n, :n] = values
-    return scipy.fft.ifft2(scipy.fft.fft2(pad) * kernel._khat)[:n, :n]
+    return scipy.fft.ifft2(scipy.fft.fft2(pad) * khat)[:n, :n]
 
 
 class TestPrunedTransform:
@@ -126,6 +129,66 @@ class TestPrunedTransform:
             assert out.shape == (n, n) and out.flags.c_contiguous
             assert not np.shares_memory(out, values)
         assert np.array_equal(k.apply(k.apply(z)), padded_reference(k, padded_reference(k, z)))
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_single_precision_matches_padded_fft2(self, n):
+        k = kernel_for(ComplexGrid(0j, 1.0, n))
+        rng = np.random.default_rng(n)
+        z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))).astype(np.complex64)
+        out = k.apply(z)
+        assert out.dtype == np.complex64
+        assert np.array_equal(out, padded_reference(k, z, np.complex64))
+
+    def test_other_inputs_match_their_complex128_cast(self, grid64):
+        # each is written into the work array with the cast; none is written to
+        k = kernel_for(grid64)
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        frozen = z.copy()
+        frozen.flags.writeable = False
+        wide = rng.standard_normal((80, 96)) + 1j * rng.standard_normal((80, 96))
+        inputs = {
+            "float32": rng.standard_normal((64, 64)).astype(np.float32),
+            "int64": rng.integers(-1000, 1000, (64, 64)),
+            "F-ordered": np.asfortranarray(z),
+            "read-only": frozen,
+            "view": wide[7:71, 20:84],
+        }
+        for name, values in inputs.items():
+            before = values.copy()
+            out = k.apply(values)
+            assert out.dtype == np.complex128, name
+            assert np.array_equal(out, padded_reference(k, values.astype(np.complex128))), name
+            assert np.array_equal(values, before), name
+
+    @pytest.mark.parametrize("shape", [(32, 33), (31, 32), (64, 64), (32,), ()])
+    def test_refuses_a_wrongly_shaped_array(self, shape):
+        # these once returned a cropped (32, 32) result, or raised IndexError
+        # for a 1-D array; on the work array they would broadcast into its block
+        values = np.ones(shape, dtype=np.complex128)
+        with pytest.raises(ValueError, match=re.escape(f"shape (32, 32), got shape {shape}")):
+            kernel_for(ComplexGrid(0j, 1.0, 32)).apply(values)
+
+    def test_peak_is_the_work_array_and_the_result(self, grid256):
+        # the 2n x 2n work array with cache-line-padded rows plus the n x n
+        # result: 5.03 n^2 complex entries measured, where the padding copies
+        # of the length-argument passes peaked at 6.0 n^2
+        k = kernel_for(grid256)
+        z = np.ones((256, 256), dtype=np.complex128)
+        k.apply(z)
+        tracemalloc.start()
+        try:
+            k.apply(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.1 * 256**2 * 16
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_kernel_transform_matches_fft2(self, n):
+        k = CauchyKernel(ComplexGrid(0j, 1.0, n))
+        cells = _cell_integral_table(n, k.grid.spacing)
+        assert np.array_equal(k._khat, scipy.fft.fft2(cells / np.pi))
 
     def test_two_workers_give_the_same_bits(self, grid256, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)  # set_fft_workers allows 1..cpu_count

@@ -7,12 +7,11 @@ for unused imports.
 """
 
 import ast
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from support import run_python
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polycgo"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -89,14 +88,6 @@ def test_finds_unread_private_helpers():
 def test_no_unread_private_helper():
     sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
     assert unread_private_helpers(sources) == []
-
-
-def run_python(*args) -> subprocess.CompletedProcess:
-    """A fresh interpreter with the package's source directory first on its path."""
-    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
-                          timeout=60)
 
 
 def test_package_import_leaves_the_driver_out():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from support import run_python
+
 from polycgo import ComplexGrid, PhaseSpec, ScalarField, integrate
 
 
@@ -16,6 +18,20 @@ CASES = [
     (ComplexGrid(0j, 1.0, 1024), PhaseSpec(0.08 + 0.08j, 0.05)),
     (ComplexGrid(0.3 - 0.2j, 1.0, 1024), PhaseSpec(-0.4 + 0.5j, 0.05)),
 ]
+
+
+NON_FINITE_PROBE = """
+import numpy as np
+from polycgo import ComplexGrid, PhaseSpec
+grid = ComplexGrid(0j, 1.0, 64)
+for bad in (np.inf, -np.inf, complex(0, np.inf), np.nan):
+    f = np.ones((64, 64), dtype=complex)
+    f[17, 40] = bad
+    try:
+        PhaseSpec(0.1 + 0.1j, 0.3).oscillatory_integral(grid, f)
+    except ValueError as err:
+        print(type(err).__name__ if "non-finite" in str(err) else err)
+"""
 
 
 class TestSeparableOscillation:
@@ -40,6 +56,15 @@ class TestSeparableOscillation:
         f[17, 40] = bad
         with pytest.raises(ValueError, match="non-finite"):
             PhaseSpec(0.1 + 0.1j, 0.3).oscillatory_integral(grid64, f)
+
+    def test_non_finite_entry_raises_without_warning_on_one_blas_thread(self):
+        # single-threaded OpenBLAS, as the bench's child processes run, warned
+        # "invalid value encountered in matmul" on an inf entry before the
+        # ValueError; threaded BLAS did not, so the in-process run above missed it
+        probe = run_python("-W", "error::RuntimeWarning", "-c", NON_FINITE_PROBE,
+                           OPENBLAS_NUM_THREADS="1")
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout.split() == ["ValueError"] * 4 and probe.stderr == ""
 
     @pytest.mark.parametrize("h", [np.inf, -np.inf, np.nan, 0.0, -0.1])
     def test_rejects_invalid_h(self, h):
