@@ -11,11 +11,11 @@ dbar_inv^(m-k) are prefixes of one chain, and the outer sum is evaluated by
 Horner's rule, d_inv(y[m-1] + d_inv(y[m-2] + ...)), so one application costs
 at most 2m transforms instead of m(m+1).  The density solves (I - T) g = w by
 Neumann series (T contracts for small h), then the remainder is
-r = dbar_inv^m(E- * g), finished from the chain of the solve's a-posteriori
-check, and u = exp(phase/h) * (a + r).  Adjoint solutions reuse the same
-machinery on operators.adjoint with the carrier sign flipped, and so does the
-adjoint map T* = E+ . T'(E- .), T' the map of operators.adjoint.  The transport
-is the one object per (operator, phase, sign): build_cgo and
+r = dbar_inv^m(E- * g), which the solve finishes from the chain of its own
+a-posteriori check, and u = exp(phase/h) * (a + r).  Adjoint solutions reuse
+the same machinery on operators.adjoint with the carrier sign flipped, and so
+does the adjoint map T* = E+ . T'(E- .), T' the map of operators.adjoint.  The
+transport is the one object per (operator, phase, sign): build_cgo and
 transport_norm_probe both take it, and it takes the divergence form, which
 to_divergence_form gives from either form.
 The map and its loops run on arrays, with fields only at their edges, and a
@@ -189,27 +189,30 @@ class OscillatoryTransport:
         )
         return -self._horner(rows, dtype)
 
-    def _map(self, x: np.ndarray, _tail: list | None = None) -> np.ndarray:
-        """T after its E- factor, in complex64 transforms for a complex64 x: the outer
-        sum of the powers dbar_inv^(m-k)(x), each kept as one chain forms it."""
-        if not self.active or not np.any(x):
-            return self.grid.zero().values
+    def _chain_map(self, x: np.ndarray):
+        """(T after its E- factor, dbar_inv^(m - min(cols))(x)), in x's precision, on a
+        transport with a nonzero coefficient: the outer sum of the powers
+        dbar_inv^(m-k)(x), each kept as one chain forms it, and that chain's last power."""
         powers, cur = {}, x
         for k in range(self.op.m - 1, self.cols[0] - 1, -1):
             powers[k] = cur = cauchy_chain(self.grid, cur)
-        if _tail is not None:
-            _tail.append(powers[self.cols[0]])
-        return self._outer_sum(powers, np.complex64 if x.dtype == np.complex64 else np.complex128)
+        dtype = np.complex64 if x.dtype == np.complex64 else np.complex128
+        return self._outer_sum(powers, dtype), cur
 
-    def apply(self, v: np.ndarray, _tail: list | None = None) -> np.ndarray:
-        """T(v) on n x n arrays, the grid's shared read-only zero for a zero v or
-        map; otherwise a list passed as _tail receives dbar_inv^(m - min(cols))(E- * v).
+    def _map(self, x: np.ndarray) -> np.ndarray:
+        """T after its E- factor, the grid's shared read-only zero for a zero x or map."""
+        if not self.active or not np.any(x):
+            return self.grid.zero().values
+        return self._chain_map(x)[0]
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """T(v) on n x n arrays, the grid's shared read-only zero for a zero v or map.
 
         A complex64 v runs every transform in single precision and gives a
         complex64 result; E+/-, the coefficients and the sums between the
         transforms stay in double, and any other v runs in double.
         """
-        return self._map(_oscillate(self.e_minus, v), _tail)
+        return self._map(_oscillate(self.e_minus, v))
 
     def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
         """Exact discrete L2 adjoint E+ * T'(E- * v), in v's precision as apply is."""
@@ -262,15 +265,17 @@ def solve_density(
     amplitude: AmplitudeSpec,
     tol: float = DEFAULT_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
-    _tail: list | None = None,
 ):
-    """Sum the Neumann series for (I - T) g = w, w = T.source(amplitude).
+    """Sum the Neumann series for (I - T) g = w, w = T.source(amplitude), and form
+    the remainder r = dbar_inv^m(E- * g), as (g, terms, r).
 
     Stops when the latest term drops below tol * ||w||_2 and verifies the
     residual ||(I - T)g - w||_2 <= 2 * tol * ||w||_2 a posteriori with one
-    extra application of the map, whose chain tail goes to _tail (see
-    OscillatoryTransport.apply).  A term formed from a predecessor of norm at
-    most tol * ||w||_2 / (10 * SINGLE_EPS) is formed in complex64 transforms:
+    extra pass of the map.  That pass's chain reaches
+    dbar_inv^(m - min(cols))(E- * g), so r takes only min(cols) more
+    transforms; g and r are zero, with no transform, for a zero source.  A
+    term formed from a predecessor of norm at most
+    tol * ||w||_2 / (10 * SINGLE_EPS) is formed in complex64 transforms:
     single-precision error in it stays near a tenth of tol * ||w||_2.  That
     needs the map's intermediates inside float32's exponent range: a term of
     norm p has rms value p / D on the grid of side D, and each of the m
@@ -289,7 +294,7 @@ def solve_density(
     if not isfinite(w_norm):
         raise _overflow(h, "the source")
     if w_norm == 0.0:
-        return grid.zero(), 1
+        return grid.zero(), 1, grid.zero()
     single_below = tol * w_norm / (10.0 * SINGLE_EPS)
     log2_side = log2(2.0 * grid.half_width)
     reach = SINGLE_RANGE_BITS - T.op.m * abs(log2_side)
@@ -323,7 +328,8 @@ def solve_density(
         prev_norm = t_norm
         if terms_used >= max_terms:
             raise MaxTermsExceededError(h, max_terms, ratios=ratios)
-    residual = _weighted_p_sum(grid, g - T.apply(g, _tail) - w, 2) ** 0.5
+    tg, tail = T._chain_map(_oscillate(T.e_minus, g))
+    residual = _weighted_p_sum(grid, g - tg - w, 2) ** 0.5
     if not isfinite(residual):
         raise _overflow(h, "the a-posteriori residual", ratios)
     if residual > 2.0 * tol * w_norm:
@@ -333,7 +339,10 @@ def solve_density(
             f"a-posteriori residual {residual:.3e} exceeds 2*tol*||w|| at h={h}",
             ratios,
         )
-    return ScalarField(grid, g), terms_used
+    del tg, term, w  # none outlives the check
+    lowest = T.cols[0]
+    r = cauchy_chain(grid, tail, lowest) if lowest else tail
+    return ScalarField(grid, g), terms_used, ScalarField(grid, r)
 
 
 def build_cgo(
@@ -342,20 +351,10 @@ def build_cgo(
     tol: float = DEFAULT_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> CGOSolution:
-    """Density solve and remainder on the transport T; the carrier sign is T's.
-
-    The solve's a-posteriori check forms dbar_inv^(m - min(cols))(E- * g), so
-    r = dbar_inv^m(E- * g) takes only min(cols) more transforms.
-    """
-    grid = T.grid
+    """The solution on the transport T whose density and remainder solve_density
+    forms; the carrier sign is T's."""
     amplitude.check_admissible(T.op.m)
-    tail = []
-    g, terms = solve_density(T, amplitude, tol, max_terms, tail)
-    if g.is_zero():
-        r = grid.zero()
-    else:
-        lowest = T.cols[0]
-        r = ScalarField(grid, cauchy_chain(grid, tail[0], lowest) if lowest else tail[0])
+    g, terms, r = solve_density(T, amplitude, tol, max_terms)
     return CGOSolution(
         phase=T.phase,
         amplitude=amplitude,

@@ -6,13 +6,19 @@ normalized echo with its own hash), results.csv, slopes.csv, and log.txt; the
 CSV files embed the config hash and contain no wall-clock content, so a rerun
 of the same config is bit-identical (the log carries the only timestamp).
 Each command creates its run directory once it has read its whole config and
-before it computes anything; a directory that cannot be created is a config
-error.  A run that then fails numerically leaves log.txt alone there: the
-lines logged so far and a last line naming the failure.
+before it computes anything, and removes the result tables (results.csv,
+slopes.csv, manifest.json) an earlier run left there; a directory that cannot
+be created, or a table that cannot be removed, is a config error.  A run that
+then fails, numerically or on a config error found only while it computes,
+writes log.txt alone: the lines logged so far and a last line, the one printed
+on stderr, naming the failure.  So a failed run leaves no result table, and
+only log.txt in a new directory.
 
-Exit codes: 0 success, 1 tolerance failure, 2 config error, 3 numerical
-failure (non-contraction, term budget, degenerate probe, carrier overflow,
-pairing overflow, no extended-precision long double).
+Exit codes: 0 success, 1 tolerance failure (a false passed cell in
+slopes.csv), 2 config error, 3 numerical failure (non-contraction, term
+budget, carrier overflow, pairing overflow, no extended-precision long
+double; or a degenerate probe, which poly recover reports after writing its
+tables).
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
 from math import inf, isfinite, nan
@@ -58,6 +63,7 @@ EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+CONFIG_FAILURES = (ConfigError, CouplingError)
 NUMERICAL_FAILURES = (
     NonContractionError, MaxTermsExceededError, DegenerateProbeError, CarrierOverflowError,
     PairingOverflowError, PrecisionError,
@@ -268,10 +274,16 @@ def build_solver(cfg: dict):
 
 # --------------------------------------------------------------- outputs ----
 
+# the tables a run writes beside config.json and log.txt; opening a run removes them
+RESULT_TABLES = ("results.csv", "slopes.csv", "manifest.json")
+
+
 class RunWriter:
-    """Creates the run directory when opened, collects result/slope rows and
-    writes them at the end.  Used as a context manager, it writes log.txt
-    alone, ending with the failure, when a numerical failure leaves the run."""
+    """Creates the run directory when opened, clear of an earlier run's result
+    tables, collects result/slope rows and writes them at the end, when the
+    slope rows' passed cells give the exit code.  Used as a context manager, it
+    writes log.txt alone, ending with the failure, when a config or numerical
+    failure leaves the run."""
 
     def __init__(self, out_dir: Path, cfg: dict):
         try:
@@ -281,6 +293,15 @@ class RunWriter:
                 f"--out/output.directory {str(out_dir)!r}: cannot create the run directory: "
                 f"{exc.strerror or exc}"
             ) from exc
+        for name in RESULT_TABLES:
+            path = out_dir / name
+            try:
+                path.unlink(missing_ok=True)
+            except OSError as exc:
+                raise ConfigError(
+                    f"--out/output.directory {str(out_dir)!r}: cannot remove {str(path)!r} "
+                    f"of an earlier run: {exc.strerror or exc}"
+                ) from exc
         self.out_dir = out_dir
         self.cfg = cfg
         self.hash = config_hash(cfg)
@@ -292,8 +313,8 @@ class RunWriter:
         return self
 
     def __exit__(self, kind, exc, traceback) -> None:
-        if isinstance(exc, NUMERICAL_FAILURES):
-            self._write_log("failed_at", self.log_lines + [_failure_line(exc)])
+        if isinstance(exc, CONFIG_FAILURES + NUMERICAL_FAILURES):
+            self._write_log("failed_at", self.log_lines + [_failure(exc)[1]])
 
     def log(self, message: str) -> None:
         self.log_lines.append(message)
@@ -317,7 +338,8 @@ class RunWriter:
             for row in rows:
                 writer.writerow([_cell(row.get(c)) for c in cols])
 
-    def flush(self) -> None:
+    def flush(self) -> int:
+        """Write every file of the run; the exit code is 0 when every slope row passed, else 1."""
         echo = dict(self.cfg)
         echo["config_hash"] = self.hash
         with open(self.out_dir / "config.json", "w") as fh:
@@ -326,6 +348,7 @@ class RunWriter:
         self._write_csv(self.out_dir / "results.csv", self.results)
         self._write_csv(self.out_dir / "slopes.csv", self.slopes)
         self._write_log("finished_at", self.log_lines)
+        return EXIT_OK if all(row["passed"] for row in self.slopes) else EXIT_TOLERANCE
 
     def _write_log(self, stamp: str, lines) -> None:
         with open(self.out_dir / "log.txt", "w") as fh:
@@ -334,9 +357,11 @@ class RunWriter:
                 fh.write(line + "\n")
 
 
-def _failure_line(exc: Exception) -> str:
-    """The one line, on stderr and ending log.txt, that names a numerical failure."""
-    return f"numerical failure: {exc}"
+def _failure(exc: Exception):
+    """(exit code, the one line on stderr and ending log.txt) of a config or numerical failure."""
+    if isinstance(exc, CONFIG_FAILURES):
+        return EXIT_CONFIG, f"config error: {exc}"
+    return EXIT_NUMERICAL, f"numerical failure: {exc}"
 
 
 def _cell(v):
@@ -399,12 +424,9 @@ def cmd_cauchy_test(cfg: dict, out_dir: Path) -> int:
     )
 
     with RunWriter(out_dir, cfg) as writer:
-        ok = True
-
         # right-inverse identity on the configured grid
         err = norm_lp(wirtinger_dbar(dbar_inv(omega)) - omega, 2) / omega_norm
         passed = err <= max_identity_err
-        ok &= passed
         writer.add_result(kind="inverse_identity", series="", h="", value=err)
         writer.add_slope("inverse_identity_rel_err", err, max_identity_err, passed)
         writer.log(f"inverse identity rel err {err:.3e} (<= {max_identity_err:g}: {passed})")
@@ -424,12 +446,10 @@ def cmd_cauchy_test(cfg: dict, out_dir: Path) -> int:
                 writer.add_result(kind="decay", series=f"q={q:g}", h=h, value=norm)
             threshold = min_slopes.get(q)
             passed = threshold is None or probe.slope >= threshold
-            ok &= passed
             writer.add_slope(f"decay_q{q:g}", probe.slope, threshold, passed)
             writer.log(f"decay slope q={q:g}: {probe.slope:.3f} (>= {threshold}: {passed})")
 
-        writer.flush()
-        return EXIT_OK if ok else EXIT_TOLERANCE
+        return writer.flush()
 
 
 def cmd_cgo(cfg: dict, out_dir: Path, seed: int) -> int:
@@ -446,7 +466,6 @@ def cmd_cgo(cfg: dict, out_dir: Path, seed: int) -> int:
     )
 
     with RunWriter(out_dir, cfg) as writer:
-        ok = True
         amplitude = AmplitudeSpec.monomial(grid, amplitude_degree)
         op_div, op_std = to_divergence_form(op), to_standard_form(op)
         for z0 in z0_list:
@@ -465,7 +484,6 @@ def cmd_cgo(cfg: dict, out_dir: Path, seed: int) -> int:
             hs, r_hm, g_l2, estimates, sweeps = zip(*rows)
             if op.is_unperturbed():
                 exact = all(v == 0.0 for v in r_hm)
-                ok &= exact
                 writer.add_slope(f"remainder_zero[{tag}]", 0.0, "exact", exact)
                 writer.log(f"{tag}: unperturbed remainder identically zero: {exact}")
                 continue
@@ -473,7 +491,6 @@ def cmd_cgo(cfg: dict, out_dir: Path, seed: int) -> int:
             g_slope = fit_loglog_slope(hs, g_l2)
             norm_slope = fit_loglog_slope(hs, estimates) if all(e > 0 for e in estimates) else nan
             passed = r_slope >= min_r_slope
-            ok &= passed
             writer.add_slope(f"remainder_hm[{tag}]", r_slope, min_r_slope, passed)
             writer.add_slope(f"density_l2[{tag}]", g_slope, None, True)
             writer.log(f"{tag}: remainder slope {r_slope:.3f}, density slope {g_slope:.3f}")
@@ -483,14 +500,12 @@ def cmd_cgo(cfg: dict, out_dir: Path, seed: int) -> int:
                 writer.log(f"{tag}: transport norm h={h:g} estimate {est:.6g} after {k} sweeps")
             contraction = all(est < 1.0 for est in estimates)
             passed = norm_slope >= min_norm_slope and contraction
-            ok &= passed
             writer.add_slope(f"transport_norm[{tag}]", norm_slope, min_norm_slope, passed)
             writer.log(
                 f"{tag}: transport norm slope {norm_slope:.3f}, contraction: {contraction}"
             )
 
-        writer.flush()
-        return EXIT_OK if ok else EXIT_TOLERANCE
+        return writer.flush()
 
 
 def cmd_recover(cfg: dict, out_dir: Path) -> int:
@@ -529,21 +544,23 @@ def cmd_recover(cfg: dict, out_dir: Path) -> int:
                 abs_err=r.abs_err, rel_err=r.rel_err,
             )
         worst = report.worst_rel_err_at_smallest_h()
-        ok = worst <= max_rel_err
+        passed = worst <= max_rel_err
         for (j, k), slope in sorted(report.slopes.items()):
             writer.add_slope(f"recovery_err[{j},{k}]", slope, None, True)
-        writer.add_slope("worst_rel_err_smallest_h", worst, max_rel_err, ok)
-        writer.log(f"worst relative error at smallest h: {worst:.3e} (<= {max_rel_err:g}: {ok})")
+        writer.add_slope("worst_rel_err_smallest_h", worst, max_rel_err, passed)
+        writer.log(
+            f"worst relative error at smallest h: {worst:.3e} (<= {max_rel_err:g}: {passed})"
+        )
         for z0, reason in report.degenerate:
             writer.log(f"degenerate probe {z0}: {reason}")
-        writer.flush()
+        code = writer.flush()
         report.write_manifest(writer.out_dir / "manifest.json", writer.hash)
         if report.degenerate:
             print(
                 f"degenerate probes: {[z for z, _ in report.degenerate]}", file=sys.stderr
             )
             return EXIT_NUMERICAL
-        return EXIT_OK if ok else EXIT_TOLERANCE
+        return code
 
 
 # ------------------------------------------------------------------ main ----
@@ -564,9 +581,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cpus = os.cpu_count() or 1
-        if not 1 <= args.threads <= cpus:
-            raise ConfigError(f"--threads {args.threads} is outside 1..{cpus}, the CPU count")
+        try:
+            cauchy.set_fft_workers(args.threads)
+        except ValueError as exc:
+            raise ConfigError(f"--threads: {exc}") from exc
         if args.seed < 0:
             raise ConfigError(f"--seed {args.seed} is negative; the probe's seed is 0 or more")
         cfg = load_config(args.config)
@@ -574,18 +592,15 @@ def main(argv=None) -> int:
         directory = _take(out_section, "output", "directory", str, default=f"runs/{args.command}")
         _take(out_section, "output", "format", str, check=(lambda f: f == "csv", "csv"))
         out_dir = Path(args.out or directory)
-        cauchy.set_fft_workers(args.threads)
         if args.command == "cauchy-test":
             return cmd_cauchy_test(cfg, out_dir)
         if args.command == "cgo":
             return cmd_cgo(cfg, out_dir, seed=args.seed)
         return cmd_recover(cfg, out_dir)
-    except (ConfigError, CouplingError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NUMERICAL_FAILURES as exc:
-        print(_failure_line(exc), file=sys.stderr)
-        return EXIT_NUMERICAL
+    except CONFIG_FAILURES + NUMERICAL_FAILURES as exc:
+        code, line = _failure(exc)
+        print(line, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -309,7 +309,8 @@ class RecoveryProblem:
     @np.errstate(over="ignore", invalid="ignore")  # identity_lhs checks the pairing's value
     def _moments(self, z0: complex, h: float, remainders: dict, amplitude: dict) -> dict:
         """The step's moment table around its amplitude moments; each remainder
-        array G is formed once and dropped after its pass.
+        array G is formed once and dropped after its pass, and X and Y only
+        when a remainder is nonzero.
 
         G @ Y runs first: BLAS streams the n-by-n array far faster against a
         few columns than against a few rows.
@@ -324,8 +325,10 @@ class RecoveryProblem:
                     d = _dbar(d, grid.spacing) if k else d
                     derivatives.append(np.conj(d) if sign < 0 else d)
                 (rs if sign > 0 else ss)[degree] = derivatives
-        left, right = self._factors(z0, h)
         moments = {jk: {(None, None): a} for jk, a in amplitude.items()}
+        if not (rs or ss):
+            return moments
+        left, right = self._factors(z0, h)
         for (j, k), table in moments.items():
             b = self.differences[(j, k)].values
             for js, s in ss.items():

@@ -35,6 +35,7 @@ from polycgo import (
     transport_norm_probe,
 )
 from polycgo import cgo
+from polycgo.cauchy import cauchy_chain
 from polycgo.cgo import PROBE_RTOL
 
 PHASE = PhaseSpec(0.1 + 0.1j, 0.3)
@@ -280,19 +281,20 @@ class TestArrayPath:
             assert out.dtype == dtype or not np.any(out)
         assert (not np.any(out)) == (constant_source == 0)
 
-        # build_cgo: the source and each Neumann apply; the remainder finishes the
-        # a-posteriori check's chain, so a nonzero one takes lowest_col more
+        # build_cgo: the source and each Neumann apply; a nonzero density adds
+        # the a-posteriori check's pass of the map, outside apply, and the
+        # remainder finishes that pass's chain with lowest_col more transforms
         apply = OscillatoryTransport.apply
 
-        def counted_apply(transport, *args):
+        def counted_apply(transport, v):
             counts["applies"] += 1
-            return apply(transport, *args)
+            return apply(transport, v)
 
         monkeypatch.setattr(OscillatoryTransport, "apply", counted_apply)
         counts.clear()
         sol = build_cgo(T, AmplitudeSpec.monomial(grid64, 0))
-        remainder = 0 if sol.g.is_zero() else lowest_col
-        expect = per_apply * counts["applies"] + constant_source + remainder
+        check = 0 if sol.g.is_zero() else per_apply + lowest_col
+        expect = per_apply * counts["applies"] + constant_source + check
         assert counts["transforms"] == expect
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
@@ -345,14 +347,14 @@ class TestSolveDensity:
     def test_zero_coefficients_trivial(self, grid128):
         op = to_divergence_form(PerturbedOperator(grid128, 2))
         T = OscillatoryTransport(op, PHASE)
-        g, terms = solve_density(T, AmplitudeSpec.monomial(grid128, 0))
-        assert g.is_zero() and terms == 1
+        g, terms, r = solve_density(T, AmplitudeSpec.monomial(grid128, 0))
+        assert g.is_zero() and terms == 1 and r.is_zero()
 
     def test_residual_contract(self, testbed128_div, grid128):
         tol = 1e-10
         a = AmplitudeSpec.monomial(grid128, 0)
         T = OscillatoryTransport(testbed128_div, PHASE)
-        g, terms = solve_density(T, a, tol=tol)
+        g, terms, _ = solve_density(T, a, tol=tol)
         w = ScalarField(grid128, T.source(a))
         resid = norm_lp(g - ScalarField(grid128, T.apply(g.values)) - w, 2)
         assert resid <= 2.0 * tol * norm_lp(w, 2)
@@ -434,7 +436,7 @@ class TestSolveDensity:
             return transform(kernel, values)
 
         monkeypatch.setattr(CauchyKernel, "apply", counted)
-        g, terms = solve_density(T, a, tol=tol)
+        g, terms, _ = solve_density(T, a, tol=tol)
         assert terms == expect_terms
         assert counts[np.dtype(np.complex64)] > 0 and counts[np.dtype(np.complex128)] > 0
         assert set(counts) == {np.dtype(np.complex64), np.dtype(np.complex128)}
@@ -485,7 +487,7 @@ class TestSolveDensity:
             return transform(kernel, values)
 
         monkeypatch.setattr(CauchyKernel, "apply", double_only)
-        g, terms = solve_density(T, a)
+        g, terms, _ = solve_density(T, a)
         assert terms == expect_terms and np.array_equal(g.values, expect)
 
 
@@ -502,7 +504,65 @@ def double_neumann(T, w, tol):
             return g, terms
 
 
+# an m = 2 table whose lowest column is 1: the remainder takes one transform
+# past the a-posteriori check's chain
+LOWEST_COLUMN_1 = ((0, 1), (1, 1))
+
+
 class TestBuildCGO:
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("table", [None, LOWEST_COLUMN_1], ids=["lowest0", "lowest1"])
+    def test_remainder_is_formed_by_the_solve(self, grid64, monkeypatch, table, sign):
+        # r is the m-fold chain of E- * g bit for bit, and build_cgo runs no
+        # transform outside solve_density
+        T = OscillatoryTransport(coeff_table(grid64, 2, table), PHASE, sign)
+        assert T.cols[0] == (0 if table is None else 1)
+        counts = Counter()
+        transform, solve = CauchyKernel.apply, cgo.solve_density
+
+        def counted(kernel, values):
+            counts["transforms"] += 1
+            return transform(kernel, values)
+
+        def counted_solve(*args):
+            before = counts["transforms"]
+            out = solve(*args)
+            counts["in_solve"] += counts["transforms"] - before
+            return out
+
+        monkeypatch.setattr(CauchyKernel, "apply", counted)
+        monkeypatch.setattr(cgo, "solve_density", counted_solve)
+        sol = build_cgo(T, AmplitudeSpec.monomial(grid64, 1))
+        assert counts["transforms"] == counts["in_solve"] > 0
+        assert not sol.g.is_zero()
+        expect = cauchy_chain(grid64, cgo._oscillate(T.e_minus, sol.g.values), 2)
+        assert np.array_equal(sol.r.values, expect)
+
+    @pytest.mark.parametrize("table, sign, degree, fields", [
+        (None, -1, 0, 14.04),  # the four bumps' adjoint transport
+        (LOWEST_COLUMN_1, +1, 1, 13.04),
+    ], ids=["adjoint", "lowest1"])
+    def test_peak_memory(self, grid256, table, sign, degree, fields):
+        # the peaks measured before the solve formed the remainder itself,
+        # 14.034 and 13.034 n x n complex arrays, and the same since
+        op = bump_testbed(grid256, "divergence")
+        if table is not None:
+            op = PerturbedOperator(grid256, 2, {jk: op.coeff(*jk) for jk in table},
+                                   form="divergence")
+        phase = PhaseSpec(0.08 + 0.08j, 0.1)
+        T = OscillatoryTransport(adjoint(op) if sign < 0 else op, phase, sign)
+        a = AmplitudeSpec.monomial(grid256, degree)
+        build_cgo(T, a)  # the kernel and its complex64 copy, built outside the trace
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sol = build_cgo(T, a)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert sol.neumann_terms == 7 and not sol.r.is_zero()
+        assert peak <= fields * grid256.n**2 * np.dtype(complex).itemsize
+
     def test_unperturbed_exactness(self, grid128):
         op = PerturbedOperator(grid128, 2)
         sol = build_cgo(transport(op, PHASE), AmplitudeSpec.monomial(grid128, 1))
@@ -742,7 +802,7 @@ class TestNormProbe:
         assert all(est < 1.0 for est in ests)
         assert fit_loglog_slope(hs, ests) >= 0.4
         # consistency: the Neumann solver converges where the probe says < 1
-        _, terms = solve_density(transports[0], AmplitudeSpec.monomial(g, 0))
+        _, terms, _ = solve_density(transports[0], AmplitudeSpec.monomial(g, 0))
         assert terms >= 2
 
     def test_seed_reproducibility(self, testbed128_div):

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -182,6 +183,22 @@ class TestCauchyCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["cauchy-test", "--config", cfg]) == 2
         assert "grid.half_width" in capsys.readouterr().err
+
+    def test_late_config_error_ends_the_log(self, tmp_path, capsys):
+        # the transforms' norms underflow only once the run computes, after its
+        # directory exists: log.txt ends with the line stderr shows, as a
+        # numerical failure's does (the directory was once left empty)
+        out = tmp_path / "r"
+        doc = base_cauchy_config(out)
+        doc["grid"].update(n=16, half_width=1e-60)
+        doc["phase"] = {"z0": ["0"], "h": [1.6e-59]}
+        doc["cauchy"]["omega"] = "z"
+        assert main(["cauchy-test", "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error: field grid.half_width=1e-60: ")
+        lines = (out / "log.txt").read_text().splitlines()
+        assert lines[0].startswith("failed_at=") and lines[-1] == err
+        assert sorted(p.name for p in out.iterdir()) == ["log.txt"]
 
     def test_vanishing_omega_config_error(self, tmp_path, capsys):
         # on a square this wide no node lies inside the default bump's support
@@ -559,16 +576,17 @@ class TestDeterminismAndProvenance:
 
     @pytest.mark.parametrize("threads", ["0", "-1", "3"])
     def test_threads_outside_cpu_count_config_error(self, tmp_path, capsys, monkeypatch, threads):
-        # set_fft_workers once clamped 0 and below to 1 and passed any count to scipy.fft
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the FFT workers were set before --threads was checked")
-
+        # set_fft_workers once clamped 0 and below to 1 and passed any count to
+        # scipy.fft; its refusal is the --threads config error, and the worker
+        # count it leaves is the one it found, not any count it might clamp to
+        unset = object()
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(cli.cauchy, "set_fft_workers", forbidden)
+        monkeypatch.setattr(cli.cauchy, "_FFT_WORKERS", unset)
         cfg = write_config(tmp_path, base_cauchy_config(tmp_path / "r"))
         assert main(["cauchy-test", "--config", cfg, "--threads", threads]) == 2
         assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+        assert cli.cauchy._FFT_WORKERS is unset
 
     def test_negative_seed_config_error(self, tmp_path, capsys):
         # the probe's default_rng refused it only after the first h was solved
@@ -757,6 +775,93 @@ def test_uncreatable_run_directory_is_a_config_error(tmp_path, capsys, monkeypat
     argv = [command, "--config", write_config(tmp_path, doc)]
     assert main(argv + ["--out", str(taken)] if via_flag else argv) == 2
     assert "--out/output.directory" in capsys.readouterr().err
+
+
+def passed_cells(out: Path) -> list:
+    """The passed column of a run's slopes.csv, below its hash line and header."""
+    rows = list(csv.reader((out / "slopes.csv").read_text().splitlines()[1:]))
+    assert rows[0][-1] == "passed"
+    return [row[-1] for row in rows[1:]]
+
+
+# a gate each command's base config passes and this value fails
+FAILING_GATES = {
+    "cauchy-test": ("cauchy", "min_slopes", {"2": 5.0}),
+    "cgo": ("cgo", "min_r_slope", 10.0),
+    "recover": ("recovery", "max_rel_err", 0.0),
+}
+
+
+@pytest.mark.parametrize("failing", [False, True], ids=["passing", "failing"])
+@pytest.mark.parametrize("command", sorted(FAILING_GATES))
+def test_exit_status_follows_the_passed_cells(tmp_path, command, failing):
+    # 0 exactly when every gate row of slopes.csv passed, 1 otherwise
+    out = tmp_path / "r"
+    doc = BASE_CONFIGS[command](out)
+    if failing:
+        section, key, value = FAILING_GATES[command]
+        doc[section][key] = value
+    code = main([command, "--config", write_config(tmp_path, doc)])
+    cells = passed_cells(out)
+    assert cells and set(cells) <= {"True", "False"}
+    assert ("False" in cells) == failing
+    assert code == (1 if "False" in cells else 0)
+
+
+class TestRerunIntoOneDirectory:
+    """A run opens its directory clear of an earlier run's result tables."""
+
+    def test_failed_rerun_leaves_no_result_table(self, tmp_path, capsys):
+        # the failed run's log.txt once sat beside the first run's tables;
+        # config.json stays, since a run may be repeated from its echo
+        out = tmp_path / "r"
+        doc = base_cgo_config(out)
+        assert main(["cgo", "--config", write_config(tmp_path, doc)]) == 0
+        doc["solver"]["max_terms"] = 1
+        assert main(["cgo", "--config", write_config(tmp_path, doc)]) == 3
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("numerical failure: ")
+        assert sorted(p.name for p in out.iterdir()) == ["config.json", "log.txt"]
+        assert (out / "log.txt").read_text().splitlines()[-1] == err
+
+    def test_cgo_rerun_leaves_no_manifest(self, tmp_path):
+        out = tmp_path / "r"
+        assert main(["recover", "--config", write_config(tmp_path, base_recover_config(out))]) == 0
+        assert (out / "manifest.json").exists()
+        assert main(["cgo", "--config", write_config(tmp_path, base_cgo_config(out))]) == 0
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["config.json", "log.txt", "results.csv", "slopes.csv"]
+        echo = json.loads((out / "config.json").read_text())
+        assert "cgo" in echo and "recovery" not in echo
+
+    def test_unremovable_table_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # a directory named like a table cannot be unlinked: refused when the
+        # writer opens, before the pipeline runs, naming the path
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the pipeline ran before the run directory was cleared")
+
+        monkeypatch.setattr(cli, "dbar_inv", forbidden)
+        out = tmp_path / "r"
+        (out / "slopes.csv").mkdir(parents=True)
+        cfg = write_config(tmp_path, base_cauchy_config(out))
+        assert main(["cauchy-test", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out/output.directory ")
+        assert repr(str(out / "slopes.csv")) in err
+
+
+@pytest.mark.parametrize("command, path", [
+    ("cauchy-test", "configs/cauchy.json"), ("recover", "configs/recover.json"),
+])
+def test_readme_sample_runs_pass(tmp_path, command, path):
+    """The README's sample runs end to end: exit 0, every gate row passing.
+
+    configs/cgo.json is left out: at n = 512 its run takes about 23 s.
+    """
+    out = tmp_path / "r"
+    assert main([command, "--config", str(ROOT / path), "--out", str(out)]) == 0
+    cells = passed_cells(out)
+    assert cells and set(cells) == {"True"}
 
 
 SHIPPED_CONFIGS = sorted(

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every private
-helper it defines is read somewhere in the package.
+"""Every module of the package uses each name it imports, every private
+helper it defines is read somewhere in the package, and no function takes a
+private parameter.
 
 Read with the standard library's ast, so the checks need no linter.  The
 package's __init__ imports names only to re-export them and is not checked
@@ -88,6 +89,43 @@ def test_finds_unread_private_helpers():
 def test_no_unread_private_helper():
     sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
     assert unread_private_helpers(sources) == []
+
+
+def private_parameters(source: str) -> list:
+    """(function, parameter) for each parameter named _x of any function or method in source.
+
+    A private parameter is a second channel through a public signature: a
+    result belongs in what the function returns.
+    """
+    return sorted(
+        (getattr(node, "name", "<lambda>"), arg.arg)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs,
+                    node.args.vararg, node.args.kwarg)
+        if arg is not None and arg.arg.startswith("_")
+    )
+
+
+def test_finds_private_parameters():
+    source = (
+        "def f(a, _tail=None): pass\n"
+        "def g(_a, /, b, *_rest, _c, **_kw): pass\n"
+        "class C:\n"
+        "    def m(self, x, _out=None):\n"
+        "        def inner(_y): pass\n"
+        "    def __init__(self, public): pass\n"
+        "key = lambda _v, w: w\n"
+    )
+    assert private_parameters(source) == [
+        ("<lambda>", "_v"), ("f", "_tail"), ("g", "_a"), ("g", "_c"), ("g", "_kw"),
+        ("g", "_rest"), ("inner", "_y"), ("m", "_out"),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_parameter(path):
+    assert private_parameters(path.read_text()) == []
 
 
 def test_package_import_leaves_the_driver_out():

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from math import factorial
 
 import numpy as np
@@ -717,6 +718,24 @@ class TestMomentBatch:
         assert rep.degenerate == list(prob.plan.degenerate)
         assert [z for z, _ in rep.degenerate] == [0.98 + 0j]
         assert list(prob._batch) == []  # every planned step took its entry
+
+    @pytest.mark.parametrize("mode", [AMPLITUDE_ONLY, FULL_CGO])
+    def test_factors_once_per_planned_step(self, monkeypatch, mode):
+        # the batch forms each step's X and Y; a step forms them again only to
+        # pair a nonzero remainder, which here is the adjoint family's alone
+        calls = Counter()
+
+        def counted(self, z0, h, _fn=RecoveryProblem._factors):
+            calls[(z0, h)] += 1
+            return _fn(self, z0, h)
+
+        monkeypatch.setattr(RecoveryProblem, "_factors", counted)
+        prob = single_bump_problem(n=128, h_list=(0.3, 0.2), probes=(0.2 + 0.1j, -0.1 + 0.2j),
+                                   mode=mode)
+        recover_all(prob)
+        steps = [(z0, h) for z0 in prob.plan.usable for h in prob.h_list]
+        assert len(steps) == 4
+        assert calls == {step: 1 if mode == AMPLITUDE_ONLY else 2 for step in steps}
 
 
 class TestMonomialTable:
