@@ -6,8 +6,12 @@ dbar_inv is convolution with 1/(pi*z); d_inv is its conjugate twin with kernel
 quadrature through its exact integral over each grid cell, computed from the
 corner antiderivative of 1/z.  The antiderivative is evaluated once per corner
 of the cell lattice, each interior corner being shared by four cells.  That
-makes the scheme second-order accurate for smooth data and gives the singular
-cell its exact (zero, by odd symmetry) weight.  Application is fast
+gives the singular cell its exact (zero, by odd symmetry) weight, and makes
+the scheme second-order accurate for smooth data that vanish near the
+boundary.  Data that reach the boundary get first order, since each boundary
+node's cell overhangs the square by half a spacing: for f = 1 the max error
+is 3.1e-2, 1.0e-2, 3.1e-3 and 1.7e-3 at n = 64, 256, 1024 and 2048.
+Application is fast
 convolution on the zero-padded doubled grid in pruned 1-D passes that
 transform no all-zero column and compute no cropped row; axis 0 goes first
 both ways, fft2's order, so the bits are those of the full padded fft2/ifft2.

@@ -34,7 +34,7 @@ from math import isfinite
 
 import numpy as np
 
-from .grid import ComplexGrid, ScalarField
+from .grid import ComplexGrid, ScalarField, _span
 
 
 class ExpressionError(ValueError):
@@ -140,11 +140,15 @@ def _step(node, constant: bool):
     return None
 
 
-def bump_profile(z: np.ndarray, cx: complex, cy: complex, radius: complex, amp: complex):
-    """amp * exp(1 - 1/(1 - r^2/radius^2)) inside |z - c| < radius, else 0.
+def bump_profile(grid: ComplexGrid, cx: complex, cy: complex, radius: complex, amp: complex):
+    """amp * exp(1 - 1/(1 - r^2/radius^2)) at the grid's nodes inside |z - c| < radius, else 0.
 
-    cx, cy and radius must be finite and real; exp is evaluated on the nodes
-    inside only, and the rest stay +0.0.
+    cx, cy and radius must be finite and real.  r^2/radius^2 is the sum of the
+    1-D factors ((x - cx)/radius)^2 and ((y - cy)/radius)^2, each formed along
+    one axis from the nodes' own real and imaginary parts.  Each factor is
+    below 1 on one contiguous run of its axis, so the nodes inside lie in one
+    box: the profile is formed in place on that box alone, exp only where
+    inside, and every other node stays +0.0.
     """
     for name, arg in (("cx", cx), ("cy", cy), ("radius", radius)):
         if arg.imag or not cmath.isfinite(arg):
@@ -154,10 +158,19 @@ def bump_profile(z: np.ndarray, cx: complex, cy: complex, radius: complex, amp: 
         raise ExpressionError(f"bump radius must be positive, got {radius}")
     if not cmath.isfinite(amp):
         raise ExpressionError(f"bump amplitude must be finite, got {amp}")
-    t = np.abs(z - (cx + 1j * cy)) ** 2 / radius**2
-    inside = t < 1.0
-    out = np.zeros(t.shape, dtype=np.complex128)
-    out[inside] = amp * np.exp(1.0 - 1.0 / (1.0 - t[inside]))
+    amp = complex(amp)  # a complex product, so the masked write casts nothing
+    t = grid.axis_offsets
+    tx = ((grid.center.real + t - cx) / radius) ** 2
+    ty = ((grid.center.imag + t - cy) / radius) ** 2
+    rows, cols = _span(tx < 1.0), _span(ty < 1.0)
+    s = tx[rows, None] + ty[None, cols]
+    inside = s < 1.0
+    np.subtract(1.0, s, out=s)
+    np.divide(1.0, s, out=s, where=inside)
+    np.subtract(1.0, s, out=s)
+    np.exp(s, out=s, where=inside)
+    out = np.zeros((grid.n, grid.n), dtype=np.complex128)
+    np.multiply(s, amp, out=out[rows, cols], where=inside)
     return out
 
 
@@ -198,17 +211,19 @@ class Expression:
             constant = constant or step[0] == "bump"
             todo.extend((child, depth + 1, constant) for child in reversed(operands))
 
-    def _eval(self, z):
-        """The program's value at z (None for a constant): each step takes its
-        operands from the top of the value stack and leaves its value there."""
+    def _eval(self, grid):
+        """The program's value on grid (None for a constant): each step takes its
+        operands from the top of the value stack and leaves its value there.
+        A z or zbar step reads grid.nodes and a bump its axes, so an expression
+        of bumps alone never builds the node array."""
         values = []
         for kind, arg in self._program:
             if kind == "const":
                 values.append(arg)
             elif kind in _VARIABLES:
-                if arg or z is None:
+                if arg or grid is None:
                     raise ExpressionError(f"{kind!r} is not allowed in a constant expression")
-                values.append(z if kind == "z" else np.conj(z))
+                values.append(grid.nodes if kind == "z" else np.conj(grid.nodes))
             elif kind == "neg":
                 values.append(-values.pop())
             elif kind == "pow":
@@ -221,23 +236,23 @@ class Expression:
             else:
                 cx, cy, radius, amp = (complex(a) for a in values[-4:])
                 del values[-4:]
-                if arg or z is None:
+                if arg or grid is None:
                     raise ExpressionError("bump is not allowed in a constant expression")
-                values.append(bump_profile(z, cx, cy, radius, amp))
+                values.append(bump_profile(grid, cx, cy, radius, amp))
         return values.pop()
 
-    def _value(self, z):
-        """The expression's value at z (None for a constant), not yet checked finite."""
+    def _value(self, grid):
+        """The expression's value on grid (None for a constant), not yet checked finite."""
         with np.errstate(all="ignore"):
             try:
-                return self._eval(z)
+                return self._eval(grid)
             except ZeroDivisionError:
                 raise ExpressionError(f"division by zero in {self.text!r}") from None
             except OverflowError as exc:
                 raise ExpressionError(f"cannot evaluate {self.text!r}: {exc}") from None
 
     def evaluate(self, grid: ComplexGrid) -> ScalarField:
-        vals = self._value(grid.nodes)
+        vals = self._value(grid)
         try:  # the field's one finiteness scan; a field keeps the evaluation's own array
             return grid.constant(complex(vals)) if np.ndim(vals) == 0 else ScalarField(grid, vals)
         except ValueError:

@@ -111,6 +111,12 @@ class ComplexGrid:
         return abs(d.real) <= w and abs(d.imag) <= w
 
 
+def _span(mask: np.ndarray) -> slice:
+    """The slice from the first to the last True of a 1-D mask; empty when no entry is True."""
+    hits = np.flatnonzero(mask)
+    return slice(hits[0], hits[-1] + 1) if hits.size else slice(0, 0)
+
+
 class ScalarField:
     """Complex samples of a function on a ComplexGrid; immutable after construction.
 

@@ -21,9 +21,13 @@ each G's moments once per (z0, h) step, and its levels pair from them.  The
 amplitude moments X_s^T B Y_s of every planned step come from one batch: the
 first step stacks R = [Y_s for every step] and takes B @ R once per nonzero
 difference and group of up to n / (8(2m - 1)) steps, so each n-by-n
-difference is read once per group, not once per step.  The point weights and
-the noise floor are cgo._monomial_part, the rule AmplitudeSpec.monomial builds
-on.
+difference is read once per group, not once per step.  Every moment is taken
+over its difference's support box, the rows and columns where B is nonzero.
+Where G vanishes off the box, X^T G Y is X[rows]^T G[box] Y[cols], up to the
+order BLAS sums in, so each product and each G of full_cgo is formed on the
+box alone.  The remainder derivatives stay full-grid, since their stencils
+read neighbouring nodes.  The point weights and the noise floor are
+cgo._monomial_part, the rule AmplitudeSpec.monomial builds on.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from .cgo import (
     build_cgo,
 )
 from .errors import DegenerateProbeError, PairingOverflowError
-from .grid import ComplexGrid, ScalarField, _dbar
+from .grid import ComplexGrid, ScalarField, _dbar, _span
 from .operators import PerturbedOperator, adjoint, to_divergence_form
 from .phase import PhaseSpec
 
@@ -133,6 +137,12 @@ def _monomial_table(a: int, b: int) -> np.ndarray:
     c /= factorial(a) * factorial(b)
     c.setflags(write=False)
     return c
+
+
+def _support_box(values: np.ndarray) -> tuple:
+    """(rows, cols): the slices of the smallest box holding every nonzero entry of values."""
+    rows = _span(np.any(values, axis=1))
+    return rows, _span(np.any(values[rows], axis=0))
 
 
 class ProbePlan(NamedTuple):
@@ -282,10 +292,11 @@ class RecoveryProblem:
         """{step: {(j, k): X^T B Y}} over the nonzero B[j,k], for every (z0, h) step given.
 
         R = [Y_s for each step s] is stacked, B @ R is taken once per
-        difference, and each step's block of it meets that step's X^T.  Steps
-        go in groups of at most n / (8(2m - 1)), so R, B @ R and the stacked
-        X^T each hold at most an eighth of an n-by-n array; a plan that fits
-        one group reads each difference once.
+        difference over B's support box, and each step's block of it meets
+        the box rows of that step's X^T.  Steps go in groups of at most
+        n / (8(2m - 1)), so R, B @ R and the stacked X^T each hold at most an
+        eighth of an n-by-n array; a plan that fits one group reads each
+        difference once.
         """
         n, width = self.grid.n, 2 * self.m - 1
         size = max(1, n // (8 * width))
@@ -300,9 +311,10 @@ class RecoveryProblem:
                 lefts.append(left)
             tables = [moments.setdefault(step, {}) for step in group]
             for jk, b in nonzero:
-                by = b @ right
+                rows, cols = _support_box(b)
+                by = b[rows, cols] @ right[cols]
                 for left, block, table in zip(lefts, blocks, tables):
-                    table[jk] = left @ by[:, block]
+                    table[jk] = left[:, rows] @ by[:, block]
                 del by  # freed before the next difference's product is allocated
         return moments
 
@@ -331,13 +343,15 @@ class RecoveryProblem:
         left, right = self._factors(z0, h)
         for (j, k), table in moments.items():
             b = self.differences[(j, k)].values
+            rows, cols = _support_box(b)
+            b, x, y = b[rows, cols], left[:, rows], right[cols]
             for js, s in ss.items():
-                table[(None, js)] = left @ ((b * s[j]) @ right)
+                table[(None, js)] = x @ ((b * s[j][rows, cols]) @ y)
             for kr, r in rs.items():
-                g = b * r[k]
-                table[(kr, None)] = left @ (g @ right)
+                g = b * r[k][rows, cols]
+                table[(kr, None)] = x @ (g @ y)
                 for js, s in ss.items():
-                    table[(kr, js)] = left @ ((g * s[j]) @ right)
+                    table[(kr, js)] = x @ ((g * s[j][rows, cols]) @ y)
         return moments
 
     @cached_property

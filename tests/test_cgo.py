@@ -563,6 +563,37 @@ class TestBuildCGO:
         assert sol.neumann_terms == 7 and not sol.r.is_zero()
         assert peak <= fields * grid256.n**2 * np.dtype(complex).itemsize
 
+    def test_peak_memory_after_the_check(self, grid256, monkeypatch):
+        # once the a-posteriori check has passed, the solve holds g and the
+        # check's chain tail alone: 2.004 n x n complex arrays at the
+        # remainder's one transform and a 7.036 peak through it.  With tg, the
+        # last term (complex64) and w kept alive past the check, that peak read
+        # 9.536, the same build's whole peak staying at 13.034
+        op = bump_testbed(grid256, "divergence")
+        op = PerturbedOperator(grid256, 2, {jk: op.coeff(*jk) for jk in LOWEST_COLUMN_1},
+                               form="divergence")
+        T = OscillatoryTransport(op, PhaseSpec(0.08 + 0.08j, 0.1))
+        a = AmplitudeSpec.monomial(grid256, 1)
+        build_cgo(T, a)  # the kernel and its complex64 copy, built outside the trace
+        chain, calls = cgo.cauchy_chain, []
+
+        def traced(*args, **kwargs):
+            tracemalloc.reset_peak()
+            out = chain(*args, **kwargs)
+            calls.append((args[2:], kwargs, tracemalloc.get_traced_memory()[1]))
+            return out
+
+        monkeypatch.setattr(cgo, "cauchy_chain", traced)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            build_cgo(T, a)
+        finally:
+            tracemalloc.stop()
+        power, kwargs, peak = calls[-1]  # the remainder's: dbar_inv^1 of the tail
+        assert power == (1,) and kwargs == {}
+        assert peak - before <= 7.05 * grid256.n**2 * np.dtype(complex).itemsize
+
     def test_unperturbed_exactness(self, grid128):
         op = PerturbedOperator(grid128, 2)
         sol = build_cgo(transport(op, PHASE), AmplitudeSpec.monomial(grid128, 1))

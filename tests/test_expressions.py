@@ -171,6 +171,64 @@ class TestFieldEvaluation:
         parts = np.stack((f.values.real, f.values.imag))[:, outside]
         assert np.all(parts == 0) and not np.any(np.signbit(parts))
 
+    @pytest.mark.parametrize("amp", ["-1 - 3i", "0.5i", "-4"])
+    def test_bump_box_corners_are_positive_zero(self, grid64, amp):
+        # the profile is formed on the whole box of the disc and only the write
+        # is masked: the box's corners, outside the disc, stay +0.0 as well
+        f = bump_profile(grid64, 0.1, -0.2, 0.45, complex(constant_from_expression(amp)))
+        rows, cols = np.flatnonzero(np.any(f, axis=1)), np.flatnonzero(np.any(f, axis=0))
+        box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+        corners = (np.abs(grid64.nodes - (0.1 - 0.2j)) >= 0.45)[box]
+        assert corners[0, 0] and corners[-1, -1]
+        parts = np.stack((f[box].real, f[box].imag))[:, corners]
+        assert np.all(parts == 0) and not np.any(np.signbit(parts))
+
+    def test_bump_clipped_by_the_grid_edge(self, grid64):
+        # the disc's box reaches the last row and the first column
+        got = bump_profile(grid64, 0.9, -0.95, 0.5, 2.0)
+        expect = smooth_bump_profile(grid64.nodes, 0.9, -0.95, 0.5, 2.0)
+        assert np.all(np.abs(got - expect) <= BUMP_ROUNDOFF * 2.0)
+        assert np.any(got[-1]) and np.any(got[:, 0])
+        assert np.array_equal(got == 0, expect == 0)
+
+    @pytest.mark.parametrize("cx,cy", [(3.0, 0.0), (0.0, -1.6), (2.0, 2.0)])
+    def test_bump_wholly_outside_the_grid(self, grid64, cx, cy):
+        # the disc misses the rows, the columns, or both: the zero field
+        got = bump_profile(grid64, cx, cy, 0.5, -1 - 1j)
+        assert got.shape == (64, 64) and not np.any(got)
+        assert not np.any(np.signbit(got.view(float)))
+
+    def test_bump_radius_below_the_spacing(self, grid64):
+        # centred on a node, the disc holds that node alone, at the full amplitude;
+        # centred between nodes, it holds none
+        s, node = grid64.spacing, complex(grid64.nodes[20, 41])
+        got = bump_profile(grid64, node.real, node.imag, 0.4 * s, 3 - 1j)
+        assert np.flatnonzero(got).tolist() == [20 * 64 + 41] and got[20, 41] == 3 - 1j
+        assert not np.any(bump_profile(grid64, node.real + s / 2, node.imag, 0.4 * s, 1))
+
+    def test_bump_builds_no_node_array(self):
+        # bumps read the grid's axes; only a z or zbar step builds the nodes
+        grid = ComplexGrid(0.1 - 0.05j, 1.0, 64)
+        field_from_expression(grid, "2 * bump(0.1, 0, 0.5, 1) - bump(-0.2, 0.3, 0.4, 1i) + 1")
+        assert "nodes" not in grid.__dict__
+        field_from_expression(grid, "bump(0.1, 0, 0.5, 1) * zbar")
+        assert "nodes" in grid.__dict__
+
+    def test_bump_peak_memory(self):
+        # one n = 512 bump field holds the field, the box's real profile and its
+        # mask, and the field's finiteness scan: 1.207 n x n complex arrays
+        # measured for a radius-0.5 disc, where the complex hypot over every
+        # node took 2.889 with the node array
+        grid = ComplexGrid(0j, 1.0, 512)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            field_from_expression(grid, "bump(0, 0, 0.5, 3)")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * grid.n**2 * np.dtype(complex).itemsize
+
     @pytest.mark.parametrize("args,name", [
         ("0.5i, 0, 0.3, 1", "cx"), ("0, 0.1 - 2i, 0.3, 1", "cy"), ("0, 0, 0.3+5i, 1", "radius"),
         ("1e308*10, 0, 0.3, 1", "cx"), ("0, 1e308*10 - 1e308*10, 0.3, 1", "cy"),
@@ -204,6 +262,31 @@ class TestFieldEvaluation:
             field_from_expression(grid64, "bump(0, 0, -1, 1)")
         with pytest.raises(ExpressionError):
             field_from_expression(grid64, "bump(z, 0, 1, 1)")
+
+
+# bump_profile forms r^2/radius^2 as ((x - cx)/radius)^2 + ((y - cy)/radius)^2,
+# the reference as |z - c|^2/radius^2 by a complex hypot: each within a few
+# rounding errors of r^2/radius^2 = 1 - u.  The profile e^(1 - 1/u) moves by at
+# most max_u e^(1 - 1/u)/u^2 = 4 e^(-1) (about 1.47) times that, so the two agree to
+# a few eps * |amp|; 8 eps * |amp| bounds it (measured at most 3.25 eps at n = 1024).
+BUMP_ROUNDOFF = 8 * np.finfo(float).eps
+
+
+@given(
+    n=st.sampled_from([16, 32, 64]),
+    center=st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    half_width=st.floats(0.25, 4.0),
+    cx=st.floats(-3.0, 3.0),
+    cy=st.floats(-3.0, 3.0),
+    radius=st.floats(1e-3, 5.0),
+    amp=st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_bump_profile_matches_the_hypot_formula(n, center, half_width, cx, cy, radius, amp):
+    grid = ComplexGrid(center, half_width, n)
+    got = bump_profile(grid, complex(cx), complex(cy), complex(radius), amp)
+    expect = smooth_bump_profile(grid.nodes, cx, cy, radius, amp)
+    assert np.all(np.abs(got - expect) <= BUMP_ROUNDOFF * abs(amp))
 
 
 @given(
@@ -270,23 +353,23 @@ def _ref_admitted(node, callees):
     return isinstance(node, (ast.operator, ast.unaryop, ast.Load))
 
 
-def _ref_walk(root, z):
+def _ref_walk(root, grid):
     values = []
-    todo = [(root, z, False)]
+    todo = [(root, grid, False)]
     while todo:
-        node, z, ready = todo.pop()
+        node, grid, ready = todo.pop()
         if not ready:
-            todo.append((node, z, True))
+            todo.append((node, grid, True))
             if isinstance(node, ast.Call) and node.func.id == "bump":
-                z = None
-            todo.extend((child, z, False) for child in reversed(_ref_operands(node)))
+                grid = None
+            todo.extend((child, grid, False) for child in reversed(_ref_operands(node)))
             continue
         if isinstance(node, ast.Constant):
             values.append(complex(node.value))
         elif isinstance(node, ast.Name):
-            if z is None:
+            if grid is None:
                 raise ExpressionError(f"{node.id!r} is not allowed in a constant expression")
-            values.append(z if node.id == "z" else np.conj(z))
+            values.append(grid.nodes if node.id == "z" else np.conj(grid.nodes))
         elif isinstance(node, ast.UnaryOp):
             values.append(-values.pop())
         elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
@@ -297,16 +380,16 @@ def _ref_walk(root, z):
         elif node.func.id == "bump":
             cx, cy, radius, amp = (complex(a) for a in values[-4:])
             del values[-4:]
-            if z is None:
+            if grid is None:
                 raise ExpressionError("bump is not allowed in a constant expression")
-            values.append(bump_profile(z, cx, cy, radius, amp))
+            values.append(bump_profile(grid, cx, cy, radius, amp))
         else:
             values.append(_UNARY_FUNCTIONS[node.func.id](values.pop()))
     return values.pop()
 
 
-def reference_value(text, z):
-    """text's finite value at z (None for a constant) by the tree walks."""
+def reference_value(text, grid):
+    """text's finite value on grid (None for a constant) by the tree walks."""
     source = _as_python(text)
     try:
         root = _parse(source)
@@ -322,7 +405,7 @@ def reference_value(text, z):
         raise ExpressionError("refused")
     with np.errstate(all="ignore"):
         try:
-            vals = _ref_walk(root, z)
+            vals = _ref_walk(root, grid)
         except (ZeroDivisionError, OverflowError):
             raise ExpressionError("refused") from None
     if not np.all(np.isfinite(vals)):
@@ -377,7 +460,7 @@ def test_program_matches_the_tree_walk(text):
     grid = ComplexGrid(0.1 - 0.05j, 1.0, 16)
 
     def reference_field():
-        vals = reference_value(text, grid.nodes)
+        vals = reference_value(text, grid)
         return grid.constant(complex(vals)).values if np.ndim(vals) == 0 else vals
 
     assert _outcome(lambda: field_from_expression(grid, text).values) == _outcome(
