@@ -11,7 +11,6 @@ from .cauchy import (
     kernel_for,
     lp_bound_constant,
     oscillatory_decay_probe,
-    set_fft_workers,
 )
 from .cgo import (
     AmplitudeSpec,

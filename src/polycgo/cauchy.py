@@ -20,6 +20,9 @@ cache line longer than 2n: with a power-of-two row stride every step of an
 axis-0 pass lands in the same cache sets, which made those passes about twice
 as slow as the axis-1 ones.  The stride changes no arithmetic, so no bit.
 The kernel transform is built in the same layout.
+The passes take scipy.fft's worker count for the calling thread, whose default
+is 1; poly's --threads sets it for one run with scipy.fft.set_workers.  The
+bits do not depend on it.
 The transform follows its input's precision: a complex64 array runs the same
 passes against a complex64 copy of the kernel transform, built on first
 single-precision use, and any other array is cast to complex128.  Both
@@ -31,7 +34,6 @@ oracle.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import nan
@@ -42,22 +44,9 @@ import scipy.fft as _fft
 from .grid import ComplexGrid, ScalarField, norm_lp
 from .phase import PhaseSpec
 
-_FFT_WORKERS = 1
 # padding of each work-array row: one cache line, so the row stride is no
 # power of two
 _ROW_PAD_BYTES = 64
-
-
-def set_fft_workers(n: int) -> None:
-    """Worker count passed to scipy.fft (results are bitwise worker-independent).
-
-    Raises ValueError for a count outside 1..os.cpu_count().
-    """
-    global _FFT_WORKERS
-    cpus = os.cpu_count() or 1
-    if not 1 <= n <= cpus:
-        raise ValueError(f"FFT worker count {n} is outside 1..{cpus}, the CPU count")
-    _FFT_WORKERS = int(n)
 
 
 def _corner_antiderivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -117,7 +106,7 @@ class CauchyKernel:
         khat = _work_array(grid.n, np.complex128)
         np.divide(_cell_integral_table(grid.n, grid.spacing), np.pi, out=khat)
         for axis in (0, 1):  # fft2's order, so its bits
-            _fft.fft(khat, axis=axis, overwrite_x=True, workers=_FFT_WORKERS)
+            _fft.fft(khat, axis=axis, overwrite_x=True)
         self._khat = khat
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -137,7 +126,6 @@ class CauchyKernel:
         Raises ValueError for an array whose shape is not (n, n).
         """
         n = self.grid.n
-        w = _FFT_WORKERS
         values = np.asarray(values)
         if values.shape != (n, n):
             raise ValueError(f"expected an array of shape {(n, n)}, got shape {values.shape}")
@@ -146,12 +134,12 @@ class CauchyKernel:
         a[:n, :n] = values
         a[n:, :n] = 0
         # scipy.fft writes an overwrite_x transform of a complex view into the view
-        _fft.fft(a[:, :n], axis=0, overwrite_x=True, workers=w)
+        _fft.fft(a[:, :n], axis=0, overwrite_x=True)
         a[:, n:] = 0
-        _fft.fft(a, axis=1, overwrite_x=True, workers=w)
+        _fft.fft(a, axis=1, overwrite_x=True)
         a *= khat
-        _fft.ifft(a, axis=0, overwrite_x=True, workers=w)
-        _fft.ifft(a[:n], axis=1, overwrite_x=True, workers=w)
+        _fft.ifft(a, axis=0, overwrite_x=True)
+        _fft.ifft(a[:n], axis=1, overwrite_x=True)
         return a[:n, :n].copy()
 
     @cached_property

@@ -57,6 +57,7 @@ DEFAULT_TOL = 1e-10
 # the norm probe stops once its estimate moves less than this, relative: poly cgo
 # logs the estimate to 6 significant digits, and a rerun's is compared at 1e-6
 PROBE_RTOL = 1e-6
+PROBE_MAX_STEPS = 20  # the norm probe's cap on Lanczos steps
 DEFAULT_MAX_TERMS = 50
 ADMISSIBLE_RTOL = 1e-6  # check_admissible's bound on |dbar^m a| / max(1, |a|)
 # residual_norm runs in np.longdouble, which some platforms make a plain double
@@ -403,7 +404,7 @@ def _ritz_ratio(alphas, betas, u_rings, v_rings, c) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # alpha and beta are checked and named
-def transport_norm_probe(T: OscillatoryTransport, iterations: int = 20, seed: int = 0):
+def transport_norm_probe(T: OscillatoryTransport, seed: int = 0):
     """Golub-Kahan-Lanczos estimate of the L2 operator norm of T, as (estimate, sweeps).
 
     Bidiagonalizes T from a random smooth start v_1 in the plain vdot inner
@@ -416,12 +417,11 @@ def transport_norm_probe(T: OscillatoryTransport, iterations: int = 20, seed: in
     reorthogonalization, and memory stays flat: two Lanczos vectors, B_k and
     the ring entries of each u_i and v_i are kept (see _ritz_ratio).  The
     iteration stops after step k >= 2 once |est_k - est_(k-1)| <=
-    PROBE_RTOL * est_k, or after `iterations` steps (the cap); the step that
+    PROBE_RTOL * est_k, or after PROBE_MAX_STEPS steps (the cap); the step that
     stops does not apply T*, and a zero alpha or beta stops with the current
     estimate, while a non-finite one (the map overflowed) raises
     NonContractionError.  sweeps counts the forward applies.  A transport with
-    no nonzero coefficient gives (0.0, 0); an iteration cap below 1 is a
-    ValueError, since no estimate is taken.
+    no nonzero coefficient gives (0.0, 0).
 
     The stop puts the estimate within PROBE_RTOL, relative, of the value the
     iteration settles to.  The rule alone proves no such bound, but the Ritz
@@ -431,8 +431,6 @@ def transport_norm_probe(T: OscillatoryTransport, iterations: int = 20, seed: in
     steps at each h), 1.9e-8 on the n = 128 bump testbed, and 6.3e-7 on the
     n = 32 testbed, where one step moved the estimate away from its limit.
     """
-    if iterations < 1:
-        raise ValueError(f"iterations must be at least 1, got {iterations}")
     est, k = 0.0, 0
     if not T.active:
         return est, k
@@ -441,7 +439,7 @@ def transport_norm_probe(T: OscillatoryTransport, iterations: int = 20, seed: in
     c = 1.0 - _ring(np.outer(w, w))
     v, _ = _unit(smooth_random_field(grid, seed).values)
     alphas, betas, u_rings, v_rings = [], [], [], []
-    for k in range(1, iterations + 1):
+    for k in range(1, PROBE_MAX_STEPS + 1):
         # one expression each, so no unnormalized vector outlives its step
         u, alpha = _unit(T.apply(v) - (betas[-1] * u if betas else 0.0))
         if not isfinite(alpha):
@@ -452,7 +450,7 @@ def transport_norm_probe(T: OscillatoryTransport, iterations: int = 20, seed: in
         u_rings.append(_ring(u))
         v_rings.append(_ring(v))
         prev, est = est, _ritz_ratio(alphas, betas, u_rings, v_rings, c)
-        if k == iterations or (k > 1 and abs(est - prev) <= PROBE_RTOL * est):
+        if k == PROBE_MAX_STEPS or (k > 1 and abs(est - prev) <= PROBE_RTOL * est):
             break
         v, beta = _unit(T.apply_adjoint(u) - alpha * v)
         if not isfinite(beta):

@@ -27,12 +27,14 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 import time
 from math import inf, isfinite, nan
 from pathlib import Path
 
-from . import cauchy
+import scipy.fft
+
 from .cauchy import dbar_inv, fit_loglog_slope, lp_bound_constant, oscillatory_decay_probe
 from .cgo import (
     DEFAULT_MAX_TERMS,
@@ -581,10 +583,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        try:
-            cauchy.set_fft_workers(args.threads)
-        except ValueError as exc:
-            raise ConfigError(f"--threads: {exc}") from exc
+        cpus = os.cpu_count() or 1
+        if not 1 <= args.threads <= cpus:
+            raise ConfigError(f"--threads {args.threads} is outside 1..{cpus}, the CPU count")
         if args.seed < 0:
             raise ConfigError(f"--seed {args.seed} is negative; the probe's seed is 0 or more")
         cfg = load_config(args.config)
@@ -592,11 +593,13 @@ def main(argv=None) -> int:
         directory = _take(out_section, "output", "directory", str, default=f"runs/{args.command}")
         _take(out_section, "output", "format", str, check=(lambda f: f == "csv", "csv"))
         out_dir = Path(args.out or directory)
-        if args.command == "cauchy-test":
-            return cmd_cauchy_test(cfg, out_dir)
-        if args.command == "cgo":
-            return cmd_cgo(cfg, out_dir, seed=args.seed)
-        return cmd_recover(cfg, out_dir)
+        # scipy.fft keeps the worker count per thread and restores it on exit
+        with scipy.fft.set_workers(args.threads):
+            if args.command == "cauchy-test":
+                return cmd_cauchy_test(cfg, out_dir)
+            if args.command == "cgo":
+                return cmd_cgo(cfg, out_dir, seed=args.seed)
+            return cmd_recover(cfg, out_dir)
     except CONFIG_FAILURES + NUMERICAL_FAILURES as exc:
         code, line = _failure(exc)
         print(line, file=sys.stderr)

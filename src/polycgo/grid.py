@@ -123,10 +123,11 @@ class ScalarField:
     An array that is complex128, C-contiguous, owns its memory and is writeable
     is handed over: the field keeps it and makes it read-only.  Any other array
     (a view, a read-only array such as grid.nodes, another dtype or layout) is
-    copied.  Every field is scanned once for non-finite values.
+    copied.  Every field is scanned once for non-finite values.  Its support
+    box is found on first use and kept.
     """
 
-    __slots__ = ("grid", "values", "_zero_flag", "__weakref__")
+    __slots__ = ("grid", "values", "_box", "__weakref__")
 
     def __init__(self, grid: ComplexGrid, values):
         v = np.asarray(values)
@@ -140,15 +141,22 @@ class ScalarField:
         v.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "_zero_flag", None)
+        object.__setattr__(self, "_box", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ScalarField is immutable")
 
+    @property
+    def box(self) -> tuple:
+        """(rows, cols): the slices of the smallest box holding every nonzero
+        value; (slice(0, 0), slice(0, 0)) for a zero field."""
+        if self._box is None:
+            rows = _span(np.any(self.values, axis=1))
+            object.__setattr__(self, "_box", (rows, _span(np.any(self.values[rows], axis=0))))
+        return self._box
+
     def is_zero(self) -> bool:
-        if self._zero_flag is None:
-            object.__setattr__(self, "_zero_flag", bool(not np.any(self.values)))
-        return self._zero_flag
+        return self.box[0] == slice(0, 0)
 
     def conj(self) -> "ScalarField":
         return ScalarField(self.grid, np.conj(self.values))

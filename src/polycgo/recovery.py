@@ -22,10 +22,12 @@ amplitude moments X_s^T B Y_s of every planned step come from one batch: the
 first step stacks R = [Y_s for every step] and takes B @ R once per nonzero
 difference and group of up to n / (8(2m - 1)) steps, so each n-by-n
 difference is read once per group, not once per step.  Every moment is taken
-over its difference's support box, the rows and columns where B is nonzero.
-Where G vanishes off the box, X^T G Y is X[rows]^T G[box] Y[cols], up to the
-order BLAS sums in, so each product and each G of full_cgo is formed on the
-box alone.  The remainder derivatives stay full-grid, since their stencils
+over its difference's support box, the rows and columns where B is nonzero:
+ScalarField.box, found on the first read of each difference and kept, so
+each difference is scanned whole for its support once per problem.  Where G
+vanishes off the box, X^T G Y is X[rows]^T G[box] Y[cols], up to the order
+BLAS sums in, so each product and each G of full_cgo is formed on the box
+alone.  The remainder derivatives stay full-grid, since their stencils
 read neighbouring nodes.  The point weights and the noise floor are
 cgo._monomial_part, the rule AmplitudeSpec.monomial builds on.
 """
@@ -51,7 +53,7 @@ from .cgo import (
     build_cgo,
 )
 from .errors import DegenerateProbeError, PairingOverflowError
-from .grid import ComplexGrid, ScalarField, _dbar, _span
+from .grid import ComplexGrid, ScalarField, _dbar
 from .operators import PerturbedOperator, adjoint, to_divergence_form
 from .phase import PhaseSpec
 
@@ -137,12 +139,6 @@ def _monomial_table(a: int, b: int) -> np.ndarray:
     c /= factorial(a) * factorial(b)
     c.setflags(write=False)
     return c
-
-
-def _support_box(values: np.ndarray) -> tuple:
-    """(rows, cols): the slices of the smallest box holding every nonzero entry of values."""
-    rows = _span(np.any(values, axis=1))
-    return rows, _span(np.any(values[rows], axis=0))
 
 
 class ProbePlan(NamedTuple):
@@ -300,7 +296,7 @@ class RecoveryProblem:
         """
         n, width = self.grid.n, 2 * self.m - 1
         size = max(1, n // (8 * width))
-        nonzero = [(jk, b.values) for jk, b in sorted(self.differences.items()) if not b.is_zero()]
+        nonzero = [(jk, b) for jk, b in sorted(self.differences.items()) if not b.is_zero()]
         moments = {}
         for start in range(0, len(steps), size):
             group = steps[start:start + size]
@@ -311,8 +307,8 @@ class RecoveryProblem:
                 lefts.append(left)
             tables = [moments.setdefault(step, {}) for step in group]
             for jk, b in nonzero:
-                rows, cols = _support_box(b)
-                by = b[rows, cols] @ right[cols]
+                rows, cols = b.box
+                by = b.values[rows, cols] @ right[cols]
                 for left, block, table in zip(lefts, blocks, tables):
                     table[jk] = left[:, rows] @ by[:, block]
                 del by  # freed before the next difference's product is allocated
@@ -342,9 +338,9 @@ class RecoveryProblem:
             return moments
         left, right = self._factors(z0, h)
         for (j, k), table in moments.items():
-            b = self.differences[(j, k)].values
-            rows, cols = _support_box(b)
-            b, x, y = b[rows, cols], left[:, rows], right[cols]
+            b = self.differences[(j, k)]
+            rows, cols = b.box
+            b, x, y = b.values[rows, cols], left[:, rows], right[cols]
             for js, s in ss.items():
                 table[(None, js)] = x @ ((b * s[j][rows, cols]) @ y)
             for kr, r in rs.items():

@@ -94,7 +94,7 @@ def test_criterion_04_transport_contraction():
     g = ComplexGrid(0j, 1.0, 512)
     op = to_divergence_form(bump_testbed(g))
     norms = [
-        transport_norm_probe(transport(op, PhaseSpec(0.1 + 0.1j, h)), iterations=20, seed=0)[0]
+        transport_norm_probe(transport(op, PhaseSpec(0.1 + 0.1j, h)), seed=0)[0]
         for h in H_SWEEP
     ]
     slope = fit_loglog_slope(H_SWEEP, norms)

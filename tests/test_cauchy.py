@@ -1,4 +1,3 @@
-import os
 import re
 import tracemalloc
 
@@ -190,17 +189,13 @@ class TestPrunedTransform:
         cells = _cell_integral_table(n, k.grid.spacing)
         assert np.array_equal(k._khat, scipy.fft.fft2(cells / np.pi))
 
-    def test_two_workers_give_the_same_bits(self, grid256, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # set_fft_workers allows 1..cpu_count
+    def test_two_workers_give_the_same_bits(self, grid256):
         k = kernel_for(grid256)
         rng = np.random.default_rng(2)
         z = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
         one = k.apply(k.apply(z))
-        try:
-            cauchy.set_fft_workers(2)
+        with scipy.fft.set_workers(2):
             two = k.apply(k.apply(z))
-        finally:
-            cauchy.set_fft_workers(1)
         assert np.array_equal(one, two)
 
 
@@ -217,22 +212,6 @@ class TestPrunedTransform:
         assert np.linalg.norm(single - double) <= 1e-6 * np.linalg.norm(double)
         assert np.array_equal(k.apply(v), double)
         assert np.array_equal(double, padded_reference(k, v))
-
-    @pytest.mark.parametrize("count", [0, -3, 3])
-    def test_fft_workers_outside_cpu_count_refused(self, monkeypatch, count):
-        # set_fft_workers once clamped 0 and below to 1 and passed any count to scipy.fft
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        with pytest.raises(ValueError, match=f"FFT worker count {count} is outside 1..2"):
-            cauchy.set_fft_workers(count)
-        assert cauchy._FFT_WORKERS == 1
-
-    def test_fft_workers_up_to_cpu_count_accepted(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        try:
-            cauchy.set_fft_workers(2)
-            assert cauchy._FFT_WORKERS == 2
-        finally:
-            cauchy.set_fft_workers(1)
 
 
 class TestCauchyTransforms:

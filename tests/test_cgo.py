@@ -707,7 +707,8 @@ class TestFieldsAtTheEdges:
 
         T = OscillatoryTransport(testbed128_div, PHASE)
         a = AmplitudeSpec.monomial(grid128, 0)
-        transport_norm_probe(T, iterations=2)  # the adjoint transport's one-time build
+        monkeypatch.setattr(cgo, "PROBE_MAX_STEPS", 2)
+        transport_norm_probe(T)  # the adjoint transport's one-time build
         monkeypatch.setattr(ScalarField, "__init__", counted)
         builds = []
         for tol in (1e-4, 1e-10):
@@ -718,7 +719,8 @@ class TestFieldsAtTheEdges:
         probes = []
         for cap in (2, 8):
             made.clear()
-            probes.append((transport_norm_probe(T, iterations=cap)[1], made["fields"]))
+            monkeypatch.setattr(cgo, "PROBE_MAX_STEPS", cap)
+            probes.append((transport_norm_probe(T)[1], made["fields"]))
         assert builds[0][0] < builds[1][0]
         # g and r; the probe's start field and its normalized copy
         assert [fields for _, fields in builds] == [2, 2]
@@ -813,34 +815,29 @@ def count_applies(monkeypatch):
 class TestNormProbe:
     def test_zero_coefficients_zero_norm(self, grid128):
         op = PerturbedOperator(grid128, 2)
-        assert transport_norm_probe(transport(op, PHASE), iterations=3) == (0.0, 0)
+        assert transport_norm_probe(transport(op, PHASE)) == (0.0, 0)
 
-    @pytest.mark.parametrize("iterations", (0, -1))
-    def test_cap_below_one_is_refused(self, testbed128_div, iterations):
-        # a zero cap took no estimate and returned (0.0, 0), which reads as a zero norm
-        T = OscillatoryTransport(testbed128_div, PHASE)
-        with pytest.raises(ValueError, match="iterations"):
-            transport_norm_probe(T, iterations=iterations)
-
-    def test_contraction_and_slope(self):
+    def test_contraction_and_slope(self, monkeypatch):
         from polycgo import fit_loglog_slope
 
         g = ComplexGrid(0j, 1.0, 256)
         op = to_divergence_form(bump_testbed(g))
         hs = (0.2, 0.14, 0.1, 0.07)
         transports = [OscillatoryTransport(op, PhaseSpec(0.1 + 0.1j, h)) for h in hs]
-        ests = [transport_norm_probe(T, iterations=10, seed=0)[0] for T in transports]
+        monkeypatch.setattr(cgo, "PROBE_MAX_STEPS", 10)
+        ests = [transport_norm_probe(T, seed=0)[0] for T in transports]
         assert all(est < 1.0 for est in ests)
         assert fit_loglog_slope(hs, ests) >= 0.4
         # consistency: the Neumann solver converges where the probe says < 1
         _, terms, _ = solve_density(transports[0], AmplitudeSpec.monomial(g, 0))
         assert terms >= 2
 
-    def test_seed_reproducibility(self, testbed128_div):
+    def test_seed_reproducibility(self, testbed128_div, monkeypatch):
+        monkeypatch.setattr(cgo, "PROBE_MAX_STEPS", 4)
         T = OscillatoryTransport(testbed128_div, PHASE)
-        p1 = transport_norm_probe(T, iterations=4, seed=9)
-        p2 = transport_norm_probe(OscillatoryTransport(testbed128_div, PHASE), iterations=4, seed=9)
-        assert p1 == p2 == transport_norm_probe(T, iterations=4, seed=9)
+        p1 = transport_norm_probe(T, seed=9)
+        p2 = transport_norm_probe(OscillatoryTransport(testbed128_div, PHASE), seed=9)
+        assert p1 == p2 == transport_norm_probe(T, seed=9)
 
     def test_cap_below_convergence(self, testbed128_div, grid128, monkeypatch):
         phases = [PHASE.with_h(h) for h in (0.3, 0.2)]
@@ -850,8 +847,9 @@ class TestNormProbe:
             for p in phases
         ]
         calls = count_applies(monkeypatch)
+        monkeypatch.setattr(cgo, "PROBE_MAX_STEPS", 4)
         probes = [
-            transport_norm_probe(OscillatoryTransport(testbed128_div, p), iterations=4, seed=0)
+            transport_norm_probe(OscillatoryTransport(testbed128_div, p), seed=0)
             for p in phases
         ]
         assert [k for _, k in probes] == [4, 4]
@@ -945,14 +943,16 @@ class TestNormProbe:
         # 0 the rule still stops where the estimate repeats to the last bit
         monkeypatch.setattr(cgo, "PROBE_RTOL", -1.0)
         T = OscillatoryTransport(testbed128_div, PHASE)
-        transport_norm_probe(T, iterations=2)  # kernel and adjoint transport built
+        monkeypatch.setattr(cgo, "PROBE_MAX_STEPS", 2)
+        transport_norm_probe(T)  # kernel and adjoint transport built
         peak = {}
         tracemalloc.start()
         try:
             for steps in (5, 20):
+                monkeypatch.setattr(cgo, "PROBE_MAX_STEPS", steps)
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
-                assert transport_norm_probe(T, iterations=steps)[1] == steps
+                assert transport_norm_probe(T)[1] == steps
                 peak[steps] = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()

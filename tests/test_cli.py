@@ -9,13 +9,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TESTBED_BUMPS
 from support import DEEP_EXPRESSIONS
 
-from polycgo import ComplexGrid, ConfigError, CouplingError, OscillatoryTransport, PhaseSpec, cgo
+from polycgo import (
+    CauchyKernel, ComplexGrid, ConfigError, CouplingError, OscillatoryTransport, PhaseSpec, cgo,
+    dbar_inv,
+)
 from polycgo import cli
 from polycgo.cli import MAX_GRID_N, MAX_OPERATOR_M, build_phases, main
 
@@ -576,17 +580,44 @@ class TestDeterminismAndProvenance:
 
     @pytest.mark.parametrize("threads", ["0", "-1", "3"])
     def test_threads_outside_cpu_count_config_error(self, tmp_path, capsys, monkeypatch, threads):
-        # set_fft_workers once clamped 0 and below to 1 and passed any count to
-        # scipy.fft; its refusal is the --threads config error, and the worker
-        # count it leaves is the one it found, not any count it might clamp to
-        unset = object()
+        # the worker count was once clamped from 0 and below to 1, and any count
+        # was passed to scipy.fft; a count outside 1..cpu_count is the --threads
+        # config error, and the caller's scipy.fft worker count is left as it was
+        before = scipy.fft.get_workers()
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(cli.cauchy, "_FFT_WORKERS", unset)
         cfg = write_config(tmp_path, base_cauchy_config(tmp_path / "r"))
         assert main(["cauchy-test", "--config", cfg, "--threads", threads]) == 2
         assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
-        assert cli.cauchy._FFT_WORKERS is unset
+        assert scipy.fft.get_workers() == before
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--threads 2 needs two CPUs")
+    def test_two_threads_match_one_and_end_with_the_run(self, tmp_path, monkeypatch):
+        # --threads sets scipy.fft's worker count for the run alone: every
+        # transform of the run reads it, the tables keep their bits, and a
+        # transform after the run reads scipy's default again
+        seen = []
+
+        def recorded(self, values, _fn=CauchyKernel.apply):
+            seen.append(scipy.fft.get_workers())
+            return _fn(self, values)
+
+        monkeypatch.setattr(CauchyKernel, "apply", recorded)
+        doc = base_recover_config(tmp_path / "default")
+        doc["recovery"]["mode"] = "full_cgo"
+        cfg = write_config(tmp_path, doc)
+        tables = {}
+        for threads in (1, 2):
+            out = tmp_path / str(threads)
+            seen.clear()
+            assert main(["recover", "--config", cfg, "--out", str(out),
+                         "--threads", str(threads)]) == 0
+            assert seen and set(seen) == {threads}
+            tables[threads] = [(out / name).read_bytes() for name in ("results.csv", "slopes.csv")]
+        assert tables[2] == tables[1]
+        seen.clear()
+        dbar_inv(ComplexGrid(0j, 1.0, 32).constant(1.0))
+        assert seen == [1]
 
     def test_negative_seed_config_error(self, tmp_path, capsys):
         # the probe's default_rng refused it only after the first h was solved

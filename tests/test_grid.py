@@ -15,6 +15,7 @@ from polycgo import (
     ScalarField,
     cauchy,
     dbar_inv,
+    field_from_expression,
     integrate,
     mixed_wirtinger,
     norm_hm,
@@ -160,6 +161,22 @@ class TestOwnership:
         monkeypatch.setattr(module, name, recorded)
         f = fn(grid64.sample(lambda z: z * np.conj(z)))
         assert len(made) == 1 and np.shares_memory(f.values, made[0])
+
+
+class TestSupportBox:
+    def test_support_box(self, grid64):
+        # a bump's box is the rows and columns its disc reaches, found once and
+        # kept; a field with full support gets the full box, and a zero field
+        # an empty box, which is what makes it zero
+        bump = field_from_expression(grid64, "bump(0.2, -0.3, 0.4, 1)")
+        x, y = grid64.axis_offsets - 0.2, grid64.axis_offsets + 0.3
+        inside = x[:, None] ** 2 + y[None, :] ** 2 < 0.4**2
+        rows, cols = np.flatnonzero(inside.any(axis=1)), np.flatnonzero(inside.any(axis=0))
+        assert bump.box == (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+        assert bump.box is bump.box and not bump.is_zero()
+        assert grid64.constant(1.0).box == (slice(0, 64), slice(0, 64))
+        zero = ScalarField(grid64, np.zeros((64, 64), complex))
+        assert zero.box == (slice(0, 0), slice(0, 0)) and zero.is_zero()
 
 
 class TestWirtinger:

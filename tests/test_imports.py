@@ -1,6 +1,6 @@
 """Every module of the package uses each name it imports, every private
-helper it defines is read somewhere in the package, and no function takes a
-private parameter.
+helper it defines is read somewhere in the package, no function takes a
+private parameter, and no module keeps a process-wide setting.
 
 Read with the standard library's ast, so the checks need no linter.  The
 package's __init__ imports names only to re-export them and is not checked
@@ -126,6 +126,41 @@ def test_finds_private_parameters():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_parameter(path):
     assert private_parameters(path.read_text()) == []
+
+
+def global_statements(source: str) -> list:
+    """The names that global statements anywhere in source declare.
+
+    A module global that a function rebinds is a process-wide setting: it
+    outlives the call that set it and is shared by every thread.
+    """
+    return sorted(
+        name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Global)
+        for name in node.names
+    )
+
+
+def test_finds_global_statements():
+    source = (
+        "_COUNT = 1\n"
+        "def set_count(n):\n"
+        "    global _COUNT\n"
+        "    _COUNT = n\n"
+        "class C:\n"
+        "    def reset(self):\n"
+        "        global _A, _B\n"
+        "    def read(self):\n"
+        "        return _COUNT\n"
+    )
+    assert global_statements(source) == ["_A", "_B", "_COUNT"]
+    assert global_statements("_COUNT = 1\ndef read():\n    return _COUNT\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_global_statement(path):
+    assert global_statements(path.read_text()) == []
 
 
 def test_package_import_leaves_the_driver_out():

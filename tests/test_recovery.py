@@ -569,6 +569,7 @@ class CountedField:
 
     def __init__(self, field):
         self.grid, self.values = field.grid, field.values.view(CountedArray)
+        self.box = field.box
 
     def is_zero(self):
         return False
@@ -681,26 +682,12 @@ class TestMomentBatch:
         rng = np.random.default_rng(count)
         prob = single_bump_problem(n=64, h_list=(0.3,))
         boxes = boxed_differences(prob, seed=count)
-        assert all(recovery._support_box(prob.differences[jk].values) == box
-                   for jk, box in boxes.items())
+        assert all(prob.differences[jk].box == box for jk, box in boxes.items())
         steps = [(complex(*rng.uniform(-0.5, 0.5, 2)), float(rng.uniform(0.2, 0.5)))
                  for _ in range(count)]
         batch = prob._amplitude_moments(steps)
         for z0, h in steps:
             assert_moments_match(prob, z0, h, batch[(z0, h)])
-
-    def test_support_box(self):
-        # a bump's box is the rows and columns its disc reaches; a difference
-        # with full support gets the full box, and a zero one an empty box
-        g = ComplexGrid(0j, 1.0, 64)
-        bump = field_from_expression(g, "bump(0.2, -0.3, 0.4, 1)").values
-        x, y = g.axis_offsets - 0.2, g.axis_offsets + 0.3
-        inside = x[:, None] ** 2 + y[None, :] ** 2 < 0.4**2
-        rows, cols = np.flatnonzero(inside.any(axis=1)), np.flatnonzero(inside.any(axis=0))
-        assert recovery._support_box(bump) == (slice(rows[0], rows[-1] + 1),
-                                               slice(cols[0], cols[-1] + 1))
-        assert recovery._support_box(np.ones((64, 64), complex)) == (slice(0, 64), slice(0, 64))
-        assert recovery._support_box(np.zeros((64, 64), complex)) == (slice(0, 0), slice(0, 0))
 
     @pytest.mark.parametrize("support", ["full", "boxed"])
     def test_remainder_moments_over_the_box(self, support):
@@ -782,6 +769,30 @@ class TestMomentBatch:
         for b in nonzero.values():
             assert sum(np.shares_memory(a, b.values) for a in CountedArray.products) == 1
         CountedArray.products.clear()
+
+    @pytest.mark.parametrize("mode", [AMPLITUDE_ONLY, FULL_CGO])
+    def test_one_support_scan_per_difference_per_problem(self, mode, monkeypatch):
+        # is_zero, each of the batch's two groups (at most 5 steps at n = 128)
+        # and each of the 2 x 4 full_cgo steps read a difference's box: only
+        # the first read scans the whole array, in both modes
+        scanned = []
+
+        def recorded(a, *args, _fn=np.any, **kwargs):
+            scanned.append(a)
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "any", recorded)
+        g = ComplexGrid(0j, 1.0, 128)
+        bump = field_from_expression(g, "bump(0.05, 0, 0.6, 1)")
+        L = PerturbedOperator(g, 2, {(0, 0): 0.5 * bump}, form="divergence")
+        Lt = PerturbedOperator(g, 2, {(0, 0): bump, (1, 1): 0.3j * bump}, form="divergence")
+        prob = RecoveryProblem(L, Lt, [0.2 + 0.1j, -0.1 + 0.1j], [0.3, 0.25, 0.2, 0.15],
+                               mode=mode)
+        assert len(recover_all(prob).rows) == 32
+        nonzero = {jk: b.values for jk, b in prob.differences.items() if not b.is_zero()}
+        assert sorted(nonzero) == [(0, 0), (1, 1)]
+        assert {jk: sum(a is v for a in scanned) for jk, v in nonzero.items()} == {
+            (0, 0): 1, (1, 1): 1}
 
     def test_batch_peak_below_one_field(self):
         # 3 probes x 10 h is 30 steps; at n = 256, m = 2 the groups hold 10, so
