@@ -212,24 +212,28 @@ def fit_loglog_slope(xs, ys) -> float:
 
 
 def oscillatory_decay_probe(
-    omega: ScalarField, phase: PhaseSpec, q: float, h_list
-) -> DecayProbe:
-    """Measure h -> ||d_inv(exp((phase-conj phase)/h) * omega)||_{L^q}.
+    omega: ScalarField, phase: PhaseSpec, q_values, h_list
+) -> list[DecayProbe]:
+    """Measure h -> ||d_inv(exp((phase-conj phase)/h) * omega)||_{L^q} for each q of
+    q_values, forming each h's transform once: one DecayProbe per q, in order.
 
     The fitted slope is the empirical decay exponent; the bound being probed
     predicts 1/q for q >= 2, 1/2 + eps at q = 2, and 2/3 for 1 < q < 2.
     """
     grid = omega.grid
-    rows = []
-    for h in sorted(h_list, reverse=True):
+    hs = sorted(h_list, reverse=True)
+    norms = [[] for _ in q_values]  # for each q, its norm at each h
+    for h in hs:
         ph = phase.with_h(h)
         ph.check_grid(grid)
         transformed = d_inv(ph.oscillation(grid) * omega)
-        rows.append((h, norm_lp(transformed, q)))
-    hs = [r[0] for r in rows]
-    ns = [r[1] for r in rows]
-    slope = fit_loglog_slope(hs, ns) if all(v > 0 for v in ns) else nan
-    return DecayProbe(q=q, rows=tuple(rows), slope=slope)
+        for q, ns in zip(q_values, norms):
+            ns.append(norm_lp(transformed, q))
+    probes = []
+    for q, ns in zip(q_values, norms):
+        slope = fit_loglog_slope(hs, ns) if all(v > 0 for v in ns) else nan
+        probes.append(DecayProbe(q=q, rows=tuple(zip(hs, ns)), slope=slope))
+    return probes
 
 
 def lp_bound_constant(f: ScalarField, p: float) -> float:

@@ -441,8 +441,8 @@ def cmd_cauchy_test(cfg: dict, out_dir: Path) -> int:
 
         # oscillatory decay probes
         phase = PhaseSpec(z0_list[0], max(h_list))
-        for q in q_values:
-            probe = oscillatory_decay_probe(omega, phase, q, h_list)
+        for probe in oscillatory_decay_probe(omega, phase, q_values, h_list):
+            q = probe.q
             for h, norm in probe.rows:
                 _resolved(norm, f"the L^{q:g} norm at h={h:g} of the oscillatory d_inv", grid)
                 writer.add_result(kind="decay", series=f"q={q:g}", h=h, value=norm)

@@ -14,22 +14,20 @@ im(f), conj(f), and bump(cx, cy, radius, amp) - the smooth compactly supported
 profile amp * exp(1 - 1/(1 - r^2/radius^2)) for r = |z - (cx + i*cy)| < radius
 and identically zero outside, where cx, cy and radius are finite and real.
 Powers take integer exponents only.  A tree nested deeper than MAX_DEPTH (a
-sum of more than MAX_DEPTH terms, say) is refused.
+sum of more than MAX_DEPTH terms, say) is refused; a group's parentheses add
+no node to it.
 
-The grammar is a subset of Python's expression grammar with the same
-precedences, so each token is spelled as Python and Python's parser builds the
-tree.  One walk over the tree, at construction, admits only the nodes the
-grammar allows, bounds its depth and compiles it to a postfix program; each
-evaluation is one pass over that program.
+The grammar's own tokens are read in one left-to-right pass, an iterative
+operator-precedence parse that emits the postfix program directly: no tree is
+built, nothing recurses, and no interpreter state is touched, so MAX_DEPTH is
+the only bound on what parses.  Each evaluation is one pass over that program.
 """
 
 from __future__ import annotations
 
-import ast
 import cmath
 import operator
 import re as _re
-import sys
 from math import isfinite
 
 import numpy as np
@@ -41,14 +39,16 @@ class ExpressionError(ValueError):
     """Parse or evaluation failure; the message quotes the expression."""
 
 
+_NUMBER = r"\d+\.?\d*(?:[eE][+-]?\d+)?i?|\.\d+(?:[eE][+-]?\d+)?i?"
+# a call is a name before '(' and a power a '^' before [-] NUMBER: the token decides
+# each of the grammar's two context rules, and a bare '^' is an op token it refuses
 _TOKEN = _re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?i?|\.\d+(?:[eE][+-]?\d+)?i?)"
+    rf"\s*(?:(?P<num>{_NUMBER})"
+    r"|(?P<call>[A-Za-z_][A-Za-z_0-9]*)\s*\("
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    rf"|\^\s*(?P<power>-?\s*(?:{_NUMBER}))"
     r"|(?P<op>[-+*/^(),]))"
 )
-# what Python's tree no longer shows, so it is refused in the spelled source:
-# a '**' (a '^') not followed by [-] NUMBER, as in z^(2), and a trailing ',' in a call
-_NOT_IN_GRAMMAR = _re.compile(r"\*\*(?! (?:- )?\d)|, \)")
 
 _UNARY_FUNCTIONS = {
     "exp": np.exp,
@@ -58,86 +58,20 @@ _UNARY_FUNCTIONS = {
 }
 _ARITY = dict.fromkeys(_UNARY_FUNCTIONS, 1) | {"bump": 4}
 _VARIABLES = ("z", "zbar")
-# the most expression nodes on one root-to-leaf path: a bound of its own, so what
-# parses does not hang on the interpreter's recursion limit or the caller's stack
+# the most expression nodes on one root-to-leaf path, and the one bound on what parses
 MAX_DEPTH = 2500
-_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-           ast.Div: operator.truediv}
+# a waiting operator is (binding strength, program step, operand count); an open
+# group or call waits as [0, its function's name or None, its arguments so far]
+_BINARY = {"+": (1, ("binary", operator.add), 2), "-": (1, ("binary", operator.sub), 2),
+           "*": (2, ("binary", operator.mul), 2), "/": (2, ("binary", operator.truediv), 2)}
+_NEG = (3, ("neg", None), 1)
 
 
-def _as_python(text: str) -> str:
-    """text with each token spelled as Python, space-separated: '^' is '**',
-    a number is the repr of its double and a trailing 'i' is 'j'."""
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ExpressionError(
-                f"unexpected character {stripped[0]!r} at position {pos} in {text!r}"
-            )
-        num, name, op = m.group("num", "name", "op")
-        if num is not None:
-            value = float(num.removesuffix("i"))
-            if not isfinite(value):
-                raise ExpressionError(f"number {num!r} is beyond double range in {text!r}")
-            out.append(repr(value) + ("j" if num.endswith("i") else ""))
-        else:
-            out.append(name or ("**" if op == "^" else op))
-        pos = m.end()
-    source = " ".join(out)
-    if _NOT_IN_GRAMMAR.search(source):
-        raise ExpressionError(f"a '^' without [-] NUMBER or a ',' before ')' in {text!r}")
-    return source
-
-
-def _exponent(node) -> int | None:
-    """The integer of a '^' exponent node, [-] NUMBER; None unless it is a real integer."""
-    sign = 1
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        node, sign = node.operand, -1
-    if isinstance(node, ast.Constant) and type(node.value) is float and node.value.is_integer():
-        return sign * int(node.value)
-    return None
-
-
-def _parse(source: str):
-    """ast.parse of source, with the recursion headroom its tree conversion
-    needs for MAX_DEPTH nodes whatever the caller's stack depth."""
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + MAX_DEPTH)
-    try:
-        return ast.parse(source, mode="eval").body
-    finally:
-        sys.setrecursionlimit(limit)
-
-
-def _step(node, constant: bool):
-    """(node's program step, its operands left to right), or None outside the grammar.
-
-    constant marks a node inside bump's arguments: a variable or bump there is
-    refused when evaluated.  A '^' exponent is read from the tree, not compiled.
-    """
-    if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
-        return ("const", complex(node.value)), []
-    if isinstance(node, ast.Name) and node.id in _VARIABLES:
-        return (node.id, constant), []
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return ("neg", None), [node.operand]
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-        exponent = _exponent(node.right)
-        return None if exponent is None else (("pow", exponent), [node.left])
-    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-        return ("binary", _BINARY[type(node.op)]), [node.left, node.right]
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
-        name = node.func.id
-        if len(node.args) == _ARITY.get(name):
-            step = ("bump", constant) if name == "bump" else ("call", _UNARY_FUNCTIONS[name])
-            return step, node.args
-    return None
+def _constant(token: str, text: str) -> complex:
+    value = float(token.removesuffix("i"))
+    if not isfinite(value):
+        raise ExpressionError(f"number {token!r} is beyond double range in {text!r}")
+    return complex(0.0, value) if token.endswith("i") else complex(value)
 
 
 def bump_profile(grid: ComplexGrid, cx: complex, cy: complex, radius: complex, amp: complex):
@@ -179,37 +113,93 @@ class Expression:
     a variable-free constant."""
 
     def __init__(self, text: str):
-        """Parse text and compile its tree to the postfix program in one walk.
+        """Compile text to the postfix program in one pass over its tokens.
 
-        The walk, with an explicit stack, admits each node to the grammar and
-        bounds its depth by MAX_DEPTH when it reaches it.  A node's step follows
-        its operands' steps, left to right, so a sum of thousands of terms runs
-        the operations, in the order, of a recursive walk.
+        An operand is due at the start and after an operator, a ',' or an open
+        bracket.  A waiting operator is emitted once one of no greater binding
+        strength follows it, and ',' and ')' emit those waiting down to their
+        bracket; a power applies at once to the value just emitted.  So each
+        step follows its operands' steps, as in a post-order walk of the tree.
         """
         self.text = text
-        source = _as_python(text)
-        try:
-            root = _parse(source)
-        except (SyntaxError, RecursionError) as exc:
-            raise ExpressionError(f"cannot parse {text!r}: {getattr(exc, 'msg', exc)}") from None
         self._program = []
-        todo = [(root, 1, False)]
-        while todo:
-            entry = todo.pop()
-            if not isinstance(entry[0], ast.AST):  # a step whose operands are compiled
-                self._program.append(entry)
-                continue
-            node, depth, constant = entry
+        depths = []  # each value's depth, beside it on the evaluation's value stack
+        waiting = []
+        bumps = 0  # open bump calls: a variable or bump inside one is refused when evaluated
+        operand_due, after_power = True, False
+
+        def emit(step, arity):
+            depth = 1 + max(depths[len(depths) - arity:], default=0)
             if depth > MAX_DEPTH:
                 raise ExpressionError(f"{text!r} is nested deeper than {MAX_DEPTH}")
-            found = _step(node, constant)
-            if found is None:
-                segment = ast.get_source_segment(source, node)
-                raise ExpressionError(f"{segment!r} is not in the grammar, in {text!r}")
-            step, operands = found
-            todo.append(step)
-            constant = constant or step[0] == "bump"
-            todo.extend((child, depth + 1, constant) for child in reversed(operands))
+            del depths[len(depths) - arity:]
+            depths.append(depth)
+            self._program.append(step)
+
+        def emit_waiting(strength):  # down to the nearest bracket at strength 1
+            while waiting and waiting[-1][0] >= strength:
+                emit(*waiting.pop()[1:])
+
+        pos = 0
+        while m := _TOKEN.match(text, pos):
+            kind, op = m.lastgroup, m["op"]
+            token, pos = m[kind], m.end()
+            if operand_due:
+                if kind == "num":
+                    emit(("const", _constant(token, text)), 0)
+                elif kind == "name" and token in _VARIABLES:
+                    emit((token, bumps > 0), 0)
+                elif kind == "call" and token in _ARITY:
+                    waiting.append([0, token, 1])
+                    bumps += token == "bump"
+                elif op in ("(", "-"):
+                    waiting.append([0, None, 1] if op == "(" else _NEG)
+                else:
+                    break
+            elif kind == "power" and not after_power:
+                number = token.lstrip("-").lstrip()
+                value = _constant(number, text).real
+                if number.endswith("i") or not value.is_integer():
+                    raise ExpressionError(f"exponent {number!r} is not an integer in {text!r}")
+                emit(("pow", -int(value) if token[0] == "-" else int(value)), 1)
+            elif op in _BINARY:
+                emit_waiting(_BINARY[op][0])
+                waiting.append(_BINARY[op])
+            elif op in (",", ")"):
+                emit_waiting(1)
+                if not waiting or op == "," and waiting[-1][1] is None:
+                    break
+                if op == ",":
+                    waiting[-1][2] += 1
+                elif waiting[-1][1] is None:  # a group's ')' adds no step
+                    waiting.pop()
+                else:
+                    _, name, args = waiting.pop()
+                    if args != _ARITY[name]:
+                        raise ExpressionError(
+                            f"{name} takes {_ARITY[name]} arguments, not {args}, in {text!r}"
+                        )
+                    bumps -= name == "bump"
+                    emit(("bump", bumps > 0) if name == "bump"
+                         else ("call", _UNARY_FUNCTIONS[name]), args)
+            else:
+                break
+            operand_due = kind == "call" or op not in (None, ")")
+            after_power = kind == "power"
+        if m:  # a token that no state of the parse admits
+            token = m[0].lstrip()
+            raise ExpressionError(
+                f"{token!r} at position {m.end() - len(token)} is not in the grammar, in {text!r}"
+            )
+        rest = text[pos:].lstrip()
+        if rest:
+            raise ExpressionError(
+                f"unexpected character {rest[0]!r} at position {pos} in {text!r}"
+            )
+        if not operand_due:
+            emit_waiting(1)
+        if operand_due or waiting:
+            raise ExpressionError(f"{text!r} ends early or leaves a bracket open")
 
     def _eval(self, grid):
         """The program's value on grid (None for a constant): each step takes its

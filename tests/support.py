@@ -98,10 +98,11 @@ def smooth_bump_profile(z, cx, cy, radius, amp=1.0):
     return out if out.shape else complex(out)
 
 
-# expressions too deep for a recursive parser: each must be a named error
+# expressions nested deeper than expressions.MAX_DEPTH: each must be a named error.
+# A group's parentheses add no node, so each group holds a minus sign
 DEEP_EXPRESSIONS = {
     "minus_signs": "-" * 5000 + "z",
-    "parentheses": "(" * 2000 + "z" + ")" * 2000,
+    "parentheses": "(-" * 3000 + "z" + ")" * 3000,
     "sum": "+".join(["z"] * 3000),
 }
 

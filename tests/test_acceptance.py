@@ -83,8 +83,7 @@ def test_criterion_03_oscillatory_decay():
     g = ComplexGrid(0j, 1.0, 2048)
     omega = g.sample(gaussian_bump(sigma=0.25))
     phase = PhaseSpec(0.05 + 0.05j, 0.2)
-    s2 = oscillatory_decay_probe(omega, phase, 2.0, H_SWEEP).slope
-    s4 = oscillatory_decay_probe(omega, phase, 4.0, H_SWEEP).slope
+    s2, s4 = (p.slope for p in oscillatory_decay_probe(omega, phase, [2.0, 4.0], H_SWEEP))
     ok = s2 >= 0.5 and s4 >= 0.2
     report(3, "oscillatory decay exponents", ok,
            f"L2 slope {s2:.3f} (>=0.5), L4 slope {s4:.3f} (>=0.2)")

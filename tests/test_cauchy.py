@@ -334,16 +334,16 @@ class TestIteratedInverses:
 
 class TestOscillatoryDecay:
     def test_zero_omega_gives_zero_norms(self, grid128):
-        probe = oscillatory_decay_probe(
-            grid128.zero(), PhaseSpec(0.1 + 0.1j, 0.3), 2.0, [0.3, 0.2]
+        [probe] = oscillatory_decay_probe(
+            grid128.zero(), PhaseSpec(0.1 + 0.1j, 0.3), [2.0], [0.3, 0.2]
         )
         assert all(v == 0.0 for _, v in probe.rows)
         assert np.isnan(probe.slope)
 
     def test_decay_slope_l2(self, grid256):
         omega = grid256.sample(gaussian_bump(sigma=0.25))
-        probe = oscillatory_decay_probe(
-            omega, PhaseSpec(0.05 + 0.05j, 0.2), 2.0, [0.2, 0.14, 0.1, 0.07]
+        [probe] = oscillatory_decay_probe(
+            omega, PhaseSpec(0.05 + 0.05j, 0.2), [2.0], [0.2, 0.14, 0.1, 0.07]
         )
         assert probe.slope >= 0.5
 
@@ -351,16 +351,29 @@ class TestOscillatoryDecay:
         # the 1 < q < 2 regime carries exponent 2/3; sharpness is untested,
         # the slope only has to clear the predicted decay minus slack
         omega = grid256.sample(gaussian_bump(sigma=0.25))
-        probe = oscillatory_decay_probe(
-            omega, PhaseSpec(0.05 + 0.05j, 0.2), 1.5, [0.2, 0.14, 0.1, 0.07]
+        [probe] = oscillatory_decay_probe(
+            omega, PhaseSpec(0.05 + 0.05j, 0.2), [1.5], [0.2, 0.14, 0.1, 0.07]
         )
         assert probe.slope >= 2.0 / 3.0 - 0.05
 
     def test_coupling_guard(self, grid64):
         with pytest.raises(CouplingError):
             oscillatory_decay_probe(
-                grid64.constant(1.0), PhaseSpec(0j, 0.05), 2.0, [0.05]
+                grid64.constant(1.0), PhaseSpec(0j, 0.05), [2.0], [0.05]
             )
+
+    def test_one_transform_per_h_for_every_q(self, grid64, monkeypatch):
+        # each h's transform once, whatever the number of exponents, and each
+        # probe the one a single-exponent call returns
+        omega = grid64.sample(gaussian_bump(sigma=0.25))
+        phase, h_list = PhaseSpec(0.05 + 0.05j, 0.5), [0.5, 0.4, 0.3]
+        alone = [oscillatory_decay_probe(omega, phase, [q], h_list)[0] for q in (2.0, 4.0)]
+        calls = []
+        apply = CauchyKernel.apply
+        monkeypatch.setattr(CauchyKernel, "apply", lambda k, v: calls.append(1) or apply(k, v))
+        probes = oscillatory_decay_probe(omega, phase, [2.0, 4.0], h_list)
+        assert len(calls) == len(h_list)
+        assert probes == alone
 
     def test_unimodular_factor(self, grid64):
         ph = PhaseSpec(0.2 - 0.1j, 0.5)

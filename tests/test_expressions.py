@@ -1,7 +1,9 @@
 import ast
 import operator
+import re as _re
 import sys
 import tracemalloc
+from math import isfinite
 
 import numpy as np
 import pytest
@@ -18,10 +20,11 @@ from polycgo import (
     parse_expression,
 )
 from polycgo.expressions import (
+    _ARITY,
     _UNARY_FUNCTIONS,
+    _VARIABLES,
     MAX_DEPTH,
-    _as_python,
-    _parse,
+    Expression,
     bump_profile,
 )
 
@@ -74,10 +77,32 @@ class TestGrammar:
         # Python spellings and forms outside the grammar
         "z^(2)", "z^1.5", "2^-2^2", "z**2", "1j", "+z", "(1,2)", "z(1)", "exp(z,)",
         "exp()", "exp(z,z)", "exp(z, ^2)", "bump(0, 0, 1)", "1e999", "None", "z if z else z",
+        "z^0i", "z^2^2", "(exp)(z)", "((bump)) (0, 0, 1, 1)",
     ])
     def test_malformed_rejected(self, bad):
         with pytest.raises(ExpressionError):
             parse_expression(bad)
+
+    def test_grouped_power_and_spaced_call(self):
+        # a second '^' is refused only where it follows a power directly, and a
+        # call's name may stand apart from its '('
+        assert Expression("(z^2)^2")._program == [("z", False), ("pow", 2), ("pow", 2)]
+        assert Expression("exp (z)")._program == Expression("exp(z)")._program
+
+    def test_nesting_at_the_bound_parses_and_evaluates(self):
+        # 2499 calls and z: MAX_DEPTH nodes on one path, and far past the 200
+        # brackets Python's tokenizer admits
+        grid = ComplexGrid(0j, 1.0, 16)
+        text = "conj(" * (MAX_DEPTH - 1) + "z" + ")" * (MAX_DEPTH - 1)
+        assert np.array_equal(field_from_expression(grid, text).values, np.conj(grid.nodes))
+
+    def test_nesting_past_the_bound_is_refused(self):
+        with pytest.raises(ExpressionError, match="nested deeper"):
+            parse_expression("conj(" * MAX_DEPTH + "z" + ")" * MAX_DEPTH)
+
+    @pytest.mark.parametrize("count", (201, 10000))
+    def test_redundant_parentheses_add_no_node(self, count):
+        assert Expression("(" * count + "z" + ")" * count)._program == Expression("z")._program
 
     @pytest.mark.parametrize("text", DEEP_EXPRESSIONS.values(), ids=DEEP_EXPRESSIONS)
     def test_deep_input_is_a_parse_error(self, text):
@@ -115,7 +140,7 @@ class TestGrammar:
 
     @pytest.mark.parametrize("terms", (1500, 2500))
     def test_long_sum_evaluates_left_to_right(self, terms):
-        # deeper than the interpreter's recursion limit, yet within ast.parse's
+        # deeper than the interpreter's recursion limit
         grid = ComplexGrid(0j, 1.0, 16)
         values = {"z": grid.nodes, "0.3": 0.3 + 0j, "zbar": np.conj(grid.nodes), "1.7i": 1.7j}
         parts = list(values) * (terms // 4)
@@ -388,6 +413,124 @@ def _ref_walk(root, grid):
     return values.pop()
 
 
+# The compiler the one-pass parse replaced, kept as the reference for its
+# programs: each token spelled as Python, Python's parser builds the tree, and
+# one walk admits the grammar's nodes, bounds the depth and compiles the tree.
+_TOKEN = _re.compile(
+    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?i?|\.\d+(?:[eE][+-]?\d+)?i?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*/^(),]))"
+)
+# what Python's tree no longer shows, so it is refused in the spelled source:
+# a '**' (a '^') not followed by [-] NUMBER, as in z^(2), and a trailing ',' in a call
+_NOT_IN_GRAMMAR = _re.compile(r"\*\*(?! (?:- )?\d)|, \)")
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv}
+
+
+def _as_python(text: str) -> str:
+    """text with each token spelled as Python, space-separated: '^' is '**',
+    a number is the repr of its double and a trailing 'i' is 'j'."""
+    pos = 0
+    out = []
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            raise ExpressionError(
+                f"unexpected character {stripped[0]!r} at position {pos} in {text!r}"
+            )
+        num, name, op = m.group("num", "name", "op")
+        if num is not None:
+            value = float(num.removesuffix("i"))
+            if not isfinite(value):
+                raise ExpressionError(f"number {num!r} is beyond double range in {text!r}")
+            out.append(repr(value) + ("j" if num.endswith("i") else ""))
+        else:
+            out.append(name or ("**" if op == "^" else op))
+        pos = m.end()
+    source = " ".join(out)
+    if _NOT_IN_GRAMMAR.search(source):
+        raise ExpressionError(f"a '^' without [-] NUMBER or a ',' before ')' in {text!r}")
+    return source
+
+
+def _exponent(node) -> int | None:
+    """The integer of a '^' exponent node, [-] NUMBER; None unless it is a real integer."""
+    sign = 1
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node, sign = node.operand, -1
+    if isinstance(node, ast.Constant) and type(node.value) is float and node.value.is_integer():
+        return sign * int(node.value)
+    return None
+
+
+def _parse(source: str):
+    """ast.parse of source, with the recursion headroom its tree conversion
+    needs for MAX_DEPTH nodes whatever the caller's stack depth."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + MAX_DEPTH)
+    try:
+        return ast.parse(source, mode="eval").body
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _step(node, constant: bool):
+    """(node's program step, its operands left to right), or None outside the grammar.
+
+    constant marks a node inside bump's arguments: a variable or bump there is
+    refused when evaluated.  A '^' exponent is read from the tree, not compiled.
+    """
+    if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+        return ("const", complex(node.value)), []
+    if isinstance(node, ast.Name) and node.id in _VARIABLES:
+        return (node.id, constant), []
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return ("neg", None), [node.operand]
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        exponent = _exponent(node.right)
+        return None if exponent is None else (("pow", exponent), [node.left])
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return ("binary", _BINARY[type(node.op)]), [node.left, node.right]
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
+        name = node.func.id
+        if len(node.args) == _ARITY.get(name):
+            step = ("bump", constant) if name == "bump" else ("call", _UNARY_FUNCTIONS[name])
+            return step, node.args
+    return None
+
+
+def reference_program(text: str) -> list:
+    """text's postfix program by the compile walk over Python's tree."""
+    source = _as_python(text)
+    try:
+        root = _parse(source)
+    except (SyntaxError, RecursionError) as exc:
+        raise ExpressionError(f"cannot parse {text!r}: {getattr(exc, 'msg', exc)}") from None
+    program = []
+    todo = [(root, 1, False)]
+    while todo:
+        entry = todo.pop()
+        if not isinstance(entry[0], ast.AST):  # a step whose operands are compiled
+            program.append(entry)
+            continue
+        node, depth, constant = entry
+        if depth > MAX_DEPTH:
+            raise ExpressionError(f"{text!r} is nested deeper than {MAX_DEPTH}")
+        found = _step(node, constant)
+        if found is None:
+            segment = ast.get_source_segment(source, node)
+            raise ExpressionError(f"{segment!r} is not in the grammar, in {text!r}")
+        step, operands = found
+        todo.append(step)
+        constant = constant or step[0] == "bump"
+        todo.extend((child, depth + 1, constant) for child in reversed(operands))
+    return program
+
+
 def reference_value(text, grid):
     """text's finite value on grid (None for a constant) by the tree walks."""
     source = _as_python(text)
@@ -469,3 +612,61 @@ def test_program_matches_the_tree_walk(text):
     assert _outcome(lambda: constant_from_expression(text)) == _outcome(
         lambda: complex(reference_value(text, None))
     )
+
+
+# the tokens a random edit inserts: brackets, separators and operators, Python
+# spellings, powers the grammar admits and refuses, and whitespace
+_INSERTIONS = st.sampled_from([
+    "(", ")", ",", "^", "-", "+", "*", "/", "z", "zbar", "2", "0.5i", "0i", "1e3", ".25",
+    "exp(", "exp", "bump(", "foo(", "z(", "^2", "^-1", "^ - 0", "^1.5", "^0i", "^2.0",
+    " ", "\n", "i", "e", "**", "None", "if", "1j", "&", ".", "1e999", "1e-400", "(exp)",
+])
+# a number, a name and the whitespace after it, or one other character
+_TOKEN_OF = _re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?i?\s*|\.\d+i?\s*|[A-Za-z_]\w*\s*|.", _re.S)
+
+
+@st.composite
+def _edited_expressions(draw):
+    tokens = _TOKEN_OF.findall(draw(_EXPRESSIONS))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(tokens)))
+        if at < len(tokens) and draw(st.booleans()):
+            del tokens[at]
+        else:
+            tokens.insert(at, draw(_INSERTIONS))
+    return "".join(tokens)
+
+
+def _same_step(got, expect):
+    """Equal steps: constants by their bits, signed zeros included, and
+    functions by identity."""
+    (kind, arg), (expect_kind, expect_arg) = got, expect
+    if kind != expect_kind:
+        return False
+    if kind == "const":
+        return np.complex128(arg).tobytes() == np.complex128(expect_arg).tobytes()
+    if callable(arg):
+        return arg is expect_arg
+    return type(arg) is type(expect_arg) and arg == expect_arg
+
+
+# Python's tree keeps no brackets around a callee, so the reference read (exp)(z)
+# as exp(z); the grammar's call is FUNC '(' and a bracketed function name is refused
+_BRACKETED_FUNCTION = _re.compile(r"\(\s*(?:exp|re|im|conj|bump)\s*\)")
+
+
+@given(text=_edited_expressions())
+@settings(max_examples=400, deadline=None)
+def test_program_matches_the_python_parser_compiler(text):
+    # every input the reference accepts compiles to its program step for step,
+    # but for a bracketed callee, and every input it refuses is refused
+    try:
+        expect = reference_program(text)
+    except ExpressionError:
+        expect = None
+    if expect is None or _BRACKETED_FUNCTION.search(text):
+        with pytest.raises(ExpressionError):
+            Expression(text)
+        return
+    got = Expression(text)._program
+    assert len(got) == len(expect) and all(map(_same_step, got, expect))

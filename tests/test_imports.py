@@ -1,6 +1,6 @@
 """Every module of the package uses each name it imports, every private
 helper it defines is read somewhere in the package, no function takes a
-private parameter, and no module keeps a process-wide setting.
+private parameter, and no module keeps or changes a process-wide setting.
 
 Read with the standard library's ast, so the checks need no linter.  The
 package's __init__ imports names only to re-export them and is not checked
@@ -161,6 +161,63 @@ def test_finds_global_statements():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_global_statement(path):
     assert global_statements(path.read_text()) == []
+
+
+# calls that change a setting every thread of the process shares; np.errstate
+# and scipy.fft.set_workers are scoped context managers and stay allowed
+PROCESS_WIDE_CALLS = {
+    "sys.setrecursionlimit", "sys.setswitchinterval", "np.seterr", "numpy.seterr",
+    "warnings.filterwarnings", "warnings.simplefilter", "os.putenv",
+}
+
+
+def process_wide_settings(source: str) -> list:
+    """Each call in source to a PROCESS_WIDE_CALLS function, by its dotted or
+    imported name, and each assignment into os.environ."""
+    bare = {name.rpartition(".")[2] for name in PROCESS_WIDE_CALLS}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = ast.unparse(node.func)
+            if name in PROCESS_WIDE_CALLS or name in bare:
+                found.append(name)
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            found.extend(
+                "os.environ[...]"
+                for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                if isinstance(target, ast.Subscript)
+                and ast.unparse(target.value) in ("os.environ", "environ")
+            )
+    return sorted(found)
+
+
+def test_finds_process_wide_settings():
+    source = (
+        "import os, sys, warnings\n"
+        "import numpy as np\n"
+        "from sys import setswitchinterval\n"
+        "def f(limit):\n"
+        "    sys.setrecursionlimit(limit + 2500)\n"
+        "    np.seterr(all='ignore')\n"
+        "    warnings.simplefilter('ignore')\n"
+        "    setswitchinterval(1e-3)\n"
+        "    os.environ['A'] = '1'\n"
+        "    os.environ['B'] += '2'\n"
+        "def g():\n"
+        "    with np.errstate(all='ignore'), scipy.fft.set_workers(2):\n"
+        "        return os.environ['A'], sys.getrecursionlimit()\n"
+    )
+    assert process_wide_settings(source) == [
+        "np.seterr", "os.environ[...]", "os.environ[...]", "setswitchinterval",
+        "sys.setrecursionlimit", "warnings.simplefilter",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_process_wide_setting(path):
+    # a parse once raised the recursion limit for its call, and threads parsing
+    # at once left it raised
+    assert process_wide_settings(path.read_text()) == []
 
 
 def test_package_import_leaves_the_driver_out():
