@@ -19,7 +19,9 @@ The passes run in place on one 2n x 2n work array whose rows are one 64-byte
 cache line longer than 2n: with a power-of-two row stride every step of an
 axis-0 pass lands in the same cache sets, which made those passes about twice
 as slow as the axis-1 ones.  The stride changes no arithmetic, so no bit.
-The kernel transform is built in the same layout.
+The kernel transform is built in the same layout, and the kernel product runs
+over both arrays' contiguous padded bases, whose pad columns are zeroed: a
+multiply over the row-strided 2n x 2n views took twice as long.
 The passes take scipy.fft's worker count for the calling thread, whose default
 is 1; poly's --threads sets it for one run with scipy.fft.set_workers.  The
 bits do not depend on it.
@@ -91,9 +93,18 @@ def _cell_integral_table(n: int, spacing: float) -> np.ndarray:
 
 
 def _work_array(n: int, dtype) -> np.ndarray:
-    """An uninitialised 2n x 2n array whose rows are _ROW_PAD_BYTES longer in memory."""
+    """An uninitialised 2n x 2n view of the contiguous array .base, whose rows
+    are _ROW_PAD_BYTES longer."""
     pad = _ROW_PAD_BYTES // np.dtype(dtype).itemsize
     return np.empty((2 * n, 2 * n + pad), dtype)[:, : 2 * n]
+
+
+def _kernel_layout(n: int, dtype) -> np.ndarray:
+    """A _work_array with its pad columns zeroed, for a kernel transform: the
+    product over .base then gives zero, never inf * 0, in those columns."""
+    khat = _work_array(n, dtype)
+    khat.base[:, 2 * n :] = 0
+    return khat
 
 
 class CauchyKernel:
@@ -103,7 +114,7 @@ class CauchyKernel:
         self.grid = grid
         # convolution with the exact cell integrals of 1/(pi*z); the area and
         # 1/pi factors are folded into the cached transform
-        khat = _work_array(grid.n, np.complex128)
+        khat = _kernel_layout(grid.n, np.complex128)
         np.divide(_cell_integral_table(grid.n, grid.spacing), np.pi, out=khat)
         for axis in (0, 1):  # fft2's order, so its bits
             _fft.fft(khat, axis=axis, overwrite_x=True)
@@ -114,7 +125,8 @@ class CauchyKernel:
 
         Length-2n passes, each in place on one work array (see _work_array)
         holding values in its top-left block: forward along axis 0 over the
-        n input columns, then along axis 1; after the kernel product, inverse
+        n input columns, then along axis 1; after the kernel product, taken
+        over the contiguous padded array with its pad columns zeroed, inverse
         along axis 0, then along axis 1 over the n kept rows.  That is 6n
         transforms where padded fft2/ifft2 do 8n.  Axis 0 goes first both
         ways, as in fft2/ifft2, so the bits equal the padded path's; the
@@ -135,9 +147,10 @@ class CauchyKernel:
         a[n:, :n] = 0
         # scipy.fft writes an overwrite_x transform of a complex view into the view
         _fft.fft(a[:, :n], axis=0, overwrite_x=True)
-        a[:, n:] = 0
+        a.base[:, n:] = 0  # the zero columns and the row pad
         _fft.fft(a, axis=1, overwrite_x=True)
-        a *= khat
+        # over the contiguous padded rows: the pads are zero on both sides
+        np.multiply(a.base, khat.base, out=a.base)
         _fft.ifft(a, axis=0, overwrite_x=True)
         _fft.ifft(a[:n], axis=1, overwrite_x=True)
         return a[:n, :n].copy()
@@ -145,7 +158,9 @@ class CauchyKernel:
     @cached_property
     def _khat_single(self) -> np.ndarray:
         """complex64 copy of the kernel transform, built on the first complex64 apply."""
-        return self._khat.astype(np.complex64)
+        khat = _kernel_layout(self.grid.n, np.complex64)
+        khat[...] = self._khat
+        return khat
 
     def apply_direct(self, values: np.ndarray) -> np.ndarray:
         """O(n^4) direct summation; validation oracle, refuses n > 128."""

@@ -26,9 +26,12 @@ E+/-, the coefficients and the sums between the transforms stay in double.
 solve_density forms each Neumann term whose predecessor's norm is at most
 tol * ||w|| / (10 * float32 eps) that way, since single-precision digits then
 suffice for the sum to meet tol, unless the grid's scale would carry the
-map's intermediates out of float32's range.  The source, the earlier terms,
-the sum g, the a-posteriori check, the remainder and the norm probe stay in
-double.  A solution keeps only g and r.  Monomial amplitudes
+map's intermediates out of float32's range (_single_range_holds, one rule).
+The source, the earlier terms, the sum g, the a-posteriori check and the
+remainder stay in double.  The norm probe, which needs 6 digits, applies T
+and T* to complex64 copies of its Lanczos vectors under the same range rule,
+and keeps the vectors and its arithmetic in double.  A solution keeps only g
+and r.  Monomial amplitudes
 conj(z)^k/k! and recovery's point weights are built by one rule,
 _monomial_part; recovery's pairing expands the same monomials in x and y
 (recovery._monomial_table), which a test pins against this rule.
@@ -260,6 +263,18 @@ def _overflow(h: float, what: str, ratios=()) -> NonContractionError:
     return NonContractionError(h, message, ratios)
 
 
+def _single_range_holds(T: OscillatoryTransport, norm: float) -> bool:
+    """Whether T may apply its transforms in complex64 to an input of L2 norm `norm`.
+
+    An input of norm p has rms value p / D on the grid of side D, and each of
+    the m transforms of a chain scales by about D, so the map's intermediates
+    stay within 2**+-SINGLE_RANGE_BITS, far inside float32's exponent range,
+    while |log2(p / D)| + m * |log2 D| <= SINGLE_RANGE_BITS.
+    """
+    log2_side = log2(2.0 * T.grid.half_width)
+    return abs(log2(norm) - log2_side) <= SINGLE_RANGE_BITS - T.op.m * abs(log2_side)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # each norm is checked and named
 def solve_density(
     T: OscillatoryTransport,
@@ -278,12 +293,10 @@ def solve_density(
     term formed from a predecessor of norm at most
     tol * ||w||_2 / (10 * SINGLE_EPS) is formed in complex64 transforms:
     single-precision error in it stays near a tenth of tol * ||w||_2.  That
-    needs the map's intermediates inside float32's exponent range: a term of
-    norm p has rms value p / D on the grid of side D, and each of the m
-    transforms of a chain scales by about D, so a term is formed in single
-    only while |log2(p / D)| + m * |log2 D| <= SINGLE_RANGE_BITS.  The
-    source, the earlier terms, the sum g and the a-posteriori check stay in
-    double, so the check guards the single-precision terms.  Raises
+    needs the map's intermediates inside float32's exponent range, so a term
+    is formed in single only where _single_range_holds for its predecessor's
+    norm.  The source, the earlier terms, the sum g and the a-posteriori
+    check stay in double, so the check guards the single-precision terms.  Raises
     NonContractionError when the term norms fail to decrease three times in a
     row or a norm is not finite, MaxTermsExceededError when the budget runs
     out or the check fails; both carry the term-norm ratios
@@ -297,8 +310,6 @@ def solve_density(
     if w_norm == 0.0:
         return grid.zero(), 1, grid.zero()
     single_below = tol * w_norm / (10.0 * SINGLE_EPS)
-    log2_side = log2(2.0 * grid.half_width)
-    reach = SINGLE_RANGE_BITS - T.op.m * abs(log2_side)
     g = w
     term = w
     prev_norm = w_norm
@@ -306,7 +317,7 @@ def solve_density(
     rises = 0
     terms_used = 1
     while True:
-        single = prev_norm <= single_below and abs(log2(prev_norm) - log2_side) <= reach
+        single = prev_norm <= single_below and _single_range_holds(T, prev_norm)
         dtype = np.complex64 if single else np.complex128
         term = T.apply(term.astype(dtype, copy=False))
         t_norm = _weighted_p_sum(grid, term, 2) ** 0.5
@@ -384,7 +395,8 @@ def _ring(values: np.ndarray) -> np.ndarray:
 
 
 def _unit(values: np.ndarray):
-    """(values / ||values||, ||values||) in the plain vdot norm; None for 0."""
+    """(values / ||values||, ||values||) in double and the plain vdot norm; None for 0."""
+    values = values.astype(np.complex128, copy=False)
     norm = float(np.sqrt(np.vdot(values, values).real))
     return (values * (1.0 / norm) if norm else None), norm
 
@@ -411,9 +423,12 @@ def transport_norm_probe(T: OscillatoryTransport, seed: int = 0):
     product, in which apply_adjoint is exact: step k applies T to v_k for
     alpha_k u_k = T v_k - beta_(k-1) u_(k-1), then T* to u_k for
     beta_k v_(k+1) = T* u_k - alpha_k v_k, so T V_k = U_k B_k with B_k upper
-    bidiagonal.  After the k-th forward apply the estimate is ||T x|| / ||x||
-    in the trapezoid-weighted norm_lp for the top Ritz vector x of B_k, the
-    ratio a power iteration on T*T converges to.  There is no
+    bidiagonal.  Each apply takes a complex64 copy of its vector where
+    _single_range_holds for it (a unit vector's L2 norm is about the grid
+    spacing), so its transforms run in single precision; the vectors, alpha,
+    beta and the Ritz step stay in double.  After the k-th forward apply the
+    estimate is ||T x|| / ||x|| in the trapezoid-weighted norm_lp for the top
+    Ritz vector x of B_k, the ratio a power iteration on T*T converges to.  There is no
     reorthogonalization, and memory stays flat: two Lanczos vectors, B_k and
     the ring entries of each u_i and v_i are kept (see _ritz_ratio).  The
     iteration stops after step k >= 2 once |est_k - est_(k-1)| <=
@@ -426,10 +441,12 @@ def transport_norm_probe(T: OscillatoryTransport, seed: int = 0):
     The stop puts the estimate within PROBE_RTOL, relative, of the value the
     iteration settles to.  The rule alone proves no such bound, but the Ritz
     values converge superlinearly, and in every case measured the stopped
-    estimate was that close to the value after 20 steps: at most 4.8e-9 on
-    the four-bump operator of `poly cgo` at n = 256 and h = 0.2...0.07 (5
-    steps at each h), 1.9e-8 on the n = 128 bump testbed, and 6.3e-7 on the
-    n = 32 testbed, where one step moved the estimate away from its limit.
+    complex64 estimate was that close to the all-double value after 20
+    steps: at most 1.9e-7 below it on the four-bump operator of `poly cgo` at
+    n = 256 and h = 0.2...0.07 (5 steps at each h, as in double), 2.0e-7 on
+    the n = 128 bump testbed, and 5.2e-7 on the n = 32 testbed, where one
+    step moved the estimate away from its limit.  In double the same gaps
+    were 4.8e-9, 1.9e-8 and 6.3e-7.
     """
     est, k = 0.0, 0
     if not T.active:
@@ -437,11 +454,13 @@ def transport_norm_probe(T: OscillatoryTransport, seed: int = 0):
     grid = T.grid
     w = grid._trapezoid_1d
     c = 1.0 - _ring(np.outer(w, w))
+    # a unit vector in the vdot norm has L2 norm within a factor 2 of the spacing
+    dtype = np.complex64 if _single_range_holds(T, grid.spacing) else np.complex128
     v, _ = _unit(smooth_random_field(grid, seed).values)
     alphas, betas, u_rings, v_rings = [], [], [], []
     for k in range(1, PROBE_MAX_STEPS + 1):
         # one expression each, so no unnormalized vector outlives its step
-        u, alpha = _unit(T.apply(v) - (betas[-1] * u if betas else 0.0))
+        u, alpha = _unit(T.apply(v.astype(dtype, copy=False)) - (betas[-1] * u if betas else 0.0))
         if not isfinite(alpha):
             raise _overflow(T.phase.h, f"the norm probe's alpha at step {k}")
         if alpha == 0.0:
@@ -452,7 +471,7 @@ def transport_norm_probe(T: OscillatoryTransport, seed: int = 0):
         prev, est = est, _ritz_ratio(alphas, betas, u_rings, v_rings, c)
         if k == PROBE_MAX_STEPS or (k > 1 and abs(est - prev) <= PROBE_RTOL * est):
             break
-        v, beta = _unit(T.apply_adjoint(u) - alpha * v)
+        v, beta = _unit(T.apply_adjoint(u.astype(dtype, copy=False)) - alpha * v)
         if not isfinite(beta):
             raise _overflow(T.phase.h, f"the norm probe's beta at step {k}")
         if beta == 0.0:

@@ -39,7 +39,8 @@ class ExpressionError(ValueError):
     """Parse or evaluation failure; the message quotes the expression."""
 
 
-_NUMBER = r"\d+\.?\d*(?:[eE][+-]?\d+)?i?|\.\d+(?:[eE][+-]?\d+)?i?"
+# ASCII digits only: a str pattern's \d takes every Unicode digit, which float reads
+_NUMBER = r"[0-9]+\.?[0-9]*(?:[eE][+-]?[0-9]+)?i?|\.[0-9]+(?:[eE][+-]?[0-9]+)?i?"
 # a call is a name before '(' and a power a '^' before [-] NUMBER: the token decides
 # each of the grammar's two context rules, and a bare '^' is an op token it refuses
 _TOKEN = _re.compile(

@@ -183,6 +183,28 @@ class TestPrunedTransform:
             tracemalloc.stop()
         assert peak <= 5.1 * 256**2 * 16
 
+    def test_product_over_padded_rows_ignores_the_pad(self, grid64, monkeypatch):
+        # the kernel product runs over the work arrays' contiguous bases, row
+        # pads included: with inf in every fresh pad, inf * 0 would raise here
+        # unless each pad is zeroed, and the bits are the padded fft2's
+        n = grid64.n
+        work_array = cauchy._work_array
+
+        def inf_pad(n, dtype):
+            a = work_array(n, dtype)
+            a.base[:, 2 * n :] = np.inf
+            return a
+
+        monkeypatch.setattr(cauchy, "_work_array", inf_pad)
+        k = CauchyKernel(grid64)
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        with np.errstate(all="raise"):
+            for dtype in (np.complex128, np.complex64):
+                out = k.apply(z.astype(dtype))
+                assert out.dtype == dtype
+                assert np.array_equal(out, padded_reference(k, z.astype(dtype), dtype))
+
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_kernel_transform_matches_fft2(self, n):
         k = CauchyKernel(ComplexGrid(0j, 1.0, n))

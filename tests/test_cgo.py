@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from collections import Counter
 from math import factorial
@@ -51,6 +52,12 @@ def testbed128():
 @pytest.fixture(scope="module")
 def testbed128_div(testbed128):
     return to_divergence_form(testbed128)
+
+
+@pytest.fixture(scope="module")
+def bench_operator(grid256):
+    """The operator of bench/configs/cgo_sweep.json, in divergence form."""
+    return to_divergence_form(bump_testbed(grid256))
 
 
 class TestAmplitudeSpec:
@@ -469,26 +476,35 @@ class TestSolveDensity:
         # but its intermediates would leave float32's range: the tail overflowed
         # at 1e-12 and underflowed past the a-posteriori check at 1e6, so the
         # range rule keeps every term in double, bit for bit the double loop
-        grid = ComplexGrid(0j, half_width, 64)
-        L = half_width
-        coeffs = {
-            (j, k): L ** -(4 - j - k) * (1.0 + 0.3j * j - 0.2 * k)
-            * field_from_expression(grid, f"bump({0.1 * j * L}, {-0.1 * k * L}, {0.6 * L}, 1)")
-            for j in range(2) for k in range(2)
-        }
-        op = PerturbedOperator(grid, 2, coeffs, form="divergence")
-        T = OscillatoryTransport(op, PhaseSpec((0.1 + 0.1j) * L, 0.4 * L))
-        a = AmplitudeSpec.monomial(grid, 0)
+        T = extreme_scale_transport(half_width)
+        a = AmplitudeSpec.monomial(T.grid, 0)
         expect, expect_terms = double_neumann(T, T.source(a), cgo.DEFAULT_TOL)
-        transform = CauchyKernel.apply
-
-        def double_only(kernel, values):
-            assert values.dtype != np.complex64
-            return transform(kernel, values)
-
-        monkeypatch.setattr(CauchyKernel, "apply", double_only)
+        monkeypatch.setattr(CauchyKernel, "apply", double_only(CauchyKernel.apply))
         g, terms, _ = solve_density(T, a)
         assert terms == expect_terms and np.array_equal(g.values, expect)
+
+
+def extreme_scale_transport(half_width):
+    """A contracting m = 2 transport on the n = 64 grid of the given half width,
+    its coefficients scaled by half_width^-(2m-j-k)."""
+    grid = ComplexGrid(0j, half_width, 64)
+    L = half_width
+    coeffs = {
+        (j, k): L ** -(4 - j - k) * (1.0 + 0.3j * j - 0.2 * k)
+        * field_from_expression(grid, f"bump({0.1 * j * L}, {-0.1 * k * L}, {0.6 * L}, 1)")
+        for j in range(2) for k in range(2)
+    }
+    op = PerturbedOperator(grid, 2, coeffs, form="divergence")
+    return OscillatoryTransport(op, PhaseSpec((0.1 + 0.1j) * L, 0.4 * L))
+
+
+def double_only(transform):
+    """CauchyKernel.apply wrapped to fail on a complex64 input."""
+    def wrapped(kernel, values):
+        assert values.dtype != np.complex64
+        return transform(kernel, values)
+
+    return wrapped
 
 
 def double_neumann(T, w, tol):
@@ -840,6 +856,8 @@ class TestNormProbe:
         assert p1 == p2 == transport_norm_probe(T, seed=9)
 
     def test_cap_below_convergence(self, testbed128_div, grid128, monkeypatch):
+        # GKL_RTOL pins roundoff, so every probe transform stays in double
+        monkeypatch.setattr(cgo, "SINGLE_RANGE_BITS", -1.0)
         phases = [PHASE.with_h(h) for h in (0.3, 0.2)]
         start = smooth_random_field(grid128, 0)
         expect = [
@@ -861,7 +879,9 @@ class TestNormProbe:
     def test_stops_once_settled(self, testbed128_div, grid128, monkeypatch):
         # the default rule stops within PROBE_RTOL of the settled value, the
         # bound transport_norm_probe states; a 1e-12 rule pins the GKL
-        # convergence itself
+        # convergence itself.  GKL_RTOL pins roundoff, so every probe
+        # transform stays in double
+        monkeypatch.setattr(cgo, "SINGLE_RANGE_BITS", -1.0)
         phases = [PHASE.with_h(h) for h in (0.3, 0.2, 0.14)]
         start = smooth_random_field(grid128, 0)
         full = {
@@ -907,9 +927,10 @@ class TestNormProbe:
     def test_matches_dense_oracle(self, n, table, monkeypatch):
         # T formed column by column; v1 is its top right singular vector in the
         # plain inner product, the vector the probe's estimate is taken at.
-        # The default rule stops within its stated PROBE_RTOL of that value
-        # (measured at most 6.3e-7, on the n = 32 testbed); under a 1e-12 rule
-        # the probe meets it to roundoff
+        # The default rule, with its complex64 transforms, stops within its
+        # stated PROBE_RTOL of that value (measured at most 5.2e-7, on the
+        # n = 32 testbed); under a 1e-12 rule, in double, the probe meets it
+        # to roundoff
         grid = ComplexGrid(0j, 1.0, n)
         if table == "testbed":
             op = to_divergence_form(bump_testbed(grid))
@@ -932,10 +953,52 @@ class TestNormProbe:
         assert abs(est - at_v1) <= PROBE_RTOL * at_v1
         assert est <= weighted_norm * (1.0 + 1e-13)
         monkeypatch.setattr(cgo, "PROBE_RTOL", 1e-12)
+        monkeypatch.setattr(cgo, "SINGLE_RANGE_BITS", -1.0)
         est, k = transport_norm_probe(T)
         assert k < 20
         assert abs(est - at_v1) <= 1e-12 * at_v1
         assert est <= weighted_norm * (1.0 + 1e-13)
+
+    def test_transforms_run_in_single_only_in_the_tail_and_the_probe(
+        self, bench_operator, monkeypatch
+    ):
+        # poly cgo's order at one h: the solve's head, its complex64 tail, its
+        # a-posteriori check and remainder, then the probe in complex64
+        dtypes = []
+        transform = CauchyKernel.apply
+
+        def recorded(kernel, values):
+            dtypes.append("S" if values.dtype == np.complex64 else "D")
+            return transform(kernel, values)
+
+        monkeypatch.setattr(CauchyKernel, "apply", recorded)
+        T = OscillatoryTransport(bench_operator, PhaseSpec(0.1 + 0.1j, 0.07))
+        build_cgo(T, AmplitudeSpec.monomial(T.grid, 0))
+        solve, dtypes[:] = "".join(dtypes), []
+        assert re.fullmatch("D+S+D+", solve), solve
+        assert transport_norm_probe(T)[1] == 5
+        assert dtypes and set(dtypes) == {"S"}
+
+    @pytest.mark.parametrize("h", (0.2, 0.14, 0.1, 0.07))
+    def test_single_estimate_near_double(self, bench_operator, h, monkeypatch):
+        # measured -1.7e-7 to -1.9e-7 relative on poly cgo's operator, 5 steps
+        # either way: within half of PROBE_RTOL, the rerun tolerance
+        T = OscillatoryTransport(bench_operator, PhaseSpec(0.1 + 0.1j, h))
+        single = transport_norm_probe(T)
+        monkeypatch.setattr(cgo, "SINGLE_RANGE_BITS", -1.0)
+        double = transport_norm_probe(T)
+        assert single[1] == double[1] == 5
+        assert abs(single[0] - double[0]) <= 0.5 * PROBE_RTOL * double[0]
+
+    def test_extreme_grid_scale_keeps_the_probe_double(self, monkeypatch):
+        # the solve's range rule holds for the probe: at half width 1e-12 the
+        # map's intermediates would leave float32's range
+        T = extreme_scale_transport(1e-12)
+        with monkeypatch.context() as m:
+            m.setattr(cgo, "SINGLE_RANGE_BITS", -1.0)
+            expect = transport_norm_probe(T)
+        monkeypatch.setattr(CauchyKernel, "apply", double_only(CauchyKernel.apply))
+        assert transport_norm_probe(T) == expect
 
     def test_memory_flat_in_steps(self, testbed128_div, grid128, monkeypatch):
         # with the settle rule off, 15 more steps may keep ring entries only:

@@ -83,6 +83,16 @@ class TestGrammar:
         with pytest.raises(ExpressionError):
             parse_expression(bad)
 
+    @pytest.mark.parametrize("text, char", [
+        pytest.param("٣", "٣", id="arabic-indic"),
+        pytest.param("１２", "１", id="fullwidth"),
+        pytest.param("1.٣", "٣", id="after-point"),
+    ])
+    def test_non_ascii_digits_are_refused(self, text, char):
+        # a NUMBER is ASCII: float once read these as 3, 12 and 1.3
+        with pytest.raises(ExpressionError, match=f"unexpected character '{char}'"):
+            constant_from_expression(text)
+
     def test_grouped_power_and_spaced_call(self):
         # a second '^' is refused only where it follows a power directly, and a
         # call's name may stand apart from its '('
