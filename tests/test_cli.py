@@ -720,10 +720,6 @@ BASE_CONFIGS = {"cauchy-test": base_cauchy_config, "cgo": base_cgo_config,
     ("cauchy-test", "cauchy", "omega", "exp(1000)"),
     ("cgo", "operator", "coeffs", {"0,0": "1/0"}),
     ("cgo", "operator", "coeffs", {"0,0": "exp(1000 * z)"}),
-    # digits other than ASCII, which float once read as 12 and 3
-    pytest.param("cgo", "operator", "coeffs", {"0,0": "１２ * bump(0, 0, 0.6, 1)"},
-                 id="coeffs-fullwidth-digits"),
-    pytest.param("cauchy-test", "cauchy", "omega", "٣", id="omega-arabic-indic-digit"),
     # unknown fields and sections ("" is the top level), which once ran on the
     # defaults, a format that is not csv, and an m that once hung the run
     ("cgo", "solver", "tolerance", -5),
@@ -731,6 +727,10 @@ BASE_CONFIGS = {"cauchy-test": base_cauchy_config, "cgo": base_cgo_config,
     ("cgo", "", "solvr", {"tol": 1e-8}),
     ("cgo", "output", "format", "json"),
     ("cgo", "operator", "m", 100000),
+    # digits other than ASCII, which float once read as 12 and 3
+    pytest.param("cgo", "operator", "coeffs", {"0,0": "１２ * bump(0, 0, 0.6, 1)"},
+                 id="coeffs-fullwidth-digits"),
+    pytest.param("cauchy-test", "cauchy", "omega", "٣", id="omega-arabic-indic-digit"),
     # expressions too deep for a recursive parser
     *(pytest.param("cauchy-test", "cauchy", "omega", text, id=f"omega-{name}")
       for name, text in DEEP_EXPRESSIONS.items()),
