@@ -5,16 +5,19 @@ dbar_inv is convolution with 1/(pi*z); d_inv is its conjugate twin with kernel
 1/(pi*conj(z)).  Discretization is product integration: the kernel enters the
 quadrature through its exact integral over each grid cell, computed from the
 corner antiderivative of 1/z.  The antiderivative is evaluated once per corner
-of the cell lattice, each interior corner being shared by four cells.  That
-gives the singular cell its exact (zero, by odd symmetry) weight, and makes
-the scheme second-order accurate for smooth data that vanish near the
-boundary.  Data that reach the boundary get first order, since each boundary
-node's cell overhangs the square by half a spacing: for f = 1 the max error
-is 3.1e-2, 1.0e-2, 3.1e-3 and 1.7e-3 at n = 64, 256, 1024 and 2048.
-Application is fast
-convolution on the zero-padded doubled grid in pruned 1-D passes that
-transform no all-zero column and compute no cropped row; axis 0 goes first
-both ways, fft2's order, so the bits are those of the full padded fft2/ifft2.
+of one quadrant of cells, each interior corner being shared by four cells, and
+the other three quadrants are that quadrant's reflections: 1/z is odd, and
+conjugate-symmetric under y -> -y, so the table is exactly both and
+dbar_inv's adjoint is -d_inv to the roundoff of the transforms alone.  The
+singular cell gets its exact (zero) weight, and the scheme is second-order
+accurate for smooth data that vanish near the boundary.  Data that reach the
+boundary get first order, since each boundary node's cell overhangs the
+square by half a spacing: for f = 1 the max error is 3.1e-2, 1.0e-2, 3.1e-3
+and 1.7e-3 at n = 64, 256, 1024 and 2048.
+Application is fast convolution on the zero-padded doubled grid in pruned
+1-D passes that transform no all-zero column and compute no cropped row;
+axis 0 goes first both ways, fft2's order, so the bits are those of the full
+padded fft2/ifft2.
 The passes run in place on one 2n x 2n work array whose rows are one 64-byte
 cache line longer than 2n: with a power-of-two row stride every step of an
 axis-0 pass lands in the same cache sets, which made those passes about twice
@@ -66,29 +69,29 @@ def _cell_integral_table(n: int, spacing: float) -> np.ndarray:
 
     Index layout is FFT-wrapped: entry (a, b) holds the cell centered at
     displacement (p*spacing, q*spacing) with p = a for a < n else a - 2n.
-    The corner antiderivative is evaluated once per lattice corner
-    (c - 1/2)*spacing, c = -n..n, and each cell takes the difference of its
-    four corners.  That formula is invalid where a cell meets the branch
-    cut of the principal log (the strip q = 0, p <= 0); those entries are
-    rebuilt from the reflected cell using the odd symmetry of 1/z, and the
-    singular cell itself integrates to exactly zero by the same symmetry.
+    Only the quadrant p, q = 0..n is computed: the corner antiderivative is
+    evaluated once per corner (c - 1/2)*spacing, c = 0..n+1, and each cell
+    takes the difference of its four corners.  No quadrant cell but the
+    singular one meets the branch cut of the principal log.  The symmetries
+    of 1/z, I(-p, q) = -conj I(p, q) and I(p, -q) = conj I(p, q), make the
+    real part of the p = 0 cells and the imaginary part of the q = 0 cells
+    exact zeros, which are set, the singular cell's two parts with them.
+    They then fill the other three quadrants by sign and conjugation alone,
+    so the table is exactly odd and exactly conjugate-symmetric in q; the
+    p = -n and q = -n lines come from the quadrant's p = n and q = n cells.
     """
-    corners = (np.arange(-n, n + 1) - 0.5) * spacing
+    corners = (np.arange(n + 2) - 0.5) * spacing
     f = _corner_antiderivative(corners[:, None], corners[None, :])
-    table = _fft.ifftshift(f[1:, 1:] - f[:-1, 1:] - f[1:, :-1] + f[:-1, :-1])
-    # the branch-cut strip: column q = 0, rows p <= 0
-    idx = _fft.fftfreq(2 * n, 1.0 / (2 * n))
-    x1, x2 = (idx - 0.5) * spacing, (idx + 0.5) * spacing
-    rows = idx < 0.5
-    sx1, sx2 = -x1[rows], -x2[rows]
-    sy1, sy2 = -x1[0], -x2[0]
-    table[rows, 0] = -(
-        _corner_antiderivative(sx1, sy1)
-        - _corner_antiderivative(sx2, sy1)
-        - _corner_antiderivative(sx1, sy2)
-        + _corner_antiderivative(sx2, sy2)
-    )
-    table[0, 0] = 0.0
+    quad = f[1:, 1:] - f[:-1, 1:] - f[1:, :-1] + f[:-1, :-1]
+    del f  # the corners are not held while the table is filled
+    quad[0].real = 0.0
+    quad[:, 0].imag = 0.0
+    table = np.empty((2 * n, 2 * n), np.complex128)
+    table[:n, :n] = quad[:n, :n]
+    np.conj(quad[:n, n:0:-1], out=table[:n, n:])
+    np.conj(quad[n:0:-1, :n], out=table[n:, :n])
+    np.negative(table[n:, :n], out=table[n:, :n])
+    np.negative(quad[n:0:-1, n:0:-1], out=table[n:, n:])
     return table
 
 
