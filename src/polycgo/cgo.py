@@ -40,7 +40,7 @@ _monomial_part; recovery's pairing expands the same monomials in x and y
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import groupby
 from math import factorial, isfinite, log2
 from operator import add, itemgetter
@@ -377,8 +377,11 @@ def build_cgo(
     )
 
 
+@lru_cache(maxsize=4)
 def smooth_random_field(grid: ComplexGrid, seed: int = 0) -> ScalarField:
-    """Unit-L2 random start for the norm probe: white noise smoothed and normalized."""
+    """Unit-L2 random start for the norm probe: white noise smoothed and normalized.
+    Formed once per (grid, seed) and shared, as the field is read-only, so a
+    sweep over h smooths one start field."""
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
     width = max(2.0, grid.n / 32.0)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .grid import ComplexGrid, ScalarField, _d, _dbar, mixed_wirtinger
+from .grid import ComplexGrid, ScalarField, _d, _dbar, _wirtinger_pair, mixed_wirtinger
 
 STANDARD = "standard"
 DIVERGENCE = "divergence"
@@ -72,30 +72,33 @@ def apply_values(op: PerturbedOperator, values, spacing):
     """The operator on an array, in the array's precision (spacing shares it):
     dbar^k u one column at a time, each column's d-derivatives only as far as a
     nonzero coefficient needs them, the principal part d^m dbar^m u last; the
-    divergence form sums its rows c[j,k] dbar^k u and applies d^j at the end."""
+    divergence form sums its rows c[j,k] dbar^k u and applies d^j at the end.
+    A column that needs its own d takes it with the next column's dbar from
+    one pair of stencil passes (grid._wirtinger_pair)."""
     m = op.m
     out, rows, col = None, {}, values
     del values  # col alone holds the samples, so the first dbar column frees them
     for k in range(m):
-        if k > 0:
-            col = _dbar(col, spacing)
         wanted = [j for j in range(m) if not op.coeffs[(j, k)].is_zero()]
         if op.form == DIVERGENCE:
             for j in wanted:
                 rows[j] = rows.get(j, 0) + op.coeffs[(j, k)].values * col
-            continue
-        cur = col
-        for j in range(wanted[-1] + 1 if wanted else 0):
-            if j > 0:
+        cur, stepped = col, False
+        for j in range(wanted[-1] + 1 if wanted and op.form == STANDARD else 0):
+            if j == 1:
+                cur, col = _wirtinger_pair(col, spacing)
+                stepped = True
+            elif j > 1:
                 cur = _d(cur, spacing)
             if j in wanted:
                 term = op.coeffs[(j, k)].values * cur
                 out = term if out is None else out + term
+        if not stepped:
+            col = _dbar(col, spacing)
     for j, row in sorted(rows.items()):
         for _ in range(j):
             row = _d(row, spacing)
         out = row if out is None else out + row
-    col = _dbar(col, spacing)
     for _ in range(m):
         col = _d(col, spacing)
     return col if out is None else out + col

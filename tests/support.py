@@ -2,7 +2,9 @@
 
 Everything here computes expected values by a route that does not touch the
 code paths under test: sympy for Wirtinger calculus, adaptive quadrature for
-integrals, closed forms where classical results exist.  run_python starts a
+integrals, closed forms where classical results exist, and the earlier
+complex-arithmetic Wirtinger stencils (oracle_d, oracle_dbar) that
+grid's real-view kernel must match bit for bit.  run_python starts a
 fresh interpreter on the package's source, for checks that depend on how the
 process starts.
 """
@@ -105,6 +107,34 @@ DEEP_EXPRESSIONS = {
     "parentheses": "(-" * 3000 + "z" + ")" * 3000,
     "sum": "+".join(["z"] * 3000),
 }
+
+
+# The Wirtinger stencils as grid computed them in complex arithmetic before its
+# real-view kernel, kept verbatim: the kernel must reproduce their bits.
+def oracle_deriv_axis0(v: np.ndarray, s: float) -> np.ndarray:
+    out = np.empty_like(v)
+    out[2:-2] = (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * s)
+    out[0] = (-25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]) / (12.0 * s)
+    out[1] = (-3.0 * v[0] - 10.0 * v[1] + 18.0 * v[2] - 6.0 * v[3] + v[4]) / (12.0 * s)
+    out[-2] = (3.0 * v[-1] + 10.0 * v[-2] - 18.0 * v[-3] + 6.0 * v[-4] - v[-5]) / (12.0 * s)
+    out[-1] = (25.0 * v[-1] - 48.0 * v[-2] + 36.0 * v[-3] - 16.0 * v[-4] + 3.0 * v[-5]) / (12.0 * s)
+    return out
+
+
+def oracle_d(values: np.ndarray, spacing) -> np.ndarray:
+    return 0.5 * (oracle_deriv_axis0(values, spacing) - 1j * oracle_deriv_axis0(values.T, spacing).T)
+
+
+def oracle_dbar(values: np.ndarray, spacing) -> np.ndarray:
+    return 0.5 * (oracle_deriv_axis0(values, spacing) + 1j * oracle_deriv_axis0(values.T, spacing).T)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype, values and signs of zero.  An 80-bit longdouble's padding
+    bytes have no defined content, so tobytes() is no test of its bits."""
+    return (a.dtype == b.dtype and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
 
 
 def run_python(*args, **env) -> subprocess.CompletedProcess:

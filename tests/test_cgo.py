@@ -738,9 +738,16 @@ class TestFieldsAtTheEdges:
             monkeypatch.setattr(cgo, "PROBE_MAX_STEPS", cap)
             probes.append((transport_norm_probe(T)[1], made["fields"]))
         assert builds[0][0] < builds[1][0]
-        # g and r; the probe's start field and its normalized copy
+        # g and r; the probe's start field is formed once per (grid, seed), by
+        # the probe above, so no probe makes a field
         assert [fields for _, fields in builds] == [2, 2]
-        assert probes == [(2, 2), (8, 2)]
+        assert probes == [(2, 0), (8, 0)]
+
+    def test_start_field_formed_once_per_grid_and_seed(self, grid64, grid128):
+        start = smooth_random_field(grid128, 11)
+        assert smooth_random_field(grid128, 11) is start and not start.values.flags.writeable
+        assert smooth_random_field(grid128, 12) is not start
+        assert smooth_random_field(grid64, 11).grid == grid64
 
 
 class TestAdjointCGO:

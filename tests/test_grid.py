@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import dblquad_complex, normalized_gaussian, symbolic_wirtinger
+from support import (
+    dblquad_complex, normalized_gaussian, oracle_d, oracle_dbar, same_bits, symbolic_wirtinger,
+)
 
 import polycgo.grid as grid_module
 from polycgo import (
@@ -249,6 +251,81 @@ class TestWirtinger:
         assert err <= 1e-4 * np.max(np.abs(expect))
 
 
+def _wide_field(n, dtype, seed=0):
+    """Complex samples with magnitudes from e^-60 to e^60, a zero block and zero edge lines."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    v *= np.exp(rng.uniform(-60.0, 60.0, (n, n)))
+    v[n // 4 : n // 2, n // 3 : n // 2 + 3] = 0
+    v[:3] = 0
+    v[:, -2:] = 0
+    return v.astype(dtype)
+
+
+def _spacing(n, dtype):
+    """The spacing of the n-node unit grid in the array's precision, as residual_norm passes it."""
+    return np.longdouble(2.0) / (n - 1) if dtype == np.clongdouble else 2.0 / (n - 1)
+
+
+class TestStencilBits:
+    """The real-view stencil kernel against the complex stencils it replaced
+    (support.oracle_d, oracle_dbar): the same values and signs of zero."""
+
+    DTYPES = pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble],
+                                     ids=["complex128", "clongdouble"])
+
+    @DTYPES
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_bit_equal_to_complex_stencils(self, dtype, n):
+        v, s = _wide_field(n, dtype), _spacing(n, dtype)
+        d, dbar = oracle_d(v, s), oracle_dbar(v, s)
+        pair = grid_module._wirtinger_pair(v, s)
+        assert same_bits(grid_module._d(v, s), d)
+        assert same_bits(grid_module._dbar(v, s), dbar)
+        assert same_bits(pair[0], d) and same_bits(pair[1], dbar)
+
+    @DTYPES
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_bit_equal_in_four_row_blocks(self, dtype, n, monkeypatch):
+        # the smallest block puts a block edge next to every one-sided line
+        monkeypatch.setattr(grid_module, "_BLOCK_BYTES", 0)
+        v, s = _wide_field(n, dtype, seed=1), _spacing(n, dtype)
+        d, dbar = grid_module._wirtinger_pair(v, s)
+        assert same_bits(d, oracle_d(v, s)) and same_bits(dbar, oracle_dbar(v, s))
+
+    def test_other_layouts_and_dtypes(self):
+        # a transposed view is copied once to C order; real and complex64
+        # input are cast to complex128, real input as complex arithmetic
+        # promotes it, so it rounds as the complex oracle does on the cast
+        # array, within an ulp of the oracle's real-division bits
+        v, s = _wide_field(64, np.complex128), _spacing(64, np.complex128)
+        x = v.real.copy()
+        for fn, oracle in ((grid_module._d, oracle_d), (grid_module._dbar, oracle_dbar)):
+            assert same_bits(fn(v.T, s), oracle(v.T, s))
+            assert same_bits(fn(x, s), oracle(x.astype(np.complex128), s))
+            got, raw = fn(x, s), oracle(x, s)
+            assert raw.dtype == np.complex128
+            np.testing.assert_allclose(got.real, raw.real, rtol=2 * np.finfo(float).eps, atol=0)
+            np.testing.assert_allclose(got.imag, raw.imag, rtol=2 * np.finfo(float).eps, atol=0)
+            single = v.astype(np.complex64)
+            assert same_bits(fn(single, s), oracle(single.astype(np.complex128), s))
+
+    def test_traced_peak(self):
+        # the results and three row blocks of about 256 KiB, 3/8 of an n = 256
+        # clongdouble array: measured 1.61 arrays for d and 2.61 for the pair,
+        # 0.39 below each bound.  The complex stencils peaked at 4.09 for d
+        # and 5.09 for d + dbar
+        v, s = _wide_field(256, np.clongdouble), _spacing(256, np.clongdouble)
+        for fn, bound in ((grid_module._d, 2.0), (grid_module._wirtinger_pair, 3.0)):
+            tracemalloc.start()
+            try:
+                fn(v, s)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * v.nbytes, fn.__name__
+
+
 class TestIntegrate:
     def test_constant_area(self, grid64):
         assert integrate(grid64.constant(1.0)) == pytest.approx(4.0, abs=1e-12)
@@ -292,6 +369,13 @@ class TestNorms:
         for m in (0, 1, 3):
             assert norm_hm(grid64.constant(c), m) == pytest.approx(abs(c) * 2.0, abs=1e-9)
 
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_hm_bit_equal_to_reference_loop(self, n):
+        g = ComplexGrid(0j, 1.0, n)
+        f = g.sample(lambda z: np.exp(1j * (z - 0.1 - 0.05j) ** 2 / 0.2) * (1 + 0.5 * np.conj(z)))
+        for m in range(5):
+            assert norm_hm(f, m) == reference_norm_hm(f, m), m
+
     def test_l2_of_z_closed_form(self, grid256):
         # integral of |z|^2 over [-1,1]^2 is 8/3
         f = grid256.sample(lambda z: z)
@@ -304,6 +388,22 @@ class TestNorms:
     def test_rejects_bad_p(self, grid64):
         with pytest.raises(ValueError):
             norm_lp(grid64.constant(1.0), 0.5)
+
+
+def reference_norm_hm(f, m):
+    """norm_hm's loop before it took d and dbar in pairs, kept here verbatim but
+    for its stencils, the complex ones grid ran before its real-view kernel."""
+    rows = {(0, 0): f}
+    total = 0.0
+    for a in range(m + 1):
+        if a > 0:
+            rows[(a, 0)] = ScalarField(f.grid, oracle_d(rows[(a - 1, 0)].values, f.grid.spacing))
+        cur = rows[(a, 0)]
+        total += grid_module._weighted_p_sum(cur.grid, cur.values, 2)
+        for b in range(1, m + 1 - a):
+            cur = ScalarField(f.grid, oracle_dbar(cur.values, f.grid.spacing))
+            total += grid_module._weighted_p_sum(cur.grid, cur.values, 2)
+    return total**0.5
 
 
 # sympy conjugate, importable at module top for the oracle lambdas above
