@@ -42,7 +42,6 @@ from .grid import (
     ComplexGrid,
     ScalarField,
     integrate,
-    masked_l2,
     mixed_wirtinger,
     norm_hm,
     norm_lp,
@@ -54,7 +53,6 @@ from .operators import (
     STANDARD,
     PerturbedOperator,
     adjoint,
-    apply,
     to_divergence_form,
     to_standard_form,
 )
@@ -65,12 +63,9 @@ from .recovery import (
     STATIONARY_PHASE_CONSTANT,
     RecoveryProblem,
     RecoveryReport,
-    extraction_noise_floor,
     identity_lhs,
-    plateau_cutoff,
     recover_all,
     sample_bilinear,
-    stationary_phase_calibration,
 )
 
 __version__ = "0.1.0"

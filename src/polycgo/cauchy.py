@@ -33,8 +33,6 @@ passes against a complex64 copy of the kernel transform, built on first
 single-precision use, and any other array is cast to complex128.  Both
 transforms take a power, dbar_inv(f, m) and d_inv(f, m), and run through one
 array-level chain, cauchy_chain.
-CauchyKernel.apply_direct sums the same quadrature directly, as a validation
-oracle.
 """
 
 from __future__ import annotations
@@ -164,22 +162,6 @@ class CauchyKernel:
         khat = _kernel_layout(self.grid.n, np.complex64)
         khat[...] = self._khat
         return khat
-
-    def apply_direct(self, values: np.ndarray) -> np.ndarray:
-        """O(n^4) direct summation; validation oracle, refuses n > 128."""
-        from scipy.signal import convolve2d
-
-        n, s = self.grid.n, self.grid.spacing
-        if n > 128:
-            raise ValueError("direct summation is limited to n <= 128")
-        table = _cell_integral_table(n, s) / (np.pi * s * s)
-        # unwrapped displacement table covering d in [-(n-1), n-1] per axis
-        full = np.empty((2 * n - 1, 2 * n - 1), dtype=np.complex128)
-        for a in range(-(n - 1), n):
-            for b in range(-(n - 1), n):
-                full[a + n - 1, b + n - 1] = table[a % (2 * n), b % (2 * n)]
-        out = convolve2d(values, full, mode="full")[n - 1 : 2 * n - 1, n - 1 : 2 * n - 1]
-        return out * (s**2)
 
 
 @lru_cache(maxsize=4)

@@ -164,12 +164,16 @@ def _distinct(raw: list, where: str, parse) -> list:
 
 def load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
+    # bytes that are not UTF-8, an integer past the int-conversion digit
+    # limit, arrays nested past the recursion limit
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     for section, fields in raw.items():

@@ -81,10 +81,6 @@ class ComplexGrid:
         w.setflags(write=False)
         return w
 
-    def sample(self, fn) -> "ScalarField":
-        """Evaluate fn on the node array (fn maps complex ndarray -> ndarray)."""
-        return ScalarField(self, fn(self.nodes))
-
     def constant(self, c: complex) -> "ScalarField":
         return ScalarField(self, np.full((self.n, self.n), c, dtype=np.complex128))
 
@@ -356,13 +352,10 @@ def norm_hm(f: ScalarField, m: int) -> float:
 
 
 def _masked_l2(grid: ComplexGrid, values: np.ndarray) -> float:
-    """masked_l2 of an array, summed in the array's precision."""
+    """L^2 norm over the central subgrid, 5% of the width cut at each edge,
+    summed in the array's precision."""
     a = np.abs(values) ** 2 * grid.interior_mask(0.05)
     w = grid._trapezoid_1d.astype(a.dtype)
     s = a.dtype.type(grid.spacing)
     return float(np.sqrt(w @ a @ w * s * s))
 
-
-def masked_l2(f: ScalarField) -> float:
-    """L^2 norm restricted to the central subgrid: 5% of the width is cut at each edge."""
-    return _masked_l2(f.grid, f.values)

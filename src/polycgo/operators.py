@@ -104,13 +104,6 @@ def apply_values(op: PerturbedOperator, values, spacing):
     return col if out is None else out + col
 
 
-def apply(op: PerturbedOperator, u: ScalarField) -> ScalarField:
-    """Evaluate the operator on u with repeated Wirtinger stencils (apply_values)."""
-    if u.grid != op.grid:
-        raise ValueError("u lives on a different grid than the coefficients")
-    return ScalarField(op.grid, apply_values(op, u.values, op.grid.spacing))
-
-
 def to_divergence_form(op: PerturbedOperator) -> PerturbedOperator:
     """Solve the triangular binomial-derivative system for the divergence table.
 

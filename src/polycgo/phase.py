@@ -8,7 +8,6 @@ range off the critical point.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, replace
 from math import inf
 
@@ -70,21 +69,6 @@ class PhaseSpec:
     def oscillation(self, grid: ComplexGrid, sign: int = +1) -> ScalarField:
         """exp(sign*(phase - conj(phase))/h), the outer product of its 1-D factors."""
         return ScalarField(grid, np.multiply.outer(*self.oscillation_factors(grid, sign)))
-
-    def oscillatory_integral(self, grid: ComplexGrid, values) -> complex:
-        """Trapezoid quadrature of oscillation(grid) * values without the n^2 oscillation.
-
-        The separable oscillation folds into the trapezoid weights:
-        (w*ex) @ values @ (w*ey) * spacing^2.  No folded weight is zero, so a
-        non-finite entry of values reaches the sum and raises ValueError.
-        """
-        ex, ey = self.oscillation_factors(grid)
-        w = grid._trapezoid_1d
-        with np.errstate(over="ignore", invalid="ignore"):  # the value is checked below
-            value = complex((w * ex) @ values @ (w * ey)) * grid.spacing**2
-        if not cmath.isfinite(value):
-            raise ValueError("field contains non-finite values")
-        return value
 
     def carrier(self, grid: ComplexGrid, sign: int = +1) -> ScalarField:
         """exp(sign*phase/h); grows off the critical point.

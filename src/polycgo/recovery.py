@@ -28,8 +28,8 @@ each difference is scanned whole for its support once per problem.  Where G
 vanishes off the box, X^T G Y is X[rows]^T G[box] Y[cols], up to the order
 BLAS sums in, so each product and each G of full_cgo is formed on the box
 alone.  The remainder derivatives stay full-grid, since their stencils
-read neighbouring nodes.  The point weights and the noise floor are
-cgo._monomial_part, the rule AmplitudeSpec.monomial builds on.
+read neighbouring nodes.  The point weights are cgo._monomial_part, the
+rule AmplitudeSpec.monomial builds on.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .cgo import (
     build_cgo,
 )
 from .errors import DegenerateProbeError, PairingOverflowError
-from .grid import ComplexGrid, ScalarField, _dbar
+from .grid import ScalarField, _dbar
 from .operators import PerturbedOperator, adjoint, to_divergence_form
 from .phase import PhaseSpec
 
@@ -66,39 +66,6 @@ SUPPORT_TOL = 1e-12  # largest |difference| allowed on that frame
 CONDITIONING_BOUND = 100.0  # largest sum of a probe's subtraction weights
 AMPLITUDE_ONLY = "amplitude_only"
 FULL_CGO = "full_cgo"
-
-
-def plateau_cutoff(
-    grid: ComplexGrid, z0: complex, plateau: float, support: float
-) -> ScalarField:
-    """Smooth radial cutoff: identically 1 for |z-z0| <= plateau, 0 beyond support."""
-    if not 0 < plateau < support:
-        raise ValueError("need 0 < plateau < support")
-
-    def smoothstep(t):
-        # C^inf transition built from exp(-1/t)
-        t = np.clip(t, 0.0, 1.0)
-        with np.errstate(divide="ignore", over="ignore"):
-            a = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-            b = np.where(t < 1, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
-        return a / (a + b)
-
-    r = np.abs(grid.nodes - z0)
-    return ScalarField(grid, smoothstep((support - r) / (support - plateau)))
-
-
-def stationary_phase_calibration(
-    grid: ComplexGrid, phase: PhaseSpec, plateau: float = 0.3, support: float = 0.6
-) -> complex:
-    """Measured (1/h) * integral(E+ * cutoff); approaches pi/2 as h shrinks.
-
-    The transition annulus contributes an oscillatory boundary term whose size
-    depends on how the cutoff bands align with the Fresnel zones; the default
-    radii sit well away from the bad alignments at desk-scale h.
-    """
-    phase.check_grid(grid)
-    chi = plateau_cutoff(grid, phase.z0, plateau, support)
-    return phase.oscillatory_integral(grid, chi.values) / phase.h
 
 
 def sample_bilinear(f: ScalarField, z: complex) -> complex:
@@ -392,19 +359,6 @@ def identity_lhs(
     if not cmath.isfinite(value):
         raise PairingOverflowError(j0, k0, z0, h)
     return value
-
-
-def extraction_noise_floor(
-    grid: ComplexGrid, j0: int, k0: int, h: float, z0: complex
-) -> float:
-    """Roundoff scale of the extracted value: eps times the quadrature mass."""
-    z = grid.nodes
-    mass = 0.0
-    for j in range(j0 + 1):
-        for k in range(k0 + 1):
-            prod = np.abs(_monomial_part(np.conj(z), k0 - k) * _monomial_part(z, j0 - j))
-            mass += float(np.mean(prod)) * (2 * grid.half_width) ** 2
-    return float(np.finfo(float).eps) * mass / (STATIONARY_PHASE_CONSTANT * h)
 
 
 @dataclass(frozen=True)

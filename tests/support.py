@@ -1,14 +1,22 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles and test-only helpers for the test suite.
 
-Everything here computes expected values by a route that does not touch the
+The oracles here compute expected values by a route that does not touch the
 code paths under test: sympy for Wirtinger calculus, adaptive quadrature for
 integrals, closed forms where classical results exist, and the earlier
 complex-arithmetic Wirtinger stencils (oracle_d, oracle_dbar) that
 grid's real-view kernel must match bit for bit.  run_python starts a
 fresh interpreter on the package's source, for checks that depend on how the
 process starts.
+
+The package keeps only what poly and its library example reach, so the
+oracles and probes that only tests call live here too: apply_direct, the
+O(n^4) direct sum of the Cauchy quadrature; the pi/2 calibration probe
+stationary_phase_calibration with its plateau_cutoff and
+oscillatory_integral; extraction_noise_floor, the roundoff scale of an
+extracted value; and the field-level wrappers sample, masked_l2 and apply.
 """
 
+import cmath
 import os
 import subprocess
 import sys
@@ -18,7 +26,15 @@ import numpy as np
 import sympy as sp
 from scipy.integrate import dblquad, quad
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from polycgo import ComplexGrid, PerturbedOperator, PhaseSpec, ScalarField
+from polycgo.cauchy import CauchyKernel, _cell_integral_table
+from polycgo.cgo import _monomial_part
+from polycgo.grid import _masked_l2
+from polycgo.operators import apply_values
+from polycgo.recovery import STATIONARY_PHASE_CONSTANT
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 _X, _Y = sp.symbols("x y", real=True)
 _Z = _X + sp.I * _Y
@@ -138,11 +154,108 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def run_python(*args, **env) -> subprocess.CompletedProcess:
-    """A fresh interpreter with the package's source directory first on its path.
+    """A fresh interpreter with the package's source and the tests directory
+    first on its path, so a probe can import support.
 
     Keyword arguments are set as environment variables of the child.
     """
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [str(SRC), str(TESTS), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, **env)
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
                           timeout=60)
+
+
+def sample(grid: ComplexGrid, fn) -> ScalarField:
+    """Evaluate fn on the node array (fn maps complex ndarray -> ndarray)."""
+    return ScalarField(grid, fn(grid.nodes))
+
+
+def masked_l2(f: ScalarField) -> float:
+    """L^2 norm restricted to the central subgrid: 5% of the width is cut at each edge."""
+    return _masked_l2(f.grid, f.values)
+
+
+def apply(op: PerturbedOperator, u: ScalarField) -> ScalarField:
+    """Evaluate the operator on u with repeated Wirtinger stencils (apply_values)."""
+    if u.grid != op.grid:
+        raise ValueError("u lives on a different grid than the coefficients")
+    return ScalarField(op.grid, apply_values(op, u.values, op.grid.spacing))
+
+
+def apply_direct(kernel: CauchyKernel, values: np.ndarray) -> np.ndarray:
+    """O(n^4) direct summation of kernel's quadrature; validation oracle, refuses n > 128."""
+    from scipy.signal import convolve2d
+
+    n, s = kernel.grid.n, kernel.grid.spacing
+    if n > 128:
+        raise ValueError("direct summation is limited to n <= 128")
+    table = _cell_integral_table(n, s) / (np.pi * s * s)
+    # unwrapped displacement table covering d in [-(n-1), n-1] per axis
+    full = np.empty((2 * n - 1, 2 * n - 1), dtype=np.complex128)
+    for a in range(-(n - 1), n):
+        for b in range(-(n - 1), n):
+            full[a + n - 1, b + n - 1] = table[a % (2 * n), b % (2 * n)]
+    out = convolve2d(values, full, mode="full")[n - 1 : 2 * n - 1, n - 1 : 2 * n - 1]
+    return out * (s**2)
+
+
+def oscillatory_integral(phase: PhaseSpec, grid: ComplexGrid, values) -> complex:
+    """Trapezoid quadrature of phase.oscillation(grid) * values without the n^2 oscillation.
+
+    The separable oscillation folds into the trapezoid weights:
+    (w*ex) @ values @ (w*ey) * spacing^2.  No folded weight is zero, so a
+    non-finite entry of values reaches the sum and raises ValueError.
+    """
+    ex, ey = phase.oscillation_factors(grid)
+    w = grid._trapezoid_1d
+    with np.errstate(over="ignore", invalid="ignore"):  # the value is checked below
+        value = complex((w * ex) @ values @ (w * ey)) * grid.spacing**2
+    if not cmath.isfinite(value):
+        raise ValueError("field contains non-finite values")
+    return value
+
+
+def plateau_cutoff(
+    grid: ComplexGrid, z0: complex, plateau: float, support: float
+) -> ScalarField:
+    """Smooth radial cutoff: identically 1 for |z-z0| <= plateau, 0 beyond support."""
+    if not 0 < plateau < support:
+        raise ValueError("need 0 < plateau < support")
+
+    def smoothstep(t):
+        # C^inf transition built from exp(-1/t)
+        t = np.clip(t, 0.0, 1.0)
+        with np.errstate(divide="ignore", over="ignore"):
+            a = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
+            b = np.where(t < 1, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
+        return a / (a + b)
+
+    r = np.abs(grid.nodes - z0)
+    return ScalarField(grid, smoothstep((support - r) / (support - plateau)))
+
+
+def stationary_phase_calibration(
+    grid: ComplexGrid, phase: PhaseSpec, plateau: float = 0.3, support: float = 0.6
+) -> complex:
+    """Measured (1/h) * integral(E+ * cutoff); approaches pi/2 as h shrinks.
+
+    The transition annulus contributes an oscillatory boundary term whose size
+    depends on how the cutoff bands align with the Fresnel zones; the default
+    radii sit well away from the bad alignments at desk-scale h.
+    """
+    phase.check_grid(grid)
+    chi = plateau_cutoff(grid, phase.z0, plateau, support)
+    return oscillatory_integral(phase, grid, chi.values) / phase.h
+
+
+def extraction_noise_floor(
+    grid: ComplexGrid, j0: int, k0: int, h: float, z0: complex
+) -> float:
+    """Roundoff scale of the extracted value: eps times the quadrature mass."""
+    z = grid.nodes
+    mass = 0.0
+    for j in range(j0 + 1):
+        for k in range(k0 + 1):
+            prod = np.abs(_monomial_part(np.conj(z), k0 - k) * _monomial_part(z, j0 - j))
+            mass += float(np.mean(prod)) * (2 * grid.half_width) ** 2
+    return float(np.finfo(float).eps) * mass / (STATIONARY_PHASE_CONSTANT * h)

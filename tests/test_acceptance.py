@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 
 from conftest import TESTBED_BUMPS, bump_testbed, transport
-from support import gaussian_bump
+from support import (
+    extraction_noise_floor,
+    gaussian_bump,
+    masked_l2,
+    sample,
+    stationary_phase_calibration,
+)
 
 from polycgo import (
     AMPLITUDE_ONLY,
@@ -27,18 +33,15 @@ from polycgo import (
     RecoveryProblem,
     build_cgo,
     dbar_inv,
-    extraction_noise_floor,
     field_from_expression,
     fit_loglog_slope,
     identity_lhs,
-    masked_l2,
     norm_hm,
     norm_lp,
     oscillatory_decay_probe,
     recover_all,
     residual_norm,
     sample_bilinear,
-    stationary_phase_calibration,
     to_divergence_form,
     transport_norm_probe,
     wirtinger_dbar,
@@ -58,7 +61,7 @@ def test_criterion_01_cauchy_inverse_identity():
     errs = []
     for n in (256, 512, 1024):
         g = ComplexGrid(0j, 1.0, n)
-        f = g.sample(gaussian_bump(sigma=0.15))
+        f = sample(g, gaussian_bump(sigma=0.15))
         errs.append(norm_lp(wirtinger_dbar(dbar_inv(f)) - f, 2) / norm_lp(f, 2))
     ratios = [errs[i] / errs[i + 1] for i in range(2)]
     ok = errs[0] <= 1e-2 and all(r >= 3.0 for r in ratios)
@@ -70,7 +73,7 @@ def test_criterion_01_cauchy_inverse_identity():
 def test_criterion_02_disc_indicator_closed_form():
     g = ComplexGrid(0j, 1.0, 1024)
     R = 0.5
-    f = g.sample(lambda z: (np.abs(z) < R).astype(complex))
+    f = sample(g, lambda z: (np.abs(z) < R).astype(complex))
     t = dbar_inv(f)
     inside = np.abs(g.nodes) < 0.9 * R
     err = float(np.max(np.abs(t.values - np.conj(g.nodes))[inside]))
@@ -81,7 +84,7 @@ def test_criterion_02_disc_indicator_closed_form():
 
 def test_criterion_03_oscillatory_decay():
     g = ComplexGrid(0j, 1.0, 2048)
-    omega = g.sample(gaussian_bump(sigma=0.25))
+    omega = sample(g, gaussian_bump(sigma=0.25))
     phase = PhaseSpec(0.05 + 0.05j, 0.2)
     s2, s4 = (p.slope for p in oscillatory_decay_probe(omega, phase, [2.0, 4.0], H_SWEEP))
     ok = s2 >= 0.5 and s4 >= 0.2

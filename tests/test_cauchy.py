@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from support import dblquad_complex, disc_cauchy_transform_oracle, gaussian_bump
+from support import (
+    apply_direct,
+    dblquad_complex,
+    disc_cauchy_transform_oracle,
+    gaussian_bump,
+    sample,
+)
 
 from polycgo import (
     CauchyKernel,
@@ -281,7 +287,7 @@ class TestCauchyTransforms:
     def test_disc_indicator_inside(self):
         g = ComplexGrid(0j, 1.0, 256)
         R = 0.5
-        f = g.sample(lambda z: (np.abs(z) < R).astype(complex))
+        f = sample(g, lambda z: (np.abs(z) < R).astype(complex))
         t = dbar_inv(f)
         inside = np.abs(g.nodes) < 0.9 * R
         err = np.max(np.abs(t.values - np.conj(g.nodes))[inside])
@@ -293,7 +299,7 @@ class TestCauchyTransforms:
         # is asserted against the closed form below
         g = ComplexGrid(0j, 1.0, 128)
         R = 0.5
-        f = g.sample(lambda z: (np.abs(z) < R).astype(complex))
+        f = sample(g, lambda z: (np.abs(z) < R).astype(complex))
         t = dbar_inv(f)
         for z in (0.1 + 0.2j, 0.7 - 0.3j):
             oracle = disc_cauchy_transform_oracle(z, R)
@@ -309,7 +315,7 @@ class TestCauchyTransforms:
     def test_disc_indicator_outside_closed_form(self):
         g = ComplexGrid(0j, 1.0, 256)
         R = 0.4
-        f = g.sample(lambda z: (np.abs(z) < R).astype(complex))
+        f = sample(g, lambda z: (np.abs(z) < R).astype(complex))
         t = dbar_inv(f)
         ring = (np.abs(g.nodes) > 1.5 * R) & (np.abs(g.nodes) < 0.95)
         err = np.max(np.abs(t.values - R**2 / g.nodes)[ring])
@@ -319,14 +325,14 @@ class TestCauchyTransforms:
         errs = []
         for n in (128, 256):
             g = ComplexGrid(0j, 1.0, n)
-            f = g.sample(gaussian_bump(sigma=0.15))
+            f = sample(g, gaussian_bump(sigma=0.15))
             err = norm_lp(wirtinger_dbar(dbar_inv(f)) - f, 2) / norm_lp(f, 2)
             errs.append(err)
         assert errs[0] <= 1e-2
         assert errs[0] / errs[1] >= 3.0
 
     def test_d_inv_left_inverse(self, grid128):
-        f = grid128.sample(gaussian_bump(sigma=0.15))
+        f = sample(grid128, gaussian_bump(sigma=0.15))
         err = norm_lp(wirtinger_d(d_inv(f)) - f, 2) / norm_lp(f, 2)
         assert err <= 1e-2
 
@@ -341,13 +347,13 @@ class TestCauchyTransforms:
         rng = np.random.default_rng(3)
         f = ScalarField(g, rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)))
         fast = dbar_inv(f)
-        slow = kernel_for(g).apply_direct(f.values)
+        slow = apply_direct(kernel_for(g), f.values)
         assert np.max(np.abs(fast.values - slow)) <= 1e-12 * norm_lp(f, np.inf)
 
     def test_direct_refuses_large_grids(self):
         g = ComplexGrid(0j, 1.0, 256)
         with pytest.raises(ValueError):
-            kernel_for(g).apply_direct(g.constant(1.0).values)
+            apply_direct(kernel_for(g), g.constant(1.0).values)
 
     def test_lp_boundedness_constant_stable(self):
         # measured constants stay within a factor 2 across refinement
@@ -355,7 +361,7 @@ class TestCauchyTransforms:
             consts = []
             for n in (256, 512, 1024):
                 g = ComplexGrid(0j, 1.0, n)
-                consts.append(lp_bound_constant(g.sample(gaussian_bump(sigma=0.15)), p))
+                consts.append(lp_bound_constant(sample(g, gaussian_bump(sigma=0.15)), p))
             assert max(consts) / min(consts) <= 2.0, (p, consts)
 
 
@@ -399,7 +405,7 @@ class TestIteratedInverses:
 
     def test_double_inverse_identity(self):
         g = ComplexGrid(0j, 1.0, 256)
-        f = g.sample(gaussian_bump(sigma=0.15))
+        f = sample(g, gaussian_bump(sigma=0.15))
         rec = wirtinger_dbar(wirtinger_dbar(dbar_inv(f, 2)))
         err = norm_lp(rec - f, 2) / norm_lp(f, 2)
         assert err <= 1e-2
@@ -414,7 +420,7 @@ class TestOscillatoryDecay:
         assert np.isnan(probe.slope)
 
     def test_decay_slope_l2(self, grid256):
-        omega = grid256.sample(gaussian_bump(sigma=0.25))
+        omega = sample(grid256, gaussian_bump(sigma=0.25))
         [probe] = oscillatory_decay_probe(
             omega, PhaseSpec(0.05 + 0.05j, 0.2), [2.0], [0.2, 0.14, 0.1, 0.07]
         )
@@ -423,7 +429,7 @@ class TestOscillatoryDecay:
     def test_decay_slope_below_two_reported(self, grid256):
         # the 1 < q < 2 regime carries exponent 2/3; sharpness is untested,
         # the slope only has to clear the predicted decay minus slack
-        omega = grid256.sample(gaussian_bump(sigma=0.25))
+        omega = sample(grid256, gaussian_bump(sigma=0.25))
         [probe] = oscillatory_decay_probe(
             omega, PhaseSpec(0.05 + 0.05j, 0.2), [1.5], [0.2, 0.14, 0.1, 0.07]
         )
@@ -438,7 +444,7 @@ class TestOscillatoryDecay:
     def test_one_transform_per_h_for_every_q(self, grid64, monkeypatch):
         # each h's transform once, whatever the number of exponents, and each
         # probe the one a single-exponent call returns
-        omega = grid64.sample(gaussian_bump(sigma=0.25))
+        omega = sample(grid64, gaussian_bump(sigma=0.25))
         phase, h_list = PhaseSpec(0.05 + 0.05j, 0.5), [0.5, 0.4, 0.3]
         alone = [oscillatory_decay_probe(omega, phase, [q], h_list)[0] for q in (2.0, 4.0)]
         calls = []

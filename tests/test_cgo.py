@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bump_testbed, transport
+from support import apply, masked_l2, sample
 
 from polycgo import (
     AmplitudeSpec,
@@ -22,12 +23,10 @@ from polycgo import (
     PhaseSpec,
     ScalarField,
     adjoint,
-    apply,
     build_cgo,
     d_inv,
     dbar_inv,
     field_from_expression,
-    masked_l2,
     mixed_wirtinger,
     norm_lp,
     smooth_random_field,
@@ -80,10 +79,10 @@ class TestAmplitudeSpec:
         assert np.max(np.abs(got - expect)) <= 1e-15
 
     def test_custom_admissibility_enforced(self, grid64):
-        bad = AmplitudeSpec(grid64.sample(lambda z: np.conj(z) ** 3))
+        bad = AmplitudeSpec(sample(grid64, lambda z: np.conj(z) ** 3))
         with pytest.raises(ValueError):
             bad.check_admissible(2)
-        good = AmplitudeSpec(grid64.sample(lambda z: np.conj(z) + 2.0))
+        good = AmplitudeSpec(sample(grid64, lambda z: np.conj(z) + 2.0))
         good.check_admissible(2)
 
 
@@ -342,7 +341,7 @@ class TestSource:
         a = AmplitudeSpec.monomial(grid128, 1)
         got = ScalarField(grid128, OscillatoryTransport(op, PHASE).source(a))
         e_plus = PHASE.oscillation(grid128)
-        zbar = grid128.sample(np.conj)
+        zbar = sample(grid128, np.conj)
         one = grid128.constant(1.0)
         expect = -1.0 * d_inv(e_plus * coeffs[(0, 0)] * zbar, 2) - d_inv(
             e_plus * coeffs[(1, 1)] * one, 1

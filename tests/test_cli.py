@@ -573,10 +573,21 @@ class TestDeterminismAndProvenance:
         assert main(["cauchy-test", "--config", str(tmp_path / "nope.json")]) == 2
 
     def test_invalid_json(self, tmp_path, capsys):
-        p = tmp_path / "bad.json"
-        p.write_text("{not json")
-        assert main(["cauchy-test", "--config", str(p)]) == 2
-        assert "line" in capsys.readouterr().err
+        # the last three once escaped as a traceback and exit 1, the tolerance
+        # failure's code
+        cases = {
+            "syntax": (b"{not json", "line 1"),
+            "not_utf8": (b'{"grid": {"center": "\xff"}}', "utf-8"),
+            "long_int": (b'{"grid": {"n": ' + b"1" * 5000 + b"}}", "4300 digits"),
+            "deep_arrays": (b"[" * 200_000 + b"]" * 200_000, "recursion"),
+        }
+        for name, (text, reason) in cases.items():
+            p = tmp_path / f"{name}.json"
+            p.write_bytes(text)
+            assert main(["cauchy-test", "--config", str(p)]) == 2, name
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: config {p} ") and err.count("\n") == 1, name
+            assert reason in err, name
 
     @pytest.mark.parametrize("threads", ["0", "-1", "3"])
     def test_threads_outside_cpu_count_config_error(self, tmp_path, capsys, monkeypatch, threads):

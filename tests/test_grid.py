@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from support import (
-    dblquad_complex, normalized_gaussian, oracle_d, oracle_dbar, same_bits, symbolic_wirtinger,
+    dblquad_complex, normalized_gaussian, oracle_d, oracle_dbar, same_bits, sample,
+    symbolic_wirtinger,
 )
 
 import polycgo.grid as grid_module
@@ -161,7 +162,7 @@ class TestOwnership:
             return made[-1]
 
         monkeypatch.setattr(module, name, recorded)
-        f = fn(grid64.sample(lambda z: z * np.conj(z)))
+        f = fn(sample(grid64, lambda z: z * np.conj(z)))
         assert len(made) == 1 and np.shares_memory(f.values, made[0])
 
 
@@ -183,35 +184,35 @@ class TestSupportBox:
 
 class TestWirtinger:
     def test_d_of_z_squared(self, grid64):
-        f = grid64.sample(lambda z: z**2)
+        f = sample(grid64, lambda z: z**2)
         out = wirtinger_d(f)
         assert np.allclose(out.values, 2 * grid64.nodes, atol=1e-12)
 
     def test_d_kills_zbar(self, grid64):
-        f = grid64.sample(np.conj)
+        f = sample(grid64, np.conj)
         assert np.allclose(wirtinger_d(f).values, 0, atol=1e-12)
 
     def test_dbar_of_zbar_squared(self, grid64):
-        f = grid64.sample(lambda z: np.conj(z) ** 2)
+        f = sample(grid64, lambda z: np.conj(z) ** 2)
         assert np.allclose(wirtinger_dbar(f).values, 2 * np.conj(grid64.nodes), atol=1e-12)
 
     def test_dbar_kills_z(self, grid64):
-        f = grid64.sample(lambda z: z)
+        f = sample(grid64, lambda z: z)
         assert np.allclose(wirtinger_dbar(f).values, 0, atol=1e-12)
 
     def test_d_of_abs_squared_symbolic_oracle(self, grid64):
         # |z|^2 = z*conj(z); the symbolic oracle confirms d -> conj(z)
         oracle = symbolic_wirtinger(lambda z: z * sp_conj(z), n_d=1)
-        f = grid64.sample(lambda z: z * np.conj(z))
+        f = sample(grid64, lambda z: z * np.conj(z))
         assert np.allclose(wirtinger_d(f).values, oracle(grid64.nodes), atol=1e-12)
 
     def test_dbar_of_abs_squared_symbolic_oracle(self, grid64):
         oracle = symbolic_wirtinger(lambda z: z * sp_conj(z), n_dbar=1)
-        f = grid64.sample(lambda z: z * np.conj(z))
+        f = sample(grid64, lambda z: z * np.conj(z))
         assert np.allclose(wirtinger_dbar(f).values, oracle(grid64.nodes), atol=1e-12)
 
     def test_mixed_derivatives_commute_on_gaussian(self, grid128):
-        f = grid128.sample(lambda z: np.exp(-np.abs(z) ** 2 / 0.08))
+        f = sample(grid128, lambda z: np.exp(-np.abs(z) ** 2 / 0.08))
         ab = wirtinger_d(wirtinger_dbar(f))
         ba = wirtinger_dbar(wirtinger_d(f))
         scale = norm_lp(ab, np.inf)
@@ -240,7 +241,7 @@ class TestWirtinger:
         # 4 d dbar f should match the coordinate Laplacian on smooth fields
         import sympy as sp
 
-        f = grid128.sample(lambda z: np.exp(-np.abs(z - 0.1) ** 2 / 0.1))
+        f = sample(grid128, lambda z: np.exp(-np.abs(z - 0.1) ** 2 / 0.1))
         lap_w = 4.0 * wirtinger_d(wirtinger_dbar(f)).values
         x, y = sp.symbols("x y", real=True)
         expr = sp.exp(-((x - sp.Rational(1, 10)) ** 2 + y**2) / sp.Rational(1, 10))
@@ -331,7 +332,7 @@ class TestIntegrate:
         assert integrate(grid64.constant(1.0)) == pytest.approx(4.0, abs=1e-12)
 
     def test_odd_symmetry(self, grid64):
-        f = grid64.sample(lambda z: z)
+        f = sample(grid64, lambda z: z)
         assert abs(integrate(f)) <= 1e-12
 
     def test_normalized_gaussian_quadrature_oracle(self):
@@ -343,7 +344,7 @@ class TestIntegrate:
             lambda x, y: fn(x + 1j * y), -1, 1, -1, 1, epsabs=1e-12, epsrel=1e-12
         )
         assert abs(oracle - 1.0) < 1e-12
-        assert abs(integrate(g.sample(fn)) - oracle) < 1e-6
+        assert abs(integrate(sample(g, fn)) - oracle) < 1e-6
 
     @given(
         a=st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
@@ -372,17 +373,17 @@ class TestNorms:
     @pytest.mark.parametrize("n", [128, 256])
     def test_hm_bit_equal_to_reference_loop(self, n):
         g = ComplexGrid(0j, 1.0, n)
-        f = g.sample(lambda z: np.exp(1j * (z - 0.1 - 0.05j) ** 2 / 0.2) * (1 + 0.5 * np.conj(z)))
+        f = sample(g, lambda z: np.exp(1j * (z - 0.1 - 0.05j) ** 2 / 0.2) * (1 + 0.5 * np.conj(z)))
         for m in range(5):
             assert norm_hm(f, m) == reference_norm_hm(f, m), m
 
     def test_l2_of_z_closed_form(self, grid256):
         # integral of |z|^2 over [-1,1]^2 is 8/3
-        f = grid256.sample(lambda z: z)
+        f = sample(grid256, lambda z: z)
         assert norm_lp(f, 2) == pytest.approx((8.0 / 3.0) ** 0.5, rel=1e-4)
 
     def test_inf_norm(self, grid64):
-        f = grid64.sample(lambda z: z)
+        f = sample(grid64, lambda z: z)
         assert norm_lp(f, np.inf) == pytest.approx(abs(1 + 1j))
 
     def test_rejects_bad_p(self, grid64):

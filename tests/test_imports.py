@@ -1,5 +1,7 @@
 """Every module of the package uses each name it imports, every private
-helper it defines is read somewhere in the package, no function takes a
+helper it defines is read somewhere in the package, every public function
+or method is read by the package or reached from outside it (README's
+library example, the benchmark's span targets), no function takes a
 private parameter, and no module keeps or changes a process-wide setting.
 
 Read with the standard library's ast, so the checks need no linter.  The
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from support import run_python
+from test_bench_targets import load_spans
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polycgo"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -89,6 +92,90 @@ def test_finds_unread_private_helpers():
 def test_no_unread_private_helper():
     sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
     assert unread_private_helpers(sources) == []
+
+
+def unread_public_names(sources: dict, functions=(), methods=()) -> list:
+    """Public module-level functions that no source loads as a name, and public
+    methods that no source loads as an attribute, as module.name and
+    module.Class.name; dunders are exempt.
+
+    sources maps module names to their text.  The def itself, a string and an
+    import do not count as a read, so a re-export does not either.  The names
+    in functions and methods are allowed unread: what callers outside the
+    package reach.
+    """
+    defined, names, attrs = [], set(functions), set(methods)
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                defined.extend((f"{module}.{node.name}", sub, attrs) for sub in node.body)
+            else:
+                defined.append((module, node, names))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+    return sorted(
+        f"{owner}.{node.name}"
+        for owner, node, read in defined
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    )
+
+
+def test_finds_unread_public_names():
+    a = (
+        "from b import used\n"
+        "def dead(): pass\n"
+        "def alive(): pass\n"
+        "def _private(): pass\n"
+        "def outside(): pass\n"
+        "class C:\n"
+        "    def __init__(self): self.m = alive()\n"
+        "    def method(self): pass\n"
+        "    def kept(self): return self.kept_too\n"
+        "    def kept_too(self): pass\n"
+        "    def called(self): pass\n"
+        "    def f(self):\n"
+        "        def nested(): pass\n"
+        "        return self.kept()\n"
+    )
+    b = (
+        "def used(): pass\n"
+        "def attr_only(): pass\n"
+        "def called(): pass\n"
+        "used()\n"
+        "x = a.attr_only\n"
+        "called()\n"
+    )
+    found = unread_public_names({"a": a, "b": b}, functions=["outside"], methods=["f"])
+    assert found == ["a.C.called", "a.C.method", "a.dead", "b.attr_only"]
+
+
+def library_example_names() -> tuple:
+    """(the pc.X names, the other attribute names) loaded by README's library example."""
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    functions, methods = set(), set()
+    for node in ast.walk(ast.parse(block)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            is_pc = isinstance(node.value, ast.Name) and node.value.id == "pc"
+            (functions if is_pc else methods).add(node.attr)
+    return functions, methods
+
+
+def test_no_unread_public_name():
+    # the package's public surface is what poly, README's library example and
+    # the benchmark's span targets reach; test oracles live in tests/support.py
+    functions, methods = library_example_names()
+    assert {"build_cgo", "recover_all"} <= functions and "monomial" in methods
+    for owner, attr, _, _ in load_spans()._targets():
+        (methods if isinstance(owner, type) else functions).add(attr)
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_public_names(sources, functions, methods) == []
 
 
 def private_parameters(source: str) -> list:

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from conftest import bump_testbed
-from support import oracle_d, oracle_dbar, smooth_bump_profile, symbolic_wirtinger
+from support import (
+    apply,
+    masked_l2,
+    oracle_d,
+    oracle_dbar,
+    sample,
+    smooth_bump_profile,
+    symbolic_wirtinger,
+)
 
 import sympy as sp
 
@@ -14,10 +22,8 @@ from polycgo import (
     PerturbedOperator,
     ScalarField,
     adjoint,
-    apply,
     field_from_expression,
     integrate,
-    masked_l2,
     mixed_wirtinger,
     norm_lp,
     residual_norm,
@@ -50,12 +56,12 @@ class TestPerturbedOperator:
 class TestApply:
     def test_principal_part_biharmonic_monomial(self, grid128):
         # d^2 dbar^2 (z^2 zbar^2) = 4
-        u = grid128.sample(lambda z: (z * np.conj(z)) ** 2)
+        u = sample(grid128, lambda z: (z * np.conj(z)) ** 2)
         out = apply(PerturbedOperator(grid128, 2), u)
         assert np.max(np.abs(out.values - 4.0)) <= 1e-5
 
     def test_potential_term_added(self, grid128):
-        u = grid128.sample(lambda z: (z * np.conj(z)) ** 2)
+        u = sample(grid128, lambda z: (z * np.conj(z)) ** 2)
         op = PerturbedOperator(grid128, 2, {(0, 0): grid128.constant(1.0)})
         out = apply(op, u)
         expect = 4.0 + u.values
@@ -70,7 +76,7 @@ class TestApply:
             bump = field_from_expression(g, "bump(0, 0, 0.6, 1)")
             op = PerturbedOperator(g, 2, {(1, 1): bump})
             h = 0.4
-            u = g.sample(lambda z: np.exp(1j * (z - 0.1) ** 2 / h))
+            u = sample(g, lambda z: np.exp(1j * (z - 0.1) ** 2 / h))
             residuals.append(masked_l2(apply(op, u)))
         assert residuals[0] / residuals[1] >= 8.0
 
@@ -153,7 +159,9 @@ def chain_tables(grid):
 
 
 def oscillatory_sample(grid):
-    return grid.sample(lambda z: np.exp(1j * (z - 0.1 - 0.05j) ** 2 / 0.2) * (1 + 0.5 * np.conj(z)))
+    return sample(
+        grid, lambda z: np.exp(1j * (z - 0.1 - 0.05j) ** 2 / 0.2) * (1 + 0.5 * np.conj(z))
+    )
 
 
 class TestApplyValues:
@@ -204,7 +212,7 @@ class TestApplyValues:
 class TestFormTransforms:
     def test_hand_solved_two_by_two(self, grid64):
         # standard c(1,0) = z, c(0,0) = 0 maps to divergence (z, -1)
-        op = PerturbedOperator(grid64, 2, {(1, 0): grid64.sample(lambda z: z)})
+        op = PerturbedOperator(grid64, 2, {(1, 0): sample(grid64, lambda z: z)})
         div = to_divergence_form(op)
         assert np.allclose(div.coeff(1, 0).values, grid64.nodes, atol=1e-12)
         assert np.allclose(div.coeff(0, 0).values, -1.0, atol=1e-10)
@@ -218,7 +226,7 @@ class TestFormTransforms:
     def test_antiholomorphic_coefficient_passes_through(self, grid64):
         # divergence c(1,0) = zbar: d kills nothing new since d(zbar) = 0
         div = PerturbedOperator(
-            grid64, 2, {(1, 0): grid64.sample(np.conj)}, form="divergence"
+            grid64, 2, {(1, 0): sample(grid64, np.conj)}, form="divergence"
         )
         std = to_standard_form(div)
         assert np.allclose(std.coeff(1, 0).values, np.conj(grid64.nodes), atol=1e-12)
@@ -228,7 +236,7 @@ class TestFormTransforms:
         # divergence c(2,0) = z^2 spreads down with binomial-derivative weights;
         # oracle by symbolic differentiation
         div = PerturbedOperator(
-            grid64, 3, {(2, 0): grid64.sample(lambda z: z**2)}, form="divergence"
+            grid64, 3, {(2, 0): sample(grid64, lambda z: z**2)}, form="divergence"
         )
         std = to_standard_form(div)
         for j, n_d in ((2, 0), (1, 1), (0, 2)):
@@ -278,7 +286,7 @@ class TestFormTransforms:
             }
             op = PerturbedOperator(g, 2, coeffs)
             div = to_divergence_form(op)
-            u = g.sample(lambda z: np.exp(-np.abs(z) ** 2 / 0.15) * z)
+            u = sample(g, lambda z: np.exp(-np.abs(z) ** 2 / 0.15) * z)
             lhs = apply(op, u)
             rhs = apply(div, u)
             rels.append(norm_lp(lhs - rhs, np.inf) / norm_lp(lhs, np.inf))
