@@ -9,7 +9,6 @@ from .cauchy import (
     dbar_inv,
     fit_loglog_slope,
     kernel_for,
-    lp_bound_constant,
     oscillatory_decay_probe,
 )
 from .cgo import (

@@ -234,11 +234,3 @@ def oscillatory_decay_probe(
         slope = fit_loglog_slope(hs, ns) if all(v > 0 for v in ns) else nan
         probes.append(DecayProbe(q=q, rows=tuple(zip(hs, ns)), slope=slope))
     return probes
-
-
-def lp_bound_constant(f: ScalarField, p: float) -> float:
-    """Measured ||dbar_inv f||_p / ||f||_p, the empirical boundedness constant."""
-    nf = norm_lp(f, p)
-    if nf == 0:
-        return 0.0
-    return norm_lp(dbar_inv(f), p) / nf

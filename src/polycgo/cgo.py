@@ -324,19 +324,14 @@ def solve_density(
         ratios.append(t_norm / prev_norm)
         if not isfinite(t_norm):
             raise _overflow(h, f"Neumann term {terms_used}", ratios)
+        if t_norm > 0:
+            g = g + term
+            terms_used += 1
         if t_norm <= tol * w_norm:
-            if t_norm > 0:
-                g = g + term
-                terms_used += 1
             break
-        if t_norm >= prev_norm:
-            rises += 1
-            if rises >= 3:
-                raise NonContractionError(h, ratios=ratios)
-        else:
-            rises = 0
-        g = g + term
-        terms_used += 1
+        rises = rises + 1 if t_norm >= prev_norm else 0
+        if rises >= 3:
+            raise NonContractionError(h, ratios=ratios)
         prev_norm = t_norm
         if terms_used >= max_terms:
             raise MaxTermsExceededError(h, max_terms, ratios=ratios)

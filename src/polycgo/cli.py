@@ -8,11 +8,12 @@ of the same config is bit-identical (the log carries the only timestamp).
 Each command creates its run directory once it has read its whole config and
 before it computes anything, and removes the result tables (results.csv,
 slopes.csv, manifest.json) an earlier run left there; a directory that cannot
-be created, or a table that cannot be removed, is a config error.  A run that
-then fails, numerically or on a config error found only while it computes,
-writes log.txt alone: the lines logged so far and a last line, the one printed
-on stderr, naming the failure.  So a failed run leaves no result table, and
-only log.txt in a new directory.
+be created, a table that cannot be removed, or a file that cannot be written
+(RunWriter.write) is a config error naming its path.  A run that then fails,
+numerically or on a config error found while it computes or writes, writes
+log.txt alone: the lines logged so far and a last line, the one printed on
+stderr, naming the failure.  So a failed run leaves no result table, and only
+log.txt in a new directory.
 
 Exit codes: 0 success, 1 tolerance failure (a false passed cell in
 slopes.csv), 2 config error, 3 numerical failure (non-contraction, term
@@ -35,7 +36,7 @@ from pathlib import Path
 
 import scipy.fft
 
-from .cauchy import dbar_inv, fit_loglog_slope, lp_bound_constant, oscillatory_decay_probe
+from .cauchy import dbar_inv, fit_loglog_slope, oscillatory_decay_probe
 from .cgo import (
     DEFAULT_MAX_TERMS,
     DEFAULT_TOL,
@@ -58,7 +59,7 @@ from .errors import (
 from .expressions import ExpressionError, constant_from_expression, field_from_expression
 from .grid import ComplexGrid, norm_hm, norm_lp, wirtinger_dbar
 from .operators import DIVERGENCE, STANDARD, PerturbedOperator, to_divergence_form, to_standard_form
-from .phase import COUPLING_FACTOR, PhaseSpec, violates_coupling
+from .phase import PhaseSpec, check_resolution
 from .recovery import AMPLITUDE_ONLY, FULL_CGO, RecoveryProblem, recover_all
 
 EXIT_OK = 0
@@ -246,12 +247,10 @@ def build_h_list(cfg: dict, grid: ComplexGrid) -> list:
     raw = _take(section, "phase", "h", list, default=list(DEFAULT_H_SWEEP), check=NON_EMPTY)
     h_list = _distinct(raw, "phase.h", lambda value, where: _as_float(value, where, POSITIVE))
     for i, h in enumerate(h_list):
-        if violates_coupling(grid, h):
-            raise ConfigError(
-                f"field phase.h[{i}]={h:g} violates spacing <= h/{COUPLING_FACTOR:g} "
-                f"for grid.n={grid.n} "
-                f"(spacing={grid.spacing:.6g} > {h / COUPLING_FACTOR:.6g})"
-            )
+        try:
+            check_resolution(grid, h)
+        except CouplingError as exc:
+            raise ConfigError(f"field phase.h[{i}]={h:g}: {exc}") from exc
     return sorted(h_list, reverse=True)
 
 
@@ -288,8 +287,8 @@ class RunWriter:
     """Creates the run directory when opened, clear of an earlier run's result
     tables, collects result/slope rows and writes them at the end, when the
     slope rows' passed cells give the exit code.  Used as a context manager, it
-    writes log.txt alone, ending with the failure, when a config or numerical
-    failure leaves the run."""
+    removes the result tables and writes log.txt alone, ending with the
+    failure, when a config or numerical failure leaves the run."""
 
     def __init__(self, out_dir: Path, cfg: dict):
         try:
@@ -299,16 +298,8 @@ class RunWriter:
                 f"--out/output.directory {str(out_dir)!r}: cannot create the run directory: "
                 f"{exc.strerror or exc}"
             ) from exc
-        for name in RESULT_TABLES:
-            path = out_dir / name
-            try:
-                path.unlink(missing_ok=True)
-            except OSError as exc:
-                raise ConfigError(
-                    f"--out/output.directory {str(out_dir)!r}: cannot remove {str(path)!r} "
-                    f"of an earlier run: {exc.strerror or exc}"
-                ) from exc
         self.out_dir = out_dir
+        self._remove_tables()
         self.cfg = cfg
         self.hash = config_hash(cfg)
         self.results = []
@@ -320,7 +311,12 @@ class RunWriter:
 
     def __exit__(self, kind, exc, traceback) -> None:
         if isinstance(exc, CONFIG_FAILURES + NUMERICAL_FAILURES):
+            self._remove_tables()  # those written before a later file failed
             self._write_log("failed_at", self.log_lines + [_failure(exc)[1]])
+
+    def _remove_tables(self) -> None:
+        for name in RESULT_TABLES:
+            self.write(name, lambda path: path.unlink(missing_ok=True))
 
     def log(self, message: str) -> None:
         self.log_lines.append(message)
@@ -332,6 +328,18 @@ class RunWriter:
         self.slopes.append(
             {"name": name, "slope": slope, "threshold": threshold, "passed": passed}
         )
+
+    def write(self, name: str, fn, *args) -> None:
+        """fn(path, *args) for the run file out_dir/name, the one way a run
+        writes or removes a file: an OSError is a config error naming the path."""
+        path = self.out_dir / name
+        try:
+            fn(path, *args)
+        except OSError as exc:
+            raise ConfigError(
+                f"--out/output.directory {str(self.out_dir)!r}: cannot write {str(path)!r}: "
+                f"{exc.strerror or exc}"
+            ) from exc
 
     def _write_csv(self, path: Path, rows) -> None:
         with open(path, "w", newline="") as fh:
@@ -346,21 +354,16 @@ class RunWriter:
 
     def flush(self) -> int:
         """Write every file of the run; the exit code is 0 when every slope row passed, else 1."""
-        echo = dict(self.cfg)
-        echo["config_hash"] = self.hash
-        with open(self.out_dir / "config.json", "w") as fh:
-            json.dump(echo, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        self._write_csv(self.out_dir / "results.csv", self.results)
-        self._write_csv(self.out_dir / "slopes.csv", self.slopes)
+        echo = json.dumps({**self.cfg, "config_hash": self.hash}, indent=2, sort_keys=True)
+        self.write("config.json", Path.write_text, echo + "\n")
+        self.write("results.csv", self._write_csv, self.results)
+        self.write("slopes.csv", self._write_csv, self.slopes)
         self._write_log("finished_at", self.log_lines)
         return EXIT_OK if all(row["passed"] for row in self.slopes) else EXIT_TOLERANCE
 
     def _write_log(self, stamp: str, lines) -> None:
-        with open(self.out_dir / "log.txt", "w") as fh:
-            fh.write(f"{stamp}={time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
-            for line in lines:
-                fh.write(line + "\n")
+        head = f"{stamp}={time.strftime('%Y-%m-%dT%H:%M:%S')}"
+        self.write("log.txt", Path.write_text, "".join(f"{line}\n" for line in (head, *lines)))
 
 
 def _failure(exc: Exception):
@@ -404,7 +407,7 @@ def cmd_cauchy_test(cfg: dict, out_dir: Path) -> int:
         raise ConfigError(f"field cauchy.omega: {exc}") from exc
     if omega.is_zero():
         raise ConfigError("field cauchy.omega vanishes on every grid node")
-    omega_norm = _resolved(norm_lp(omega, 2), "the L2 norm", grid)
+    omega_norm = _resolved(norm_lp(omega, 2), "the L^2 norm", grid)
     q_values = _distinct(
         _take(section, "cauchy", "q_values", list, default=[2.0, 4.0]), "cauchy.q_values",
         lambda q, where: _as_float(q, where, (lambda q: 1 <= q < inf, ">= 1 and finite")),
@@ -430,16 +433,20 @@ def cmd_cauchy_test(cfg: dict, out_dir: Path) -> int:
     )
 
     with RunWriter(out_dir, cfg) as writer:
-        # right-inverse identity on the configured grid
-        err = norm_lp(wirtinger_dbar(dbar_inv(omega)) - omega, 2) / omega_norm
+        # right-inverse identity on the configured grid, from the one
+        # dbar_inv(omega) that the L^p constants read too
+        transformed = dbar_inv(omega)
+        err = norm_lp(wirtinger_dbar(transformed) - omega, 2) / omega_norm
         passed = err <= max_identity_err
         writer.add_result(kind="inverse_identity", series="", h="", value=err)
         writer.add_slope("inverse_identity_rel_err", err, max_identity_err, passed)
         writer.log(f"inverse identity rel err {err:.3e} (<= {max_identity_err:g}: {passed})")
 
-        # L^p boundedness constants
+        # L^p boundedness constants ||dbar_inv omega||_p / ||omega||_p
         for p in (1.5, 2.0, 4.0):
-            c = _resolved(lp_bound_constant(omega, p), f"the L^{p:g} norm of dbar_inv", grid)
+            what = f"the L^{p:g} norm"
+            norm = omega_norm if p == 2.0 else _resolved(norm_lp(omega, p), what, grid)
+            c = _resolved(norm_lp(transformed, p), f"{what} of dbar_inv", grid) / norm
             writer.add_result(kind="lp_bound", series=f"p={p:g}", h="", value=c)
             writer.log(f"lp bound constant p={p}: {c:.4f}")
 
@@ -560,7 +567,7 @@ def cmd_recover(cfg: dict, out_dir: Path) -> int:
         for z0, reason in report.degenerate:
             writer.log(f"degenerate probe {z0}: {reason}")
         code = writer.flush()
-        report.write_manifest(writer.out_dir / "manifest.json", writer.hash)
+        writer.write("manifest.json", report.write_manifest, writer.hash)
         if report.degenerate:
             print(
                 f"degenerate probes: {[z for z, _ in report.degenerate]}", file=sys.stderr

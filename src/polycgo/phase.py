@@ -22,9 +22,14 @@ COUPLING_FACTOR = 8.0
 EXP_LIMIT = float(np.log(np.finfo(float).max))
 
 
-def violates_coupling(grid: ComplexGrid, h: float) -> bool:
-    """The phase-resolution rule: True when grid spacing exceeds h / COUPLING_FACTOR."""
-    return grid.spacing > h / COUPLING_FACTOR
+def check_resolution(grid: ComplexGrid, h: float) -> None:
+    """The phase-resolution rule, spacing <= h / COUPLING_FACTOR; raises CouplingError."""
+    if grid.spacing > h / COUPLING_FACTOR:
+        raise CouplingError(
+            f"grid spacing {grid.spacing:.6g} exceeds h/{COUPLING_FACTOR:g} = "
+            f"{h / COUPLING_FACTOR:.6g} for h={h:.6g} (n={grid.n}, "
+            f"half_width={grid.half_width:g})"
+        )
 
 
 @dataclass(frozen=True)
@@ -43,12 +48,7 @@ class PhaseSpec:
 
     def check_grid(self, grid: ComplexGrid) -> None:
         """Enforce the phase-resolution rule and z0 strictly inside the square."""
-        if violates_coupling(grid, self.h):
-            raise CouplingError(
-                f"grid spacing {grid.spacing:.6g} exceeds h/{COUPLING_FACTOR:g} = "
-                f"{self.h / COUPLING_FACTOR:.6g} for h={self.h:.6g} (n={grid.n}, "
-                f"half_width={grid.half_width:g})"
-            )
+        check_resolution(grid, self.h)
         d = self.z0 - grid.center
         if not (abs(d.real) < grid.half_width and abs(d.imag) < grid.half_width):
             raise ValueError(f"critical point {self.z0} lies outside the grid square")

@@ -22,7 +22,6 @@ from polycgo import (
     d_inv,
     dbar_inv,
     kernel_for,
-    lp_bound_constant,
     norm_lp,
     oscillatory_decay_probe,
     smooth_random_field,
@@ -356,12 +355,13 @@ class TestCauchyTransforms:
             apply_direct(kernel_for(g), g.constant(1.0).values)
 
     def test_lp_boundedness_constant_stable(self):
-        # measured constants stay within a factor 2 across refinement
+        # measured ||dbar_inv f||_p / ||f||_p, as poly cauchy-test reports it,
+        # stays within a factor 2 across refinement
         for p in (1.5, 2.0, 4.0):
             consts = []
             for n in (256, 512, 1024):
-                g = ComplexGrid(0j, 1.0, n)
-                consts.append(lp_bound_constant(sample(g, gaussian_bump(sigma=0.15)), p))
+                f = sample(ComplexGrid(0j, 1.0, n), gaussian_bump(sigma=0.15))
+                consts.append(norm_lp(dbar_inv(f), p) / norm_lp(f, p))
             assert max(consts) / min(consts) <= 2.0, (p, consts)
 
 

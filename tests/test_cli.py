@@ -121,16 +121,18 @@ class TestCauchyCommand:
 
     def test_coupling_boundary_agrees_with_check_grid(self):
         # spacing == h/8 passes both the config check and PhaseSpec.check_grid;
-        # the next smaller h fails both, each with its own error
+        # the next smaller h fails both on the one rule: check_grid raises its
+        # CouplingError, and the config error names phase.h[i] and quotes it
         grid = ComplexGrid(0j, 1.0, 64)
         h_ok = 8.0 * grid.spacing
         h_bad = float(np.nextafter(h_ok, 0.0))
         assert build_phases({"phase": {"h": [h_ok]}}, grid)[1] == [h_ok]
         PhaseSpec(0j, h_ok).check_grid(grid)
-        with pytest.raises(ConfigError, match=r"phase\.h\[1\]"):
+        with pytest.raises(ConfigError, match=r"phase\.h\[1\]") as config:
             build_phases({"phase": {"h": [h_ok, h_bad]}}, grid)
-        with pytest.raises(CouplingError):
+        with pytest.raises(CouplingError) as coupling:
             PhaseSpec(0j, h_bad).check_grid(grid)
+        assert str(config.value) == f"field phase.h[1]={h_bad:g}: {coupling.value}"
 
     def test_nan_h_config_error(self, tmp_path, capsys):
         # json writes and reads the literal NaN, which slips past an `h <= 0` test
@@ -175,11 +177,15 @@ class TestCauchyCommand:
         assert main(["cauchy-test", "--config", cfg]) == 2
         assert "grid.half_width" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("omega, half_width", [("z", 1e-100), ("z", 1e-60), ("1", 2e154)])
+    @pytest.mark.parametrize("omega, half_width", [
+        ("z", 1e-100), ("z", 1e-60), ("1", 2e154), ("1e-90 * bump(0, 0, 0.6, 1)", 1.0),
+    ])
     def test_extreme_grid_scale_config_error(self, tmp_path, capsys, omega, half_width):
         # ||omega||_2 underflows to 0 on the tiny square (on the 1e-60 one only
         # the norms of its transforms do), and (x - x0)^2 overflows on the huge
-        # one, though omega is finite and nonzero on all three
+        # one, though omega is finite and nonzero on all three; the tiny omega
+        # keeps ||omega||_2 but its ||omega||_4 underflows, which the L^4
+        # constant must not divide by
         doc = base_cauchy_config(tmp_path / "r")
         doc["grid"].update(n=16, half_width=half_width)
         doc["phase"] = {"z0": ["0"], "h": [16.0 * half_width]}
@@ -187,6 +193,17 @@ class TestCauchyCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["cauchy-test", "--config", cfg]) == 2
         assert "grid.half_width" in capsys.readouterr().err
+
+    def test_one_transform_of_omega_and_one_per_h(self, tmp_path, monkeypatch):
+        # dbar_inv(omega) serves the identity and the three L^p constants, and
+        # the decay probe forms each h's transform once for all q
+        calls = []
+        apply = CauchyKernel.apply
+        monkeypatch.setattr(CauchyKernel, "apply", lambda k, v: calls.append(1) or apply(k, v))
+        doc = base_cauchy_config(tmp_path / "r")
+        doc["cauchy"]["q_values"] = [2, 4]
+        assert main(["cauchy-test", "--config", write_config(tmp_path, doc)]) == 0
+        assert len(calls) == 1 + len(doc["phase"]["h"])
 
     def test_late_config_error_ends_the_log(self, tmp_path, capsys):
         # the transforms' norms underflow only once the run computes, after its
@@ -879,6 +896,25 @@ class TestRerunIntoOneDirectory:
         assert names == ["config.json", "log.txt", "results.csv", "slopes.csv"]
         echo = json.loads((out / "config.json").read_text())
         assert "cgo" in echo and "recovery" not in echo
+
+    @pytest.mark.parametrize("name, max_terms", [
+        ("config.json", 50), ("log.txt", 1), ("log.txt", 50),
+    ])
+    def test_unwritable_run_file_is_a_config_error(self, tmp_path, capsys, name, max_terms):
+        # a directory named like a run file cannot be opened for writing: exit
+        # 2 with one line naming its path and no result table, not an
+        # OSError out of main, both when the run finishes (after its tables
+        # are written, for log.txt) and when a one-term budget fails it
+        # numerically first
+        out = tmp_path / "r"
+        (out / name).mkdir(parents=True)
+        doc = base_cgo_config(out)
+        doc["solver"]["max_terms"] = max_terms
+        assert main(["cgo", "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out/output.directory ")
+        assert repr(str(out / name)) in err and err.count("\n") == 1
+        assert not any((out / table).exists() for table in cli.RESULT_TABLES)
 
     def test_unremovable_table_is_a_config_error(self, tmp_path, capsys, monkeypatch):
         # a directory named like a table cannot be unlinked: refused when the

@@ -2,7 +2,8 @@
 helper it defines is read somewhere in the package, every public function
 or method is read by the package or reached from outside it (README's
 library example, the benchmark's span targets), no function takes a
-private parameter, and no module keeps or changes a process-wide setting.
+private parameter, no module keeps or changes a process-wide setting, and
+README's library example runs as printed.
 
 Read with the standard library's ast, so the checks need no linter.  The
 package's __init__ imports names only to re-export them and is not checked
@@ -155,12 +156,16 @@ def test_finds_unread_public_names():
     assert found == ["a.C.called", "a.C.method", "a.dead", "b.attr_only"]
 
 
+def library_example() -> str:
+    """The python block under README's "Library example" heading."""
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    return readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+
+
 def library_example_names() -> tuple:
     """(the pc.X names, the other attribute names) loaded by README's library example."""
-    readme = (PACKAGE.parent.parent / "README.md").read_text()
-    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     functions, methods = set(), set()
-    for node in ast.walk(ast.parse(block)):
+    for node in ast.walk(ast.parse(library_example())):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             is_pc = isinstance(node.value, ast.Name) and node.value.id == "pc"
             (functions if is_pc else methods).add(node.attr)
@@ -176,6 +181,14 @@ def test_no_unread_public_name():
         (methods if isinstance(owner, type) else functions).add(attr)
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unread_public_names(sources, functions, methods) == []
+
+
+def test_library_example_runs():
+    # README's example runs as printed, so a name it calls cannot be renamed
+    # or removed unseen; about 1.5 s at its n = 512 with one BLAS thread
+    result = run_python("-c", library_example(), OPENBLAS_NUM_THREADS="1")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count("\n") == 4
 
 
 def private_parameters(source: str) -> list:
