@@ -4,11 +4,14 @@ and the log-log slope fit of every h-sweep table.
 dbar_inv is convolution with 1/(pi*z); d_inv is its conjugate twin with kernel
 1/(pi*conj(z)).  Discretization is product integration: the kernel enters the
 quadrature through its exact integral over each grid cell, computed from the
-corner antiderivative of 1/z.  The antiderivative is evaluated once per corner
-of one quadrant of cells, each interior corner being shared by four cells, and
-the other three quadrants are that quadrant's reflections: 1/z is odd, and
-conjugate-symmetric under y -> -y, so the table is exactly both and
-dbar_inv's adjoint is -d_inv to the roundoff of the transforms alone.  The
+real part of the corner antiderivative of 1/z in real arithmetic, one log and
+one arctan2 per corner of one quadrant of unit cells.  The other three
+quadrants are that quadrant's reflections: 1/z is odd, and
+conjugate-symmetric under y -> -y, so the wrapped table is exactly both and
+dbar_inv's adjoint is -d_inv to the roundoff of the transforms alone.  No
+table is formed: those symmetries make its transform a symmetric
+convolution, two real type-1 transforms (DCT, then DST) of the quadrant's
+real part, written straight into the transform's layout (CauchyKernel).  The
 singular cell gets its exact (zero) weight, and the scheme is second-order
 accurate for smooth data that vanish near the boundary.  Data that reach the
 boundary get first order, since each boundary node's cell overhangs the
@@ -22,7 +25,7 @@ The passes run in place on one 2n x 2n work array whose rows are one 64-byte
 cache line longer than 2n: with a power-of-two row stride every step of an
 axis-0 pass lands in the same cache sets, which made those passes about twice
 as slow as the axis-1 ones.  The stride changes no arithmetic, so no bit.
-The kernel transform is built in the same layout, and the kernel product runs
+The kernel transform is written in the same layout, and the kernel product runs
 over both arrays' contiguous padded bases, whose pad columns are zeroed: a
 multiply over the row-strided 2n x 2n views took twice as long.
 The passes take scipy.fft's worker count for the calling thread, whose default
@@ -52,45 +55,29 @@ from .phase import PhaseSpec
 _ROW_PAD_BYTES = 64
 
 
-def _corner_antiderivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """F with d^2 F/(dx dy) = 1/(x + iy), F = -i*z*(log z - 1), principal log.
+def _cell_quadrant(n: int) -> np.ndarray:
+    """Real parts A of the integrals of 1/z over the unit cells centred at
+    p + iq, p, q = 0..n: a real (n+1) x (n+1) array.
 
-    z = 0 is never asked for: every corner the table reads is an odd multiple
-    of spacing/2 in both coordinates.
+    Each cell takes the mixed difference of the real part of the corner
+    antiderivative F = -i*z*log z, Re F = x*theta + y*L with
+    L = log(x^2 + y^2)/2 and theta = arctan2(y, x): one log and one arctan2
+    per corner c - 1/2, c = 0..n+1, none of which is zero.  (The usual
+    -i*z*(log z - 1) adds -y + ix, which no mixed difference sees.)  No cell
+    but the singular one meets the branch cut of theta.  Re 1/z is odd in x,
+    so the p = 0 cells are exact zeros, which are set.  The imaginary parts
+    are B = -A.T: 1/z swaps its real part for minus its imaginary part under
+    x <-> y.  On a grid of spacing s the integrals are s times these; the
+    log of s would cancel in the difference only to roundoff.
     """
-    z = x + 1j * y
-    return -1j * z * (np.log(z) - 1.0)
-
-
-def _cell_integral_table(n: int, spacing: float) -> np.ndarray:
-    """Exact integrals of 1/z over the cells of the doubled displacement grid.
-
-    Index layout is FFT-wrapped: entry (a, b) holds the cell centered at
-    displacement (p*spacing, q*spacing) with p = a for a < n else a - 2n.
-    Only the quadrant p, q = 0..n is computed: the corner antiderivative is
-    evaluated once per corner (c - 1/2)*spacing, c = 0..n+1, and each cell
-    takes the difference of its four corners.  No quadrant cell but the
-    singular one meets the branch cut of the principal log.  The symmetries
-    of 1/z, I(-p, q) = -conj I(p, q) and I(p, -q) = conj I(p, q), make the
-    real part of the p = 0 cells and the imaginary part of the q = 0 cells
-    exact zeros, which are set, the singular cell's two parts with them.
-    They then fill the other three quadrants by sign and conjugation alone,
-    so the table is exactly odd and exactly conjugate-symmetric in q; the
-    p = -n and q = -n lines come from the quadrant's p = n and q = n cells.
-    """
-    corners = (np.arange(n + 2) - 0.5) * spacing
-    f = _corner_antiderivative(corners[:, None], corners[None, :])
-    quad = f[1:, 1:] - f[:-1, 1:] - f[1:, :-1] + f[:-1, :-1]
-    del f  # the corners are not held while the table is filled
-    quad[0].real = 0.0
-    quad[:, 0].imag = 0.0
-    table = np.empty((2 * n, 2 * n), np.complex128)
-    table[:n, :n] = quad[:n, :n]
-    np.conj(quad[:n, n:0:-1], out=table[:n, n:])
-    np.conj(quad[n:0:-1, :n], out=table[n:, :n])
-    np.negative(table[n:, :n], out=table[n:, :n])
-    np.negative(quad[n:0:-1, n:0:-1], out=table[n:, n:])
-    return table
+    c = np.arange(n + 2) - 0.5
+    sq = c * c
+    re_f = np.log(sq[:, None] + sq[None, :])
+    re_f *= 0.5 * c[None, :]
+    re_f += c[:, None] * np.arctan2(c[None, :], c[:, None])
+    a = np.diff(np.diff(re_f, axis=0), axis=1)
+    a[0] = 0.0
+    return a
 
 
 def _work_array(n: int, dtype) -> np.ndarray:
@@ -112,13 +99,42 @@ class CauchyKernel:
     """Cell-averaged 1/(pi*z) kernel on the doubled grid plus its FFT cache."""
 
     def __init__(self, grid: ComplexGrid):
+        """The transform K^ of the cell integrals I of 1/(pi*z) on the wrapped
+        doubled grid, from their quadrant p, q = 0..n by real transforms.
+
+        The wrapped table holds I(-p, q) = -conj I(p, q) and
+        I(p, -q) = conj I(p, q), its p = -n and q = -n lines being the
+        quadrant's p = n and q = n cells so reflected.  So its real part A is
+        odd in p and even in q, and its imaginary part B = -A.T even in p and
+        odd in q.  Symmetric convolution gives K^ on k1, k2 = 0..n from two
+        type-1 transforms of the quadrant, C = DCT over q of A and
+        SC = DST over p of C[1:n]:
+            Re K^ = -SC[k2, k1] - (-1)^k1 C[n, k2],
+            Im K^ = -SC[k1, k2] + (-1)^k2 C[n, k1],
+        SC being zero at k = 0 and n; the rank-one terms are the p = -n and
+        q = -n lines.  The other frequencies are their reflections, written
+        straight into the padded layout: Re K^ is even in k1 and Im K^ even
+        in k2, while SC changes sign under k -> 2n - k.  The area and 1/pi
+        factors are folded into the quadrant.
+        """
         self.grid = grid
-        # convolution with the exact cell integrals of 1/(pi*z); the area and
-        # 1/pi factors are folded into the cached transform
-        khat = _kernel_layout(grid.n, np.complex128)
-        np.divide(_cell_integral_table(grid.n, grid.spacing), np.pi, out=khat)
-        for axis in (0, 1):  # fft2's order, so its bits
-            _fft.fft(khat, axis=axis, overwrite_x=True)
+        n = grid.n
+        a = _cell_quadrant(n)
+        a *= grid.spacing / np.pi
+        c = _fft.dct(a, type=1, axis=1, overwrite_x=True)
+        sc = _fft.dst(c[1:n], type=1, axis=0)
+        sign = np.ones(n + 1)
+        sign[1::2] = -1.0
+        khat = _kernel_layout(n, np.complex128)
+        re, im = khat.real, khat.imag
+        np.multiply(sign[:, None], -c[n], out=re[: n + 1, : n + 1])
+        np.add(re[: n + 1, n - 1 : 0 : -1], sc[::-1].T, out=re[: n + 1, n + 1 :])
+        re[: n + 1, 1:n] -= sc.T
+        re[n + 1 :] = re[n - 1 : 0 : -1]
+        np.multiply(c[n, :, None], sign, out=im[: n + 1, : n + 1])
+        np.add(im[n - 1 : 0 : -1, : n + 1], sc[::-1], out=im[n + 1 :, : n + 1])
+        im[1:n, : n + 1] -= sc
+        im[:, n + 1 :] = im[:, n - 1 : 0 : -1]
         self._khat = khat
 
     def apply(self, values: np.ndarray) -> np.ndarray:

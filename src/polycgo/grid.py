@@ -324,12 +324,21 @@ def _weighted_p_sum(grid: ComplexGrid, values: np.ndarray, p: float) -> float:
 
 
 def norm_lp(f: ScalarField, p) -> float:
-    """Discrete L^p norm; p = inf gives the max-norm."""
+    """Discrete L^p norm; p = inf gives the max-norm.
+
+    A finite p sums (|f|/max|f|)^p, so the p-th power neither underflows nor
+    overflows where the norm itself is a normal double.
+    """
     if p == np.inf or p == float("inf"):
         return float(np.max(np.abs(f.values)))
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    return _weighted_p_sum(f.grid, f.values, p) ** (1.0 / p)
+    a = np.abs(f.values)
+    top = float(np.max(a))
+    if not 0.0 < top < inf:  # 0, or a modulus past the double range
+        return top
+    a /= top
+    return top * _weighted_p_sum(f.grid, a, p) ** (1.0 / p)
 
 
 def norm_hm(f: ScalarField, m: int) -> float:

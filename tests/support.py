@@ -9,10 +9,11 @@ fresh interpreter on the package's source, for checks that depend on how the
 process starts.
 
 The package keeps only what poly and its library example reach, so the
-oracles and probes that only tests call live here too: apply_direct, the
-O(n^4) direct sum of the Cauchy quadrature; the pi/2 calibration probe
-stationary_phase_calibration with its plateau_cutoff and
-oscillatory_integral; extraction_noise_floor, the roundoff scale of an
+oracles and probes that only tests call live here too: cell_integral_table,
+the wrapped table of cell integrals of 1/z whose transform the kernel holds;
+apply_direct, the O(n^4) direct sum of the Cauchy quadrature over it; the
+pi/2 calibration probe stationary_phase_calibration with its plateau_cutoff
+and oscillatory_integral; extraction_noise_floor, the roundoff scale of an
 extracted value; and the field-level wrappers sample, masked_l2 and apply.
 """
 
@@ -27,7 +28,7 @@ import sympy as sp
 from scipy.integrate import dblquad, quad
 
 from polycgo import ComplexGrid, PerturbedOperator, PhaseSpec, ScalarField
-from polycgo.cauchy import CauchyKernel, _cell_integral_table
+from polycgo.cauchy import CauchyKernel, _cell_quadrant
 from polycgo.cgo import _monomial_part
 from polycgo.grid import _masked_l2
 from polycgo.operators import apply_values
@@ -182,6 +183,30 @@ def apply(op: PerturbedOperator, u: ScalarField) -> ScalarField:
     return ScalarField(op.grid, apply_values(op, u.values, op.grid.spacing))
 
 
+def cell_integral_table(n: int, spacing: float) -> np.ndarray:
+    """Exact integrals of 1/z over the cells of the doubled displacement grid,
+    assembled from the package's quadrant.
+
+    Index layout is FFT-wrapped: entry (a, b) holds the cell centred at
+    displacement (p*spacing, q*spacing) with p = a for a < n else a - 2n.
+    The quadrant p, q = 0..n is spacing*(A - i*A.T), A = _cell_quadrant(n);
+    the other three quadrants are its reflections I(-p, q) = -conj I(p, q),
+    I(p, -q) = conj I(p, q) and I(-p, -q) = -I(p, q), the p = -n and q = -n
+    lines coming from the quadrant's p = n and q = n cells.
+    """
+    a = _cell_quadrant(n) * spacing
+    quad = np.empty(a.shape, np.complex128)
+    quad.real = a
+    quad.imag = -a.T
+    table = np.empty((2 * n, 2 * n), np.complex128)
+    table[:n, :n] = quad[:n, :n]
+    np.conj(quad[:n, n:0:-1], out=table[:n, n:])
+    np.conj(quad[n:0:-1, :n], out=table[n:, :n])
+    np.negative(table[n:, :n], out=table[n:, :n])
+    np.negative(quad[n:0:-1, n:0:-1], out=table[n:, n:])
+    return table
+
+
 def apply_direct(kernel: CauchyKernel, values: np.ndarray) -> np.ndarray:
     """O(n^4) direct summation of kernel's quadrature; validation oracle, refuses n > 128."""
     from scipy.signal import convolve2d
@@ -189,7 +214,7 @@ def apply_direct(kernel: CauchyKernel, values: np.ndarray) -> np.ndarray:
     n, s = kernel.grid.n, kernel.grid.spacing
     if n > 128:
         raise ValueError("direct summation is limited to n <= 128")
-    table = _cell_integral_table(n, s) / (np.pi * s * s)
+    table = cell_integral_table(n, s) / (np.pi * s * s)
     # unwrapped displacement table covering d in [-(n-1), n-1] per axis
     full = np.empty((2 * n - 1, 2 * n - 1), dtype=np.complex128)
     for a in range(-(n - 1), n):

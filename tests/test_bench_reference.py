@@ -72,6 +72,9 @@ def test_cgo_workload_matches_reference(tmp_path):
     assert main(["cgo", "--config", str(config), "--out", str(tmp_path), "--seed", "0"]) == 0
     worst = assert_matches_reference("cgo_sweep", tmp_path)
     # the complex64 probe moves the norm estimates by about 0.2 of the
-    # tolerance (0.19 measured); past half, a drift nears the benchmark's limit
+    # tolerance (0.20 measured), and the 80-bit residual_l2 chain amplifies
+    # last-bit changes of u into the cgo rows (0.223 measured); past half, a
+    # drift nears the benchmark's limit
     norms = [share for key, share in worst.items() if key.startswith("transport_norm")]
     assert len(norms) == 2 and max(norms) <= 0.5
+    assert worst["cgo"] <= 0.5

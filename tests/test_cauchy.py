@@ -7,6 +7,7 @@ import scipy.fft
 
 from support import (
     apply_direct,
+    cell_integral_table,
     dblquad_complex,
     disc_cauchy_transform_oracle,
     gaussian_bump,
@@ -29,7 +30,30 @@ from polycgo import (
     wirtinger_dbar,
 )
 from polycgo import cauchy
-from polycgo.cauchy import _cell_integral_table, _corner_antiderivative
+from polycgo.cauchy import _cell_quadrant
+
+
+def four_corner_quadrant(n, s):
+    """The quadrant p, q = 0..n of cell integrals of 1/z at spacing s by the
+    complex four-corner formula, F = -i*z*(log z - 1) with the principal
+    log, its exact-zero parts zeroed: the kernel's earlier route, kept as a
+    roundoff oracle."""
+    def F(x, y):
+        z = x + 1j * y
+        return -1j * z * (np.log(z) - 1.0)
+
+    k = np.arange(n + 1)
+    p, q = k[:, None], k[None, :]
+    x1, x2 = (p - 0.5) * s, (p + 0.5) * s
+    y1, y2 = (q - 0.5) * s, (q + 0.5) * s
+    quad = F(x2, y2) - F(x1, y2) - F(x2, y1) + F(x1, y1)
+    quad[0, 0] = 0.0
+    quad[0].real = 0.0
+    quad[:, 0].imag = 0.0
+    return quad
+
+
+SPACINGS = (1e-6, 3.7, 1e5, 2e-12 / 63, 2e6 / 63)  # with each n's 2/(n - 1)
 
 
 class TestKernelTable:
@@ -37,7 +61,7 @@ class TestKernelTable:
         # exact corner-formula cell integrals of 1/z vs adaptive quadrature,
         # including a cell on the branch cut, (-4, 0), filled by reflection
         n, s = 16, 0.125
-        table = _cell_integral_table(n, s)
+        table = cell_integral_table(n, s)
         for (p, q) in [(1, 0), (3, 2), (-2, 5), (-4, 0), (0, -3)]:
             cell = dblquad_complex(
                 lambda x, y: 1.0 / (x + 1j * y),
@@ -50,77 +74,88 @@ class TestKernelTable:
 
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_table_is_the_reflected_quadrant(self, n):
-        # reference: the four-corner formula on every cell of the quadrant
-        # p, q = 0..n, its exact-zero parts zeroed, then each wrapped cell read
-        # from (|p|, |q|), conjugated for q < 0 and conjugated and negated for
-        # p < 0; the spacings include those of the half_width 1e-12 and 1e6
-        # grids at n = 64
-        k = np.arange(n + 1)
-        p, q = k[:, None], k[None, :]
+        # reference: the quadrant p, q = 0..n as s*(A - i*A.T), then each
+        # wrapped cell read from (|p|, |q|), conjugated for q < 0 and
+        # conjugated and negated for p < 0; the spacings include those of the
+        # half_width 1e-12 and 1e6 grids at n = 64
         idx = scipy.fft.fftfreq(2 * n, 1.0 / (2 * n)).astype(int)
         rows, cols = idx[:, None], idx[None, :]
-        F = _corner_antiderivative
-        for s in (2.0 / (n - 1), 1e-6, 3.7, 1e5, 2e-12 / 63, 2e6 / 63):
-            x1, x2 = (p - 0.5) * s, (p + 0.5) * s
-            y1, y2 = (q - 0.5) * s, (q + 0.5) * s
-            quad = F(x2, y2) - F(x1, y2) - F(x2, y1) + F(x1, y1)
-            # the parts set to zero are the formula's roundoff, the singular
-            # cell's aside (it meets the branch cut): at most 1.2e-12 of the
-            # largest cell measured at n = 256
-            largest = np.max(np.abs(quad[1:, 1:]))
-            assert np.max(np.abs(quad[0, 1:].real)) <= 1e-11 * largest, s
-            assert np.max(np.abs(quad[1:, 0].imag)) <= 1e-11 * largest, s
-            quad[0, 0] = 0.0
-            quad[0].real = 0.0
-            quad[:, 0].imag = 0.0
+        a = _cell_quadrant(n)
+        for s in (2.0 / (n - 1),) + SPACINGS:
+            quad = a * s - 1j * (a.T * s)
             cells = quad[np.abs(rows), np.abs(cols)]
             cells = np.where(cols < 0, np.conj(cells), cells)
             expect = np.where(rows < 0, -np.conj(cells), cells)
-            assert np.array_equal(_cell_integral_table(n, s), expect), s
+            assert np.array_equal(cell_integral_table(n, s), expect), s
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_quadrant_matches_the_complex_four_corner_formula(self, n):
+        # the real form on unit cells against the complex log at spacing s:
+        # at most 1.9e-13, 6.5e-13 and 3.6e-12 of the largest cell measured
+        # at n = 16, 64 and 256 (1.6e-11 at n = 1024), the four-corner
+        # cancellation of the far cells
+        a = _cell_quadrant(n)
+        for s in (2.0 / (n - 1),) + SPACINGS:
+            oracle = four_corner_quadrant(n, s)
+            err = np.max(np.abs(a * s - 1j * (a.T * s) - oracle))
+            assert err <= 1e-11 * np.max(np.abs(oracle)), s
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_antiderivative_evaluated_once_per_corner(self, n, monkeypatch):
-        # (n+2)^2 corners of the quadrant's cells; the four-corner formula on
-        # every cell of the table evaluates 4(2n)^2
-        points = []
+        # one real log and one arctan2, each over the (n+2)^2 corners of the
+        # quadrant's cells, and no complex log: the complex four-corner
+        # formula on every cell of the table took 4(2n)^2 complex logs
+        seen = {"log": [], "arctan2": []}
+        for name, calls in seen.items():
+            def recorded(*args, ufunc=getattr(np, name), calls=calls):
+                calls.append(np.broadcast_arrays(*args))
+                return ufunc(*args)
 
-        def counted(x, y):
-            points.append(np.broadcast(x, y).size)
-            return _corner_antiderivative(x, y)
-
-        monkeypatch.setattr(cauchy, "_corner_antiderivative", counted)
-        _cell_integral_table(n, 2.0 / (n - 1))
-        assert sum(points) <= (n + 2) ** 2
+            monkeypatch.setattr(np, name, recorded)
+        CauchyKernel(ComplexGrid(0j, 1.0, n))
+        for name, calls in seen.items():
+            assert [args[0].shape for args in calls] == [(n + 2, n + 2)], name
+        [[squares]] = seen["log"]
+        assert squares.dtype == np.float64
 
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_no_corner_is_zero(self, n, monkeypatch):
-        # the antiderivative has no guard for z = 0: every corner is an odd
-        # multiple of spacing/2, so log z stays finite
+        # the real form has no guard for z = 0: every corner is a half
+        # integer in both coordinates, so the log and arctan2 stay finite;
+        # the grid's spacing only scales the quadrant
         corners = []
-
-        def recorded(x, y):
-            corners.append(np.broadcast_arrays(x, y))
-            return _corner_antiderivative(x, y)
-
-        monkeypatch.setattr(cauchy, "_corner_antiderivative", recorded)
-        for s in (2.0 / (n - 1), 2e-12 / 63, 2e6 / 63):
+        arctan2 = np.arctan2
+        monkeypatch.setattr(np, "arctan2", lambda y, x: corners.append(
+            np.broadcast_arrays(y, x)) or arctan2(y, x))
+        for half_width in (1.0, 1e-12, 1e6):
             corners.clear()
-            table = _cell_integral_table(n, s)
-            [(x, y)] = corners  # one call, on the quadrant's corners
+            k = CauchyKernel(ComplexGrid(0j, half_width, n))
+            [(y, x)] = corners
             assert x.shape == (n + 2, n + 2)
-            assert np.all((x != 0) & (y != 0)), s
-            assert np.all(np.isfinite(table)), s
+            for c in (x, y):
+                assert np.all(c % 1.0 == 0.5) and np.all(c != 0), half_width
+            assert np.all(np.isfinite(k._khat)), half_width
+
+    def test_cold_build_runs_no_complex_fft(self, grid64, monkeypatch):
+        # K^ comes from real type-1 transforms of the quadrant: no length-2n
+        # complex pass, and no (2n)^2 table to run one on
+        def refused(*args, **kwargs):
+            raise AssertionError("complex FFT in a kernel build")
+
+        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
+            monkeypatch.setattr(cauchy._fft, name, refused)
+        CauchyKernel(grid64)
 
     def test_singular_cell_weight_is_exact_zero(self, grid64):
-        assert _cell_integral_table(grid64.n, grid64.spacing)[0, 0] == 0.0
+        assert cell_integral_table(grid64.n, grid64.spacing)[0, 0] == 0.0
 
     def test_odd_symmetry(self):
         # -t[-p, -q] == t[p, q] bit for bit on every cell with a partner: all
         # but the p = -n row and q = -n column, which wrap onto themselves
         for n in (16, 64, 256):
             has = np.arange(2 * n) != n
-            for s in (2.0 / (n - 1), 1e-6, 3.7, 1e5, 2e-12 / 63, 2e6 / 63):
-                t = _cell_integral_table(n, s)
+            for s in (2.0 / (n - 1),) + SPACINGS:
+                t = cell_integral_table(n, s)
                 mirrored = np.roll(t[::-1, ::-1], 1, axis=(0, 1))  # t[-p, -q]
                 assert np.array_equal(-mirrored[has][:, has], t[has][:, has]), (n, s)
 
@@ -128,16 +163,17 @@ class TestKernelTable:
         # conj t[p, -q] == t[p, q] bit for bit on every column but q = -n
         for n in (16, 64, 256):
             has = np.arange(2 * n) != n
-            for s in (2.0 / (n - 1), 1e-6, 3.7, 1e5, 2e-12 / 63, 2e6 / 63):
-                t = _cell_integral_table(n, s)
+            for s in (2.0 / (n - 1),) + SPACINGS:
+                t = cell_integral_table(n, s)
                 mirrored = np.roll(t[:, ::-1], 1, axis=1)  # t[p, -q]
                 assert np.array_equal(np.conj(mirrored[:, has]), t[:, has]), (n, s)
 
     def test_cold_build_peak(self, grid256):
         # a fresh kernel's traced peak in units of one (2n)^2 complex128 table:
-        # 2.32 measured (the transform with its row pads, the table and the
-        # quadrant), 8% under the bound; the whole (2n+1)^2 corner lattice
-        # peaked at 4.02
+        # 1.51 measured (the transform with its row pads, the quadrant, its two
+        # real transforms and numpy's copy of the imaginary plane's reflected
+        # half), 8% under the bound; the (2n)^2 table and its complex FFT
+        # peaked at 2.32
         n = grid256.n
         tracemalloc.start()
         try:
@@ -145,7 +181,7 @@ class TestKernelTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * (2 * n) ** 2 * 16
+        assert peak <= 1.63 * (2 * n) ** 2 * 16
 
 
 def padded_reference(kernel, values, dtype=np.complex128):
@@ -249,9 +285,42 @@ class TestPrunedTransform:
 
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_kernel_transform_matches_fft2(self, n):
+        # symmetric convolution against the full transform of the wrapped
+        # table: at most 1.2e-16, 1.3e-16 and 2.5e-16 of max|K^| measured at
+        # n = 16, 64 and 256
         k = CauchyKernel(ComplexGrid(0j, 1.0, n))
-        cells = _cell_integral_table(n, k.grid.spacing)
-        assert np.array_equal(k._khat, scipy.fft.fft2(cells / np.pi))
+        cells = cell_integral_table(n, k.grid.spacing)
+        err = np.max(np.abs(k._khat - scipy.fft.fft2(cells / np.pi)))
+        assert err <= 1e-15 * np.max(np.abs(k._khat))
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_kernel_transform_blocks_are_reflections(self, n):
+        # on k1, k2 = 0..n, with C = DCT-I over q of the scaled quadrant and
+        # SC = DST-I over p of C[1:n] (zero at k = 0 and n),
+        # Re K^ = -(-1)^k1 C[n, k2] - SC[k2, k1] and
+        # Im K^ = (-1)^k2 C[n, k1] - SC[k1, k2]; the other three blocks are
+        # the reflections, Re even in k1 and Im even in k2 while SC changes
+        # sign under k -> 2n - k: all bit for bit
+        g = ComplexGrid(0j, 1.0, n)
+        khat = CauchyKernel(g)._khat
+        a = _cell_quadrant(n)
+        a *= g.spacing / np.pi
+        c = scipy.fft.dct(a, type=1, axis=1)
+        sc = np.zeros((n + 1, n + 1))
+        sc[1:n] = scipy.fft.dst(c[1:n], type=1, axis=0)
+        k = np.arange(n + 1)
+        rank_one = np.where(k % 2, -1.0, 1.0)[None, :] * c[n][:, None]  # (-1)^k2 C[n, k1]
+        low, high = k, np.arange(n + 1, 2 * n)  # positions of k and of 2n - k
+        for rows, cols, re, im in (
+            (low, low, -rank_one.T - sc.T, rank_one - sc),
+            (low, high, -rank_one.T + sc.T, rank_one - sc),
+            (high, low, -rank_one.T - sc.T, rank_one + sc),
+            (high, high, -rank_one.T + sc.T, rank_one + sc),
+        ):
+            got = khat[np.ix_(rows, cols)]
+            folded = np.ix_(np.minimum(rows, 2 * n - rows), np.minimum(cols, 2 * n - cols))
+            assert np.array_equal(got.real, re[folded]), (rows[0], cols[0])
+            assert np.array_equal(got.imag, im[folded]), (rows[0], cols[0])
 
     def test_two_workers_give_the_same_bits(self, grid256):
         k = kernel_for(grid256)
@@ -368,8 +437,10 @@ class TestCauchyTransforms:
 @pytest.mark.parametrize("n", [64, 256])
 def test_dbar_inv_adjoint_is_minus_d_inv(n):
     # <w, dbar_inv f> = <-d_inv w, f>, since the kernel is exactly odd;
-    # measured 6.4e-17 (n = 64) and 6.0e-15 (n = 256) relative, 16x under
-    # the bound; a table odd only to roundoff gave 1.2e-13 and 1.6e-12
+    # measured 3.6e-16 (n = 64) and 3.7e-15 (n = 256) relative with K^ from
+    # real transforms of the quadrant (6.4e-17 and 6.0e-15 from the fft2 of
+    # the reflected table), 27x under the bound; a table odd only to
+    # roundoff gave 1.2e-13 and 1.6e-12
     g = ComplexGrid(0j, 1.0, n)
     rng = np.random.default_rng(n)
     f, w = (ScalarField(g, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))

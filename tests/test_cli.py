@@ -177,15 +177,12 @@ class TestCauchyCommand:
         assert main(["cauchy-test", "--config", cfg]) == 2
         assert "grid.half_width" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("omega, half_width", [
-        ("z", 1e-100), ("z", 1e-60), ("1", 2e154), ("1e-90 * bump(0, 0, 0.6, 1)", 1.0),
-    ])
+    @pytest.mark.parametrize("omega, half_width", [("z", 1e-100), ("1", 2e154)])
     def test_extreme_grid_scale_config_error(self, tmp_path, capsys, omega, half_width):
-        # ||omega||_2 underflows to 0 on the tiny square (on the 1e-60 one only
-        # the norms of its transforms do), and (x - x0)^2 overflows on the huge
-        # one, though omega is finite and nonzero on all three; the tiny omega
-        # keeps ||omega||_2 but its ||omega||_4 underflows, which the L^4
-        # constant must not divide by
+        # the L^1.5 norm of dbar_inv omega underflows to 0 on the tiny square
+        # (the transform is about 1e-200 on an area of 4e-200), and
+        # (x - x0)^2 overflows on the huge one, though omega is finite and
+        # nonzero on both
         doc = base_cauchy_config(tmp_path / "r")
         doc["grid"].update(n=16, half_width=half_width)
         doc["phase"] = {"z0": ["0"], "h": [16.0 * half_width]}
@@ -193,6 +190,33 @@ class TestCauchyCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["cauchy-test", "--config", cfg]) == 2
         assert "grid.half_width" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("omega, unit_omega, half_width", [
+        ("1e-90 * bump(0, 0, 0.6, 1)", "bump(0, 0, 0.6, 1)", 1.0),
+        ("1e90 * bump(0, 0, 0.6, 1)", "bump(0, 0, 0.6, 1)", 1.0),
+        ("z", "z", 1e-60),
+    ])
+    def test_extreme_omega_scale_runs(self, tmp_path, omega, unit_omega, half_width):
+        # each L^p norm is taken of |f|/max|f|, so |omega|^4 neither
+        # underflows (1e-360 for the tiny omega) nor overflows (1e360), and
+        # the norms of dbar_inv z on the 1e-60 square (about 1e-180) stay
+        # normal: every run exits 0, and its L^p constants are the unit
+        # config's times half_width, dbar_inv scaling as the square's side
+        def constants(omega, half_width, out):
+            doc = base_cauchy_config(out)
+            doc["grid"].update(n=16, half_width=half_width)
+            doc["phase"] = {"z0": ["0"], "h": [16.0 * half_width]}
+            doc["cauchy"].update(omega=omega, min_slopes={}, inverse_identity_max_rel=1.0)
+            out.mkdir()
+            assert main(["cauchy-test", "--config", write_config(out, doc)]) == 0
+            with open(out / "results.csv", newline="") as fh:
+                rows = csv.DictReader(line for line in fh if not line.startswith("#"))
+                return np.array([float(r["value"]) for r in rows if r["kind"] == "lp_bound"])
+
+        got = constants(omega, half_width, tmp_path / "extreme")
+        unit = constants(unit_omega, 1.0, tmp_path / "unit")
+        assert len(got) == 3 and np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, half_width * unit, rtol=1e-12)
 
     def test_one_transform_of_omega_and_one_per_h(self, tmp_path, monkeypatch):
         # dbar_inv(omega) serves the identity and the three L^p constants, and
@@ -206,17 +230,17 @@ class TestCauchyCommand:
         assert len(calls) == 1 + len(doc["phase"]["h"])
 
     def test_late_config_error_ends_the_log(self, tmp_path, capsys):
-        # the transforms' norms underflow only once the run computes, after its
-        # directory exists: log.txt ends with the line stderr shows, as a
-        # numerical failure's does (the directory was once left empty)
+        # the transform's L^1.5 norm underflows only once the run computes,
+        # after its directory exists: log.txt ends with the line stderr shows,
+        # as a numerical failure's does (the directory was once left empty)
         out = tmp_path / "r"
         doc = base_cauchy_config(out)
-        doc["grid"].update(n=16, half_width=1e-60)
-        doc["phase"] = {"z0": ["0"], "h": [1.6e-59]}
+        doc["grid"].update(n=16, half_width=1e-100)
+        doc["phase"] = {"z0": ["0"], "h": [1.6e-99]}
         doc["cauchy"]["omega"] = "z"
         assert main(["cauchy-test", "--config", write_config(tmp_path, doc)]) == 2
         err = capsys.readouterr().err.strip()
-        assert err.startswith("config error: field grid.half_width=1e-60: ")
+        assert err.startswith("config error: field grid.half_width=1e-100: the L^1.5 norm of ")
         lines = (out / "log.txt").read_text().splitlines()
         assert lines[0].startswith("failed_at=") and lines[-1] == err
         assert sorted(p.name for p in out.iterdir()) == ["log.txt"]

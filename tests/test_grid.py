@@ -390,6 +390,20 @@ class TestNorms:
         with pytest.raises(ValueError):
             norm_lp(grid64.constant(1.0), 0.5)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    def test_lp_norm_scales_past_the_power_range(self, grid64, p):
+        # |f|^4 of a 1e-90 field is 1e-360 and of a 1e90 field 1e360; the sum
+        # of (|f|/max|f|)^p keeps both norms
+        f = sample(grid64, lambda z: np.exp(-4.0 * np.abs(z) ** 2) * (1 + 1j * z))
+        unit = norm_lp(f, p)
+        for scale in (1e-90, 1e90):
+            assert norm_lp(f * scale, p) == pytest.approx(scale * unit, rel=1e-14), scale
+        assert norm_lp(grid64.zero(), p) == 0.0
+        # a finite field whose modulus overflows keeps an infinite norm
+        values = f.values.copy()
+        values[3, 5] = complex(1.5e308, 1.5e308)
+        assert norm_lp(ScalarField(grid64, values), p) == np.inf
+
 
 def reference_norm_hm(f, m):
     """norm_hm's loop before it took d and dbar in pairs, kept here verbatim but
