@@ -218,13 +218,14 @@ class DecayProbe:
 
 
 def fit_loglog_slope(xs, ys) -> float:
-    """Slope of log(y) against log(x); nan if fewer than 2 usable points with distinct x."""
+    """Slope of log(y) against log(x); nan unless every x and y is finite and
+    positive and at least two x differ."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    keep = (xs > 0) & (ys > 0)
-    if np.unique(xs[keep]).size < 2:
+    usable = np.isfinite(xs) & np.isfinite(ys) & (xs > 0) & (ys > 0)
+    if not usable.all() or np.unique(xs).size < 2:
         return nan
-    return float(np.polyfit(np.log(xs[keep]), np.log(ys[keep]), 1)[0])
+    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
 def oscillatory_decay_probe(
@@ -245,8 +246,7 @@ def oscillatory_decay_probe(
         transformed = d_inv(ph.oscillation(grid) * omega)
         for q, ns in zip(q_values, norms):
             ns.append(norm_lp(transformed, q))
-    probes = []
-    for q, ns in zip(q_values, norms):
-        slope = fit_loglog_slope(hs, ns) if all(v > 0 for v in ns) else nan
-        probes.append(DecayProbe(q=q, rows=tuple(zip(hs, ns)), slope=slope))
-    return probes
+    return [
+        DecayProbe(q=q, rows=tuple(zip(hs, ns)), slope=fit_loglog_slope(hs, ns))
+        for q, ns in zip(q_values, norms)
+    ]

@@ -31,8 +31,9 @@ The source, the earlier terms, the sum g, the a-posteriori check and the
 remainder stay in double.  The norm probe, which needs 6 digits, applies T
 and T* to complex64 copies of its Lanczos vectors under the same range rule,
 and keeps the vectors and its arithmetic in double.  A solution keeps only g
-and r.  Monomial amplitudes
-conj(z)^k/k! and recovery's point weights are built by one rule,
+and r.  An amplitude is its degree k: conj(z)^k/k!, whose dbar^j the source
+takes in closed form, with no stencil, and which is admissible (dbar^m a = 0)
+for k < m.  It and recovery's point weights are built by one rule,
 _monomial_part; recovery's pairing expands the same monomials in x and y
 (recovery._monomial_table), which a test pins against this rule.
 """
@@ -43,6 +44,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import groupby
 from math import factorial, isfinite, log2
+from numbers import Integral
 from operator import add, itemgetter
 
 import numpy as np
@@ -50,9 +52,7 @@ import scipy.ndimage
 
 from .cauchy import cauchy_chain
 from .errors import MaxTermsExceededError, NonContractionError, PrecisionError
-from .grid import (
-    ComplexGrid, ScalarField, _dbar, _masked_l2, _weighted_p_sum, mixed_wirtinger, norm_lp,
-)
+from .grid import ComplexGrid, ScalarField, _masked_l2, _weighted_p_sum, norm_lp
 from .operators import DIVERGENCE, STANDARD, PerturbedOperator, adjoint, apply_values
 from .phase import PhaseSpec
 
@@ -62,7 +62,6 @@ DEFAULT_TOL = 1e-10
 PROBE_RTOL = 1e-6
 PROBE_MAX_STEPS = 20  # the norm probe's cap on Lanczos steps
 DEFAULT_MAX_TERMS = 50
-ADMISSIBLE_RTOL = 1e-6  # check_admissible's bound on |dbar^m a| / max(1, |a|)
 # residual_norm runs in np.longdouble, which some platforms make a plain double
 LONGDOUBLE_EPS = float(np.finfo(np.longdouble).eps)
 # solve_density forms the Neumann tail in complex64 transforms, while the map's
@@ -93,30 +92,34 @@ def _oscillate(factors, values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AmplitudeSpec:
-    """Amplitude field, with its degree when it is a monomial; admissible when dbar^m kills it."""
+    """The amplitude conj(z)^degree / degree!; its field is formed only when read."""
 
-    field: ScalarField
-    degree: int | None = None
+    grid: ComplexGrid
+    degree: int
 
     @classmethod
     def monomial(cls, grid: ComplexGrid, k: int) -> "AmplitudeSpec":
-        """conj(z)^k / k! in the global coordinate, by repeated products."""
-        if k < 0:
-            raise ValueError("monomial degree must be nonnegative")
-        if k == 0:
-            return cls(grid.constant(1.0), degree=0)
-        return cls(ScalarField(grid, _monomial_part(np.conj(grid.nodes), k)), degree=k)
+        """conj(z)^k / k! in the global coordinate; k a nonnegative integer, not a bool."""
+        if isinstance(k, bool) or not isinstance(k, Integral) or k < 0:
+            raise ValueError(f"monomial degree must be a nonnegative integer, got {k!r}")
+        return cls(grid, int(k))
+
+    def dbar(self, k: int):
+        """dbar^k of the amplitude: the n x n monomial of degree - k by _monomial_part,
+        the scalar 1.0 at k = degree and 0.0 past it."""
+        p = self.degree - k
+        if p < 0:
+            return 0.0
+        return 1.0 if p == 0 else _monomial_part(np.conj(self.grid.nodes), p)
+
+    @property
+    def field(self) -> ScalarField:
+        return self.grid.constant(1.0) if self.degree == 0 else ScalarField(self.grid, self.dbar(0))
 
     def check_admissible(self, m: int) -> None:
-        """Require dbar^m(field) ~ 0 within stencil truncation tolerance."""
-        if self.degree is not None and self.degree < m:
-            return  # annihilated identically; the stencil check is redundant
-        resid = norm_lp(mixed_wirtinger(self.field, 0, m), np.inf)
-        scale = max(1.0, norm_lp(self.field, np.inf))
-        if resid > ADMISSIBLE_RTOL * scale:
-            raise ValueError(
-                f"amplitude is not admissible for m={m}: |dbar^m a| = {resid:.3e}"
-            )
+        """The rule dbar^m a = 0, that is degree < m; a ValueError naming m otherwise."""
+        if self.degree >= m:
+            raise ValueError(f"degree {self.degree} is not admissible for m={m}: it must be < m")
 
 
 @dataclass(frozen=True)
@@ -229,16 +232,12 @@ class OscillatoryTransport:
         return OscillatoryTransport(adjoint(self.op), self.phase, -self.sign)
 
     def source(self, amplitude: AmplitudeSpec) -> np.ndarray:
-        """Right-hand side from the amplitude's dbar derivatives; zero, with no
-        transform, when every derivative a coefficient multiplies vanishes."""
-        if not self.active:
+        """Right-hand side, the outer sum of the amplitude's closed-form dbar^k a; the
+        grid's shared zero, with no transform, when no coefficient's column k is at
+        most the degree (dbar^k a = 0 past it)."""
+        if not self.active or self.cols[0] > amplitude.degree:
             return self.grid.zero().values
-        dbar_a = [amplitude.field.values]
-        for _ in range(1, self.op.m):
-            dbar_a.append(_dbar(dbar_a[-1], self.grid.spacing))
-        if not any(np.any(dbar_a[k]) for k in self.cols):
-            return self.grid.zero().values
-        return self._outer_sum(dbar_a)
+        return self._outer_sum({k: amplitude.dbar(k) for k in self.cols})
 
 
 def residual_norm(op: PerturbedOperator, u: ScalarField) -> float:
@@ -358,8 +357,8 @@ def build_cgo(
     tol: float = DEFAULT_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> CGOSolution:
-    """The solution on the transport T whose density and remainder solve_density
-    forms; the carrier sign is T's."""
+    """The solution on the transport T, for an amplitude that check_admissible passes,
+    whose density and remainder solve_density forms; the carrier sign is T's."""
     amplitude.check_admissible(T.op.m)
     g, terms, r = solve_density(T, amplitude, tol, max_terms)
     return CGOSolution(

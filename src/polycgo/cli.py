@@ -31,7 +31,7 @@ import json
 import os
 import sys
 import time
-from math import inf, isfinite, nan
+from math import inf, isfinite
 from pathlib import Path
 
 import scipy.fft
@@ -428,6 +428,9 @@ def cmd_cauchy_test(cfg: dict, out_dir: Path) -> int:
         if q in min_slopes:
             raise ConfigError(f"field {where}: another key already gives q={q:g}")
         min_slopes[q] = _as_float(value, where, FINITE)
+    if len(h_list) < 2 and min_slopes:
+        raise ConfigError(f"field phase.h: one h fits no slope, and cauchy.min_slopes gates "
+                          f"q={min(min_slopes):g}")
     max_identity_err = _take(
         section, "cauchy", "inverse_identity_max_rel", float, default=1e-2, check=NON_NEGATIVE
     )
@@ -473,13 +476,17 @@ def cmd_cgo(cfg: dict, out_dir: Path, seed: int) -> int:
     section = _take(cfg, "", "cgo", dict, default={})
     min_r_slope = _take(section, "cgo", "min_r_slope", float, default=0.45, check=FINITE)
     min_norm_slope = _take(section, "cgo", "min_norm_slope", float, default=0.4, check=FINITE)
-    amplitude_degree = _take(
-        section, "cgo", "amplitude_degree", int, default=0,
-        check=(lambda d: 0 <= d < op.m, f"from 0 to operator.m - 1 = {op.m - 1}"),
-    )
+    degree = _take(section, "cgo", "amplitude_degree", int, default=0)
+    try:
+        amplitude = AmplitudeSpec.monomial(grid, degree)
+        amplitude.check_admissible(op.m)
+    except ValueError as exc:
+        raise ConfigError(f"field cgo.amplitude_degree={degree}: {exc}") from exc
+    if len(h_list) < 2 and not op.is_unperturbed():
+        raise ConfigError("field phase.h: one h fits no slope, and a perturbed operator's "
+                          "remainder_hm and transport_norm slopes are gated")
 
     with RunWriter(out_dir, cfg) as writer:
-        amplitude = AmplitudeSpec.monomial(grid, amplitude_degree)
         op_div, op_std = to_divergence_form(op), to_standard_form(op)
         for z0 in z0_list:
             tag = f"z0={z0.real:g}{z0.imag:+g}i"
@@ -502,7 +509,7 @@ def cmd_cgo(cfg: dict, out_dir: Path, seed: int) -> int:
                 continue
             r_slope = fit_loglog_slope(hs, r_hm)
             g_slope = fit_loglog_slope(hs, g_l2)
-            norm_slope = fit_loglog_slope(hs, estimates) if all(e > 0 for e in estimates) else nan
+            norm_slope = fit_loglog_slope(hs, estimates)
             passed = r_slope >= min_r_slope
             writer.add_slope(f"remainder_hm[{tag}]", r_slope, min_r_slope, passed)
             writer.add_slope(f"density_l2[{tag}]", g_slope, None, True)

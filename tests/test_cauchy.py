@@ -22,6 +22,7 @@ from polycgo import (
     ScalarField,
     d_inv,
     dbar_inv,
+    fit_loglog_slope,
     kernel_for,
     norm_lp,
     oscillatory_decay_probe,
@@ -480,6 +481,25 @@ class TestIteratedInverses:
         rec = wirtinger_dbar(wirtinger_dbar(dbar_inv(f, 2)))
         err = norm_lp(rec - f, 2) / norm_lp(f, 2)
         assert err <= 1e-2
+
+
+class TestLogLogSlope:
+    XS = [0.2, 0.14, 0.1, 0.07]
+
+    def test_power_law_gives_its_slope(self):
+        ys = [3.0 * x**0.75 for x in self.XS]
+        assert fit_loglog_slope(self.XS, ys) == pytest.approx(0.75, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_one_unusable_y_gives_nan(self, bad):
+        # the other three points would fit a slope; none is fitted without the fourth
+        ys = [x**0.5 for x in self.XS]
+        ys[1] = bad
+        assert np.isnan(fit_loglog_slope(self.XS, ys))
+
+    @pytest.mark.parametrize("xs", [[0.2, 0.2, 0.2], [0.2, -0.1, 0.1], [0.2, np.inf, 0.1]])
+    def test_unusable_or_repeated_x_gives_nan(self, xs):
+        assert np.isnan(fit_loglog_slope(xs, [1.0, 2.0, 3.0]))
 
 
 class TestOscillatoryDecay:

@@ -35,6 +35,7 @@ from polycgo import (
     transport_norm_probe,
 )
 from polycgo import cgo
+from polycgo import grid as grid_module
 from polycgo.cauchy import cauchy_chain
 from polycgo.cgo import PROBE_RTOL
 from polycgo.grid import _weighted_p_sum
@@ -79,12 +80,87 @@ class TestAmplitudeSpec:
             assert np.array_equal(got, expect)
         assert np.max(np.abs(got - expect)) <= 1e-15
 
-    def test_custom_admissibility_enforced(self, grid64):
-        bad = AmplitudeSpec(sample(grid64, lambda z: np.conj(z) ** 3))
-        with pytest.raises(ValueError):
-            bad.check_admissible(2)
-        good = AmplitudeSpec(sample(grid64, lambda z: np.conj(z) + 2.0))
-        good.check_admissible(2)
+    @pytest.mark.parametrize("k", [True, 1.0, "1", -1])
+    def test_monomial_refuses_a_bool_or_non_integer_degree(self, grid64, k):
+        with pytest.raises(ValueError, match=re.escape(repr(k))):
+            AmplitudeSpec.monomial(grid64, k)
+
+    @pytest.mark.parametrize("degree", range(4))
+    def test_field_is_the_monomial_rule(self, grid64, degree):
+        # CGOSolution.u reads field, so its bits are those the amplitude always had
+        got = AmplitudeSpec.monomial(grid64, degree).field
+        if degree == 0:
+            expect = grid64.constant(1.0).values
+        else:
+            expect = cgo._monomial_part(np.conj(grid64.nodes), degree)
+        assert got.grid is grid64 and np.array_equal(got.values, expect)
+
+    @pytest.mark.parametrize("degree", range(5))
+    def test_dbar_is_the_lower_monomial(self, grid64, degree):
+        a = AmplitudeSpec.monomial(grid64, degree)
+        for k in range(degree):
+            lower = AmplitudeSpec.monomial(grid64, degree - k).field.values
+            assert np.array_equal(a.dbar(k), lower)
+        assert a.dbar(degree) == 1.0 and a.dbar(degree + 1) == a.dbar(degree + 5) == 0.0
+
+    @pytest.mark.parametrize("degree", range(1, 9))
+    def test_stencil_route_against_the_closed_form(self, grid64, degree):
+        # the 4th-order stencil is exact on polynomials of degree <= 4, so up to
+        # degree 4 only roundoff separates dbar^k by stencils from the closed
+        # form, growing by about 1/spacing per derivative (at most 1.3e-14,
+        # 9.0e-13, 8.3e-11 and 2.4e-9 for k = 1..4 at n = 64); past degree 4
+        # one stencil dbar is off by truncation, 8.8e-8 to 2.8e-7
+        a = AmplitudeSpec.monomial(grid64, degree)
+        f = a.field
+        for k in range(1, degree + 1):
+            err = np.max(np.abs(mixed_wirtinger(f, 0, k).values - a.dbar(k)))
+            if degree <= 4:
+                assert err <= 1e-13 * 100.0 ** (k - 1), (k, err)
+            elif k == 1:
+                assert 5e-8 <= err <= 5e-7, err
+
+    def test_monomial_allocates_nothing_until_field_is_read(self):
+        # nor does a source that vanishes by the degree rule: column 1 alone
+        # multiplies dbar a, which is 0 for the constant
+        grid = ComplexGrid(0j, 1.0, 256)
+        n2_bytes = grid.n**2 * np.dtype(complex).itemsize
+        bump = field_from_expression(grid, "bump(0, 0, 0.6, 1)")
+        T = OscillatoryTransport(PerturbedOperator(grid, 2, {(1, 1): bump}, form="divergence"),
+                                 PHASE)
+        zero = grid.zero()  # held, so the source's shared zero is not formed in the trace
+        tracemalloc.start()
+        try:
+            a = AmplitudeSpec.monomial(grid, 0)
+            a.check_admissible(2)
+            assert T.source(a) is zero.values
+            before = tracemalloc.get_traced_memory()[1]
+            field = a.field
+            after = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert before < n2_bytes <= after and field.values.shape == (grid.n, grid.n)
+
+    def test_build_cgo_refuses_a_degree_of_m_or_more(self, testbed128_div, grid128):
+        T = OscillatoryTransport(testbed128_div, PHASE)
+        for degree in (2, 3):
+            with pytest.raises(ValueError, match=rf"degree {degree} .*m=2"):
+                build_cgo(T, AmplitudeSpec.monomial(grid128, degree))
+
+    def test_source_and_build_run_no_stencil(self, testbed128_div, grid128, monkeypatch):
+        # the amplitude's derivatives are closed forms: no _wirtinger pass, which
+        # every grid stencil (_d, _dbar, mixed_wirtinger) runs
+        calls = []
+        wirtinger = grid_module._wirtinger
+        monkeypatch.setattr(grid_module, "_wirtinger",
+                            lambda *args: calls.append(1) or wirtinger(*args))
+        T = OscillatoryTransport(testbed128_div, PHASE)
+        for degree in (0, 1):
+            a = AmplitudeSpec.monomial(grid128, degree)
+            assert np.any(T.source(a))
+            build_cgo(T, a)
+        assert calls == []
+        mixed_wirtinger(grid128.constant(1.0), 0, 1)
+        assert calls == [1]  # the count sees a stencil
 
 
 class TestTransportMap:
@@ -205,8 +281,10 @@ class TestArrayPath:
 
     def test_source(self, setup, grid64):
         op, T, e_plus, _ = setup
+        # dbar^k conj(z)^2/2 = conj(z)^(2-k)/(2-k)!
+        zbar = np.conj(grid64.nodes)
+        x = [ScalarField(grid64, zbar ** (2 - k) / factorial(2 - k)) for k in range(op.m)]
         a = AmplitudeSpec.monomial(grid64, 2)
-        x = [mixed_wirtinger(a.field, 0, k) for k in range(op.m)]
         assert_matches_oracle(T.source(a), self.outer_sum(op, e_plus, x).values)
 
     def test_apply_adjoint(self, setup, grid64):

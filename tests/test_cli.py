@@ -186,7 +186,7 @@ class TestCauchyCommand:
         doc = base_cauchy_config(tmp_path / "r")
         doc["grid"].update(n=16, half_width=half_width)
         doc["phase"] = {"z0": ["0"], "h": [16.0 * half_width]}
-        doc["cauchy"]["omega"] = omega
+        doc["cauchy"].update(omega=omega, min_slopes={})  # one h: no slope may be gated
         cfg = write_config(tmp_path, doc)
         assert main(["cauchy-test", "--config", cfg]) == 2
         assert "grid.half_width" in capsys.readouterr().err
@@ -237,7 +237,7 @@ class TestCauchyCommand:
         doc = base_cauchy_config(out)
         doc["grid"].update(n=16, half_width=1e-100)
         doc["phase"] = {"z0": ["0"], "h": [1.6e-99]}
-        doc["cauchy"]["omega"] = "z"
+        doc["cauchy"].update(omega="z", min_slopes={})  # one h: no slope may be gated
         assert main(["cauchy-test", "--config", write_config(tmp_path, doc)]) == 2
         err = capsys.readouterr().err.strip()
         assert err.startswith("config error: field grid.half_width=1e-100: the L^1.5 norm of ")
@@ -268,12 +268,17 @@ class TestCauchyCommand:
         assert not (tmp_path / "r").exists()
 
     def test_one_h_fits_no_slope(self, tmp_path, capsys):
-        # one distinct h gives no slope to fit: a failed tolerance, not a traceback
+        # one h gives no slope to fit: a gated q is refused before the run,
+        # which once did all its work and exited 1 on a nan slope; with no
+        # gate the run goes ahead on the one h
         doc = base_cauchy_config(tmp_path / "r")
         doc["phase"]["h"] = [0.3]
-        cfg = write_config(tmp_path, doc)
-        assert main(["cauchy-test", "--config", cfg]) == 1
-        assert "nan" in (tmp_path / "r" / "slopes.csv").read_text()
+        assert main(["cauchy-test", "--config", write_config(tmp_path, doc)]) == 2
+        assert "field phase.h: " in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+        doc["cauchy"]["min_slopes"] = {}
+        assert main(["cauchy-test", "--config", write_config(tmp_path, doc)]) == 0
+        assert "decay_q2,nan," in (tmp_path / "r" / "slopes.csv").read_text()
 
     def test_repeated_q_config_error(self, tmp_path, capsys):
         # a repeated q would run its decay probe twice and write duplicate rows
@@ -350,6 +355,29 @@ class TestCgoCommand:
         assert main(["cgo", "--config", cfg]) == 0
         slopes = (out / "slopes.csv").read_text()
         assert "remainder_zero" in slopes
+
+    def test_one_h_fits_no_slope(self, tmp_path, capsys):
+        # a perturbed operator's remainder_hm and transport_norm slopes are
+        # always gated, so one h is refused before the run; an unperturbed
+        # operator's run checks r = 0 alone and goes ahead on the one h
+        doc = base_cgo_config(tmp_path / "r")
+        doc["phase"]["h"] = [0.3]
+        assert main(["cgo", "--config", write_config(tmp_path, doc)]) == 2
+        assert "field phase.h: " in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+        doc["operator"]["coeffs"] = {}
+        assert main(["cgo", "--config", write_config(tmp_path, doc)]) == 0
+        assert "remainder_zero" in (tmp_path / "r" / "slopes.csv").read_text()
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_inadmissible_degree_is_refused_before_the_run(self, tmp_path, capsys, degree):
+        # the amplitude's own check_admissible, raised at load time
+        doc = base_cgo_config(tmp_path / "r")
+        doc["cgo"]["amplitude_degree"] = degree
+        assert main(["cgo", "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert f"field cgo.amplitude_degree={degree}: degree {degree} " in err and "m=2" in err
+        assert not (tmp_path / "r").exists()
 
     def test_coupling_hard_error_before_compute(self, tmp_path):
         doc = base_cgo_config(tmp_path / "r")
